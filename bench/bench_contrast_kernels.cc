@@ -5,14 +5,18 @@
 //   oracle — the materializing path: per-draw O(N) counter clear, gather
 //            of the conditional sample, and (for rank tests) a per-draw
 //            O(m log m) sort,
-//   rank   — the rank-space kernel (DESIGN.md §5d): epoch-stamped
+//   rank   — the rank-space kernel (DESIGN.md §5d): rank-predicate
 //            selection + DeviationFromSelection (fused moments for Welch,
 //            sorted-order emission for KS/CvM).
+//
+// It also times SliceSampler::DrawSelection alone per (N, |S|, alpha) —
+// the selection step the rank kernel adds before every deviation.
 //
 // Output: a table on stdout and BENCH_contrast_kernels.json with every
 // cell, the per-cell speedup, and an `identical` flag — the two kernels
 // must agree bit for bit on every cell (the CI perf-smoke job asserts
-// `all_identical`). Rerun after kernel changes.
+// `all_identical`) — plus the per-draw selection cost. Rerun after kernel
+// changes.
 
 #include <algorithm>
 #include <cstdio>
@@ -24,6 +28,8 @@
 #include "common/random.h"
 #include "common/timer.h"
 #include "core/contrast.h"
+#include "core/slice.h"
+#include "index/sorted_index.h"
 #include "simd/simd.h"
 #include "stats/two_sample_test.h"
 
@@ -58,6 +64,32 @@ double MedianSeconds(int runs, const Fn& fn) {
   }
   std::sort(times.begin(), times.end());
   return times[times.size() / 2];
+}
+
+struct DrawCost {
+  std::size_t n;
+  std::size_t dims;
+  double alpha;
+  double seconds_per_draw;
+};
+
+/// Median wall clock of one DrawSelection call over `draws` consecutive
+/// draws (the RNG stream a contrast evaluation would consume).
+double DrawSelectionSeconds(const SliceSampler& sampler,
+                            const Subspace& subspace, double alpha,
+                            std::uint64_t seed, int draws, int runs) {
+  SliceScratch scratch;
+  SliceSelection selection;
+  std::uint64_t selected = 0;
+  const double seconds = MedianSeconds(runs, [&] {
+    Rng rng(seed);
+    for (int d = 0; d < draws; ++d) {
+      sampler.DrawSelection(subspace, alpha, &rng, &scratch, &selection);
+      selected += scratch.mask[d % scratch.mask.size()];
+    }
+  });
+  bench::KeepAlive(selected);
+  return seconds / draws;
 }
 
 struct Cell {
@@ -131,7 +163,7 @@ void WriteDeviationKernelThroughput(bench::JsonWriter& json) {
 
 int Run() {
   const std::vector<std::size_t> sizes = {500, 2000};
-  const std::vector<std::size_t> subspace_dims = {2, 3, 5};
+  const std::vector<std::size_t> subspace_dims = {2, 3, 5, 8};
   const std::vector<std::size_t> iteration_counts = {50};
   const std::vector<double> alphas = {0.1, 0.3};
   const std::vector<std::string> tests = {"welch", "ks", "cvm"};
@@ -141,6 +173,7 @@ int Run() {
   const int kRuns = 3;
 
   std::vector<Cell> cells;
+  std::vector<DrawCost> draw_costs;
   bool all_identical = true;
   std::printf(
       "contrast kernel wall clock (%d evaluations, median of %d), seconds\n",
@@ -151,8 +184,18 @@ int Run() {
     const Dataset ds = UniformData(
         n, *std::max_element(subspace_dims.begin(), subspace_dims.end()),
         2000 + n);
+    const SortedAttributeIndex index(ds);
+    const SliceSampler sampler(ds, index);
     for (std::size_t dims : subspace_dims) {
       const Subspace subspace = FirstDims(dims);
+      for (double alpha : alphas) {
+        draw_costs.push_back(
+            {n, dims, alpha,
+             DrawSelectionSeconds(
+                 sampler, subspace, alpha, 11 * n + dims,
+                 kContrastsPerRun * static_cast<int>(iteration_counts[0]),
+                 kRuns)});
+      }
       for (std::size_t iterations : iteration_counts) {
         for (double alpha : alphas) {
           for (const std::string& test_name : tests) {
@@ -200,6 +243,12 @@ int Run() {
       "(the O(N) per-draw clear dominates there) and on the rank tests\n"
       "(the per-draw conditional sort disappears); `identical` must be yes\n"
       "in every cell.\n");
+  std::printf("\nDrawSelection alone, microseconds per draw\n");
+  std::printf("%6s %4s %6s %10s\n", "N", "|S|", "alpha", "us/draw");
+  for (const DrawCost& d : draw_costs) {
+    std::printf("%6zu %4zu %6.2f %10.3f\n", d.n, d.dims, d.alpha,
+                d.seconds_per_draw * 1e6);
+  }
 
   bench::JsonWriter json;
   json.BeginObject()
@@ -222,6 +271,16 @@ int Run() {
         .Field("rank_seconds", c.rank_seconds)
         .Field("speedup", c.oracle_seconds / c.rank_seconds)
         .Field("identical", c.identical)
+        .EndObject();
+  }
+  json.EndArray();
+  json.BeginArray("draw_selection");
+  for (const DrawCost& d : draw_costs) {
+    json.BeginObject()
+        .Field("num_objects", static_cast<std::uint64_t>(d.n))
+        .Field("subspace_dims", static_cast<std::uint64_t>(d.dims))
+        .Field("alpha", d.alpha)
+        .Field("seconds_per_draw", d.seconds_per_draw)
         .EndObject();
   }
   json.EndArray();

@@ -51,7 +51,7 @@ double ContrastEstimator::IterationDeviation(const Subspace& subspace,
     view.marginal_variance = prepared_->MarginalVariance(attribute);
     view.column = prepared_->dataset().Column(attribute);
     view.sorted_order = prepared_->sorted_index().SortedOrder(attribute);
-    view.stamps = scratch->slice.stamps;
+    view.stamps = scratch->slice.mask;
     view.selected_stamp = scratch->selection.selected_stamp;
     return test_.DeviationFromSelection(view, &scratch->sorted_conditional);
   }

@@ -27,7 +27,7 @@ struct ContrastParams {
   /// Target selection ratio alpha in (0, 1); the expected test-statistic
   /// size scales with N * alpha. Paper default 0.1.
   double alpha = 0.1;
-  /// Evaluate deviations through the rank-space kernel (epoch-stamped
+  /// Evaluate deviations through the rank-space kernel (rank-predicate
   /// selection + TwoSampleTest::DeviationFromSelection; DESIGN.md §5d).
   /// false = the materializing gather(+sort) path, kept as the reference
   /// oracle; both produce bit-identical contrast scores

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/slice_epoch.h"
+#include "simd/simd.h"
 
 namespace hics {
 
@@ -105,17 +105,21 @@ void SliceSampler::DrawSelection(const Subspace& subspace, double alpha,
   const std::size_t block = BlockSize(subspace.size(), alpha);
   const std::size_t num_conditions = attrs.size() - 1;
   out->num_conditions = num_conditions;
-  const std::uint32_t base = internal::BeginSelectionEpoch(
-      &scratch->stamps, &scratch->epoch, n, num_conditions);
+  scratch->condition_ranks.resize(num_conditions);
+  scratch->condition_starts.resize(num_conditions);
   for (std::size_t c = 0; c < num_conditions; ++c) {
-    const std::size_t attribute = attrs[c];
     const std::size_t max_start = n - block;
     const std::size_t start =
         max_start == 0 ? 0 : rng->UniformIndex(max_start + 1);
-    internal::StampCondition(&scratch->stamps, base, c,
-                             index_.Block(attribute, start, block));
+    scratch->condition_ranks[c] = index_.Ranks(attrs[c]).data();
+    scratch->condition_starts[c] = static_cast<std::uint32_t>(start);
   }
-  out->selected_stamp = scratch->epoch;
+  scratch->mask.resize(n);
+  simd::ActiveKernels().slice_mask(
+      scratch->condition_ranks.data(), scratch->condition_starts.data(),
+      num_conditions, static_cast<std::uint32_t>(block), n,
+      scratch->mask.data());
+  out->selected_stamp = 1;
 }
 
 }  // namespace hics

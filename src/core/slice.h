@@ -33,25 +33,25 @@ struct SliceScratch {
   std::vector<std::uint16_t> selected;
   /// Attribute permutation of the subspace under test.
   std::vector<std::size_t> attrs;
-  /// Generation stamps of the epoch-based DrawSelection (slice_epoch.h):
-  /// an object is selected by the most recent draw iff its stamp equals
-  /// that draw's SliceSelection::selected_stamp. Reset only when `epoch`
-  /// would overflow, so a draw costs O(conditions * block) instead of the
-  /// O(N) counter clear of the materializing path.
-  std::vector<std::uint32_t> stamps;
-  /// Last stamp value issued; monotonically increasing between resets.
-  std::uint32_t epoch = 0;
+  /// Selection mask written by DrawSelection (simd slice_mask): 1 for an
+  /// object every condition's rank block contains, 0 otherwise. Fully
+  /// rewritten by each draw, so it carries no state between draws.
+  std::vector<std::uint32_t> mask;
+  /// Per-condition rank columns and block starts of the current draw.
+  std::vector<const std::uint32_t*> condition_ranks;
+  std::vector<std::uint32_t> condition_starts;
 };
 
 /// Output of SliceSampler::DrawSelection: the rank-space description of one
 /// slice. The selected objects are not materialized; they are exactly the
-/// ids with scratch->stamps[id] == selected_stamp, which downstream
+/// ids with scratch->mask[id] == selected_stamp, which downstream
 /// consumers sweep in whatever order suits their statistic (object-id
 /// order for moment accumulation, sorted-attribute order for rank tests).
 struct SliceSelection {
   /// The attribute whose marginal vs conditional distribution is tested.
   std::size_t test_attribute = 0;
-  /// Stamp value identifying this draw's selected objects.
+  /// Mask value identifying this draw's selected objects (always 1 after
+  /// a draw over a non-empty dataset).
   std::uint32_t selected_stamp = 0;
   /// Number of conditioning attributes (|S| - 1).
   std::size_t num_conditions = 0;
@@ -99,8 +99,11 @@ class SliceSampler {
   /// Rank-space variant: performs the same random slice construction as
   /// Draw — identical RNG consumption, so a shared rng state yields the
   /// same slice through either entry point — but records the selection as
-  /// epoch stamps in `scratch->stamps` instead of gathering the test
-  /// attribute's values. O(conditions * block) per call; no O(N) reset
+  /// a 0/1 mask in `scratch->mask` instead of gathering the test
+  /// attribute's values. An object is in condition c's block iff its rank
+  /// lies in [start_c, start_c + block), so the mask is one streaming,
+  /// vectorized pass over the conditions' uint32 rank columns
+  /// (simd::SimdKernels::slice_mask) — no scatter into the sorted orders
   /// and no materialization. The selection stays valid until the next
   /// DrawSelection call on the same scratch.
   void DrawSelection(const Subspace& subspace, double alpha, Rng* rng,

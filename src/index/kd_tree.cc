@@ -158,8 +158,10 @@ class KdTreeSearcher : public NeighborSearcher {
     const int far = diff <= 0.0 ? node.right : node.left;
     SearchKnn(near, q, exclude, k, heap);
     // Visit the far side only if the splitting hyperplane could still hold
-    // a closer neighbor.
-    if (heap->size() < k || diff * diff < heap->front().distance) {
+    // a closer neighbor — or an equally distant one: a tie at the k-th
+    // distance with a smaller id still displaces the heap top under the
+    // (distance, id) order, so pruning on equality would drop it.
+    if (heap->size() < k || diff * diff <= heap->front().distance) {
       SearchKnn(far, q, exclude, k, heap);
     }
   }

@@ -6,12 +6,22 @@
 #include "common/parallel.h"
 
 namespace hics {
+namespace {
+
+/// Ranks are positions in [0, num_objects), stored as uint32_t.
+void CheckRanksFit(std::size_t num_objects) {
+  HICS_CHECK_LT(num_objects, std::size_t{1} << 32)
+      << "SortedAttributeIndex stores ranks as uint32_t";
+}
+
+}  // namespace
 
 SortedAttributeIndex::SortedAttributeIndex(const Dataset& dataset,
                                            std::size_t num_threads)
     : num_objects_(dataset.num_objects()),
       order_(dataset.num_attributes()),
       rank_(dataset.num_attributes()) {
+  CheckRanksFit(num_objects_);
   ParallelFor(0, dataset.num_attributes(), num_threads, [&](std::size_t a) {
     const std::vector<double>& column = dataset.Column(a);
     auto& order = order_[a];
@@ -24,7 +34,7 @@ SortedAttributeIndex::SortedAttributeIndex(const Dataset& dataset,
     auto& rank = rank_[a];
     rank.resize(num_objects_);
     for (std::size_t pos = 0; pos < num_objects_; ++pos) {
-      rank[order[pos]] = pos;
+      rank[order[pos]] = static_cast<std::uint32_t>(pos);
     }
   });
 }
@@ -34,6 +44,7 @@ SortedAttributeIndex::SortedAttributeIndex(
     : num_objects_(num_objects),
       order_(std::move(orders)),
       rank_(order_.size()) {
+  CheckRanksFit(num_objects_);
   for (std::size_t a = 0; a < order_.size(); ++a) {
     const auto& order = order_[a];
     HICS_CHECK_EQ(order.size(), num_objects_);
@@ -41,7 +52,7 @@ SortedAttributeIndex::SortedAttributeIndex(
     rank.resize(num_objects_);
     for (std::size_t pos = 0; pos < num_objects_; ++pos) {
       HICS_DCHECK(order[pos] < num_objects_);
-      rank[order[pos]] = pos;
+      rank[order[pos]] = static_cast<std::uint32_t>(pos);
     }
   }
 }

@@ -2,6 +2,7 @@
 #define HICS_INDEX_SORTED_INDEX_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -12,8 +13,12 @@ namespace hics {
 /// Pre-computed one-dimensional index structures (paper §IV-A): for every
 /// attribute, the permutation of object ids sorted ascending by that
 /// attribute's value. Subspace slices are contiguous blocks of these
-/// permutations, which makes the adaptive slice construction O(block size)
-/// regardless of dimensionality.
+/// permutations; equivalently, an object lies in a slice iff its rank (the
+/// inverse permutation) falls in the block's position range, which is how
+/// the slice sampler tests membership in one pass over the rank columns.
+///
+/// Ranks are stored as uint32_t, so both constructors require
+/// num_objects < 2^32.
 class SortedAttributeIndex {
  public:
   /// Builds the index for all attributes of `dataset`. O(D * N log N)
@@ -56,10 +61,17 @@ class SortedAttributeIndex {
     return rank_[attribute][object];
   }
 
+  /// All ranks of `attribute`, indexed by object id:
+  /// Ranks(attribute)[object] == RankOf(attribute, object).
+  std::span<const std::uint32_t> Ranks(std::size_t attribute) const {
+    HICS_DCHECK(attribute < rank_.size());
+    return rank_[attribute];
+  }
+
  private:
   std::size_t num_objects_ = 0;
-  std::vector<std::vector<std::size_t>> order_;  // per attribute
-  std::vector<std::vector<std::size_t>> rank_;   // inverse permutations
+  std::vector<std::vector<std::size_t>> order_;   // per attribute
+  std::vector<std::vector<std::uint32_t>> rank_;  // inverse permutations
 };
 
 }  // namespace hics

@@ -127,6 +127,30 @@ void ScreenRowF32Avx2(const float* soa, std::size_t stride, std::size_t dim,
   }
 }
 
+void SliceMaskAvx2(const std::uint32_t* const* ranks,
+                   const std::uint32_t* starts, std::size_t num_conditions,
+                   std::uint32_t block, std::size_t n, std::uint32_t* mask) {
+  // AVX2 has no unsigned compare: bias both sides by 2^31 and compare
+  // signed. Folding the bias into the start, (r - (s + 2^31)) equals
+  // (r - s) ^ 2^31, so each condition costs one sub and one cmpgt.
+  constexpr std::uint32_t kBias = 0x80000000u;
+  const __m256i vblock = _mm256_set1_epi32(static_cast<int>(block ^ kBias));
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256i in = _mm256_set1_epi32(-1);
+    for (std::size_t c = 0; c < num_conditions; ++c) {
+      const __m256i r =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ranks[c] + i));
+      const __m256i x = _mm256_sub_epi32(
+          r, _mm256_set1_epi32(static_cast<int>(starts[c] + kBias)));
+      in = _mm256_and_si256(in, _mm256_cmpgt_epi32(vblock, x));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(mask + i),
+                        _mm256_srli_epi32(in, 31));
+  }
+  SliceMaskTail(ranks, starts, num_conditions, block, i, n, mask);
+}
+
 /// vpermd control words packing the doubles selected by a 4-bit stamp mask
 /// to the vector front: entry m lists the selected doubles' int32 halves
 /// (2e, 2e+1) in ascending e, padded with zeros (the padding lanes are
@@ -268,6 +292,7 @@ const SimdKernels& Avx2Kernels() {
       SquaredDistanceBoundedAvx2,
       ScreenRowF64Avx2,
       ScreenRowF32Avx2,
+      SliceMaskAvx2,
       CompactSelectedAvx2,
       CompactSelectedSortedAvx2,
       SumAvx2,

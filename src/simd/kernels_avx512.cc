@@ -135,6 +135,28 @@ void ScreenRowF32Avx512(const float* soa, std::size_t stride, std::size_t dim,
   }
 }
 
+void SliceMaskAvx512(const std::uint32_t* const* ranks,
+                     const std::uint32_t* starts, std::size_t num_conditions,
+                     std::uint32_t block, std::size_t n, std::uint32_t* mask) {
+  // 16 objects per step; the running intersection lives in a mask
+  // register and each condition narrows it with one masked unsigned
+  // compare.
+  const __m512i vblock = _mm512_set1_epi32(static_cast<int>(block));
+  const __m512i ones = _mm512_set1_epi32(1);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    __mmask16 in = 0xFFFF;
+    for (std::size_t c = 0; c < num_conditions; ++c) {
+      const __m512i x =
+          _mm512_sub_epi32(_mm512_loadu_si512(ranks[c] + i),
+                           _mm512_set1_epi32(static_cast<int>(starts[c])));
+      in = _mm512_mask_cmplt_epu32_mask(in, x, vblock);
+    }
+    _mm512_storeu_si512(mask + i, _mm512_maskz_mov_epi32(in, ones));
+  }
+  SliceMaskTail(ranks, starts, num_conditions, block, i, n, mask);
+}
+
 std::size_t CompactSelectedAvx512(const double* column,
                                   const std::uint32_t* stamps, std::size_t n,
                                   std::uint32_t target, double* out) {
@@ -236,6 +258,7 @@ const SimdKernels& Avx512Kernels() {
       SquaredDistanceBoundedAvx512,
       ScreenRowF64Avx512,
       ScreenRowF32Avx512,
+      SliceMaskAvx512,
       CompactSelectedAvx512,
       CompactSelectedSortedAvx512,
       SumAvx512,

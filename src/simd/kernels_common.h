@@ -67,6 +67,22 @@ inline void BinIndexTail(const double* values, std::size_t j, std::size_t n,
   for (; j < n; ++j) out[j] = BinIndexOne(values[j], lo, scale, max_bin);
 }
 
+/// Tail of the slice mask: objects [i, n) through the element-wise rank
+/// predicate (1 iff the rank lies in [starts[c], starts[c] + block) for
+/// every condition c).
+inline void SliceMaskTail(const std::uint32_t* const* ranks,
+                          const std::uint32_t* starts,
+                          std::size_t num_conditions, std::uint32_t block,
+                          std::size_t i, std::size_t n, std::uint32_t* mask) {
+  for (; i < n; ++i) {
+    std::uint32_t in = 1;
+    for (std::size_t c = 0; c < num_conditions; ++c) {
+      in &= static_cast<std::uint32_t>(ranks[c][i] - starts[c] < block);
+    }
+    mask[i] = in;
+  }
+}
+
 }  // namespace hics::simd::internal
 
 #endif  // HICS_SIMD_KERNELS_COMMON_H_

@@ -3,6 +3,7 @@
 // lanes, same combine order — see kernels_common.h); the SCREENING kernels
 // only need to stay within the callers' slack margins.
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -101,6 +102,21 @@ void ScreenRowF32Scalar(const float* soa, std::size_t stride, std::size_t dim,
   }
 }
 
+void SliceMaskScalar(const std::uint32_t* const* ranks,
+                     const std::uint32_t* starts, std::size_t num_conditions,
+                     std::uint32_t block, std::size_t n, std::uint32_t* mask) {
+  // Condition-major: each pass is one branch-free sweep over a rank
+  // column, which the compiler vectorizes even at the baseline ISA.
+  std::fill(mask, mask + n, std::uint32_t{1});
+  for (std::size_t c = 0; c < num_conditions; ++c) {
+    const std::uint32_t* r = ranks[c];
+    const std::uint32_t s = starts[c];
+    for (std::size_t i = 0; i < n; ++i) {
+      mask[i] &= static_cast<std::uint32_t>(r[i] - s < block);
+    }
+  }
+}
+
 std::size_t CompactSelectedScalar(const double* column,
                                   const std::uint32_t* stamps, std::size_t n,
                                   std::uint32_t target, double* out) {
@@ -183,6 +199,7 @@ const SimdKernels& ScalarKernels() {
       SquaredDistanceBoundedScalar,
       ScreenRowF64Scalar,
       ScreenRowF32Scalar,
+      SliceMaskScalar,
       CompactSelectedScalar,
       CompactSelectedSortedScalar,
       SumScalar,

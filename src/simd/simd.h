@@ -4,14 +4,16 @@
 //   * the batched-kNN distance kernels — the exact 4-partial-sum squared
 //     distance every result-bearing path shares, and the Gram-screening
 //     tile rows (f64 and f32) that only ever *prune* pairs,
-//   * the rank-space contrast kernels — stamp-filtered compaction of a
-//     slice selection (object-id order for moment tests, sorted-attribute
-//     order for rank tests) and the canonical 8-partial-sum moments.
+//   * the rank-space contrast kernels — the rank-predicate slice mask
+//     (one pass over the conditions' uint32 ranks), stamp-filtered
+//     compaction of that selection (object-id order for moment tests,
+//     sorted-attribute order for rank tests) and the canonical
+//     8-partial-sum moments.
 //
 // Bit-identity contract. Kernels come in two classes:
 //
-//   CANONICAL — squared_distance(_bounded), mean, sum_sq_dev, both
-//   compaction kernels, and the grid bin_index kernel define *the*
+//   CANONICAL — squared_distance(_bounded), mean, sum_sq_dev, slice_mask,
+//   both compaction kernels, and the grid bin_index kernel define *the*
 //   result. Every tier computes the same partial-sum decomposition in the
 //   same combine order (see kernels_scalar.cc for the reference), so
 //   outputs are bit-identical across scalar/AVX2/AVX-512 and across
@@ -92,6 +94,20 @@ struct SimdKernels {
                          std::size_t dim, std::size_t i, std::size_t j0,
                          std::size_t w, float ni, const float* norms,
                          double* d2);
+
+  /// CANONICAL. Rank-predicate slice selection: for every object i in
+  /// [0, n),
+  ///   mask[i] = 1  iff  uint32(ranks[c][i] - starts[c]) < block
+  ///                     for every condition c in [0, num_conditions),
+  /// and 0 otherwise — i.e. i lies in the rank block [starts[c],
+  /// starts[c] + block) of every conditioning attribute (the wrapping
+  /// subtraction folds both block bounds into one unsigned compare).
+  /// `ranks[c]` is an inverse permutation (SortedAttributeIndex::Ranks).
+  /// Integer-only and elementwise, so every tier is bit-identical by
+  /// construction. With num_conditions == 0 every object is selected.
+  void (*slice_mask)(const std::uint32_t* const* ranks,
+                     const std::uint32_t* starts, std::size_t num_conditions,
+                     std::uint32_t block, std::size_t n, std::uint32_t* mask);
 
   /// CANONICAL. Object-id-order compaction of a slice selection: writes
   /// column[id] for every id in [0, n) with stamps[id] == target to

@@ -36,7 +36,7 @@ struct SelectionView {
   /// Object ids ascending by test-attribute value; walking it and
   /// filtering on the stamp emits the conditional sample already sorted.
   std::span<const std::size_t> sorted_order;
-  /// Per-object selection stamps (SliceScratch::stamps).
+  /// Per-object selection stamps (SliceScratch::mask).
   std::span<const std::uint32_t> stamps;
   /// Stamp value identifying the selected objects.
   std::uint32_t selected_stamp = 0;

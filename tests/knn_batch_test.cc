@@ -140,6 +140,53 @@ TEST(KnnBatchTest, CrossBackendBatchesAgree) {
   }
 }
 
+TEST(KnnBatchTest, KdTreeMatchesBruteOnQuantizedGrid) {
+  // Integer-valued 2-D data puts many neighbors at exactly the k-th
+  // distance and many points exactly on the kd-tree's splitting planes.
+  // A tie at the k-th distance with a smaller id still belongs in the
+  // result under the (distance, id) order, so the kd-tree must not prune
+  // a far child whose plane distance equals the current k-th distance.
+  const std::size_t n = 400;
+  const std::size_t k = 10;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    Dataset ds(n, 2);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < 2; ++j) {
+        ds.Set(i, j, static_cast<double>(rng.UniformIndex(12)));
+      }
+    }
+    const auto brute = MakeBruteForceSearcher(ds, ds.FullSpace());
+    const auto kd = MakeKdTreeSearcher(ds, ds.FullSpace());
+    KnnResultTable bt, kt;
+    brute->QueryAllKnn(k, &bt, 1);
+    kd->QueryAllKnn(k, &kt, 1);
+    for (std::size_t q = 0; q < n; ++q) {
+      const auto a = bt.Row(q);
+      const auto b = kt.Row(q);
+      ASSERT_EQ(a.size(), b.size()) << "seed " << seed << " query " << q;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].id, b[i].id) << "seed " << seed << " query " << q;
+        EXPECT_EQ(a[i].distance, b[i].distance)
+            << "seed " << seed << " query " << q;
+      }
+    }
+    // Out-of-sample points on the grid, including ones that coincide
+    // with training rows (distance-0 ties).
+    std::vector<Neighbor> want, got;
+    for (std::size_t x = 0; x < 12; x += 3) {
+      for (std::size_t y = 0; y < 12; ++y) {
+        const double point[2] = {static_cast<double>(x),
+                                 static_cast<double>(y)};
+        brute->QueryKnnPoint(point, k, &want);
+        kd->QueryKnnPoint(point, k, &got);
+        EXPECT_EQ(got, want) << "seed " << seed << " point (" << x << ", "
+                             << y << ")";
+      }
+    }
+  }
+}
+
 TEST(KnnBatchTest, TableReuseAcrossShapes) {
   Dataset big = RandomDataset(150, 2, 21);
   Dataset small = RandomDataset(40, 2, 22);

@@ -1,8 +1,8 @@
 // SIMD layer guarantees (DESIGN.md §5g):
-//  (1) every CANONICAL kernel (exact distance, bounded distance, both
-//      compactions, sum, sum_sq_dev) is bit-identical across every tier
-//      this machine can run, on hostile inputs too (NaN, duplicates,
-//      tie-heavy, remainder-heavy lengths);
+//  (1) every CANONICAL kernel (exact distance, bounded distance, the slice
+//      mask, both compactions, sum, sum_sq_dev) is bit-identical across
+//      every tier this machine can run, on hostile inputs too (NaN,
+//      duplicates, tie-heavy, remainder-heavy lengths);
 //  (2) the SCREENING kernels stay within the slack margins the brute-force
 //      searcher covers them with, in both precisions;
 //  (3) the dispatch seam: tier parsing/clamping/scoped restore, and — end
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -179,6 +180,62 @@ TEST(SimdKernelTest, CompactSelectedSortedIdenticalAcrossTiers) {
       for (std::size_t i = 0; i < got; ++i) {
         EXPECT_EQ(Bits(expected[i]), Bits(out[i]))
             << "n=" << n << " i=" << i << " tier=" << simd::SimdTierName(tier);
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, SliceMaskMatchesOracleAcrossTiers) {
+  // Every tier must produce, for each object, exactly the brute-force
+  // membership of the intersection of the conditions' rank blocks — at
+  // the vector-width edges, with full-range and unit blocks placed at
+  // both ends of the rank range, and without writing past n.
+  for (std::size_t n : {0u, 1u, 15u, 16u, 17u, 63u, 64u, 65u, 4099u}) {
+    Rng rng(500 + n);
+    std::vector<std::vector<std::uint32_t>> rank_columns(12);
+    for (auto& ranks : rank_columns) {
+      ranks.resize(n);
+      std::iota(ranks.begin(), ranks.end(), 0u);
+      for (std::size_t i = n; i > 1; --i) {
+        std::swap(ranks[i - 1], ranks[rng.UniformIndex(i)]);
+      }
+    }
+    std::vector<const std::uint32_t*> ranks;
+    for (const auto& column : rank_columns) ranks.push_back(column.data());
+    const std::size_t max_block = std::max<std::size_t>(n, 1);
+    for (std::size_t conditions = 1; conditions <= 12; ++conditions) {
+      for (std::size_t block : {std::size_t{1}, max_block}) {
+        const std::size_t max_start = n >= block ? n - block : 0;
+        for (std::size_t start_mode = 0; start_mode < 3; ++start_mode) {
+          std::vector<std::uint32_t> starts(conditions);
+          for (std::uint32_t& s : starts) {
+            s = static_cast<std::uint32_t>(
+                start_mode == 0   ? 0
+                : start_mode == 1 ? max_start
+                                  : rng.UniformIndex(max_start + 1));
+          }
+          std::vector<std::uint32_t> want(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            bool in = true;
+            for (std::size_t c = 0; c < conditions; ++c) {
+              in = in && ranks[c][i] >= starts[c] &&
+                   ranks[c][i] < starts[c] + block;
+            }
+            want[i] = in ? 1u : 0u;
+          }
+          for (SimdTier tier : AvailableTiers()) {
+            std::vector<std::uint32_t> got(n + 1, 0xDEADBEEF);
+            KernelsForTier(tier).slice_mask(
+                ranks.data(), starts.data(), conditions,
+                static_cast<std::uint32_t>(block), n, got.data());
+            EXPECT_EQ(got[n], 0xDEADBEEFu) << "tier wrote past n";
+            got.resize(n);
+            EXPECT_EQ(got, want)
+                << "n=" << n << " conditions=" << conditions
+                << " block=" << block << " start_mode=" << start_mode
+                << " tier=" << simd::SimdTierName(tier);
+          }
+        }
       }
     }
   }

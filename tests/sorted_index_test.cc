@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "common/random.h"
 
 namespace hics {
@@ -33,6 +37,45 @@ TEST(SortedIndexTest, RankIsInversePermutation) {
   for (std::size_t pos = 0; pos < 100; ++pos) {
     const std::size_t object = index.SortedOrder(0)[pos];
     EXPECT_EQ(index.RankOf(0, object), pos);
+  }
+}
+
+TEST(SortedIndexTest, RanksMatchRankOfForBothConstructors) {
+  // Ranks(a) is the uint32 column the slice mask streams over; it must
+  // agree with RankOf for an index built by sorting and for one adopting
+  // precomputed orders (the streaming plane's incremental path), with
+  // duplicate-heavy columns so the stable tie order matters.
+  Rng rng(29);
+  const std::size_t n = 257;
+  std::vector<std::vector<double>> columns(3, std::vector<double>(n));
+  for (std::size_t j = 0; j < columns.size(); ++j) {
+    for (double& v : columns[j]) {
+      v = j == 0 ? rng.UniformDouble()
+                 : std::floor(rng.UniformDouble() * 5.0);
+    }
+  }
+  auto ds = *Dataset::FromColumns(columns);
+  const SortedAttributeIndex sorted(ds, 2);
+  std::vector<std::vector<std::size_t>> orders;
+  for (std::size_t a = 0; a < ds.num_attributes(); ++a) {
+    const auto order = sorted.SortedOrder(a);
+    orders.emplace_back(order.begin(), order.end());
+  }
+  const SortedAttributeIndex adopted(n, std::move(orders));
+  for (const SortedAttributeIndex* index : {&sorted, &adopted}) {
+    for (std::size_t a = 0; a < ds.num_attributes(); ++a) {
+      const auto ranks = index->Ranks(a);
+      ASSERT_EQ(ranks.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(ranks[i], index->RankOf(a, i)) << "attribute " << a;
+        EXPECT_EQ(index->SortedOrder(a)[ranks[i]], i) << "attribute " << a;
+      }
+    }
+  }
+  for (std::size_t a = 0; a < ds.num_attributes(); ++a) {
+    const auto x = sorted.Ranks(a);
+    const auto y = adopted.Ranks(a);
+    EXPECT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end()));
   }
 }
 
@@ -78,6 +121,11 @@ TEST(SortedIndexDeathTest, BlockOutOfRangeAborts) {
   SortedAttributeIndex index(ds);
   EXPECT_DEATH(index.Block(0, 1, 2), "");
   EXPECT_DEATH(index.Block(7, 0, 1), "");
+}
+
+TEST(SortedIndexDeathTest, RejectsMoreObjectsThanUint32Ranks) {
+  // Checked before any per-attribute work, so no orders are needed.
+  EXPECT_DEATH(SortedAttributeIndex(std::size_t{1} << 32, {}), "uint32_t");
 }
 
 }  // namespace
