@@ -7,8 +7,10 @@
 namespace hics {
 
 Dataset::Dataset(std::size_t num_objects, std::size_t num_attributes)
-    : num_objects_(num_objects),
-      columns_(num_attributes, std::vector<double>(num_objects, 0.0)) {
+    : num_objects_(num_objects), columns_(num_attributes) {
+  // Sized column by column: no prototype column is built, so a dataset
+  // without attributes allocates nothing whatever its object count.
+  for (std::vector<double>& column : columns_) column.assign(num_objects, 0.0);
   ResetDefaultNames();
 }
 

@@ -12,12 +12,6 @@ namespace {
 
 // Size models behind ApproxMemoryBytes (see the header doc): estimates
 // of the dominant slabs, not allocator-exact accounting.
-std::size_t SearcherBytes(const NeighborSearcher& searcher) {
-  return searcher.num_objects() *
-         (searcher.dimensionality() * sizeof(double) +
-          2 * sizeof(std::size_t));
-}
-
 std::size_t KnnTableBytes(std::size_t num_objects, std::size_t k) {
   return num_objects * k * sizeof(Neighbor) +
          num_objects * sizeof(std::size_t);
@@ -175,35 +169,29 @@ void ArtifactCache::AdvanceEpoch(std::uint64_t new_epoch,
   }
 }
 
-std::shared_ptr<const NeighborSearcher> ArtifactCache::GetSearcher(
-    const Subspace& subspace, KnnBackend backend) {
-  HICS_CHECK(backend != KnnBackend::kAuto);
-  const SearcherKey key{static_cast<int>(backend), subspace};
-  const std::uint64_t now = epoch();
-  {
-    std::lock_guard<std::mutex> lock(searcher_mutex_);
-    auto it = searchers_.find(key);
-    if (it != searchers_.end()) {
-      if (it->second.epoch == now) {
-        searcher_hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second.value;
-      }
-      // Stale stamp (defense-in-depth; AdvanceEpoch normally sweeps):
-      // evict and fall through to a rebuild at the current epoch.
-      AccountEviction(it->second.bytes);
-      searchers_.erase(it);
-    }
+std::shared_ptr<const NeighborSearcher> ArtifactCache::FindSearcherLocked(
+    const SearcherKey& key, std::uint64_t now) {
+  auto it = searchers_.find(key);
+  if (it == searchers_.end()) return nullptr;
+  if (it->second.epoch != now) {
+    // Stale stamp (defense-in-depth; AdvanceEpoch normally sweeps):
+    // evict so the caller rebuilds at the current epoch.
+    AccountEviction(it->second.bytes);
+    searchers_.erase(it);
+    return nullptr;
   }
-  searcher_misses_.fetch_add(1, std::memory_order_relaxed);
-  // Build outside the lock: index construction is the expensive part and
-  // must not serialize unrelated subspaces. A racing builder loses to the
-  // first insert; both products are equivalent (identical query answers).
-  std::shared_ptr<const NeighborSearcher> built =
-      MakeSearcher(*dataset_, subspace, backend);
+  searcher_hits_.fetch_add(1, std::memory_order_relaxed);
+  return it->second.value;
+}
+
+std::shared_ptr<const NeighborSearcher> ArtifactCache::PublishSearcher(
+    const Subspace& subspace, std::shared_ptr<const NeighborSearcher> built,
+    std::uint64_t now) {
+  const SearcherKey key{static_cast<int>(built->backend()), subspace};
   std::lock_guard<std::mutex> lock(searcher_mutex_);
   auto it = searchers_.find(key);
   if (it != searchers_.end()) return it->second.value;  // racing builder won
-  const std::size_t bytes = SearcherBytes(*built);
+  const std::size_t bytes = built->MemoryBytes();
   if (!AdmitBytes(bytes)) {
     budget_rejections_.fetch_add(1, std::memory_order_relaxed);
     return built;  // identical bits, just not memoized
@@ -212,6 +200,25 @@ std::shared_ptr<const NeighborSearcher> ArtifactCache::GetSearcher(
       .emplace(key, Entry<const NeighborSearcher>{std::move(built), now,
                                                   bytes})
       .first->second.value;
+}
+
+std::shared_ptr<const NeighborSearcher> ArtifactCache::GetSearcher(
+    const Subspace& subspace, KnnBackend backend) {
+  HICS_CHECK(backend != KnnBackend::kAuto);
+  const std::uint64_t now = epoch();
+  {
+    std::lock_guard<std::mutex> lock(searcher_mutex_);
+    if (auto hit = FindSearcherLocked({static_cast<int>(backend), subspace},
+                                      now)) {
+      return hit;
+    }
+  }
+  searcher_misses_.fetch_add(1, std::memory_order_relaxed);
+  // Build outside the lock: index construction is the expensive part and
+  // must not serialize unrelated subspaces. A racing builder loses to the
+  // first insert; both products are equivalent (identical query answers).
+  return PublishSearcher(subspace, MakeSearcher(*dataset_, subspace, backend),
+                         now);
 }
 
 std::shared_ptr<const KnnResultTable> ArtifactCache::GetKnnTable(
@@ -232,8 +239,23 @@ std::shared_ptr<const KnnResultTable> ArtifactCache::GetKnnTable(
     }
   }
   knn_misses_.fetch_add(1, std::memory_order_relaxed);
-  const std::shared_ptr<const NeighborSearcher> searcher =
-      GetSearcher(subspace, backend);
+  std::shared_ptr<const NeighborSearcher> searcher;
+  {
+    // Every backend answers identically, so under kAuto any searcher
+    // already cached for the subspace serves; the tree is looked up first.
+    std::lock_guard<std::mutex> lock(searcher_mutex_);
+    for (KnnBackend cached : {KnnBackend::kKdTree, KnnBackend::kBruteForce}) {
+      if (backend != KnnBackend::kAuto && cached != backend) continue;
+      searcher = FindSearcherLocked({static_cast<int>(cached), subspace}, now);
+      if (searcher) break;
+    }
+  }
+  if (!searcher) {
+    searcher_misses_.fetch_add(1, std::memory_order_relaxed);
+    // Built outside the lock, like GetSearcher's.
+    searcher = PublishSearcher(
+        subspace, ResolveKnnSearcher(*dataset_, subspace, backend, k), now);
+  }
   auto table = std::make_shared<KnnResultTable>();
   if (use_batch_kernel) {
     searcher->QueryAllKnn(k, table.get(), num_threads);

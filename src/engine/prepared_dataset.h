@@ -112,16 +112,16 @@ class ArtifactCache {
                                                       KnnBackend backend);
 
   /// The memoized all-kNN table for (subspace, k): row q holds the k
-  /// nearest neighbors of object q. Built on first use from the
-  /// (subspace, backend) searcher; keyed without the backend because all
-  /// backends return element-identical tables. `num_threads` and
-  /// `use_batch_kernel` only shape how a miss is computed, never the
-  /// result.
-  std::shared_ptr<const KnnResultTable> GetKnnTable(const Subspace& subspace,
-                                                    KnnBackend backend,
-                                                    std::size_t k,
-                                                    std::size_t num_threads,
-                                                    bool use_batch_kernel);
+  /// nearest neighbors of object q. Keyed without the backend because all
+  /// backends return element-identical tables. A miss queries the cached
+  /// (subspace, backend) searcher — under kAuto, any searcher cached for
+  /// the subspace — or else publishes what ResolveKnnSearcher builds, so
+  /// a searcher the resolution keeps is built once and one it rejects is
+  /// never cached. `num_threads` and `use_batch_kernel` only shape how a
+  /// miss is computed, never the result.
+  std::shared_ptr<const KnnResultTable> GetKnnTable(
+      const Subspace& subspace, KnnBackend backend, std::size_t k,
+      std::size_t num_threads, bool use_batch_kernel);
 
   /// The cached score vector for (scorer_key, subspace), or nullptr on a
   /// miss. `scorer_key` must encode every score-affecting parameter of
@@ -216,9 +216,9 @@ class ArtifactCache {
   void SetByteBudget(std::size_t bytes);
 
   /// Estimated bytes held by the cached artifacts, from per-kind size
-  /// models (not allocator-exact): a searcher counts its projected SoA
-  /// point slab plus per-point index bookkeeping
-  /// (n * (dims * 8 + 16) bytes), a kNN table its neighbor slab plus
+  /// models (not allocator-exact): a searcher counts the buffers it
+  /// reports (NeighborSearcher::MemoryBytes — coordinate copies, norms,
+  /// index arrays, tree nodes), a kNN table its neighbor slab plus
   /// per-row counts (n * k * sizeof(Neighbor) + n * 8), a score vector
   /// its doubles (n * 8), a grid whatever footprint its inserter
   /// declared. Container/node overhead is excluded; treat the budget as
@@ -251,6 +251,19 @@ class ArtifactCache {
   using KnnKey = std::pair<std::size_t, Subspace>;
   using ScoreKey = std::pair<std::string, Subspace>;
   using GridKey = std::pair<std::string, Subspace>;
+
+  /// The cached searcher for `key` at epoch `now` (counting a hit), or
+  /// nullptr; a stale-stamped entry is evicted. Caller holds
+  /// searcher_mutex_.
+  std::shared_ptr<const NeighborSearcher> FindSearcherLocked(
+      const SearcherKey& key, std::uint64_t now);
+
+  /// Caches a freshly built searcher under its backend(), subject to the
+  /// byte budget; a racing builder's entry wins. Returns the canonical
+  /// (or, when rejected by the budget, the uncached) searcher.
+  std::shared_ptr<const NeighborSearcher> PublishSearcher(
+      const Subspace& subspace, std::shared_ptr<const NeighborSearcher> built,
+      std::uint64_t now);
 
   const Dataset* dataset_;
 

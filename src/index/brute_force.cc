@@ -202,6 +202,12 @@ class BruteForceSearcher : public NeighborSearcher {
 
   std::size_t num_objects() const override { return num_objects_; }
   std::size_t dimensionality() const override { return dim_; }
+  KnnBackend backend() const override { return KnnBackend::kBruteForce; }
+
+  std::size_t MemoryBytes() const override {
+    return (points_.size() + soa_.size() + norms_.size()) * sizeof(double) +
+           (soa32_.size() + norms32_.size()) * sizeof(float);
+  }
 
  private:
   /// Tile edge of the blocked sweep: 128 columns of screening distances

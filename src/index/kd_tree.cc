@@ -1,7 +1,12 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <utility>
 
+#include "common/check.h"
+#include "common/parallel.h"
 #include "index/distance.h"
 #include "index/neighbor_searcher.h"
 
@@ -9,52 +14,91 @@ namespace hics {
 
 namespace {
 
-/// Classic median-split KD-tree storing point ids; leaves hold small
-/// buckets. Nearest-k search with hyperplane pruning.
+/// Median-split KD-tree laid out for scanning (DESIGN.md §5c). The
+/// projected coordinates are stored once, in tree order, so every leaf
+/// bucket is one contiguous slab; `ids_` maps a tree position to its
+/// object id and `pos_` maps back. One search routine answers QueryKnn,
+/// QueryKnnPoint, QueryAllKnn and the backend probe: each visited leaf is
+/// scanned as a block of SquaredDistance values (the canonical 4-lane
+/// order, so distances are bit-identical to brute force), the block is
+/// filtered against the current k-th distance, and the survivors are
+/// inserted into a sorted top-k row.
 class KdTreeSearcher : public NeighborSearcher {
  public:
   KdTreeSearcher(const Dataset& dataset, const Subspace& subspace)
       : num_objects_(dataset.num_objects()), dim_(subspace.size()) {
     HICS_CHECK_GT(dim_, 0u);
-    points_.resize(num_objects_ * dim_);
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < num_objects_; ++i) {
-      for (std::size_t dim : subspace) points_[out++] = dataset.Get(i, dim);
+    // Tree positions and object ids are stored as uint32_t.
+    HICS_CHECK_LT(num_objects_, std::size_t{1} << 32)
+        << "KdTreeSearcher indexes objects with uint32_t";
+    std::vector<const double*> columns;
+    for (std::size_t dim : subspace) {
+      columns.push_back(dataset.Column(dim).data());
     }
     ids_.resize(num_objects_);
-    std::iota(ids_.begin(), ids_.end(), 0);
+    std::iota(ids_.begin(), ids_.end(), 0u);
     if (num_objects_ > 0) {
-      nodes_.reserve(2 * num_objects_ / kLeafSize + 2);
-      root_ = Build(0, num_objects_, 0);
+      // Only nodes above kLeafSize points split, so every leaf keeps at
+      // least kLeafSize / 2 points: at most 4n / kLeafSize nodes in all.
+      nodes_.reserve(4 * num_objects_ / kLeafSize + 1);
+      Build(columns, 0, num_objects_);
+      nodes_.shrink_to_fit();
+    }
+    points_.resize(num_objects_ * dim_);
+    pos_.resize(num_objects_);
+    for (std::size_t p = 0; p < num_objects_; ++p) {
+      for (std::size_t j = 0; j < dim_; ++j) {
+        points_[p * dim_ + j] = columns[j][ids_[p]];
+      }
+      pos_[ids_[p]] = static_cast<std::uint32_t>(p);
     }
   }
 
   void QueryKnn(std::size_t query, std::size_t k,
                 std::vector<Neighbor>* out) const override {
     HICS_CHECK_LT(query, num_objects_);
-    std::vector<Neighbor>& heap = *out;  // max-heap of squared distances
-    heap.clear();
-    heap.reserve(k + 1);
-    if (root_ >= 0 && k > 0) {
-      SearchKnn(root_, &points_[query * dim_], query, k, &heap);
-    }
-    std::sort_heap(heap.begin(), heap.end());
-    for (Neighbor& n : heap) n.distance = std::sqrt(n.distance);
+    const std::size_t p = pos_[query];
+    out->resize(CappedK(k));
+    SearchInto(&points_[p * dim_], p, out->size(), out->data());
   }
 
   void QueryKnnPoint(std::span<const double> point, std::size_t k,
                      std::vector<Neighbor>* out) const override {
     HICS_CHECK_EQ(point.size(), dim_);
-    std::vector<Neighbor>& heap = *out;
-    heap.clear();
-    heap.reserve(k + 1);
-    if (root_ >= 0 && k > 0) {
-      // exclude = num_objects_ matches no id, so the point competes
-      // against every indexed object (out-of-sample semantics).
-      SearchKnn(root_, point.data(), num_objects_, k, &heap);
+    // exclude = num_objects_ matches no position, so the point competes
+    // against every indexed object (out-of-sample semantics).
+    out->resize(std::min(k, num_objects_));
+    SearchInto(point.data(), num_objects_, out->size(), out->data());
+  }
+
+  void QueryAllKnn(std::size_t k, KnnResultTable* out,
+                   std::size_t num_threads) const override {
+    const std::size_t kcap = CappedK(k);
+    out->Reset(num_objects_, kcap);
+    if (kcap == 0) return;
+    // Queries run in tree order: consecutive queries share their leaf and
+    // most of their search path, so the scanned buckets stay cache-hot.
+    ParallelFor(0, num_objects_, num_threads, [&](std::size_t p) {
+      const std::size_t id = ids_[p];
+      SearchInto(&points_[p * dim_], p, kcap, out->MutableRow(id));
+      *out->MutableCount(id) = kcap;
+    });
+  }
+
+  /// Leaf points scanned answering the k-NN queries of `num_probes`
+  /// evenly spaced tree positions, stopping once the count reaches
+  /// `budget` (MakeProbedKdTreeSearcher).
+  std::size_t ProbeScanCount(std::size_t k, std::size_t num_probes,
+                             std::size_t budget) const {
+    const std::size_t kcap = CappedK(k);
+    if (kcap == 0) return 0;
+    std::vector<Neighbor> row(kcap);
+    std::size_t scanned = 0;
+    for (std::size_t i = 0; i < num_probes && scanned < budget; ++i) {
+      const std::size_t p = i * num_objects_ / num_probes;
+      scanned += SearchInto(&points_[p * dim_], p, kcap, row.data());
     }
-    std::sort_heap(heap.begin(), heap.end());
-    for (Neighbor& n : heap) n.distance = std::sqrt(n.distance);
+    return scanned;
   }
 
   void QueryRadius(std::size_t query, double radius,
@@ -62,47 +106,93 @@ class KdTreeSearcher : public NeighborSearcher {
     HICS_CHECK_LT(query, num_objects_);
     std::vector<Neighbor>& result = *out;
     result.clear();
-    if (root_ >= 0) {
-      SearchRadius(root_, &points_[query * dim_], query, radius * radius,
-                   &result);
-    }
-    for (Neighbor& n : result) n.distance = std::sqrt(n.distance);
+    if (num_objects_ == 0) return;
+    const std::size_t p = pos_[query];
+    SearchRadius(0, &points_[p * dim_], p, radius * radius,
+                 [&](std::size_t hit, double d2) {
+                   result.push_back({ids_[hit], std::sqrt(d2)});
+                 });
     std::sort(result.begin(), result.end());
+  }
+
+  std::size_t CountRadius(std::size_t query, double radius) const override {
+    HICS_CHECK_LT(query, num_objects_);
+    const std::size_t p = pos_[query];
+    std::size_t count = 0;
+    SearchRadius(0, &points_[p * dim_], p, radius * radius,
+                 [&](std::size_t, double) { ++count; });
+    return count;
   }
 
   std::size_t num_objects() const override { return num_objects_; }
   std::size_t dimensionality() const override { return dim_; }
+  KnnBackend backend() const override { return KnnBackend::kKdTree; }
+
+  std::size_t MemoryBytes() const override {
+    return points_.size() * sizeof(double) +
+           ids_.size() * sizeof(std::uint32_t) +
+           pos_.size() * sizeof(std::uint32_t) + nodes_.size() * sizeof(Node);
+  }
 
  private:
+  /// Bucket size of a leaf, and the block a leaf is scanned in (leaves of
+  /// identical points may exceed it and are scanned block by block).
   static constexpr std::size_t kLeafSize = 16;
+  static constexpr std::uint32_t kLeaf =
+      std::numeric_limits<std::uint32_t>::max();
 
+  /// Nodes are stored in preorder, so a node's left child is the next
+  /// node and only the right child needs an index.
   struct Node {
-    // Leaf iff left < 0: then [begin, end) indexes ids_.
-    int left = -1;
-    int right = -1;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    std::size_t split_dim = 0;
     double split_value = 0.0;
+    std::uint32_t begin = 0;  ///< tree positions [begin, end) below
+    std::uint32_t end = 0;
+    std::uint32_t split_dim = kLeaf;  ///< kLeaf marks a leaf bucket
+    std::uint32_t right = 0;
   };
 
-  int Build(std::size_t begin, std::size_t end, std::size_t depth) {
-    Node node;
-    node.begin = begin;
-    node.end = end;
-    if (end - begin <= kLeafSize) {
-      nodes_.push_back(node);
-      return static_cast<int>(nodes_.size() - 1);
+  /// The k-NN result under construction for one query: row[0, count)
+  /// holds the best (squared distance, id) pairs so far. Until the row is
+  /// full every scanned point is appended; it is sorted once when it fills
+  /// and stays sorted from then on.
+  struct TopK {
+    Neighbor* row;
+    std::size_t kcap;
+    std::size_t count = 0;
+    std::size_t scanned = 0;  ///< leaf points whose distance was taken
+
+    bool full() const { return count == kcap; }
+
+    /// Inserts leaf survivors into the full row in scan order. Each is
+    /// rechecked against the current k-th entry, which tightens as
+    /// earlier survivors land, so most late ones cost one comparison.
+    void InsertSurvivors(const Neighbor* cand, std::size_t m) {
+      for (std::size_t a = 0; a < m; ++a) {
+        const Neighbor c = cand[a];
+        if (!(c < row[kcap - 1])) continue;
+        std::size_t b = kcap - 1;
+        for (; b > 0 && c < row[b - 1]; --b) row[b] = row[b - 1];
+        row[b] = c;
+      }
     }
+  };
+
+  void Build(const std::vector<const double*>& columns, std::size_t begin,
+             std::size_t end) {
+    const std::size_t self = nodes_.size();
+    nodes_.push_back(Node{0.0, static_cast<std::uint32_t>(begin),
+                          static_cast<std::uint32_t>(end), kLeaf, 0});
+    if (end - begin <= kLeafSize) return;
     // Split on the dimension with the largest spread for better balance on
     // correlated data than plain depth cycling.
-    std::size_t best_dim = depth % dim_;
+    std::size_t best_dim = 0;
     double best_spread = -1.0;
     for (std::size_t j = 0; j < dim_; ++j) {
-      double lo = points_[ids_[begin] * dim_ + j];
+      const double* column = columns[j];
+      double lo = column[ids_[begin]];
       double hi = lo;
       for (std::size_t i = begin; i < end; ++i) {
-        const double v = points_[ids_[i] * dim_ + j];
+        const double v = column[ids_[i]];
         lo = std::min(lo, v);
         hi = std::max(hi, v);
       }
@@ -111,86 +201,151 @@ class KdTreeSearcher : public NeighborSearcher {
         best_dim = j;
       }
     }
-    if (best_spread <= 0.0) {
-      // All points identical in every dimension: keep as (large) leaf.
-      nodes_.push_back(node);
-      return static_cast<int>(nodes_.size() - 1);
-    }
+    // All points identical in every dimension: keep as (large) leaf.
+    if (best_spread <= 0.0) return;
+    const double* column = columns[best_dim];
     const std::size_t mid = begin + (end - begin) / 2;
     std::nth_element(ids_.begin() + begin, ids_.begin() + mid,
-                     ids_.begin() + end,
-                     [&](std::size_t a, std::size_t b) {
-                       return points_[a * dim_ + best_dim] <
-                              points_[b * dim_ + best_dim];
+                     ids_.begin() + end, [&](std::uint32_t a, std::uint32_t b) {
+                       return column[a] < column[b];
                      });
-    node.split_dim = best_dim;
-    node.split_value = points_[ids_[mid] * dim_ + best_dim];
-    const int self = static_cast<int>(nodes_.size());
-    nodes_.push_back(node);
-    const int left = Build(begin, mid, depth + 1);
-    const int right = Build(mid, end, depth + 1);
-    nodes_[self].left = left;
-    nodes_[self].right = right;
-    return self;
+    nodes_[self].split_dim = static_cast<std::uint32_t>(best_dim);
+    nodes_[self].split_value = column[ids_[mid]];
+    Build(columns, begin, mid);
+    nodes_[self].right = static_cast<std::uint32_t>(nodes_.size());
+    Build(columns, mid, end);
   }
 
-  void SearchKnn(int node_id, const double* q, std::size_t exclude,
-                 std::size_t k, std::vector<Neighbor>* heap) const {
+  /// The one k-NN search: fills row[0, kcap) with the kcap nearest
+  /// objects of point q in ascending (distance, id) order, skipping tree
+  /// position `exclude`. Returns the number of leaf points scanned.
+  std::size_t SearchInto(const double* q, std::size_t exclude,
+                         std::size_t kcap, Neighbor* row) const {
+    if (kcap == 0) return 0;
+    TopK top{row, kcap};
+    SearchKnn(0, q, exclude, &top);
+    // Nothing is pruned before the row fills, so it always fills.
+    HICS_DCHECK(top.full());
+    for (std::size_t i = 0; i < kcap; ++i) {
+      row[i].distance = std::sqrt(row[i].distance);
+    }
+    return top.scanned;
+  }
+
+  void SearchKnn(std::size_t node_id, const double* q, std::size_t exclude,
+                 TopK* top) const {
     const Node& node = nodes_[node_id];
-    if (node.left < 0) {
-      for (std::size_t i = node.begin; i < node.end; ++i) {
-        const std::size_t id = ids_[i];
-        if (id == exclude) continue;
-        const double d2 = SquaredDistance(q, &points_[id * dim_], dim_);
-        if (heap->size() < k) {
-          heap->push_back({id, d2});
-          std::push_heap(heap->begin(), heap->end());
-        } else if ((Neighbor{id, d2}) < heap->front()) {
-          std::pop_heap(heap->begin(), heap->end());
-          heap->back() = {id, d2};
-          std::push_heap(heap->begin(), heap->end());
-        }
+    if (node.split_dim == kLeaf) {
+      ScanLeaf(node, q, exclude, top);
+      return;
+    }
+    const double diff = q[node.split_dim] - node.split_value;
+    const std::size_t near = diff <= 0.0 ? node_id + 1 : node.right;
+    const std::size_t far = diff <= 0.0 ? node.right : node_id + 1;
+    SearchKnn(near, q, exclude, top);
+    // Prune the far side only when its plane is strictly farther than the
+    // k-th distance: a tie at the k-th distance with a smaller id still
+    // displaces the row's last entry under the (distance, id) order.
+    if (!top->full() || diff * diff <= top->row[top->kcap - 1].distance) {
+      SearchKnn(far, q, exclude, top);
+    }
+  }
+
+  void ScanLeaf(const Node& node, const double* q, std::size_t exclude,
+                TopK* top) const {
+    top->scanned += node.end - node.begin;
+    double d2[kLeafSize];
+    Neighbor survivors[kLeafSize];
+    for (std::size_t b = node.begin; b < node.end; b += kLeafSize) {
+      const std::size_t e = std::min<std::size_t>(node.end, b + kLeafSize);
+      block_distances_(q, &points_[b * dim_], e - b, dim_, d2);
+      std::size_t p = b;
+      for (; p < e && !top->full(); ++p) {
+        if (p == exclude) continue;
+        top->row[top->count++] = {ids_[p], d2[p - b]};
+        if (top->full()) std::sort(top->row, top->row + top->kcap);
+      }
+      if (p == e) continue;
+      // Filter against the k-th distance (ties pass; InsertSurvivors orders
+      // them by id), branch-free: every point is written, only survivors
+      // advance the cursor.
+      const double bound = top->row[top->kcap - 1].distance;
+      std::size_t m = 0;
+      for (; p < e; ++p) {
+        survivors[m] = {ids_[p], d2[p - b]};
+        m += static_cast<std::size_t>(d2[p - b] <= bound) &
+             static_cast<std::size_t>(p != exclude);
+      }
+      if (m > 0) top->InsertSurvivors(survivors, m);
+    }
+  }
+
+  /// Squared distances from q to `count` consecutive tree-ordered points,
+  /// bit-identical to SquaredDistance: each point sums lane j % 4 in
+  /// ascending j and combines the lanes canonically. A dimensionality
+  /// fixed at compile time unrolls the lanes into registers.
+  using BlockDistanceFn = void (*)(const double* q, const double* x,
+                                   std::size_t count, std::size_t dim,
+                                   double* d2);
+
+  template <std::size_t D>
+  static void BlockDistancesFixed(const double* q, const double* x,
+                                  std::size_t count, std::size_t,
+                                  double* d2) {
+    for (std::size_t t = 0; t < count; ++t, x += D) {
+      double s[4] = {0.0, 0.0, 0.0, 0.0};
+      for (std::size_t j = 0; j < D; ++j) {
+        const double diff = q[j] - x[j];
+        s[j % 4] += diff * diff;
+      }
+      d2[t] = simd::internal::Combine4(s);
+    }
+  }
+
+  static void BlockDistancesAnyDim(const double* q, const double* x,
+                                   std::size_t count, std::size_t dim,
+                                   double* d2) {
+    for (std::size_t t = 0; t < count; ++t) {
+      d2[t] = SquaredDistance(q, x + t * dim, dim);
+    }
+  }
+
+  /// The scalar SquaredDistance path covers dim < kSimdDistanceMinDim;
+  /// wider points take the dispatched kernel through SquaredDistance.
+  template <std::size_t... D>
+  static BlockDistanceFn PickBlockDistances(std::size_t dim,
+                                            std::index_sequence<D...>) {
+    constexpr BlockDistanceFn kFixed[] = {&BlockDistancesFixed<D>...};
+    return dim < sizeof...(D) ? kFixed[dim] : &BlockDistancesAnyDim;
+  }
+
+  template <typename Visit>
+  void SearchRadius(std::size_t node_id, const double* q, std::size_t exclude,
+                    double r2, const Visit& visit) const {
+    const Node& node = nodes_[node_id];
+    if (node.split_dim == kLeaf) {
+      for (std::size_t p = node.begin; p < node.end; ++p) {
+        if (p == exclude) continue;
+        const double d2 = SquaredDistance(q, &points_[p * dim_], dim_);
+        if (d2 <= r2) visit(p, d2);
       }
       return;
     }
     const double diff = q[node.split_dim] - node.split_value;
-    const int near = diff <= 0.0 ? node.left : node.right;
-    const int far = diff <= 0.0 ? node.right : node.left;
-    SearchKnn(near, q, exclude, k, heap);
-    // Visit the far side only if the splitting hyperplane could still hold
-    // a closer neighbor — or an equally distant one: a tie at the k-th
-    // distance with a smaller id still displaces the heap top under the
-    // (distance, id) order, so pruning on equality would drop it.
-    if (heap->size() < k || diff * diff <= heap->front().distance) {
-      SearchKnn(far, q, exclude, k, heap);
-    }
-  }
-
-  void SearchRadius(int node_id, const double* q, std::size_t exclude,
-                    double r2, std::vector<Neighbor>* out) const {
-    const Node& node = nodes_[node_id];
-    if (node.left < 0) {
-      for (std::size_t i = node.begin; i < node.end; ++i) {
-        const std::size_t id = ids_[i];
-        if (id == exclude) continue;
-        const double d2 = SquaredDistance(q, &points_[id * dim_], dim_);
-        if (d2 <= r2) out->push_back({id, d2});
-      }
-      return;
-    }
-    const double diff = q[node.split_dim] - node.split_value;
-    const int near = diff <= 0.0 ? node.left : node.right;
-    const int far = diff <= 0.0 ? node.right : node.left;
-    SearchRadius(near, q, exclude, r2, out);
-    if (diff * diff <= r2) SearchRadius(far, q, exclude, r2, out);
+    const std::size_t near = diff <= 0.0 ? node_id + 1 : node.right;
+    const std::size_t far = diff <= 0.0 ? node.right : node_id + 1;
+    SearchRadius(near, q, exclude, r2, visit);
+    if (diff * diff <= r2) SearchRadius(far, q, exclude, r2, visit);
   }
 
   std::size_t num_objects_;
   std::size_t dim_;
-  std::vector<double> points_;
-  std::vector<std::size_t> ids_;
-  std::vector<Node> nodes_;
-  int root_ = -1;
+  BlockDistanceFn block_distances_ = PickBlockDistances(
+      dim_, std::make_index_sequence<kSimdDistanceMinDim>{});
+  std::vector<double> points_;      ///< tree position p at [p*dim, (p+1)*dim)
+  std::vector<std::uint32_t> ids_;  ///< tree position -> object id
+  std::vector<std::uint32_t> pos_;  ///< object id -> tree position
+  std::vector<Node> nodes_;         ///< preorder; root at 0
 };
 
 }  // namespace
@@ -198,6 +353,15 @@ class KdTreeSearcher : public NeighborSearcher {
 std::unique_ptr<NeighborSearcher> MakeKdTreeSearcher(
     const Dataset& dataset, const Subspace& subspace) {
   return std::make_unique<KdTreeSearcher>(dataset, subspace);
+}
+
+ProbedKdTree MakeProbedKdTreeSearcher(const Dataset& dataset,
+                                      const Subspace& subspace, std::size_t k,
+                                      std::size_t num_probes,
+                                      std::size_t budget) {
+  auto tree = std::make_unique<KdTreeSearcher>(dataset, subspace);
+  const std::size_t scanned = tree->ProbeScanCount(k, num_probes, budget);
+  return {std::move(tree), scanned};
 }
 
 }  // namespace hics

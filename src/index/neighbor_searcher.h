@@ -66,8 +66,8 @@ class KnnResultTable {
 
 /// Which neighbor-search backend to use. All backends return identical
 /// results (same ids, same bit-exact distances, same order); the choice is
-/// purely a performance decision — see ChooseKnnBackend in
-/// outlier/subspace_ranker.h for the calibrated policy.
+/// purely a performance decision — see ChooseKnnBackend and
+/// ResolveKnnSearcher below for the calibrated policy.
 enum class KnnBackend {
   kBruteForce,  ///< blocked/batched exhaustive scan
   kKdTree,      ///< median-split KD-tree
@@ -133,13 +133,10 @@ class NeighborSearcher {
   /// query blocks on the shared pool (1 = serial, 0 = hardware
   /// concurrency); results are identical for any value.
   virtual void QueryAllKnn(std::size_t k, KnnResultTable* out,
-                           std::size_t num_threads = 1) const {
-    QueryAllKnnPerQuery(k, out, num_threads);
-  }
+                           std::size_t num_threads = 1) const = 0;
 
   /// Reference all-kNN path: one QueryKnn call per object (worker-parallel
-  /// over queries). This is the default QueryAllKnn for backends without a
-  /// batched kernel, and the oracle the batched kernels are tested against.
+  /// over queries) — the oracle the batched kernels are tested against.
   void QueryAllKnnPerQuery(std::size_t k, KnnResultTable* out,
                            std::size_t num_threads = 1) const;
 
@@ -167,6 +164,11 @@ class NeighborSearcher {
 
   virtual std::size_t num_objects() const = 0;
   virtual std::size_t dimensionality() const = 0;
+  /// The concrete backend this searcher implements (never kAuto).
+  virtual KnnBackend backend() const = 0;
+  /// Bytes held by the searcher's buffers (the sum of their sizes); what
+  /// ArtifactCache charges against its byte budget.
+  virtual std::size_t MemoryBytes() const = 0;
 
  protected:
   /// The effective row size of a k-NN query: every object but the query
@@ -184,18 +186,87 @@ std::unique_ptr<NeighborSearcher> MakeBruteForceSearcher(
     const Dataset& dataset, const Subspace& subspace,
     KnnPrecision precision = KnnPrecision::kFloat64);
 
-/// Median-split KD-tree; faster for low-dimensional subspaces, degrades
-/// toward brute force as dimensionality grows (the classic curse; compared
-/// in bench_knn_backends).
+/// Median-split KD-tree with its coordinates stored in tree order (leaf
+/// buckets contiguous, scanned as distance blocks — DESIGN.md §5c); faster
+/// for low-dimensional or strongly structured subspaces, degrades toward
+/// brute force as uniform dimensionality grows (the classic curse;
+/// compared in bench_knn_backends). Requires fewer than 2^32 objects.
 std::unique_ptr<NeighborSearcher> MakeKdTreeSearcher(const Dataset& dataset,
                                                      const Subspace& subspace);
 
 /// Factory over a concrete backend choice. `backend` must not be kAuto —
-/// resolve policy first (ChooseKnnBackend) so the decision stays visible at
-/// the call site.
+/// resolve policy first (ResolveKnnSearcher, or ChooseKnnBackend without
+/// data) so the decision stays visible at the call site.
 std::unique_ptr<NeighborSearcher> MakeSearcher(
     const Dataset& dataset, const Subspace& subspace, KnnBackend backend,
     KnnPrecision precision = KnnPrecision::kFloat64);
+
+/// A KD-tree searcher together with its probe count: the leaf points
+/// scanned answering the k-NN queries of `num_probes` tree positions
+/// spread evenly over the index, the count stopping once it reaches
+/// `budget`. ResolveKnnSearcher reads the count as a deterministic
+/// stand-in for query cost.
+struct ProbedKdTree {
+  std::unique_ptr<NeighborSearcher> tree;
+  std::size_t scanned = 0;
+};
+ProbedKdTree MakeProbedKdTreeSearcher(const Dataset& dataset,
+                                      const Subspace& subspace, std::size_t k,
+                                      std::size_t num_probes,
+                                      std::size_t budget);
+
+/// Calibration constants of the kNN backend policy, pinned from
+/// BENCH_knn_backends.json (bench_knn_backends writes them into its
+/// `selector` record beside the cells they were fitted to).
+namespace knn_policy {
+/// Static verdict: KD-tree for |S| <= kKdTreeMaxDims once
+/// N >= kKdTreeMinObjects, stretching to kKdTreeExtendedMaxDims at
+/// N >= kKdTreeExtendedMinObjects; brute force otherwise.
+inline constexpr std::size_t kKdTreeMinObjects = 256;
+inline constexpr std::size_t kKdTreeMaxDims = 4;
+inline constexpr std::size_t kKdTreeExtendedMinObjects = 4000;
+inline constexpr std::size_t kKdTreeExtendedMaxDims = 6;
+/// Probe band: workloads with N >= kProbeMinObjects and
+/// kProbeMinDims <= |S| <= kProbeMaxDims, where the tree's win depends on
+/// how structured the data is, are decided by a KD-tree probe. The
+/// uniform calibration grid reaches |S| = 16, so the band ends there.
+inline constexpr std::size_t kProbeMinObjects = 2000;
+inline constexpr std::size_t kProbeMinDims = 5;
+inline constexpr std::size_t kProbeMaxDims = 16;
+/// The probe answers k-NN for this many evenly spaced tree positions...
+inline constexpr std::size_t kProbeQueries = 64;
+/// ...and keeps the tree iff fewer than this fraction of N leaf points
+/// were scanned per query. The measured break-even lies between 0.356
+/// (uniform N = 2000, |S| = 6: the tree wins) and 0.391 (uniform
+/// N = 4000, |S| = 7: brute force wins) in BENCH_knn_backends.json.
+inline constexpr double kProbeMaxScanFraction = 0.375;
+}  // namespace knn_policy
+
+/// Data-free kNN policy: the static (N, |S|) verdict for callers that have
+/// no data to look at (ChooseScoringBackend in outlier/subspace_ranker.h
+/// builds its kNN tiers on it). Callers that hold the data resolve through
+/// ResolveKnnSearcher instead.
+KnnBackend ChooseKnnBackend(std::size_t num_objects,
+                            std::size_t num_dimensions);
+
+/// True iff kAuto resolution probes a KD-tree for an (N, |S|) workload.
+bool InKnnProbeBand(std::size_t num_objects, std::size_t num_dimensions);
+
+/// The one kAuto resolution point: the searcher every neighbor-based
+/// scorer (cold and cached paths) and the serving layer query `subspace`
+/// of `dataset` with, for neighborhoods of size `k`. A concrete
+/// `requested` backend is built as asked. For kAuto, outside the probe
+/// band the static ChooseKnnBackend verdict is built; inside it a KD-tree
+/// is built and probed (MakeProbedKdTreeSearcher over kProbeQueries
+/// positions), kept if fewer than kProbeMaxScanFraction * N points per
+/// query were scanned, and otherwise dropped for a brute-force searcher.
+/// The decision counts scanned points, never time, so it is deterministic
+/// in (data, subspace, k). Every backend returns identical neighbors; only
+/// speed depends on it.
+std::unique_ptr<NeighborSearcher> ResolveKnnSearcher(const Dataset& dataset,
+                                                     const Subspace& subspace,
+                                                     KnnBackend requested,
+                                                     std::size_t k);
 
 }  // namespace hics
 

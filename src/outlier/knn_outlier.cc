@@ -39,7 +39,8 @@ std::vector<double> KnnDistanceScorer::ScoreSubspace(
   const std::size_t n = dataset.num_objects();
   if (n < 2) return std::vector<double>(n, 0.0);
   const std::size_t k = ClampNeighborhoodSize(k_, n, name().c_str());
-  const auto searcher = MakeBruteForceSearcher(dataset, subspace);
+  const auto searcher =
+      ResolveKnnSearcher(dataset, subspace, KnnBackend::kAuto, k);
   KnnResultTable table;
   searcher->QueryAllKnn(k, &table, num_threads_);
   return KthDistanceFromTable(table, n);
@@ -51,7 +52,7 @@ std::vector<double> KnnDistanceScorer::ScoreSubspacePrepared(
   if (n < 2) return std::vector<double>(n, 0.0);
   const std::size_t k = ClampNeighborhoodSize(k_, n, name().c_str());
   const std::shared_ptr<const KnnResultTable> table =
-      prepared.cache().GetKnnTable(subspace, KnnBackend::kBruteForce, k,
+      prepared.cache().GetKnnTable(subspace, KnnBackend::kAuto, k,
                                    num_threads_, /*use_batch_kernel=*/true);
   return KthDistanceFromTable(*table, n);
 }
@@ -68,7 +69,8 @@ std::vector<double> KnnAverageScorer::ScoreSubspace(
   const std::size_t n = dataset.num_objects();
   if (n < 2) return std::vector<double>(n, 0.0);
   const std::size_t k = ClampNeighborhoodSize(k_, n, name().c_str());
-  const auto searcher = MakeBruteForceSearcher(dataset, subspace);
+  const auto searcher =
+      ResolveKnnSearcher(dataset, subspace, KnnBackend::kAuto, k);
   KnnResultTable table;
   searcher->QueryAllKnn(k, &table, num_threads_);
   return MeanDistanceFromTable(table, n);
@@ -80,7 +82,7 @@ std::vector<double> KnnAverageScorer::ScoreSubspacePrepared(
   if (n < 2) return std::vector<double>(n, 0.0);
   const std::size_t k = ClampNeighborhoodSize(k_, n, name().c_str());
   const std::shared_ptr<const KnnResultTable> table =
-      prepared.cache().GetKnnTable(subspace, KnnBackend::kBruteForce, k,
+      prepared.cache().GetKnnTable(subspace, KnnBackend::kAuto, k,
                                    num_threads_, /*use_batch_kernel=*/true);
   return MeanDistanceFromTable(*table, n);
 }

@@ -16,11 +16,8 @@ std::vector<double> LofScorer::ScoreSubspace(const Dataset& dataset,
   if (n == 0) return {};
   const std::size_t k = ClampNeighborhoodSize(params_.min_pts, n, "lof");
 
-  const KnnBackend backend =
-      params_.backend == KnnBackend::kAuto
-          ? ChooseKnnBackend(n, subspace.size())
-          : params_.backend;
-  const auto searcher = MakeSearcher(dataset, subspace, backend);
+  const auto searcher =
+      ResolveKnnSearcher(dataset, subspace, params_.backend, k);
 
   // Pass 1: k-nearest neighborhoods and k-distances (the quadratic part)
   // through the batched all-kNN engine — one blocked sweep instead of n
@@ -45,10 +42,6 @@ std::vector<double> LofScorer::ScoreSubspacePrepared(
   const std::size_t n = prepared.num_objects();
   if (n == 0) return {};
   const std::size_t k = ClampNeighborhoodSize(params_.min_pts, n, "lof");
-  const KnnBackend backend =
-      params_.backend == KnnBackend::kAuto
-          ? ChooseKnnBackend(n, subspace.size())
-          : params_.backend;
   const std::size_t num_threads = params_.num_threads == 0
                                       ? DefaultNumThreads()
                                       : params_.num_threads;
@@ -56,7 +49,7 @@ std::vector<double> LofScorer::ScoreSubspacePrepared(
   // n*k table are built once per (k, subspace) and shared with every other
   // consumer of this PreparedDataset.
   const std::shared_ptr<const KnnResultTable> table =
-      prepared.cache().GetKnnTable(subspace, backend, k, num_threads,
+      prepared.cache().GetKnnTable(subspace, params_.backend, k, num_threads,
                                    params_.use_batch_knn);
   return ScoreFromTable(*table, n, num_threads);
 }

@@ -16,8 +16,8 @@ struct LofParams {
   /// as the paper requires for comparability.
   std::size_t min_pts = 10;
   /// Neighbor-search backend. kAuto resolves per subspace through
-  /// ChooseKnnBackend(N, |S|); scores are identical for every choice
-  /// (backends agree bit for bit), only the wall clock differs.
+  /// ResolveKnnSearcher; scores are identical for every choice (backends
+  /// agree bit for bit), only the wall clock differs.
   KnnBackend backend = KnnBackend::kAuto;
   /// Worker threads for the kNN pass (the quadratic part). 1 = serial,
   /// 0 = hardware concurrency. Scores are identical for any value.

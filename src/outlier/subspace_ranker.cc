@@ -10,37 +10,6 @@
 
 namespace hics {
 
-namespace {
-
-/// The kNN-family crossover, calibrated from BENCH_knn_backends.json
-/// (all-kNN wall clock per backend over an (N, |S|) grid, k = 10, index
-/// build included, avx512-dispatched SIMD screen kernels): the KD-tree
-/// wins through |S| <= 4 at every measured N but only holds on through
-/// |S| <= 6 once N reaches ~4000 — the vectorized Gram-screen tile sped
-/// the blocked brute-force kernel up enough to reclaim the
-/// (N=2000, |S|=6) cell that the pre-SIMD calibration gave to the tree.
-/// Past the crossover the curse of dimensionality flattens the tree's
-/// pruning while the brute kernel's cost stays nearly flat in |S|. Below
-/// the measured range the whole decision is sub-100us — brute force
-/// avoids betting on an unmeasured tree-build constant there.
-KnnBackend KdVsBrute(std::size_t num_objects, std::size_t num_dimensions) {
-  constexpr std::size_t kKdTreeMinObjects = 256;
-  constexpr std::size_t kKdTreeMaxDims = 4;
-  constexpr std::size_t kKdTreeExtendedMinObjects = 4000;
-  constexpr std::size_t kKdTreeExtendedMaxDims = 6;
-  if (num_objects >= kKdTreeMinObjects &&
-      num_dimensions <= kKdTreeMaxDims) {
-    return KnnBackend::kKdTree;
-  }
-  if (num_objects >= kKdTreeExtendedMinObjects &&
-      num_dimensions <= kKdTreeExtendedMaxDims) {
-    return KnnBackend::kKdTree;
-  }
-  return KnnBackend::kBruteForce;
-}
-
-}  // namespace
-
 ScoringBackend ChooseScoringBackend(std::size_t num_objects,
                                     std::size_t num_dimensions) {
   // Grid crossover calibrated from BENCH_density_backends.json (end-to-end
@@ -57,24 +26,9 @@ ScoringBackend ChooseScoringBackend(std::size_t num_objects,
   // is the only one that scales, and the margin only widens with N.
   constexpr std::size_t kGridMinObjects = 32768;
   if (num_objects >= kGridMinObjects) return ScoringBackend::kGrid;
-  return KdVsBrute(num_objects, num_dimensions) == KnnBackend::kKdTree
+  return ChooseKnnBackend(num_objects, num_dimensions) == KnnBackend::kKdTree
              ? ScoringBackend::kKdTree
              : ScoringBackend::kBruteSimd;
-}
-
-KnnBackend ChooseKnnBackend(std::size_t num_objects,
-                            std::size_t num_dimensions) {
-  switch (ChooseScoringBackend(num_objects, num_dimensions)) {
-    case ScoringBackend::kKdTree:
-      return KnnBackend::kKdTree;
-    case ScoringBackend::kBruteSimd:
-      return KnnBackend::kBruteForce;
-    case ScoringBackend::kGrid:
-      // The caller needs neighbors; fall back to the better kNN backend
-      // for the workload instead of the grid tier it cannot use.
-      return KdVsBrute(num_objects, num_dimensions);
-  }
-  return KnnBackend::kBruteForce;
 }
 
 std::vector<double> AggregateScores(

@@ -34,21 +34,14 @@ enum class ScoringBackend {
 /// *different estimator* (histogram density instead of kNN distances)
 /// that the caller may only adopt when the scorer semantics allow it —
 /// it is returned where the grid tier's O(N) fit beats batched all-kNN
-/// outright. Crossover constants are calibrated by
-/// `bench_density_backends` (committed record:
+/// outright. Below the grid floor the kNN tier is ChooseKnnBackend's
+/// verdict (index/neighbor_searcher.h). Crossover constants are
+/// calibrated by `bench_density_backends` (committed record:
 /// BENCH_density_backends.json) and `bench_knn_backends`
 /// (BENCH_knn_backends.json); re-run them when changing the kernels or
 /// build flags.
 ScoringBackend ChooseScoringBackend(std::size_t num_objects,
                                     std::size_t num_dimensions);
-
-/// kNN-only policy used by the neighbor-based scorers and the serving
-/// layer's searcher choice. Delegates to ChooseScoringBackend and maps
-/// its kGrid verdict back onto the better *kNN* backend for the workload
-/// (a caller asking for neighbors cannot use the grid tier), so large-N
-/// subspaces keep their calibrated KD-tree/brute choice.
-KnnBackend ChooseKnnBackend(std::size_t num_objects,
-                            std::size_t num_dimensions);
 
 /// How per-subspace scores are combined into the final score.
 enum class ScoreAggregation {

@@ -160,10 +160,9 @@ Result<HicsModel> HicsModel::Fit(const Dataset& dataset,
           "cannot fit a servable model on fewer than 2 training objects");
     }
     for (TrainedSubspace& t : trained) {
-      const KnnBackend backend = ChooseKnnBackend(n, t.subspace.size());
       const std::shared_ptr<const KnnResultTable> table =
-          prepared.cache().GetKnnTable(t.subspace, backend, k, threads,
-                                       /*use_batch_kernel=*/true);
+          prepared.cache().GetKnnTable(t.subspace, KnnBackend::kAuto, k,
+                                       threads, /*use_batch_kernel=*/true);
       t.scorer_state = scorer->BuildTrainedState(*table);
     }
   } else {
@@ -260,9 +259,8 @@ const NeighborSearcher& HicsModel::SearcherFor(std::size_t s) const {
   std::shared_ptr<const NeighborSearcher>& slot = runtime_->searchers[s];
   if (slot == nullptr) {
     const Subspace& subspace = subspaces_[s].subspace;
-    slot = MakeSearcher(training_data_, subspace,
-                        ChooseKnnBackend(num_training_objects(),
-                                         subspace.size()));
+    slot = ResolveKnnSearcher(training_data_, subspace, KnnBackend::kAuto,
+                              EffectiveK());
   }
   return *slot;
 }

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "data/synthetic.h"
+#include "engine/prepared_dataset.h"
+#include "outlier/lof.h"
+#include "outlier/subspace_ranker.h"
 
 namespace hics {
 namespace {
@@ -68,6 +72,61 @@ TEST(KnnScorersTest, SubspaceRestriction) {
 TEST(KnnScorersTest, Names) {
   EXPECT_EQ(KnnDistanceScorer().name(), "knn-dist");
   EXPECT_EQ(KnnAverageScorer().name(), "knn-avg");
+}
+
+TEST(KnnScorersTest, ScoresByteIdenticalWhicheverBackendResolves) {
+  // N = 2000 and |S| = 8 lie in the probe band: the generator's planted
+  // subspace resolves to the kd-tree and uniform data to brute force.
+  // Either way every neighbor-based scorer, cold or cached, must produce
+  // the scores a forced brute-force table gives.
+  const std::size_t n = 2000;
+  const std::size_t k = 10;
+  SyntheticParams gen;
+  gen.num_objects = n;
+  gen.num_attributes = 8;
+  gen.min_subspace_dims = 8;
+  gen.max_subspace_dims = 8;
+  gen.min_clusters = 8;
+  gen.max_clusters = 8;
+  gen.seed = 3;
+  const SyntheticDataset planted = *GenerateSynthetic(gen);
+  Rng rng(29);
+  Dataset uniform(n, 8);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < 8; ++j) uniform.Set(i, j, rng.UniformDouble());
+  }
+  for (const auto& [ds, resolves_to] :
+       {std::pair<const Dataset*, KnnBackend>{&planted.data,
+                                              KnnBackend::kKdTree},
+        std::pair<const Dataset*, KnnBackend>{&uniform,
+                                              KnnBackend::kBruteForce}}) {
+    const Subspace subspace = ds->FullSpace();
+    ASSERT_EQ(ResolveKnnSearcher(*ds, subspace, KnnBackend::kAuto, k)
+                  ->backend(),
+              resolves_to);
+    KnnResultTable table;
+    MakeBruteForceSearcher(*ds, subspace)->QueryAllKnn(k, &table);
+    std::vector<double> kth(n), mean(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      double sum = 0.0;
+      for (const Neighbor& nb : table.Row(i)) sum += nb.distance;
+      kth[i] = table.Row(i).back().distance;
+      mean[i] = sum / static_cast<double>(k);
+    }
+    const PreparedDataset prepared(*ds);
+    const KnnDistanceScorer knn_distance(k);
+    const KnnAverageScorer knn_average(k);
+    EXPECT_EQ(knn_distance.ScoreSubspace(*ds, subspace), kth);
+    EXPECT_EQ(knn_distance.ScoreSubspaceCached(prepared, subspace), kth);
+    EXPECT_EQ(knn_average.ScoreSubspace(*ds, subspace), mean);
+    EXPECT_EQ(knn_average.ScoreSubspaceCached(prepared, subspace), mean);
+    const std::vector<double> lof_brute =
+        LofScorer({.min_pts = k, .backend = KnnBackend::kBruteForce})
+            .ScoreSubspace(*ds, subspace);
+    const LofScorer lof_auto({.min_pts = k});
+    EXPECT_EQ(lof_auto.ScoreSubspace(*ds, subspace), lof_brute);
+    EXPECT_EQ(lof_auto.ScoreSubspaceCached(prepared, subspace), lof_brute);
+  }
 }
 
 }  // namespace

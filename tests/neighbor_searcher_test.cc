@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/random.h"
 
@@ -95,6 +96,37 @@ TEST(KdTreeTest, HandlesDuplicatePoints) {
     EXPECT_EQ(nb.distance, 0.0);
     EXPECT_NE(nb.id, 3u);
   }
+}
+
+/// Node count of a median-split tree with 16-point buckets over m
+/// distinct points.
+std::size_t KdNodeCount(std::size_t m) {
+  return m <= 16 ? 1 : 1 + KdNodeCount(m / 2) + KdNodeCount(m - m / 2);
+}
+
+TEST(SearcherMemoryTest, ReportedBytesAreTheBufferSizes) {
+  const std::size_t n = 1000;
+  const Dataset ds = RandomDataset(n, 3, 91);
+  const Subspace subspace({0, 2});
+  const std::size_t dims = subspace.size();
+  // Brute force: row-major copy, SoA copy and norms in double; the f32
+  // screen adds a float SoA copy and float norms.
+  const std::size_t brute64 = (2 * n * dims + n) * sizeof(double);
+  EXPECT_EQ(MakeBruteForceSearcher(ds, subspace)->MemoryBytes(), brute64);
+  EXPECT_EQ(MakeBruteForceSearcher(ds, subspace, KnnPrecision::kFloat32Screen)
+                ->MemoryBytes(),
+            brute64 + (n * dims + n) * sizeof(float));
+  // KD-tree: one tree-ordered coordinate copy, the uint32 position<->id
+  // maps, and 24-byte nodes (split value plus four uint32 fields).
+  EXPECT_EQ(MakeKdTreeSearcher(ds, subspace)->MemoryBytes(),
+            n * dims * sizeof(double) + 2 * n * sizeof(std::uint32_t) +
+                KdNodeCount(n) * 24);
+}
+
+TEST(KdTreeDeathTest, RejectsMoreObjectsThanUint32Indices) {
+  // Checked before any column is read, so the dataset needs no storage.
+  const Dataset ds(std::size_t{1} << 32, 0);
+  EXPECT_DEATH(MakeKdTreeSearcher(ds, Subspace({0})), "uint32_t");
 }
 
 struct ParityCase {

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -12,6 +14,7 @@
 #include "core/contrast_matrix.h"
 #include "core/hics.h"
 #include "core/pipeline.h"
+#include "data/synthetic.h"
 #include "outlier/grid_density.h"
 #include "outlier/knn_outlier.h"
 #include "outlier/lof.h"
@@ -509,6 +512,60 @@ TEST(DeadlineCacheRaceTest, DeadlineRacingParallelRankingNeverPoisonsCache) {
 
 // ---------------------------------------------------------------------------
 // Satellite: byte-budgeted admission control
+
+TEST(ArtifactCacheTest, AutoKnnTableCachesOnlyTheResolvedSearcher) {
+  // N = 2000, |S| = 8 is in the probe band. Planted clusters keep the
+  // probed tree, uniform data rejects it; either way the cache ends up
+  // holding exactly the searcher the resolver returned, under its
+  // backend, and the table equals a forced brute-force one.
+  const std::size_t n = 2000;
+  SyntheticParams gen;
+  gen.num_objects = n;
+  gen.num_attributes = 8;
+  gen.min_subspace_dims = 8;
+  gen.max_subspace_dims = 8;
+  gen.min_clusters = 8;
+  gen.max_clusters = 8;
+  const Dataset planted = GenerateSynthetic(gen)->data;
+  Rng rng(37);
+  Dataset uniform(n, 8);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < 8; ++j) uniform.Set(i, j, rng.UniformDouble());
+  }
+  for (const auto& [ds, kept] :
+       {std::pair<const Dataset*, KnnBackend>{&planted, KnnBackend::kKdTree},
+        std::pair<const Dataset*, KnnBackend>{&uniform,
+                                              KnnBackend::kBruteForce}}) {
+    const Subspace subspace = ds->FullSpace();
+    const PreparedDataset prepared(*ds);
+    const auto table = prepared.cache().GetKnnTable(
+        subspace, KnnBackend::kAuto, 10, 1, true);
+    EXPECT_EQ(prepared.cache().num_searchers(), 1u);
+    const std::uint64_t misses = prepared.cache().stats().searcher_misses;
+    EXPECT_EQ(prepared.cache().GetSearcher(subspace, kept)->backend(), kept);
+    EXPECT_EQ(prepared.cache().stats().searcher_misses, misses);  // a hit
+    KnnResultTable expected;
+    MakeBruteForceSearcher(*ds, subspace)->QueryAllKnn(10, &expected);
+    for (std::size_t q = 0; q < n; ++q) {
+      const auto got = table->Row(q);
+      const auto want = expected.Row(q);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "query " << q;
+    }
+  }
+}
+
+TEST(ArtifactCacheBudgetTest, SearchersAreChargedTheirReportedBytes) {
+  const Dataset ds = ClusteredDataset(300, 4, 53);
+  const PreparedDataset prepared(ds);
+  const auto brute =
+      prepared.cache().GetSearcher(Subspace{0, 1, 3}, KnnBackend::kBruteForce);
+  EXPECT_EQ(prepared.cache().ApproxMemoryBytes(), brute->MemoryBytes());
+  const auto kd =
+      prepared.cache().GetSearcher(Subspace{0, 2}, KnnBackend::kKdTree);
+  EXPECT_EQ(prepared.cache().ApproxMemoryBytes(),
+            brute->MemoryBytes() + kd->MemoryBytes());
+}
 
 TEST(ArtifactCacheBudgetTest, UnboundedCacheAccountsApproximateBytes) {
   const Dataset ds = ClusteredDataset(80, 4, 51);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "data/synthetic.h"
 #include "outlier/lof.h"
 
 namespace hics {
@@ -152,6 +153,81 @@ TEST(ChooseScoringBackendTest, KnnDelegationNeverReturnsGrid) {
   }
   EXPECT_EQ(ChooseKnnBackend(1u << 20, 2), KnnBackend::kKdTree);
   EXPECT_EQ(ChooseKnnBackend(1u << 20, 16), KnnBackend::kBruteForce);
+}
+
+Dataset UniformData(std::size_t n, std::size_t d, std::uint64_t seed) {
+  Rng rng(seed);
+  Dataset ds(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) ds.Set(i, j, rng.UniformDouble());
+  }
+  return ds;
+}
+
+/// The paper's generator with one planted `dims`-dimensional subspace
+/// spanning every attribute, holding 8 clusters. (With the default 2-4
+/// clusters an 8-D cluster of 1000+ points is itself a uniform-like 8-D
+/// cloud; the probe then sends it to brute force, and rightly so — the
+/// tree's win there is within 10%.)
+SyntheticDataset PlantedData(std::size_t n, std::size_t dims) {
+  SyntheticParams gen;
+  gen.num_objects = n;
+  gen.num_attributes = dims;
+  gen.min_subspace_dims = dims;
+  gen.max_subspace_dims = dims;
+  gen.min_clusters = 8;
+  gen.max_clusters = 8;
+  gen.seed = 5;
+  return *GenerateSynthetic(gen);
+}
+
+TEST(ResolveKnnSearcherTest, ProbeSeparatesUniformFromPlantedStructure) {
+  // Same (N, |S|), opposite verdicts: uniform 8-D data defeats the
+  // tree's pruning, the generator's planted 8-D clusters do not. The
+  // verdict counts scanned points, so it repeats exactly.
+  const std::size_t n = 4000;
+  ASSERT_TRUE(InKnnProbeBand(n, 8));
+  const Dataset uniform = UniformData(n, 8, 17);
+  const SyntheticDataset planted = PlantedData(n, 8);
+  ASSERT_EQ(planted.relevant_subspaces.size(), 1u);
+  const Subspace& structured = planted.relevant_subspaces[0];
+  ASSERT_EQ(structured.size(), 8u);
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    EXPECT_EQ(ResolveKnnSearcher(uniform, uniform.FullSpace(),
+                                 KnnBackend::kAuto, 10)
+                  ->backend(),
+              KnnBackend::kBruteForce);
+    EXPECT_EQ(
+        ResolveKnnSearcher(planted.data, structured, KnnBackend::kAuto, 10)
+            ->backend(),
+        KnnBackend::kKdTree);
+  }
+}
+
+TEST(ResolveKnnSearcherTest, ConcreteRequestsAndOutOfBandWorkloadsSkipProbe) {
+  const SyntheticDataset planted = PlantedData(4000, 8);
+  const Dataset uniform = UniformData(4000, 8, 19);
+  // A concrete request is built as asked, whatever the probe would say.
+  EXPECT_EQ(ResolveKnnSearcher(planted.data, planted.data.FullSpace(),
+                               KnnBackend::kBruteForce, 10)
+                ->backend(),
+            KnnBackend::kBruteForce);
+  EXPECT_EQ(ResolveKnnSearcher(uniform, uniform.FullSpace(),
+                               KnnBackend::kKdTree, 10)
+                ->backend(),
+            KnnBackend::kKdTree);
+  // Outside the probe band kAuto is the static verdict.
+  const SyntheticDataset small = PlantedData(1000, 8);
+  ASSERT_FALSE(InKnnProbeBand(1000, 8));
+  EXPECT_EQ(ResolveKnnSearcher(small.data, small.data.FullSpace(),
+                               KnnBackend::kAuto, 10)
+                ->backend(),
+            ChooseKnnBackend(1000, 8));
+  ASSERT_FALSE(InKnnProbeBand(4000, 3));
+  EXPECT_EQ(ResolveKnnSearcher(uniform, Subspace({0, 4, 7}),
+                               KnnBackend::kAuto, 10)
+                ->backend(),
+            ChooseKnnBackend(4000, 3));
 }
 
 }  // namespace
