@@ -51,7 +51,7 @@ int main() {
 
       // Run the search directly too, to report evaluation counts.
       hics::HicsRunStats stats;
-      (void)Unwrap(hics::RunHicsSearch(data, params, &stats), "HiCS");
+      (void)Unwrap(hics::RunHicsSearch(data, params, {}, &stats), "HiCS");
       evals.Add(static_cast<double>(stats.contrast_evaluations));
 
       const auto run = RunSubspaceMethod(*hics::MakeHicsMethod(params),

@@ -202,7 +202,7 @@ int RunSelfTest(const std::string& tmpdir) {
   auto scorer = hics::MakeScorer(config.scorer);
   SELFTEST_CHECK(scorer.ok(), "scorer spec is valid");
   auto pipeline = hics::RunHicsPipeline(dataset, config.search_params,
-                                        **scorer, config.aggregation);
+                                        **scorer, {}, config.aggregation);
   SELFTEST_CHECK(pipeline.ok(), "reference pipeline runs");
   SELFTEST_CHECK(model->training_scores() == pipeline->scores,
                  "fitted training scores are byte-identical to the pipeline");
@@ -287,7 +287,7 @@ int RunSelfTest(const std::string& tmpdir) {
   auto grid_scorer = hics::MakeScorer(grid_config.scorer);
   SELFTEST_CHECK(grid_scorer.ok(), "grid-density scorer spec is valid");
   auto grid_pipeline = hics::RunHicsPipeline(
-      dataset, grid_config.search_params, **grid_scorer,
+      dataset, grid_config.search_params, **grid_scorer, {},
       grid_config.aggregation);
   SELFTEST_CHECK(grid_pipeline.ok(), "grid-density reference pipeline runs");
   SELFTEST_CHECK(grid_model->training_scores() == grid_pipeline->scores,

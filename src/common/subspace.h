@@ -82,6 +82,17 @@ struct ScoredSubspace {
   double score = 0.0;
 };
 
+/// The subspaces of a scored list — ScoredSubspace, or any element type
+/// with a `subspace` member — in list order with the scores dropped: the
+/// form the outlier ranking consumes.
+template <typename Scored>
+std::vector<Subspace> PlainSubspaces(const std::vector<Scored>& scored) {
+  std::vector<Subspace> plain;
+  plain.reserve(scored.size());
+  for (const Scored& s : scored) plain.push_back(s.subspace);
+  return plain;
+}
+
 /// Sorts scored subspaces by descending score (ties: lexicographic subspace
 /// order, so results are deterministic).
 void SortByScoreDescending(std::vector<ScoredSubspace>* subspaces);

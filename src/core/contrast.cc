@@ -69,15 +69,10 @@ double ContrastEstimator::Contrast(const Subspace& subspace, Rng* rng) const {
 
 double ContrastEstimator::Contrast(const Subspace& subspace, Rng* rng,
                                    ContrastScratch* scratch) const {
-  HICS_CHECK(rng != nullptr);
-  HICS_CHECK(scratch != nullptr);
-  HICS_CHECK_GE(subspace.size(), 2u);
-  double deviation_sum = 0.0;
-  for (std::size_t iteration = 0; iteration < params_.num_iterations;
-       ++iteration) {
-    deviation_sum += IterationDeviation(subspace, rng, scratch);
-  }
-  return deviation_sum / static_cast<double>(params_.num_iterations);
+  // A default context never interrupts and injects no faults; sharing one
+  // instance keeps this overload allocation-free.
+  static const RunContext kUnbounded;
+  return Contrast(subspace, rng, scratch, kUnbounded).ValueOrDie();
 }
 
 Result<double> ContrastEstimator::Contrast(const Subspace& subspace, Rng* rng,

@@ -1,15 +1,55 @@
 #include "core/contrast_matrix.h"
 
-#include <memory>
 #include <vector>
 
 #include "common/parallel.h"
-#include "common/random.h"
 #include "common/subspace.h"
-#include "engine/sharded_dataset.h"
+#include "core/hics.h"
+#include "engine/shard_plane.h"
 #include "stats/two_sample_test.h"
 
 namespace hics {
+
+namespace {
+
+// Validates, then scores every 2-D subspace through the plane's lattice
+// level scorer — the same call the search makes for its first level — and
+// mirrors the scores into the symmetric matrix.
+template <typename Plane>
+Result<Matrix> ScoreAllPairs(const Plane& plane,
+                             const ContrastMatrixParams& params) {
+  const Dataset& dataset = plane.dataset();
+  HICS_RETURN_NOT_OK(params.contrast.Validate());
+  const auto test = stats::MakeTwoSampleTest(params.statistical_test);
+  if (test == nullptr) {
+    return Status::InvalidArgument("unknown statistical_test '" +
+                                   params.statistical_test + "'");
+  }
+  const std::size_t d = dataset.num_attributes();
+  if (d < 2) return Status::InvalidArgument("need at least 2 attributes");
+  if (dataset.num_objects() < 2) {
+    return Status::InvalidArgument("need at least 2 objects");
+  }
+
+  const std::size_t num_threads =
+      params.num_threads == 0 ? DefaultNumThreads() : params.num_threads;
+  const internal::LevelScorer score_level = internal::MakeLevelScorer(
+      plane, *test, params.contrast, params.seed, num_threads);
+  std::vector<ScoredSubspace> scored;
+  HicsRunStats stats;
+  HICS_RETURN_NOT_OK(score_level(internal::AllTwoDimensionalSubspaces(d),
+                                 /*eval_base=*/0, RunContext(), &scored,
+                                 &stats));
+
+  Matrix result(d, d);
+  for (const ScoredSubspace& s : scored) {
+    result(s.subspace[0], s.subspace[1]) = s.score;
+    result(s.subspace[1], s.subspace[0]) = s.score;
+  }
+  return result;
+}
+
+}  // namespace
 
 Result<Matrix> ComputeContrastMatrix(const Dataset& dataset,
                                      const ContrastMatrixParams& params) {
@@ -21,119 +61,12 @@ Result<Matrix> ComputeContrastMatrix(const Dataset& dataset,
 
 Result<Matrix> ComputeContrastMatrix(const PreparedDataset& prepared,
                                      const ContrastMatrixParams& params) {
-  const Dataset& dataset = prepared.dataset();
-  HICS_RETURN_NOT_OK(params.contrast.Validate());
-  const auto test = stats::MakeTwoSampleTest(params.statistical_test);
-  if (test == nullptr) {
-    return Status::InvalidArgument("unknown statistical_test '" +
-                                   params.statistical_test + "'");
-  }
-  const std::size_t d = dataset.num_attributes();
-  if (d < 2) return Status::InvalidArgument("need at least 2 attributes");
-  if (dataset.num_objects() < 2) {
-    return Status::InvalidArgument("need at least 2 objects");
-  }
-
-  const std::size_t num_threads =
-      params.num_threads == 0 ? DefaultNumThreads() : params.num_threads;
-  const ContrastEstimator estimator(prepared, *test, params.contrast);
-
-  // Flatten the upper triangle into a task list.
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
-  pairs.reserve(d * (d - 1) / 2);
-  for (std::size_t i = 0; i < d; ++i) {
-    for (std::size_t j = i + 1; j < d; ++j) pairs.emplace_back(i, j);
-  }
-  std::vector<double> values(pairs.size());
-  std::vector<ContrastScratch> scratches(
-      ParallelWorkerCount(pairs.size(), num_threads));
-  ParallelForWorker(
-      0, pairs.size(), num_threads, [&](std::size_t t, std::size_t worker) {
-        const Subspace s{pairs[t].first, pairs[t].second};
-        // Same per-subspace stream derivation as the lattice search, so the
-        // matrix entries equal the level-2 scores of RunHicsSearch with the
-        // same seed.
-        Rng rng(params.seed ^ (SubspaceHash{}(s) * 0x9e3779b97f4a7c15ULL));
-        values[t] = estimator.Contrast(s, &rng, &scratches[worker]);
-      });
-
-  Matrix result(d, d);
-  for (std::size_t t = 0; t < pairs.size(); ++t) {
-    result(pairs[t].first, pairs[t].second) = values[t];
-    result(pairs[t].second, pairs[t].first) = values[t];
-  }
-  return result;
+  return ScoreAllPairs(prepared, params);
 }
 
 Result<Matrix> ComputeContrastMatrix(const ShardPlane& sharded,
                                      const ContrastMatrixParams& params) {
-  const Dataset& dataset = sharded.dataset();
-  HICS_RETURN_NOT_OK(params.contrast.Validate());
-  const auto test = stats::MakeTwoSampleTest(params.statistical_test);
-  if (test == nullptr) {
-    return Status::InvalidArgument("unknown statistical_test '" +
-                                   params.statistical_test + "'");
-  }
-  const std::size_t d = dataset.num_attributes();
-  if (d < 2) return Status::InvalidArgument("need at least 2 attributes");
-  if (dataset.num_objects() < 2) {
-    return Status::InvalidArgument("need at least 2 objects");
-  }
-
-  const std::size_t num_threads =
-      params.num_threads == 0 ? DefaultNumThreads() : params.num_threads;
-  const std::size_t num_shards = sharded.num_shards();
-
-  // Same per-shard estimator setup as the sharded search, so matrix
-  // entries equal its level-2 scores under the same seed.
-  std::vector<std::unique_ptr<ContrastEstimator>> estimators(num_shards);
-  ParallelFor(0, num_shards, num_threads, [&](std::size_t s) {
-    const ContrastParams shard_params{
-        ShardIterations(params.contrast.num_iterations, num_shards, s),
-        params.contrast.alpha, params.contrast.use_rank_space_kernel};
-    estimators[s] = std::make_unique<ContrastEstimator>(sharded.shard(s),
-                                                        *test, shard_params);
-  });
-  std::vector<double> weights(num_shards);
-  double weight_sum = 0.0;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    weights[s] = static_cast<double>(sharded.shard_size(s));
-    weight_sum += weights[s];
-  }
-
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
-  pairs.reserve(d * (d - 1) / 2);
-  for (std::size_t i = 0; i < d; ++i) {
-    for (std::size_t j = i + 1; j < d; ++j) pairs.emplace_back(i, j);
-  }
-
-  // Task t = pair t/S on shard t%S; per-task slots keep the merge's
-  // floating-point reduction in shard-ordinal order regardless of which
-  // worker computed what.
-  const std::size_t tasks = pairs.size() * num_shards;
-  std::vector<double> values(tasks);
-  std::vector<ContrastScratch> scratches(
-      ParallelWorkerCount(tasks, num_threads));
-  ParallelForWorker(
-      0, tasks, num_threads, [&](std::size_t t, std::size_t worker) {
-        const std::size_t p = t / num_shards;
-        const std::size_t shard = t % num_shards;
-        const Subspace s{pairs[p].first, pairs[p].second};
-        Rng rng(ShardStreamSeed(params.seed, SubspaceHash{}(s), shard));
-        values[t] = estimators[shard]->Contrast(s, &rng, &scratches[worker]);
-      });
-
-  Matrix result(d, d);
-  for (std::size_t p = 0; p < pairs.size(); ++p) {
-    double value_sum = 0.0;
-    for (std::size_t shard = 0; shard < num_shards; ++shard) {
-      value_sum += weights[shard] * values[p * num_shards + shard];
-    }
-    const double merged = value_sum / weight_sum;
-    result(pairs[p].first, pairs[p].second) = merged;
-    result(pairs[p].second, pairs[p].first) = merged;
-  }
-  return result;
+  return ScoreAllPairs(sharded, params);
 }
 
 }  // namespace hics

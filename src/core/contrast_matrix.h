@@ -37,7 +37,9 @@ Result<Matrix> ComputeContrastMatrix(const Dataset& dataset,
 /// Prepared-path variant: reuses `prepared`'s sorted-attribute index and
 /// rank artifacts (shared with RunHicsSearch and the ranking stage)
 /// instead of rebuilding them — the second index build the matrix used to
-/// pay is gone. Bit-identical to the Dataset overload.
+/// pay is gone. Bit-identical to the Dataset overload, and entry (i, j)
+/// equals the prepared RunHicsSearch's level-2 score of {i, j} under the
+/// same seed.
 Result<Matrix> ComputeContrastMatrix(const PreparedDataset& prepared,
                                      const ContrastMatrixParams& params = {});
 
@@ -47,9 +49,10 @@ Result<Matrix> ComputeContrastMatrix(const PreparedDataset& prepared,
 /// weighted average of the per-shard estimates, reduced in shard-ordinal
 /// order. Bit-identical for a fixed effective shard count across thread
 /// counts and shard completion orders, and entry (i, j) equals the
-/// sharded RunHicsSearch's level-2 score of {i, j} under the same seed —
-/// but it is a different estimator than the unsharded matrix (agreement
-/// within Monte Carlo noise, not bit-equality).
+/// sharded RunHicsSearch's level-2 score of {i, j} under the same seed
+/// (both score through the same level scorer) — but it is a different
+/// estimator than the unsharded matrix (agreement within Monte Carlo
+/// noise, not bit-equality).
 Result<Matrix> ComputeContrastMatrix(const ShardPlane& sharded,
                                      const ContrastMatrixParams& params = {});
 

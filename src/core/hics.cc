@@ -126,103 +126,16 @@ std::size_t PruneRedundant(std::vector<ScoredSubspace>* subspaces) {
   return removed;
 }
 
-}  // namespace internal
-
-Result<std::vector<ScoredSubspace>> RunHicsSearch(const Dataset& dataset,
-                                                  const HicsParams& params,
-                                                  HicsRunStats* stats) {
-  return RunHicsSearch(dataset, params, RunContext(), stats);
-}
-
-Result<std::vector<ScoredSubspace>> RunHicsSearch(const Dataset& dataset,
-                                                  const HicsParams& params,
-                                                  const RunContext& ctx,
-                                                  HicsRunStats* stats) {
-  // Thin adapter: prepare privately with the run's thread budget (the
-  // index content is identical for any build parallelism) and delegate.
-  const std::size_t build_threads =
-      params.num_threads == 0 ? DefaultNumThreads() : params.num_threads;
-  const PreparedDataset prepared(dataset, build_threads);
-  return RunHicsSearch(prepared, params, ctx, stats);
-}
-
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const PreparedDataset& prepared, const HicsParams& params,
-    HicsRunStats* stats) {
-  return RunHicsSearch(prepared, params, RunContext(), stats);
-}
-
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const PreparedDataset& prepared, const HicsParams& params,
-    const RunContext& ctx, HicsRunStats* stats) {
-  const Dataset& dataset = prepared.dataset();
-  HICS_RETURN_NOT_OK(params.Validate());
-  if (dataset.num_attributes() < 2) {
-    return Status::InvalidArgument(
-        "HiCS requires at least 2 attributes, got " +
-        std::to_string(dataset.num_attributes()));
-  }
-  if (dataset.num_objects() < 2) {
-    return Status::InvalidArgument("HiCS requires at least 2 objects");
-  }
-  HICS_RETURN_NOT_OK(ctx.InjectFault("hics.search"));
-
-  // Apply an explicitly requested SIMD tier for the duration of the run
-  // (results are tier-invariant; this only pins which kernel
-  // implementations execute). "auto" leaves the ambient active tier alone
-  // so an HICS_SIMD environment clamp stays in force.
-  std::optional<simd::ScopedSimdTier> tier_scope;
-  if (params.simd_tier != "auto") {
-    simd::SimdTier requested = simd::DetectedTier();
-    simd::ParseSimdTier(params.simd_tier, &requested);  // validated above
-    tier_scope.emplace(requested);
-  }
-
-  const auto test = stats::MakeTwoSampleTest(params.statistical_test);
-  HICS_CHECK(test != nullptr);
-  const std::size_t num_threads =
-      params.num_threads == 0 ? DefaultNumThreads() : params.num_threads;
-  const ContrastParams contrast_params{params.num_iterations, params.alpha,
-                                       params.use_rank_space_kernel};
-  const ContrastEstimator estimator(prepared, *test, contrast_params);
-  HicsRunStats local_stats;
-
-  // Every subspace gets its own Monte Carlo stream derived from
-  // (seed, subspace), making the search reproducible independent of the
-  // level evaluation order and the worker count.
-  auto subspace_rng = [&params](const Subspace& s) {
-    return Rng(params.seed ^ (SubspaceHash{}(s) * 0x9e3779b97f4a7c15ULL));
-  };
-  auto record_interruption = [&local_stats](const Status& st) {
-    if (st.code() == StatusCode::kCancelled) local_stats.cancelled = true;
-    if (st.code() == StatusCode::kDeadlineExceeded) {
-      local_stats.deadline_exceeded = true;
-    }
-  };
-
-  std::vector<ScoredSubspace> pool;   // everything retained across levels
-  std::vector<Subspace> level = internal::AllTwoDimensionalSubspaces(
-      dataset.num_attributes());
-  // Cumulative count of contrast evaluations issued before the current
-  // level; eval_base + i + 1 is evaluation i's deterministic 1-based fault
-  // ordinal, equal to the arrival count of an uninterrupted serial run.
-  std::uint64_t eval_base = 0;
-
-  while (!level.empty()) {
-    const Status progress = ctx.CheckProgress();
-    if (!progress.ok()) {
-      record_interruption(progress);
-      break;
-    }
-    const std::size_t dims = level.front().size();
-    if (params.max_dimensionality != 0 &&
-        dims > params.max_dimensionality) {
-      break;
-    }
-    ++local_stats.levels_processed;
-
-    // Score the whole level (in parallel when configured), then apply the
-    // adaptive threshold: keep only the candidate_cutoff best (§IV-B).
+LevelScorer MakeLevelScorer(const PreparedDataset& prepared,
+                            const stats::TwoSampleTest& test,
+                            const ContrastParams& contrast, std::uint64_t seed,
+                            std::size_t num_threads) {
+  auto estimator =
+      std::make_shared<const ContrastEstimator>(prepared, test, contrast);
+  return [estimator, seed, num_threads](
+             std::vector<Subspace> level, std::uint64_t eval_base,
+             const RunContext& ctx, std::vector<ScoredSubspace>* completed,
+             HicsRunStats* stats) -> Status {
     // A contrast evaluation that fails is isolated: its subspace is skipped
     // (it neither enters the pool nor seeds the next level) and tallied.
     // Only interruption codes (cancel/deadline) stop the level early; the
@@ -235,15 +148,23 @@ Result<std::vector<ScoredSubspace>> RunHicsSearch(
     const Status level_status = ParallelTryForWorker(
         0, level.size(), num_threads,
         [&](std::size_t i, std::size_t worker) -> Status {
+          // eval_base + i + 1 is evaluation i's deterministic 1-based fault
+          // ordinal, equal to the arrival count of an uninterrupted serial
+          // run.
           const std::uint64_t ordinal = eval_base + i + 1;
           Status injected = ctx.InjectFault("contrast.estimate", ordinal);
           Result<double> contrast =
               injected.ok()
                   ? [&]() -> Result<double> {
-                      Rng rng = subspace_rng(level[i]);
-                      return estimator.Contrast(level[i], &rng,
-                                                &scratches[worker], ctx,
-                                                ordinal);
+                      // Every subspace gets its own Monte Carlo stream
+                      // derived from (seed, subspace), making the search
+                      // reproducible independent of the level evaluation
+                      // order and the worker count.
+                      Rng rng(seed ^ (SubspaceHash{}(level[i]) *
+                                      0x9e3779b97f4a7c15ULL));
+                      return estimator->Contrast(level[i], &rng,
+                                                 &scratches[worker], ctx,
+                                                 ordinal);
                     }()
                   : Result<double>(std::move(injected));
           if (contrast.ok()) {
@@ -260,132 +181,45 @@ Result<std::vector<ScoredSubspace>> RunHicsSearch(
           return Status::OK();  // isolated: skip this subspace, keep going
         },
         [&ctx] { return ctx.ShouldStop(); });
-    eval_base += level.size();
-    local_stats.failed_contrast_evaluations +=
+    stats->failed_contrast_evaluations +=
         failed.load(std::memory_order_relaxed);
-
-    std::vector<ScoredSubspace> completed;
-    completed.reserve(scored.size());
+    completed->reserve(scored.size());
     for (std::size_t i = 0; i < scored.size(); ++i) {
-      if (scored_ok[i]) completed.push_back(std::move(scored[i]));
+      if (scored_ok[i]) completed->push_back(std::move(scored[i]));
     }
-    local_stats.contrast_evaluations += completed.size();
-    if (!completed.empty()) {
-      local_stats.max_level_reached =
-          std::max(local_stats.max_level_reached, dims);
-    }
-    if (completed.size() > params.candidate_cutoff) {
-      ++local_stats.cutoff_applications;
-    }
-    KeepTopK(&completed, params.candidate_cutoff);
-
-    // Survivors seed the next level and enter the output pool.
-    std::vector<Subspace> survivors;
-    survivors.reserve(completed.size());
-    for (const ScoredSubspace& s : completed) survivors.push_back(s.subspace);
-    std::sort(survivors.begin(), survivors.end());
-    for (ScoredSubspace& s : completed) pool.push_back(std::move(s));
-
-    if (!level_status.ok()) {
-      record_interruption(level_status);
-      break;
-    }
-    const Status after_level = ctx.CheckProgress();
-    if (!after_level.ok()) {
-      record_interruption(after_level);
-      break;
-    }
-    level = internal::GenerateCandidates(survivors);
-  }
-
-  if (params.prune_redundant) {
-    local_stats.pruned_redundant = internal::PruneRedundant(&pool);
-  }
-  KeepTopK(&pool, params.output_top_k);
-
-  if (stats != nullptr) *stats = local_stats;
-  return pool;
+    return level_status;
+  };
 }
 
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const ShardPlane& sharded, const HicsParams& params,
-    HicsRunStats* stats) {
-  return RunHicsSearch(sharded, params, RunContext(), stats);
-}
-
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const ShardPlane& sharded, const HicsParams& params,
-    const RunContext& ctx, HicsRunStats* stats) {
-  const Dataset& dataset = sharded.dataset();
-  HICS_RETURN_NOT_OK(params.Validate());
-  if (dataset.num_attributes() < 2) {
-    return Status::InvalidArgument(
-        "HiCS requires at least 2 attributes, got " +
-        std::to_string(dataset.num_attributes()));
-  }
-  if (dataset.num_objects() < 2) {
-    return Status::InvalidArgument("HiCS requires at least 2 objects");
-  }
-  HICS_RETURN_NOT_OK(ctx.InjectFault("hics.search"));
-
-  std::optional<simd::ScopedSimdTier> tier_scope;
-  if (params.simd_tier != "auto") {
-    simd::SimdTier requested = simd::DetectedTier();
-    simd::ParseSimdTier(params.simd_tier, &requested);  // validated above
-    tier_scope.emplace(requested);
-  }
-
-  const auto test = stats::MakeTwoSampleTest(params.statistical_test);
-  HICS_CHECK(test != nullptr);
-  const std::size_t num_threads =
-      params.num_threads == 0 ? DefaultNumThreads() : params.num_threads;
+LevelScorer MakeLevelScorer(const ShardPlane& sharded,
+                            const stats::TwoSampleTest& test,
+                            const ContrastParams& contrast, std::uint64_t seed,
+                            std::size_t num_threads) {
   const std::size_t num_shards = sharded.num_shards();
-
   // One estimator per shard, each with its slice of the iteration budget.
   // Building them forces the per-shard lazy rank artifacts, so fan the
   // construction out — the artifact content is build-order-invariant.
-  std::vector<std::unique_ptr<ContrastEstimator>> estimators(num_shards);
+  auto estimators =
+      std::make_shared<std::vector<std::unique_ptr<ContrastEstimator>>>(
+          num_shards);
   ParallelFor(0, num_shards, num_threads, [&](std::size_t s) {
     const ContrastParams shard_params{
-        ShardIterations(params.num_iterations, num_shards, s), params.alpha,
-        params.use_rank_space_kernel};
-    estimators[s] = std::make_unique<ContrastEstimator>(sharded.shard(s),
-                                                        *test, shard_params);
+        ShardIterations(contrast.num_iterations, num_shards, s),
+        contrast.alpha, contrast.use_rank_space_kernel};
+    (*estimators)[s] = std::make_unique<ContrastEstimator>(
+        sharded.shard(s), test, shard_params);
   });
   std::vector<double> weights(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
     weights[s] = static_cast<double>(sharded.shard_size(s));
   }
-
-  HicsRunStats local_stats;
-  auto record_interruption = [&local_stats](const Status& st) {
-    if (st.code() == StatusCode::kCancelled) local_stats.cancelled = true;
-    if (st.code() == StatusCode::kDeadlineExceeded) {
-      local_stats.deadline_exceeded = true;
-    }
-  };
-
-  std::vector<ScoredSubspace> pool;
-  std::vector<Subspace> level = internal::AllTwoDimensionalSubspaces(
-      dataset.num_attributes());
-  std::uint64_t eval_base = 0;  // subspace-granular, like the unsharded path
-
-  // Per-(subspace, shard) slot states for one level.
-  enum : char { kNotRun = 0, kOk = 1, kFailed = 2 };
-
-  while (!level.empty()) {
-    const Status progress = ctx.CheckProgress();
-    if (!progress.ok()) {
-      record_interruption(progress);
-      break;
-    }
-    const std::size_t dims = level.front().size();
-    if (params.max_dimensionality != 0 &&
-        dims > params.max_dimensionality) {
-      break;
-    }
-    ++local_stats.levels_processed;
-
+  return [estimators, weights = std::move(weights), num_shards, seed,
+          num_threads](std::vector<Subspace> level, std::uint64_t eval_base,
+                       const RunContext& ctx,
+                       std::vector<ScoredSubspace>* completed,
+                       HicsRunStats* stats) -> Status {
+    // Per-(subspace, shard) slot states.
+    enum : char { kNotRun = 0, kOk = 1, kFailed = 2 };
     // Fan out over (subspace, shard) tasks: task t = subspace t/S, shard
     // t%S. Results land in per-task slots; the weighted merge below reads
     // them in shard-ordinal order, so neither thread count nor completion
@@ -414,9 +248,9 @@ Result<std::vector<ScoredSubspace>> RunHicsSearch(
           Result<double> contrast =
               injected.ok()
                   ? [&]() -> Result<double> {
-                      Rng rng(ShardStreamSeed(
-                          params.seed, SubspaceHash{}(level[i]), shard));
-                      return estimators[shard]->Contrast(
+                      Rng rng(ShardStreamSeed(seed, SubspaceHash{}(level[i]),
+                                              shard));
+                      return (*estimators)[shard]->Contrast(
                           level[i], &rng, &scratches[worker], ctx, ordinal);
                     }()
                   : Result<double>(std::move(injected));
@@ -434,14 +268,12 @@ Result<std::vector<ScoredSubspace>> RunHicsSearch(
           return Status::OK();
         },
         [&ctx] { return ctx.ShouldStop(); });
-    eval_base += level.size();
 
     // Merge: weighted average over the surviving shards, weights
     // renormalized when shards dropped out. A subspace with an unevaluated
     // shard slot (interrupted level) is not merged — partial merges would
     // make interrupted results depend on scheduling.
-    std::vector<ScoredSubspace> completed;
-    completed.reserve(level.size());
+    completed->reserve(level.size());
     for (std::size_t i = 0; i < level.size(); ++i) {
       bool all_run = true;
       bool any_ok = false;
@@ -463,13 +295,99 @@ Result<std::vector<ScoredSubspace>> RunHicsSearch(
         }
       }
       if (!all_run) continue;
-      local_stats.failed_shard_evaluations += shard_failures;
+      stats->failed_shard_evaluations += shard_failures;
       if (!any_ok) {
-        ++local_stats.failed_contrast_evaluations;
+        ++stats->failed_contrast_evaluations;
         continue;
       }
-      completed.push_back({std::move(level[i]), value_sum / weight_sum});
+      completed->push_back({std::move(level[i]), value_sum / weight_sum});
     }
+    return level_status;
+  };
+}
+
+}  // namespace internal
+
+namespace {
+
+// The lattice driver (paper §IV, Alg. 1) shared by every plane: score a
+// level, keep the candidate_cutoff best, Apriori-join the survivors into
+// the next level, and finally prune redundant subspaces. Scoring a level
+// is the only plane-specific step; it is delegated to the plane's
+// internal::MakeLevelScorer overload.
+template <typename Plane>
+Result<std::vector<ScoredSubspace>> RunLattice(const Plane& plane,
+                                               const HicsParams& params,
+                                               const RunContext& ctx,
+                                               HicsRunStats* stats) {
+  const Dataset& dataset = plane.dataset();
+  HICS_RETURN_NOT_OK(params.Validate());
+  if (dataset.num_attributes() < 2) {
+    return Status::InvalidArgument(
+        "HiCS requires at least 2 attributes, got " +
+        std::to_string(dataset.num_attributes()));
+  }
+  if (dataset.num_objects() < 2) {
+    return Status::InvalidArgument("HiCS requires at least 2 objects");
+  }
+  HICS_RETURN_NOT_OK(ctx.InjectFault("hics.search"));
+
+  // Apply an explicitly requested SIMD tier for the duration of the run
+  // (results are tier-invariant; this only pins which kernel
+  // implementations execute). "auto" leaves the ambient active tier alone
+  // so an HICS_SIMD environment clamp stays in force.
+  std::optional<simd::ScopedSimdTier> tier_scope;
+  if (params.simd_tier != "auto") {
+    simd::SimdTier requested = simd::DetectedTier();
+    simd::ParseSimdTier(params.simd_tier, &requested);  // validated above
+    tier_scope.emplace(requested);
+  }
+
+  const auto test = stats::MakeTwoSampleTest(params.statistical_test);
+  HICS_CHECK(test != nullptr);
+  const std::size_t num_threads =
+      params.num_threads == 0 ? DefaultNumThreads() : params.num_threads;
+  const internal::LevelScorer score_level = internal::MakeLevelScorer(
+      plane, *test,
+      ContrastParams{params.num_iterations, params.alpha,
+                     params.use_rank_space_kernel},
+      params.seed, num_threads);
+
+  HicsRunStats local_stats;
+  auto record_interruption = [&local_stats](const Status& st) {
+    if (st.code() == StatusCode::kCancelled) local_stats.cancelled = true;
+    if (st.code() == StatusCode::kDeadlineExceeded) {
+      local_stats.deadline_exceeded = true;
+    }
+  };
+
+  std::vector<ScoredSubspace> pool;   // everything retained across levels
+  std::vector<Subspace> level = internal::AllTwoDimensionalSubspaces(
+      dataset.num_attributes());
+  // Cumulative count of contrast evaluations issued before the current
+  // level: the base of the scorers' deterministic fault ordinals.
+  std::uint64_t eval_base = 0;
+
+  while (!level.empty()) {
+    const Status progress = ctx.CheckProgress();
+    if (!progress.ok()) {
+      record_interruption(progress);
+      break;
+    }
+    const std::size_t dims = level.front().size();
+    if (params.max_dimensionality != 0 &&
+        dims > params.max_dimensionality) {
+      break;
+    }
+    ++local_stats.levels_processed;
+
+    // Score the whole level, then apply the adaptive threshold: keep only
+    // the candidate_cutoff best (§IV-B).
+    const std::size_t level_size = level.size();
+    std::vector<ScoredSubspace> completed;
+    const Status level_status = score_level(std::move(level), eval_base, ctx,
+                                            &completed, &local_stats);
+    eval_base += level_size;
     local_stats.contrast_evaluations += completed.size();
     if (!completed.empty()) {
       local_stats.max_level_reached =
@@ -480,9 +398,8 @@ Result<std::vector<ScoredSubspace>> RunHicsSearch(
     }
     KeepTopK(&completed, params.candidate_cutoff);
 
-    std::vector<Subspace> survivors;
-    survivors.reserve(completed.size());
-    for (const ScoredSubspace& s : completed) survivors.push_back(s.subspace);
+    // Survivors seed the next level and enter the output pool.
+    std::vector<Subspace> survivors = PlainSubspaces(completed);
     std::sort(survivors.begin(), survivors.end());
     for (ScoredSubspace& s : completed) pool.push_back(std::move(s));
 
@@ -505,6 +422,32 @@ Result<std::vector<ScoredSubspace>> RunHicsSearch(
 
   if (stats != nullptr) *stats = local_stats;
   return pool;
+}
+
+}  // namespace
+
+Result<std::vector<ScoredSubspace>> RunHicsSearch(const Dataset& dataset,
+                                                  const HicsParams& params,
+                                                  const RunContext& ctx,
+                                                  HicsRunStats* stats) {
+  // Thin adapter: prepare privately with the run's thread budget (the
+  // index content is identical for any build parallelism) and delegate.
+  const std::size_t build_threads =
+      params.num_threads == 0 ? DefaultNumThreads() : params.num_threads;
+  const PreparedDataset prepared(dataset, build_threads);
+  return RunHicsSearch(prepared, params, ctx, stats);
+}
+
+Result<std::vector<ScoredSubspace>> RunHicsSearch(
+    const PreparedDataset& prepared, const HicsParams& params,
+    const RunContext& ctx, HicsRunStats* stats) {
+  return RunLattice(prepared, params, ctx, stats);
+}
+
+Result<std::vector<ScoredSubspace>> RunHicsSearch(
+    const ShardPlane& sharded, const HicsParams& params,
+    const RunContext& ctx, HicsRunStats* stats) {
+  return RunLattice(sharded, params, ctx, stats);
 }
 
 }  // namespace hics

@@ -2,6 +2,8 @@
 #define HICS_CORE_HICS_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,7 +30,8 @@ struct HicsParams {
   /// Number of best subspaces returned after redundancy pruning; the
   /// paper's experiments feed the best 100 to the outlier ranker.
   std::size_t output_top_k = 100;
-  /// Deviation function: "welch" (HiCS_WT, default) or "ks" (HiCS_KS).
+  /// Deviation function: "welch" (HiCS_WT, default; alias "wt"), "ks"
+  /// (HiCS_KS), or "cvm" (Cramer-von Mises).
   std::string statistical_test = "welch";
   /// Optional hard bound on subspace dimensionality; 0 = unbounded (search
   /// stops when the Apriori merge yields no candidates).
@@ -101,42 +104,31 @@ struct HicsRunStats {
 ///
 /// Returns the output_top_k highest-contrast subspaces, sorted by
 /// descending contrast. `stats`, when non-null, receives run diagnostics.
-Result<std::vector<ScoredSubspace>> RunHicsSearch(const Dataset& dataset,
-                                                  const HicsParams& params,
-                                                  HicsRunStats* stats =
-                                                      nullptr);
+/// The Dataset overload is a thin adapter that prepares privately and
+/// delegates to the PreparedDataset overload.
+///
+/// `ctx` is checked between lattice levels, between subspace evaluations
+/// within a level, and between Monte Carlo iterations within one contrast
+/// estimate. On deadline expiry or cancellation the search *does not
+/// fail*: it returns the best subspaces scored so far, with
+/// `stats->deadline_exceeded` / `stats->cancelled` set. A contrast
+/// evaluation that fails for any other reason (e.g. an injected fault at
+/// "contrast.slice" or "contrast.estimate") is isolated: the subspace is
+/// skipped and counted in `stats->failed_contrast_evaluations`. Errors are
+/// returned only for invalid params/dataset or when a fault is injected at
+/// site "hics.search" (whole-search failure).
+Result<std::vector<ScoredSubspace>> RunHicsSearch(
+    const Dataset& dataset, const HicsParams& params,
+    const RunContext& ctx = RunContext(), HicsRunStats* stats = nullptr);
 
-/// Context-aware search. The context is checked between lattice levels,
-/// between subspace evaluations within a level, and between Monte Carlo
-/// iterations within one contrast estimate. On deadline expiry or
-/// cancellation the search *does not fail*: it returns the best subspaces
-/// scored so far, with `stats->deadline_exceeded` / `stats->cancelled` set.
-/// A contrast evaluation that fails for any other reason (e.g. an injected
-/// fault at "contrast.slice" or "contrast.estimate") is isolated: the
-/// subspace is skipped and counted in `stats->failed_contrast_evaluations`.
-/// Errors are returned only for invalid params/dataset or when a fault is
-/// injected at site "hics.search" (whole-search failure).
-Result<std::vector<ScoredSubspace>> RunHicsSearch(const Dataset& dataset,
-                                                  const HicsParams& params,
-                                                  const RunContext& ctx,
-                                                  HicsRunStats* stats =
-                                                      nullptr);
-
-/// Prepared-path search: identical semantics and bit-identical output to
-/// the Dataset overloads, but the sorted-attribute index (and the other
-/// rank artifacts the contrast kernels consume) come from `prepared`
-/// instead of being rebuilt per call — so search, contrast matrix, and
-/// ranking over one dataset share a single O(D N log N) build. The
-/// Dataset overloads above are thin adapters that prepare privately.
+/// Prepared-path search: the sorted-attribute index (and the other rank
+/// artifacts the contrast kernels consume) come from `prepared` instead of
+/// being rebuilt per call — so search, contrast matrix, and ranking over
+/// one dataset share a single O(D N log N) build. Bit-identical to the
+/// Dataset overload.
 Result<std::vector<ScoredSubspace>> RunHicsSearch(
     const PreparedDataset& prepared, const HicsParams& params,
-    HicsRunStats* stats = nullptr);
-
-/// Context-aware prepared-path search; see the RunContext overload above
-/// for the interruption/fault contract.
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const PreparedDataset& prepared, const HicsParams& params,
-    const RunContext& ctx, HicsRunStats* stats = nullptr);
+    const RunContext& ctx = RunContext(), HicsRunStats* stats = nullptr);
 
 /// Sharded search (DESIGN.md §5i): each lattice-level contrast estimate
 /// fans out over the shards — shard s runs ShardIterations(M, S, s) Monte
@@ -163,12 +155,7 @@ Result<std::vector<ScoredSubspace>> RunHicsSearch(
 /// the unsharded overloads.
 Result<std::vector<ScoredSubspace>> RunHicsSearch(
     const ShardPlane& sharded, const HicsParams& params,
-    HicsRunStats* stats = nullptr);
-
-/// Context-aware sharded search; see above for the shard fault contract.
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const ShardPlane& sharded, const HicsParams& params,
-    const RunContext& ctx, HicsRunStats* stats = nullptr);
+    const RunContext& ctx = RunContext(), HicsRunStats* stats = nullptr);
 
 /// Exposed lattice utilities (used internally and unit-tested directly).
 namespace internal {
@@ -188,6 +175,35 @@ std::vector<Subspace> GenerateCandidates(const std::vector<Subspace>& level);
 /// bucketed by dimensionality, so each subspace is only compared against
 /// the adjacent-size bucket instead of the whole pool.
 std::size_t PruneRedundant(std::vector<ScoredSubspace>* subspaces);
+
+/// Scores one lattice level — the only plane-specific step of the search.
+/// Scored subspaces move from `level` into `scored` in level order;
+/// evaluations that failed are skipped and added to `stats`' failure
+/// counts. `eval_base` is the number of evaluations issued before this
+/// level (the base of the deterministic fault ordinals). Returns the
+/// interruption (Cancelled / DeadlineExceeded) that cut the level short,
+/// OK otherwise. The search driver and ComputeContrastMatrix both score
+/// through these, so matrix entry (i, j) is the level-2 score of {i, j}.
+using LevelScorer = std::function<Status(
+    std::vector<Subspace> level, std::uint64_t eval_base,
+    const RunContext& ctx, std::vector<ScoredSubspace>* scored,
+    HicsRunStats* stats)>;
+
+/// Unsharded scorer: one estimator over `prepared`; subspace S draws from
+/// the stream seed ^ (hash(S) * phi) and evaluation i of a level has fault
+/// ordinal eval_base + i + 1.
+LevelScorer MakeLevelScorer(const PreparedDataset& prepared,
+                            const stats::TwoSampleTest& test,
+                            const ContrastParams& contrast, std::uint64_t seed,
+                            std::size_t num_threads);
+
+/// Sharded scorer: per-shard estimators with ShardIterations(M, S, s)
+/// iterations and ShardStreamSeed streams, merged by the row-count-
+/// weighted average in shard order (see the ShardPlane RunHicsSearch).
+LevelScorer MakeLevelScorer(const ShardPlane& sharded,
+                            const stats::TwoSampleTest& test,
+                            const ContrastParams& contrast, std::uint64_t seed,
+                            std::size_t num_threads);
 
 }  // namespace internal
 

@@ -11,13 +11,6 @@ namespace hics {
 Result<PipelineResult> RunHicsPipeline(const Dataset& dataset,
                                        const HicsParams& params,
                                        const OutlierScorer& scorer,
-                                       ScoreAggregation aggregation) {
-  return RunHicsPipeline(dataset, params, scorer, RunContext(), aggregation);
-}
-
-Result<PipelineResult> RunHicsPipeline(const Dataset& dataset,
-                                       const HicsParams& params,
-                                       const OutlierScorer& scorer,
                                        const RunContext& ctx,
                                        ScoreAggregation aggregation) {
   // Thin adapter: one private PreparedDataset already pays off within a
@@ -26,13 +19,6 @@ Result<PipelineResult> RunHicsPipeline(const Dataset& dataset,
       params.num_threads == 0 ? DefaultNumThreads() : params.num_threads;
   const PreparedDataset prepared(dataset, build_threads);
   return RunHicsPipeline(prepared, params, scorer, ctx, aggregation);
-}
-
-Result<PipelineResult> RunHicsPipeline(const PreparedDataset& prepared,
-                                       const HicsParams& params,
-                                       const OutlierScorer& scorer,
-                                       ScoreAggregation aggregation) {
-  return RunHicsPipeline(prepared, params, scorer, RunContext(), aggregation);
 }
 
 Result<PipelineResult> RunHicsPipeline(const PreparedDataset& prepared,
@@ -53,15 +39,11 @@ Result<PipelineResult> RunHicsPipeline(const PreparedDataset& prepared,
         result.search_stats.failed_contrast_evaluations;
   }
 
-  std::vector<Subspace> plain;
-  plain.reserve(result.subspaces.size());
-  for (const ScoredSubspace& s : result.subspaces) {
-    plain.push_back(s.subspace);
-  }
-  diag.requested_subspaces = plain.size();
+  diag.requested_subspaces = result.subspaces.size();
 
   DegradedRankingResult ranked = RankWithSubspacesDegraded(
-      prepared, plain, scorer, aggregation, ctx, params.num_threads);
+      prepared, PlainSubspaces(result.subspaces), scorer, aggregation, ctx,
+      params.num_threads);
   diag.scored_subspaces = ranked.succeeded;
   diag.skipped_subspaces = ranked.failures.size();
   diag.deadline_exceeded |= ranked.deadline_exceeded;

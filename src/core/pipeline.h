@@ -64,15 +64,13 @@ struct PipelineResult {
 /// Runs the complete decoupled pipeline from the paper:
 /// (1) HiCS subspace search, (2) density-based outlier ranking with
 /// `scorer` in each selected subspace, averaged (or maxed) per object.
+/// The Dataset overload is a thin adapter that prepares privately and
+/// delegates to the PreparedDataset overload.
 ///
 /// If the search returns no subspace (degenerate data), the scorer runs on
 /// the full space so the pipeline always produces a ranking.
-Result<PipelineResult> RunHicsPipeline(
-    const Dataset& dataset, const HicsParams& params,
-    const OutlierScorer& scorer,
-    ScoreAggregation aggregation = ScoreAggregation::kAverage);
-
-/// Context-aware pipeline with graceful degradation:
+///
+/// Graceful degradation under `ctx`:
 ///  - deadline expiry / cancellation stops work at the next checkpoint and
 ///    returns the best result assembled so far (flagged in `diagnostics`),
 ///    never a hang and — as long as at least one scoring path succeeded —
@@ -85,24 +83,17 @@ Result<PipelineResult> RunHicsPipeline(
 ///    too (or the search itself cannot run at all).
 Result<PipelineResult> RunHicsPipeline(
     const Dataset& dataset, const HicsParams& params,
-    const OutlierScorer& scorer, const RunContext& ctx,
+    const OutlierScorer& scorer, const RunContext& ctx = RunContext(),
     ScoreAggregation aggregation = ScoreAggregation::kAverage);
 
 /// Prepared-path pipeline: search and ranking share `prepared`'s sorted
 /// index and artifact cache end-to-end — one rank-artifact build per
 /// dataset, and repeated runs (the serving pattern) reuse cached
 /// searchers, kNN tables, and score vectors. Bit-identical to the Dataset
-/// overloads for every cache state; the Dataset overloads are thin
-/// adapters that prepare privately.
+/// overload for every cache state.
 Result<PipelineResult> RunHicsPipeline(
     const PreparedDataset& prepared, const HicsParams& params,
-    const OutlierScorer& scorer,
-    ScoreAggregation aggregation = ScoreAggregation::kAverage);
-
-/// Context-aware prepared-path pipeline; degradation contract as above.
-Result<PipelineResult> RunHicsPipeline(
-    const PreparedDataset& prepared, const HicsParams& params,
-    const OutlierScorer& scorer, const RunContext& ctx,
+    const OutlierScorer& scorer, const RunContext& ctx = RunContext(),
     ScoreAggregation aggregation = ScoreAggregation::kAverage);
 
 /// Returns object indices sorted by descending score — the outlier ranking.

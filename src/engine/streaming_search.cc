@@ -4,16 +4,6 @@ namespace hics {
 
 Result<std::vector<ScoredSubspace>> RunHicsSearch(
     const StreamingDataset& streaming, const HicsParams& params,
-    HicsRunStats* stats) {
-  if (streaming.num_shards() == 1) {
-    return RunHicsSearch(streaming.prepared(), params, stats);
-  }
-  return RunHicsSearch(static_cast<const ShardPlane&>(streaming), params,
-                       stats);
-}
-
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const StreamingDataset& streaming, const HicsParams& params,
     const RunContext& ctx, HicsRunStats* stats) {
   if (streaming.num_shards() == 1) {
     return RunHicsSearch(streaming.prepared(), params, ctx, stats);
@@ -40,11 +30,8 @@ Result<std::vector<double>> RankWithSubspaces(
     const std::vector<ScoredSubspace>& subspaces, const OutlierScorer& scorer,
     ScoreAggregation aggregation, ShardedScoringPolicy policy,
     std::size_t num_threads) {
-  std::vector<Subspace> plain;
-  plain.reserve(subspaces.size());
-  for (const ScoredSubspace& s : subspaces) plain.push_back(s.subspace);
-  return RankWithSubspaces(streaming, plain, scorer, aggregation, policy,
-                           num_threads);
+  return RankWithSubspaces(streaming, PlainSubspaces(subspaces), scorer,
+                           aggregation, policy, num_threads);
 }
 
 }  // namespace hics

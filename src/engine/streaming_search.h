@@ -31,13 +31,7 @@ namespace hics {
 /// by construction rather than by re-verification.
 Result<std::vector<ScoredSubspace>> RunHicsSearch(
     const StreamingDataset& streaming, const HicsParams& params,
-    HicsRunStats* stats = nullptr);
-
-/// Context-aware variant; the RunContext carries the same interruption
-/// and fault-injection contract as the prepared/sharded overloads.
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const StreamingDataset& streaming, const HicsParams& params,
-    const RunContext& ctx, HicsRunStats* stats = nullptr);
+    const RunContext& ctx = RunContext(), HicsRunStats* stats = nullptr);
 
 /// Streaming ranking over the current window. One-shard planes rank
 /// through the prepared path (exact for every scorer, cache-warm across

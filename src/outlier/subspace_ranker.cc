@@ -82,10 +82,8 @@ std::vector<double> RankWithSubspaces(
     const Dataset& dataset, const std::vector<ScoredSubspace>& subspaces,
     const OutlierScorer& scorer, ScoreAggregation aggregation,
     std::size_t num_threads) {
-  std::vector<Subspace> plain;
-  plain.reserve(subspaces.size());
-  for (const ScoredSubspace& s : subspaces) plain.push_back(s.subspace);
-  return RankWithSubspaces(dataset, plain, scorer, aggregation, num_threads);
+  return RankWithSubspaces(dataset, PlainSubspaces(subspaces), scorer,
+                           aggregation, num_threads);
 }
 
 std::vector<double> RankWithSubspaces(const PreparedDataset& prepared,
@@ -108,10 +106,8 @@ std::vector<double> RankWithSubspaces(
     const PreparedDataset& prepared,
     const std::vector<ScoredSubspace>& subspaces, const OutlierScorer& scorer,
     ScoreAggregation aggregation, std::size_t num_threads) {
-  std::vector<Subspace> plain;
-  plain.reserve(subspaces.size());
-  for (const ScoredSubspace& s : subspaces) plain.push_back(s.subspace);
-  return RankWithSubspaces(prepared, plain, scorer, aggregation, num_threads);
+  return RankWithSubspaces(prepared, PlainSubspaces(subspaces), scorer,
+                           aggregation, num_threads);
 }
 
 Result<std::vector<double>> RankWithSubspacesSharded(
@@ -142,66 +138,23 @@ Result<std::vector<double>> RankWithSubspacesSharded(
     const std::vector<ScoredSubspace>& subspaces, const OutlierScorer& scorer,
     ScoreAggregation aggregation, ShardedScoringPolicy policy,
     std::size_t num_threads) {
-  std::vector<Subspace> plain;
-  plain.reserve(subspaces.size());
-  for (const ScoredSubspace& s : subspaces) plain.push_back(s.subspace);
-  return RankWithSubspacesSharded(sharded, plain, scorer, aggregation, policy,
-                                  num_threads);
+  return RankWithSubspacesSharded(sharded, PlainSubspaces(subspaces), scorer,
+                                  aggregation, policy, num_threads);
 }
 
 namespace {
 
-/// Serial degraded ranking over any per-subspace scoring callable
-/// `score(subspace, ordinal) -> Result<vector<double>>`: subspaces are
-/// attempted strictly in order and an interruption stops before the next
-/// one starts. The Dataset and PreparedDataset entry points share this
-/// (and the parallel twin below) so their degraded semantics cannot
-/// drift.
+/// Degraded ranking over any per-subspace scoring callable
+/// `score(subspace, ordinal) -> Result<vector<double>>`, shared by the
+/// Dataset and PreparedDataset entry points so their degraded semantics
+/// cannot drift. Per-subspace outcomes land in pre-sized slots and are
+/// assembled in subspace order, so the result is byte-identical for every
+/// thread count (each scorer call carries its subspace index as the fault
+/// ordinal, pinning injected faults to the same subspaces). At one worker
+/// ParallelTryFor runs the subspaces in index order and stops at the first
+/// interruption, which is the serial contract.
 template <typename ScoreFn>
-DegradedRankingResult RankDegradedSerial(const std::vector<Subspace>& subspaces,
-                                         ScoreAggregation aggregation,
-                                         const RunContext& ctx,
-                                         const ScoreFn& score) {
-  DegradedRankingResult result;
-  std::vector<std::vector<double>> per_subspace;
-  per_subspace.reserve(subspaces.size());
-  for (std::size_t i = 0; i < subspaces.size(); ++i) {
-    const Subspace& subspace = subspaces[i];
-    const Status progress = ctx.CheckProgress();
-    if (!progress.ok()) {
-      result.cancelled = progress.code() == StatusCode::kCancelled;
-      result.deadline_exceeded =
-          progress.code() == StatusCode::kDeadlineExceeded;
-      break;
-    }
-    ++result.attempted;
-    Result<std::vector<double>> scores = score(subspace, i + 1);
-    if (scores.ok()) {
-      ++result.succeeded;
-      per_subspace.push_back(std::move(scores).ValueOrDie());
-      continue;
-    }
-    const StatusCode code = scores.status().code();
-    if (code == StatusCode::kCancelled ||
-        code == StatusCode::kDeadlineExceeded) {
-      result.cancelled = code == StatusCode::kCancelled;
-      result.deadline_exceeded = code == StatusCode::kDeadlineExceeded;
-      break;
-    }
-    result.failures.push_back({subspace, scores.status()});
-  }
-  if (!per_subspace.empty()) {
-    result.scores = AggregateScores(per_subspace, aggregation);
-  }
-  return result;
-}
-
-/// Parallel degraded ranking: per-subspace outcomes land in pre-sized
-/// slots and are assembled in subspace order, so healthy runs match the
-/// serial path bit for bit (each scorer call carries its subspace index as
-/// the fault ordinal, pinning injected faults to the same subspaces).
-template <typename ScoreFn>
-DegradedRankingResult RankDegradedParallel(
+DegradedRankingResult RankDegraded(
     const std::vector<Subspace>& subspaces, ScoreAggregation aggregation,
     const RunContext& ctx, std::size_t num_threads, const ScoreFn& score) {
   enum class SlotState : char { kPending, kOk, kFailed };
@@ -266,18 +219,6 @@ DegradedRankingResult RankDegradedParallel(
     result.scores = AggregateScores(per_subspace, aggregation);
   }
   return result;
-}
-
-template <typename ScoreFn>
-DegradedRankingResult RankDegraded(const std::vector<Subspace>& subspaces,
-                                   ScoreAggregation aggregation,
-                                   const RunContext& ctx,
-                                   std::size_t num_threads,
-                                   const ScoreFn& score) {
-  if (ParallelWorkerCount(subspaces.size(), num_threads) <= 1) {
-    return RankDegradedSerial(subspaces, aggregation, ctx, score);
-  }
-  return RankDegradedParallel(subspaces, aggregation, ctx, num_threads, score);
 }
 
 }  // namespace

@@ -177,11 +177,10 @@ struct DegradedRankingResult {
 /// concurrently; each call passes its subspace index as the fault
 /// ordinal, so injected fault placement — and therefore the surviving
 /// ensemble and its aggregate — is byte-identical for every thread
-/// count. On interruption the serial path stops before the next subspace
-/// in order, while the parallel path additionally keeps any later
-/// subspaces that had already completed (both aggregate only completed
-/// members, in subspace order). `failures` is in subspace order either
-/// way.
+/// count. On interruption a single worker stops before the next subspace
+/// in order, while several workers additionally keep any later subspaces
+/// that had already completed (both aggregate only completed members, in
+/// subspace order). `failures` is in subspace order either way.
 DegradedRankingResult RankWithSubspacesDegraded(
     const Dataset& dataset, const std::vector<Subspace>& subspaces,
     const OutlierScorer& scorer, ScoreAggregation aggregation,

@@ -87,13 +87,9 @@ class EnclusMethod : public SubspaceSearchMethod {
       }
       KeepTopK(&qualifying, params_.candidate_cutoff);
 
-      std::vector<Subspace> survivors;
-      survivors.reserve(qualifying.size());
-      for (ScoredSubspace& s : qualifying) {
-        survivors.push_back(s.subspace);
-        pool.push_back(std::move(s));
-      }
+      std::vector<Subspace> survivors = PlainSubspaces(qualifying);
       std::sort(survivors.begin(), survivors.end());
+      for (ScoredSubspace& s : qualifying) pool.push_back(std::move(s));
       level = internal::GenerateCandidates(survivors);
     }
 

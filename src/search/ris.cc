@@ -88,13 +88,9 @@ class RisMethod : public SubspaceSearchMethod {
                     [](const ScoredSubspace& s) { return s.score <= 1.0; });
       KeepTopK(&scored, params_.candidate_cutoff);
 
-      std::vector<Subspace> survivors;
-      survivors.reserve(scored.size());
-      for (ScoredSubspace& s : scored) {
-        survivors.push_back(s.subspace);
-        pool.push_back(std::move(s));
-      }
+      std::vector<Subspace> survivors = PlainSubspaces(scored);
       std::sort(survivors.begin(), survivors.end());
+      for (ScoredSubspace& s : scored) pool.push_back(std::move(s));
       level = internal::GenerateCandidates(survivors);
     }
 

@@ -59,14 +59,6 @@ std::size_t ExpectedStateChannels(ScorerKind kind) {
   }
 }
 
-std::vector<Subspace> PlainSubspaces(
-    const std::vector<TrainedSubspace>& trained) {
-  std::vector<Subspace> out;
-  out.reserve(trained.size());
-  for (const TrainedSubspace& t : trained) out.push_back(t.subspace);
-  return out;
-}
-
 }  // namespace
 
 HicsModel::HicsModel(HicsModelConfig config, Dataset training_data,
@@ -121,11 +113,11 @@ Result<HicsModel> HicsModel::Fit(const Dataset& dataset,
   if (config.num_shards > 1) {
     const ShardedDataset sharded(dataset, config.num_shards, threads);
     HICS_ASSIGN_OR_RETURN(scored,
-                          RunHicsSearch(sharded, config.search_params,
+                          RunHicsSearch(sharded, config.search_params, {},
                                         &stats));
   } else {
     HICS_ASSIGN_OR_RETURN(scored,
-                          RunHicsSearch(prepared, config.search_params,
+                          RunHicsSearch(prepared, config.search_params, {},
                                         &stats));
   }
 

@@ -4,6 +4,7 @@
 
 #include "common/random.h"
 #include "core/hics.h"
+#include "engine/sharded_dataset.h"
 
 namespace hics {
 namespace {
@@ -42,25 +43,34 @@ TEST(ContrastMatrixTest, DependentPairDominates) {
 
 TEST(ContrastMatrixTest, MatchesLatticeLevelTwoScores) {
   // Entries must equal RunHicsSearch's level-2 contrasts for the same
-  // seed (shared per-subspace stream derivation).
+  // seed, bit for bit, on the unsharded and the sharded plane (the matrix
+  // scores level 2 through the search's own level scorer).
   const Dataset ds = ThreeAttrData(3);
+  const ShardedDataset sharded(ds, 3);
   ContrastMatrixParams m_params;
   m_params.seed = 99;
-  auto matrix = ComputeContrastMatrix(ds, m_params);
-  ASSERT_TRUE(matrix.ok());
 
   HicsParams h_params;
   h_params.seed = 99;
   h_params.max_dimensionality = 2;
   h_params.prune_redundant = false;
   h_params.output_top_k = 100;
-  auto search = RunHicsSearch(ds, h_params);
-  ASSERT_TRUE(search.ok());
-  for (const ScoredSubspace& s : *search) {
-    ASSERT_EQ(s.subspace.size(), 2u);
-    EXPECT_DOUBLE_EQ(s.score, (*matrix)(s.subspace[0], s.subspace[1]))
-        << s.subspace.ToString();
-  }
+  auto expect_level_two =
+      [](const Result<Matrix>& matrix,
+         const Result<std::vector<ScoredSubspace>>& search) {
+    ASSERT_TRUE(matrix.ok());
+    ASSERT_TRUE(search.ok());
+    ASSERT_EQ(search->size(), 3u);
+    for (const ScoredSubspace& s : *search) {
+      ASSERT_EQ(s.subspace.size(), 2u);
+      EXPECT_EQ(s.score, (*matrix)(s.subspace[0], s.subspace[1]))
+          << s.subspace.ToString();
+    }
+  };
+  expect_level_two(ComputeContrastMatrix(ds, m_params),
+                   RunHicsSearch(ds, h_params));
+  expect_level_two(ComputeContrastMatrix(sharded, m_params),
+                   RunHicsSearch(sharded, h_params));
 }
 
 TEST(ContrastMatrixTest, ParallelMatchesSerial) {

@@ -14,6 +14,7 @@
 #include "core/hics.h"
 #include "core/pipeline.h"
 #include "data/synthetic.h"
+#include "engine/sharded_dataset.h"
 #include "eval/rank_correlation.h"
 #include "outlier/lof.h"
 
@@ -221,6 +222,16 @@ TEST(DeadlineTest, ExpiredDeadlineReturnsEmptyResultNotError) {
   EXPECT_TRUE(result->empty());
   EXPECT_TRUE(stats.deadline_exceeded);
   EXPECT_FALSE(stats.cancelled);
+
+  const ShardedDataset sharded(data, 3);
+  HicsRunStats sharded_stats;
+  const auto sharded_result =
+      RunHicsSearch(sharded, FastParams(),
+                    RunContext::WithTimeout(milliseconds(0)), &sharded_stats);
+  ASSERT_TRUE(sharded_result.ok()) << sharded_result.status().ToString();
+  EXPECT_TRUE(sharded_result->empty());
+  EXPECT_TRUE(sharded_stats.deadline_exceeded);
+  EXPECT_FALSE(sharded_stats.cancelled);
 }
 
 TEST(DeadlineTest, MidSearchDeadlineReturnsPartialSubspaces) {
@@ -243,7 +254,7 @@ TEST(DeadlineTest, MidSearchDeadlineReturnsPartialSubspaces) {
   // subspaces does it yield?
   HicsRunStats full_stats;
   const auto t0 = steady_clock::now();
-  const auto full = RunHicsSearch(data->data, params, &full_stats);
+  const auto full = RunHicsSearch(data->data, params, {}, &full_stats);
   const auto full_duration = steady_clock::now() - t0;
   ASSERT_TRUE(full.ok());
 
@@ -285,6 +296,15 @@ TEST(CancellationTest, PreCancelledSearchReturnsEmpty) {
   EXPECT_TRUE(result->empty());
   EXPECT_TRUE(stats.cancelled);
   EXPECT_FALSE(stats.deadline_exceeded);
+
+  const ShardedDataset sharded(data, 3);
+  HicsRunStats sharded_stats;
+  const auto sharded_result =
+      RunHicsSearch(sharded, FastParams(), ctx, &sharded_stats);
+  ASSERT_TRUE(sharded_result.ok());
+  EXPECT_TRUE(sharded_result->empty());
+  EXPECT_TRUE(sharded_stats.cancelled);
+  EXPECT_FALSE(sharded_stats.deadline_exceeded);
 }
 
 TEST(CancellationTest, MidRankingCancellationKeepsPartialAggregate) {

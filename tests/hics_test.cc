@@ -7,6 +7,7 @@
 
 #include "common/random.h"
 #include "data/synthetic.h"
+#include "engine/sharded_dataset.h"
 
 namespace hics {
 namespace {
@@ -165,7 +166,7 @@ TEST(HicsSearchTest, FindsImplantedSubspacesAmongNoise) {
   params.seed = 5;
   params.output_top_k = 10;
   HicsRunStats stats;
-  auto result = RunHicsSearch(data->data, params, &stats);
+  auto result = RunHicsSearch(data->data, params, {}, &stats);
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->empty());
   EXPECT_GT(stats.contrast_evaluations, 0u);
@@ -246,10 +247,20 @@ TEST(HicsSearchTest, MaxDimensionalityBoundsLevels) {
   params.num_iterations = 25;
   params.max_dimensionality = 2;
   HicsRunStats stats;
-  auto result = RunHicsSearch(data->data, params, &stats);
+  auto result = RunHicsSearch(data->data, params, {}, &stats);
   ASSERT_TRUE(result.ok());
+  EXPECT_EQ(stats.levels_processed, 1u);
   EXPECT_EQ(stats.max_level_reached, 2u);
   for (const auto& s : *result) EXPECT_EQ(s.subspace.size(), 2u);
+
+  const ShardedDataset sharded(data->data, 3);
+  HicsRunStats sharded_stats;
+  auto sharded_result = RunHicsSearch(sharded, params, {}, &sharded_stats);
+  ASSERT_TRUE(sharded_result.ok());
+  EXPECT_EQ(sharded_stats.levels_processed, 1u);
+  EXPECT_EQ(sharded_stats.max_level_reached, 2u);
+  EXPECT_FALSE(sharded_result->empty());
+  for (const auto& s : *sharded_result) EXPECT_EQ(s.subspace.size(), 2u);
 }
 
 TEST(HicsSearchTest, CutoffLimitsCandidatesAndRuntime) {
@@ -264,12 +275,12 @@ TEST(HicsSearchTest, CutoffLimitsCandidatesAndRuntime) {
   tight.num_iterations = 20;
   tight.candidate_cutoff = 5;
   HicsRunStats tight_stats;
-  ASSERT_TRUE(RunHicsSearch(data->data, tight, &tight_stats).ok());
+  ASSERT_TRUE(RunHicsSearch(data->data, tight, {}, &tight_stats).ok());
 
   HicsParams loose = tight;
   loose.candidate_cutoff = 200;
   HicsRunStats loose_stats;
-  ASSERT_TRUE(RunHicsSearch(data->data, loose, &loose_stats).ok());
+  ASSERT_TRUE(RunHicsSearch(data->data, loose, {}, &loose_stats).ok());
 
   EXPECT_LT(tight_stats.contrast_evaluations,
             loose_stats.contrast_evaluations);
@@ -303,13 +314,13 @@ TEST(HicsSearchTest, PruningReducesOrKeepsPoolSize) {
   with_prune.prune_redundant = true;
   with_prune.output_top_k = 1000;
   HicsRunStats stats_prune;
-  auto pruned = RunHicsSearch(data->data, with_prune, &stats_prune);
+  auto pruned = RunHicsSearch(data->data, with_prune, {}, &stats_prune);
   ASSERT_TRUE(pruned.ok());
 
   HicsParams no_prune = with_prune;
   no_prune.prune_redundant = false;
   HicsRunStats stats_noprune;
-  auto unpruned = RunHicsSearch(data->data, no_prune, &stats_noprune);
+  auto unpruned = RunHicsSearch(data->data, no_prune, {}, &stats_noprune);
   ASSERT_TRUE(unpruned.ok());
 
   EXPECT_EQ(stats_noprune.pruned_redundant, 0u);

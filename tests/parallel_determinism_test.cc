@@ -60,13 +60,13 @@ TEST(ParallelDeterminismTest, SearchIsIdenticalForEveryThreadCount) {
   const Dataset data = MakeData(300, 10, 71);
   HicsRunStats reference_stats;
   const auto reference =
-      RunHicsSearch(data, BaseParams(1), &reference_stats);
+      RunHicsSearch(data, BaseParams(1), {}, &reference_stats);
   ASSERT_TRUE(reference.ok());
   ASSERT_FALSE(reference->empty());
 
   for (std::size_t threads : kThreadCounts) {
     HicsRunStats stats;
-    const auto result = RunHicsSearch(data, BaseParams(threads), &stats);
+    const auto result = RunHicsSearch(data, BaseParams(threads), {}, &stats);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSameSubspaces(*reference, *result, threads);
     EXPECT_EQ(stats.contrast_evaluations, reference_stats.contrast_evaluations)

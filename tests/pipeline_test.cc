@@ -82,10 +82,10 @@ TEST(PipelineTest, MaxAggregationAvailable) {
   params.num_iterations = 40;
   params.output_top_k = 15;
   LofScorer lof({.min_pts = 10});
-  auto avg = RunHicsPipeline(data->data, params, lof,
+  auto avg = RunHicsPipeline(data->data, params, lof, {},
                              ScoreAggregation::kAverage);
   auto mx =
-      RunHicsPipeline(data->data, params, lof, ScoreAggregation::kMax);
+      RunHicsPipeline(data->data, params, lof, {}, ScoreAggregation::kMax);
   ASSERT_TRUE(avg.ok() && mx.ok());
   // Max aggregation dominates average pointwise.
   for (std::size_t i = 0; i < avg->scores.size(); ++i) {

@@ -66,7 +66,7 @@ TEST_P(FitIdentityTest, TrainingScoresMatchPipelineByteForByte) {
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   auto scorer = MakeScorer(config.scorer);
   ASSERT_TRUE(scorer.ok());
-  auto pipeline = RunHicsPipeline(ds, config.search_params, **scorer,
+  auto pipeline = RunHicsPipeline(ds, config.search_params, **scorer, {},
                                   config.aggregation);
   ASSERT_TRUE(pipeline.ok());
   EXPECT_EQ(model->training_scores(), pipeline->scores);
