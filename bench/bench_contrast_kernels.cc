@@ -2,12 +2,13 @@
 // (M Monte Carlo iterations) through both deviation kernels over an
 // (N, |S|, M, alpha, test) grid:
 //
-//   oracle — the materializing path: per-draw O(N) counter clear, gather
-//            of the conditional sample, and (for rank tests) a per-draw
-//            O(m log m) sort,
-//   rank   — the rank-space kernel (DESIGN.md §5d): rank-predicate
-//            selection + DeviationFromSelection (fused moments for Welch,
-//            sorted-order emission for KS/CvM).
+//   oracle — the materializing gather+sort reference
+//            (tests/contrast_oracle.h): per-draw O(N) counter clear,
+//            gather of the conditional sample, and (for rank tests) a
+//            per-draw O(m log m) sort,
+//   rank   — ContrastEstimator's rank-space kernel (DESIGN.md §5d):
+//            rank-predicate selection + DeviationFromSelection (fused
+//            moments for Welch, sorted-order emission for KS/CvM).
 //
 // It also times SliceSampler::DrawSelection alone per (N, |S|, alpha) —
 // the selection step the rank kernel adds before every deviation.
@@ -25,6 +26,7 @@
 
 #include "bench/bench_json.h"
 #include "bench/bench_kernels.h"
+#include "tests/contrast_oracle.h"
 #include "common/random.h"
 #include "common/timer.h"
 #include "core/contrast.h"
@@ -200,15 +202,14 @@ int Run() {
         for (double alpha : alphas) {
           for (const std::string& test_name : tests) {
             const auto test = stats::MakeTwoSampleTest(test_name);
-            ContrastParams oracle_params{iterations, alpha, false};
-            ContrastParams rank_params{iterations, alpha, true};
-            const ContrastEstimator oracle(ds, *test, oracle_params);
-            const ContrastEstimator rank(ds, *test, rank_params);
+            const ContrastParams params{iterations, alpha};
+            const ContrastOracle oracle(ds, *test, params);
+            const ContrastEstimator rank(ds, *test, params);
             const std::uint64_t seed = 7 * n + dims + iterations;
             double oracle_sum = 0.0, rank_sum = 0.0;
             const double oracle_seconds = MedianSeconds(kRuns, [&] {
               oracle_sum = 0.0;
-              ContrastScratch scratch;
+              OracleScratch scratch;
               for (int rep = 0; rep < kContrastsPerRun; ++rep) {
                 Rng rng(seed + rep);
                 oracle_sum += oracle.Contrast(subspace, &rng, &scratch);

@@ -8,7 +8,7 @@
 //   brute_f32_screen — the same blocked kernel screening in float32 with
 //                      exact-double recompute of surviving candidates,
 //   kd_tree          — the tree-ordered KD-tree's batched search,
-//   resolved         — ResolveKnnSearcher's kAuto choice, probe included.
+//   resolved         — ResolveKnnSearcher's choice, probe included.
 //
 // Two row sets:
 //
@@ -146,7 +146,7 @@ Measurement Measure(const Dataset& ds, const Subspace& subspace) {
       MakeBruteForceSearcher(ds, subspace)->QueryAllKnn(kK, &brute_table);
     }));
     resolved.push_back(Seconds([&] {
-      const auto s = ResolveKnnSearcher(ds, subspace, KnnBackend::kAuto, kK);
+      const auto s = ResolveKnnSearcher(ds, subspace, kK);
       s->QueryAllKnn(kK, &resolved_table);
       m.verdict = s->backend();
     }));

@@ -18,6 +18,7 @@
 
 #include "bench/bench_json.h"
 #include "bench/bench_kernels.h"
+#include "tests/contrast_oracle.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/timer.h"
@@ -33,6 +34,7 @@
 #include "serve/model_io.h"
 #include "simd/simd.h"
 #include "stats/ks_test.h"
+#include "stats/two_sample_test.h"
 #include "stats/welch_t_test.h"
 
 namespace hics {
@@ -277,23 +279,25 @@ void WriteKernelThroughput(bench::JsonWriter& json) {
 }  // namespace
 
 /// Times search + ranking on one synthetic dataset and writes
-/// BENCH_micro.json. The search phase runs three times: the rank-space
-/// kernel at hardware concurrency (search, the tracked number), the same
-/// kernel on >= 4 pool workers (search_parallel), and the materializing
-/// oracle kernel (search_oracle); search_identical records whether the
-/// three runs returned byte-identical subspace lists. The ranking phase
-/// runs three times over the same top-100 subspaces: once on the
-/// pre-batching per-query serial path (rank_serial_per_query, the
-/// reference), once on the batched all-kNN serial path (rank_serial), and
-/// once batched on the thread pool (>= 4 workers, rank_parallel). The
+/// BENCH_micro.json. The search phase runs twice: at hardware concurrency
+/// (search, the tracked number) and on >= 4 pool workers
+/// (search_parallel); search_identical records whether both runs returned
+/// byte-identical subspace lists and every reported contrast equals the
+/// gather+sort oracle's (tests/contrast_oracle.h) on the search's
+/// per-subspace stream. The ranking phase runs three times over the same
+/// top-100 subspaces: once on the pre-batching per-query serial path
+/// (rank_serial_per_query, the reference: per-query brute-force tables
+/// scored by LofScorer::ScoreFromTable and aggregated), once on the
+/// batched all-kNN serial path (rank_serial), and once batched on the
+/// thread pool (>= 4 workers, rank_parallel). The
 /// serving path then ranks twice against one PreparedDataset: rank_cold
 /// (first pass, filling the subspace-keyed artifact cache) and rank_warm
 /// (immediate repeat, served from the cache); warm_identical = whether
 /// both prepared passes matched the per-query reference byte for byte.
-/// The JSON records all wall-clocks, the kernel/batch/parallel/warm
-/// speedups, the cache hit/miss tallies, and ranking_identical = whether
-/// the batched serial and parallel scores matched the per-query
-/// reference byte for byte.
+/// The JSON records all wall-clocks, the batch/parallel/warm speedups,
+/// the cache hit/miss tallies, and ranking_identical = whether the
+/// batched serial and parallel scores matched the per-query reference
+/// byte for byte.
 ///
 /// Finally the serving path is timed end to end: a HicsModel is fitted on
 /// the same dataset, 256 out-of-sample queries are scored one at a time
@@ -334,8 +338,9 @@ void WritePipelineStageReport() {
     return;
   }
 
-  // Same search on >= 4 pool workers and through the materializing oracle
-  // kernel: both must reproduce the tracked run byte for byte.
+  // Same search on >= 4 pool workers must reproduce the tracked run byte
+  // for byte, and every reported contrast must be the gather+sort
+  // oracle's on the search's per-subspace stream.
   const std::size_t search_parallel_threads = std::max<std::size_t>(
       4, DefaultNumThreads());
   HicsParams parallel_params = params;
@@ -344,11 +349,6 @@ void WritePipelineStageReport() {
   const auto parallel_subspaces = RunHicsSearch(data, parallel_params);
   const double search_parallel_seconds =
       search_parallel_timer.ElapsedSeconds();
-  HicsParams oracle_params = params;
-  oracle_params.use_rank_space_kernel = false;
-  Timer search_oracle_timer;
-  const auto oracle_subspaces = RunHicsSearch(data, oracle_params);
-  const double search_oracle_seconds = search_oracle_timer.ElapsedSeconds();
   auto same_subspaces = [&](const Result<std::vector<ScoredSubspace>>& got) {
     if (!got.ok() || got->size() != subspaces->size()) return false;
     for (std::size_t i = 0; i < subspaces->size(); ++i) {
@@ -359,18 +359,30 @@ void WritePipelineStageReport() {
     }
     return true;
   };
-  const bool search_identical =
-      same_subspaces(parallel_subspaces) && same_subspaces(oracle_subspaces);
+  const auto deviation = stats::MakeTwoSampleTest(params.statistical_test);
+  const ContrastOracle oracle(data, *deviation,
+                              {params.num_iterations, params.alpha});
+  bool search_identical = same_subspaces(parallel_subspaces);
+  for (const ScoredSubspace& s : *subspaces) {
+    if (s.score != oracle.SearchContrast(s.subspace, params.seed)) {
+      search_identical = false;
+    }
+  }
 
   const LofScorer lof({.min_pts = 10});
-  const LofScorer lof_per_query({.min_pts = 10,
-                                 .backend = KnnBackend::kBruteForce,
-                                 .use_batch_knn = false});
   const std::size_t parallel_threads = std::max<std::size_t>(
       4, DefaultNumThreads());
   Timer per_query_timer;
-  const auto per_query_scores = RankWithSubspaces(
-      data, *subspaces, lof_per_query, ScoreAggregation::kAverage, 1);
+  std::vector<std::vector<double>> per_query_subspace(subspaces->size());
+  for (std::size_t i = 0; i < subspaces->size(); ++i) {
+    KnnResultTable table;
+    MakeSearcher(data, (*subspaces)[i].subspace, KnnBackend::kBruteForce)
+        ->QueryAllKnnPerQuery(10, &table, 1);
+    per_query_subspace[i] =
+        lof.ScoreFromTable(table, data.num_objects(), 1);
+  }
+  const auto per_query_scores =
+      AggregateScores(per_query_subspace, ScoreAggregation::kAverage);
   const double rank_per_query_seconds = per_query_timer.ElapsedSeconds();
   Timer serial_timer;
   const auto serial_scores = RankWithSubspaces(
@@ -457,7 +469,7 @@ void WritePipelineStageReport() {
   }
 
   // SIMD cross-tier identity: re-run the tracked search forced down to
-  // each runnable tier (params.simd_tier applies a scoped override) and
+  // each runnable tier (a ScopedSimdTier around the run) and
   // require the byte-identical subspace list; then require the float32
   // screening mode to reproduce the exact-double kNN tables element for
   // element on the top search results. Together with search_identical /
@@ -468,9 +480,8 @@ void WritePipelineStageReport() {
        {simd::SimdTier::kScalar, simd::SimdTier::kAvx2,
         simd::SimdTier::kAvx512}) {
     if (tier > simd::DetectedTier()) continue;
-    HicsParams tier_params = params;
-    tier_params.simd_tier = simd::SimdTierName(tier);
-    if (!same_subspaces(RunHicsSearch(data, tier_params))) {
+    simd::ScopedSimdTier forced(tier);
+    if (!same_subspaces(RunHicsSearch(data, params))) {
       simd_identical = false;
     }
   }
@@ -535,10 +546,6 @@ void WritePipelineStageReport() {
       .Field("num_threads",
              static_cast<std::uint64_t>(search_parallel_threads))
       .EndObject()
-      .BeginObject("search_oracle")
-      .Field("seconds", search_oracle_seconds)
-      .Field("num_threads", static_cast<std::uint64_t>(DefaultNumThreads()))
-      .EndObject()
       .BeginObject("rank_serial_per_query")
       .Field("seconds", rank_per_query_seconds)
       .Field("num_threads", static_cast<std::uint64_t>(1))
@@ -581,8 +588,6 @@ void WritePipelineStageReport() {
   json.Field("ranking_speedup", rank_serial_seconds / rank_parallel_seconds)
       .Field("batch_knn_speedup",
              rank_per_query_seconds / rank_serial_seconds)
-      .Field("contrast_kernel_speedup",
-             search_oracle_seconds / search_seconds)
       .Field("warm_speedup", rank_cold_seconds / rank_warm_seconds)
       .Field("serve_p50_us", serve_p50_us)
       .Field("search_identical", search_identical)
@@ -593,15 +598,14 @@ void WritePipelineStageReport() {
       .EndObject();
   if (bench::WriteJsonFile("BENCH_micro.json", json)) {
     std::printf(
-        "pipeline stages: search %.3fs (oracle kernel %.3fs, %.2fx; "
-        "parallel %zu threads %.3fs, identical=%s), rank serial/per-query "
+        "pipeline stages: search %.3fs (parallel %zu threads %.3fs, "
+        "identical=%s), rank serial/per-query "
         "%.3fs, rank serial/batched %.3fs (%.2fx), rank parallel (%zu "
         "threads) %.3fs (%.2fx), identical=%s, rank cold %.3fs, rank warm "
         "%.3fs (%.2fx, hit rate %.2f), warm identical=%s, serve fit "
         "%.3fs + %zu queries p50 %.1fus, reload identical=%s, simd tier "
         "%s identical=%s -> BENCH_micro.json\n\n",
-        search_seconds, search_oracle_seconds,
-        search_oracle_seconds / search_seconds, search_parallel_threads,
+        search_seconds, search_parallel_threads,
         search_parallel_seconds, search_identical ? "yes" : "NO (BUG)",
         rank_per_query_seconds, rank_serial_seconds,
         rank_per_query_seconds / rank_serial_seconds, parallel_threads,

@@ -535,7 +535,7 @@ std::string GridArtifactKey(
   // ulp, because binning does.
   std::string key = "grid:bins=" + std::to_string(bins_per_dim) +
                     ":pk=" + (keep_point_keys ? "1" : "0") + ":r=";
-  char buf[2 * 16 + 2];
+  char buf[2 * 16 + 3];  // two 16-digit hex fields, ',', ';' and NUL
   for (const auto& [mn, mx] : ranges) {
     std::uint64_t lo_bits;
     std::uint64_t hi_bits;

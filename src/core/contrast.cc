@@ -41,25 +41,18 @@ double ContrastEstimator::IterationDeviation(const Subspace& subspace,
                                              ContrastScratch* scratch) const {
   // Degenerate slices (empty conditional sample) contribute deviation 0;
   // the test implementations handle small samples the same way.
-  if (params_.use_rank_space_kernel) {
-    sampler_.DrawSelection(subspace, params_.alpha, rng, &scratch->slice,
-                           &scratch->selection);
-    const std::size_t attribute = scratch->selection.test_attribute;
-    stats::SelectionView view;
-    view.marginal_sorted = prepared_->SortedColumn(attribute);
-    view.marginal_mean = prepared_->MarginalMean(attribute);
-    view.marginal_variance = prepared_->MarginalVariance(attribute);
-    view.column = prepared_->dataset().Column(attribute);
-    view.sorted_order = prepared_->sorted_index().SortedOrder(attribute);
-    view.stamps = scratch->slice.mask;
-    view.selected_stamp = scratch->selection.selected_stamp;
-    return test_.DeviationFromSelection(view, &scratch->sorted_conditional);
-  }
-  sampler_.Draw(subspace, params_.alpha, rng, &scratch->slice,
-                &scratch->draw);
-  return test_.DeviationPresortedMarginal(
-      prepared_->SortedColumn(scratch->draw.test_attribute),
-      scratch->draw.conditional_sample, &scratch->sorted_conditional);
+  sampler_.DrawSelection(subspace, params_.alpha, rng, &scratch->slice,
+                         &scratch->selection);
+  const std::size_t attribute = scratch->selection.test_attribute;
+  stats::SelectionView view;
+  view.marginal_sorted = prepared_->SortedColumn(attribute);
+  view.marginal_mean = prepared_->MarginalMean(attribute);
+  view.marginal_variance = prepared_->MarginalVariance(attribute);
+  view.column = prepared_->dataset().Column(attribute);
+  view.sorted_order = prepared_->sorted_index().SortedOrder(attribute);
+  view.stamps = scratch->slice.mask;
+  view.selected_stamp = scratch->selection.selected_stamp;
+  return test_.DeviationFromSelection(view, &scratch->sorted_conditional);
 }
 
 double ContrastEstimator::Contrast(const Subspace& subspace, Rng* rng) const {

@@ -27,24 +27,18 @@ struct ContrastParams {
   /// Target selection ratio alpha in (0, 1); the expected test-statistic
   /// size scales with N * alpha. Paper default 0.1.
   double alpha = 0.1;
-  /// Evaluate deviations through the rank-space kernel (rank-predicate
-  /// selection + TwoSampleTest::DeviationFromSelection; DESIGN.md §5d).
-  /// false = the materializing gather(+sort) path, kept as the reference
-  /// oracle; both produce bit-identical contrast scores
-  /// (tests/contrast_kernel_test.cc) — the flag only trades speed.
-  bool use_rank_space_kernel = true;
 
   /// Returns InvalidArgument when a field is out of its domain.
   Status Validate() const;
 };
 
 /// Reusable working storage for one worker thread's contrast estimation:
-/// the slice sampler's scratch, the draw output buffer, and the deviation
-/// function's conditional-sample sort buffer. Capacity persists across
-/// subspaces, making the Monte Carlo loop allocation-free at steady state.
+/// the slice sampler's scratch, the selection it describes, and the
+/// deviation function's conditional-sample sort buffer. Capacity persists
+/// across subspaces, making the Monte Carlo loop allocation-free at steady
+/// state.
 struct ContrastScratch {
   SliceScratch slice;
-  SliceDraw draw;
   SliceSelection selection;
   std::vector<double> sorted_conditional;
 };
@@ -112,8 +106,8 @@ class ContrastEstimator {
   const PreparedDataset& prepared() const { return *prepared_; }
 
  private:
-  // Deviation of one Monte Carlo draw through the configured kernel
-  // (rank-space or materializing oracle); shared by all Contrast overloads.
+  // Deviation of one Monte Carlo draw through the rank-space kernel
+  // (DESIGN.md §5d); shared by all Contrast overloads.
   double IterationDeviation(const Subspace& subspace, Rng* rng,
                             ContrastScratch* scratch) const;
 

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <optional>
 
 #include "common/parallel.h"
 #include "common/random.h"
 #include "engine/sharded_dataset.h"
-#include "simd/simd.h"
 #include "stats/two_sample_test.h"
 
 namespace hics {
@@ -31,12 +29,6 @@ Status HicsParams::Validate() const {
   if (max_dimensionality == 1) {
     return Status::InvalidArgument(
         "max_dimensionality must be 0 (unbounded) or >= 2");
-  }
-  simd::SimdTier tier;
-  if (!simd::ParseSimdTier(simd_tier, &tier)) {
-    return Status::InvalidArgument(
-        "unknown simd_tier '" + simd_tier +
-        "' (expected 'auto', 'scalar', 'avx2', or 'avx512')");
   }
   return Status::OK();
 }
@@ -205,7 +197,7 @@ LevelScorer MakeLevelScorer(const ShardPlane& sharded,
   ParallelFor(0, num_shards, num_threads, [&](std::size_t s) {
     const ContrastParams shard_params{
         ShardIterations(contrast.num_iterations, num_shards, s),
-        contrast.alpha, contrast.use_rank_space_kernel};
+        contrast.alpha};
     (*estimators)[s] = std::make_unique<ContrastEstimator>(
         sharded.shard(s), test, shard_params);
   });
@@ -332,25 +324,13 @@ Result<std::vector<ScoredSubspace>> RunLattice(const Plane& plane,
   }
   HICS_RETURN_NOT_OK(ctx.InjectFault("hics.search"));
 
-  // Apply an explicitly requested SIMD tier for the duration of the run
-  // (results are tier-invariant; this only pins which kernel
-  // implementations execute). "auto" leaves the ambient active tier alone
-  // so an HICS_SIMD environment clamp stays in force.
-  std::optional<simd::ScopedSimdTier> tier_scope;
-  if (params.simd_tier != "auto") {
-    simd::SimdTier requested = simd::DetectedTier();
-    simd::ParseSimdTier(params.simd_tier, &requested);  // validated above
-    tier_scope.emplace(requested);
-  }
-
   const auto test = stats::MakeTwoSampleTest(params.statistical_test);
   HICS_CHECK(test != nullptr);
   const std::size_t num_threads =
       params.num_threads == 0 ? DefaultNumThreads() : params.num_threads;
   const internal::LevelScorer score_level = internal::MakeLevelScorer(
       plane, *test,
-      ContrastParams{params.num_iterations, params.alpha,
-                     params.use_rank_space_kernel},
+      ContrastParams{params.num_iterations, params.alpha},
       params.seed, num_threads);
 
   HicsRunStats local_stats;

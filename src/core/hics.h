@@ -49,18 +49,6 @@ struct HicsParams {
   /// concurrency. Results are identical for every value — see DESIGN.md
   /// "Threading model".
   std::size_t num_threads = 1;
-  /// Evaluate deviations through the rank-space contrast kernel (default)
-  /// or, when false, the materializing gather+sort oracle. Scores are
-  /// bit-identical either way (DESIGN.md §5d); the flag exists for
-  /// cross-checking and benchmarking.
-  bool use_rank_space_kernel = true;
-  /// SIMD dispatch tier for the run: "auto" (default: keep the ambient
-  /// active tier — cpuid detection clamped by HICS_SIMD), "scalar",
-  /// "avx2", or "avx512". Explicit requests above the machine's capability
-  /// clamp down. Results are bit-identical across tiers (DESIGN.md §5g);
-  /// the knob exists for testing and benchmarking. Note the tier is
-  /// process-wide while the run is in flight, not per-run.
-  std::string simd_tier = "auto";
 
   Status Validate() const;
 };

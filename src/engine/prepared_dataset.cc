@@ -204,7 +204,6 @@ std::shared_ptr<const NeighborSearcher> ArtifactCache::PublishSearcher(
 
 std::shared_ptr<const NeighborSearcher> ArtifactCache::GetSearcher(
     const Subspace& subspace, KnnBackend backend) {
-  HICS_CHECK(backend != KnnBackend::kAuto);
   const std::uint64_t now = epoch();
   {
     std::lock_guard<std::mutex> lock(searcher_mutex_);
@@ -222,8 +221,7 @@ std::shared_ptr<const NeighborSearcher> ArtifactCache::GetSearcher(
 }
 
 std::shared_ptr<const KnnResultTable> ArtifactCache::GetKnnTable(
-    const Subspace& subspace, KnnBackend backend, std::size_t k,
-    std::size_t num_threads, bool use_batch_kernel) {
+    const Subspace& subspace, std::size_t k, std::size_t num_threads) {
   const KnnKey key{k, subspace};
   const std::uint64_t now = epoch();
   {
@@ -241,11 +239,10 @@ std::shared_ptr<const KnnResultTable> ArtifactCache::GetKnnTable(
   knn_misses_.fetch_add(1, std::memory_order_relaxed);
   std::shared_ptr<const NeighborSearcher> searcher;
   {
-    // Every backend answers identically, so under kAuto any searcher
-    // already cached for the subspace serves; the tree is looked up first.
+    // Every backend answers identically, so any searcher already cached
+    // for the subspace serves; the tree is looked up first.
     std::lock_guard<std::mutex> lock(searcher_mutex_);
     for (KnnBackend cached : {KnnBackend::kKdTree, KnnBackend::kBruteForce}) {
-      if (backend != KnnBackend::kAuto && cached != backend) continue;
       searcher = FindSearcherLocked({static_cast<int>(cached), subspace}, now);
       if (searcher) break;
     }
@@ -254,14 +251,10 @@ std::shared_ptr<const KnnResultTable> ArtifactCache::GetKnnTable(
     searcher_misses_.fetch_add(1, std::memory_order_relaxed);
     // Built outside the lock, like GetSearcher's.
     searcher = PublishSearcher(
-        subspace, ResolveKnnSearcher(*dataset_, subspace, backend, k), now);
+        subspace, ResolveKnnSearcher(*dataset_, subspace, k), now);
   }
   auto table = std::make_shared<KnnResultTable>();
-  if (use_batch_kernel) {
-    searcher->QueryAllKnn(k, table.get(), num_threads);
-  } else {
-    searcher->QueryAllKnnPerQuery(k, table.get(), num_threads);
-  }
+  searcher->QueryAllKnn(k, table.get(), num_threads);
   std::lock_guard<std::mutex> lock(knn_mutex_);
   auto it = knn_tables_.find(key);
   if (it != knn_tables_.end()) return it->second.value;
@@ -438,7 +431,7 @@ void PreparedDataset::EnsureRankArtifacts() const {
         sorted.push_back(column[id]);
       }
       // Moments over the *sorted* column, matching the summation order the
-      // materializing oracle kernel uses per iteration (DESIGN.md §5d).
+      // gather+sort reference contrast uses per iteration (DESIGN.md §5d).
       marginal_means_.push_back(stats::Mean(sorted));
       marginal_variances_.push_back(stats::SampleVariance(sorted));
       sorted_columns_.push_back(std::move(sorted));

@@ -106,22 +106,21 @@ class ArtifactCache {
   ArtifactCache& operator=(const ArtifactCache&) = delete;
 
   /// The memoized searcher for (subspace, backend), built through
-  /// MakeSearcher on first use. `backend` must not be kAuto — resolve
-  /// policy first (ChooseKnnBackend) so the key is concrete.
+  /// MakeSearcher on first use.
   std::shared_ptr<const NeighborSearcher> GetSearcher(const Subspace& subspace,
                                                       KnnBackend backend);
 
   /// The memoized all-kNN table for (subspace, k): row q holds the k
   /// nearest neighbors of object q. Keyed without the backend because all
-  /// backends return element-identical tables. A miss queries the cached
-  /// (subspace, backend) searcher — under kAuto, any searcher cached for
-  /// the subspace — or else publishes what ResolveKnnSearcher builds, so
+  /// backends return element-identical tables. A miss queries any
+  /// searcher already cached for the subspace through the batched
+  /// all-kNN engine, or else publishes what ResolveKnnSearcher builds, so
   /// a searcher the resolution keeps is built once and one it rejects is
-  /// never cached. `num_threads` and `use_batch_kernel` only shape how a
-  /// miss is computed, never the result.
-  std::shared_ptr<const KnnResultTable> GetKnnTable(
-      const Subspace& subspace, KnnBackend backend, std::size_t k,
-      std::size_t num_threads, bool use_batch_kernel);
+  /// never cached. `num_threads` only shapes how a miss is computed,
+  /// never the result.
+  std::shared_ptr<const KnnResultTable> GetKnnTable(const Subspace& subspace,
+                                                    std::size_t k,
+                                                    std::size_t num_threads);
 
   /// The cached score vector for (scorer_key, subspace), or nullptr on a
   /// miss. `scorer_key` must encode every score-affecting parameter of
@@ -394,7 +393,7 @@ class PreparedDataset {
   std::span<const double> SortedColumn(std::size_t attribute) const;
 
   /// Mean / SampleVariance of SortedColumn(attribute), accumulated in the
-  /// exact summation order the materializing oracle uses, so the fused
+  /// exact summation order the gather+sort reference uses, so the fused
   /// Welch kernel reproduces it bitwise.
   double MarginalMean(std::size_t attribute) const;
   double MarginalVariance(std::size_t attribute) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/check.h"
 #include "common/parallel.h"
 
 namespace hics {
@@ -30,7 +29,6 @@ std::unique_ptr<NeighborSearcher> MakeSearcher(const Dataset& dataset,
                                                const Subspace& subspace,
                                                KnnBackend backend,
                                                KnnPrecision precision) {
-  HICS_CHECK(backend != KnnBackend::kAuto);
   // The KD-tree has no screening stage, so precision does not apply there.
   return backend == KnnBackend::kKdTree
              ? MakeKdTreeSearcher(dataset, subspace)
@@ -71,11 +69,7 @@ bool InKnnProbeBand(std::size_t num_objects, std::size_t num_dimensions) {
 
 std::unique_ptr<NeighborSearcher> ResolveKnnSearcher(const Dataset& dataset,
                                                      const Subspace& subspace,
-                                                     KnnBackend requested,
                                                      std::size_t k) {
-  if (requested != KnnBackend::kAuto) {
-    return MakeSearcher(dataset, subspace, requested);
-  }
   const std::size_t n = dataset.num_objects();
   if (!InKnnProbeBand(n, subspace.size())) {
     return MakeSearcher(dataset, subspace,

@@ -71,7 +71,6 @@ class KnnResultTable {
 enum class KnnBackend {
   kBruteForce,  ///< blocked/batched exhaustive scan
   kKdTree,      ///< median-split KD-tree
-  kAuto,        ///< let the caller's selection policy decide
 };
 
 /// Precision of the *screening* stage of the batched brute-force kernel.
@@ -164,7 +163,7 @@ class NeighborSearcher {
 
   virtual std::size_t num_objects() const = 0;
   virtual std::size_t dimensionality() const = 0;
-  /// The concrete backend this searcher implements (never kAuto).
+  /// The backend this searcher implements.
   virtual KnnBackend backend() const = 0;
   /// Bytes held by the searcher's buffers (the sum of their sizes); what
   /// ArtifactCache charges against its byte budget.
@@ -194,9 +193,10 @@ std::unique_ptr<NeighborSearcher> MakeBruteForceSearcher(
 std::unique_ptr<NeighborSearcher> MakeKdTreeSearcher(const Dataset& dataset,
                                                      const Subspace& subspace);
 
-/// Factory over a concrete backend choice. `backend` must not be kAuto —
-/// resolve policy first (ResolveKnnSearcher, or ChooseKnnBackend without
-/// data) so the decision stays visible at the call site.
+/// Factory over an explicit backend choice. Library callers resolve the
+/// policy instead (ResolveKnnSearcher, or ChooseKnnBackend without data);
+/// this entry point is for building one backend on purpose, e.g. a
+/// reference to compare against.
 std::unique_ptr<NeighborSearcher> MakeSearcher(
     const Dataset& dataset, const Subspace& subspace, KnnBackend backend,
     KnnPrecision precision = KnnPrecision::kFloat64);
@@ -249,13 +249,12 @@ inline constexpr double kProbeMaxScanFraction = 0.375;
 KnnBackend ChooseKnnBackend(std::size_t num_objects,
                             std::size_t num_dimensions);
 
-/// True iff kAuto resolution probes a KD-tree for an (N, |S|) workload.
+/// True iff ResolveKnnSearcher probes a KD-tree for an (N, |S|) workload.
 bool InKnnProbeBand(std::size_t num_objects, std::size_t num_dimensions);
 
-/// The one kAuto resolution point: the searcher every neighbor-based
+/// The one backend resolution point: the searcher every neighbor-based
 /// scorer (cold and cached paths) and the serving layer query `subspace`
-/// of `dataset` with, for neighborhoods of size `k`. A concrete
-/// `requested` backend is built as asked. For kAuto, outside the probe
+/// of `dataset` with, for neighborhoods of size `k`. Outside the probe
 /// band the static ChooseKnnBackend verdict is built; inside it a KD-tree
 /// is built and probed (MakeProbedKdTreeSearcher over kProbeQueries
 /// positions), kept if fewer than kProbeMaxScanFraction * N points per
@@ -265,7 +264,6 @@ bool InKnnProbeBand(std::size_t num_objects, std::size_t num_dimensions);
 /// speed depends on it.
 std::unique_ptr<NeighborSearcher> ResolveKnnSearcher(const Dataset& dataset,
                                                      const Subspace& subspace,
-                                                     KnnBackend requested,
                                                      std::size_t k);
 
 }  // namespace hics

@@ -39,8 +39,7 @@ std::vector<double> KnnDistanceScorer::ScoreSubspace(
   const std::size_t n = dataset.num_objects();
   if (n < 2) return std::vector<double>(n, 0.0);
   const std::size_t k = ClampNeighborhoodSize(k_, n, name().c_str());
-  const auto searcher =
-      ResolveKnnSearcher(dataset, subspace, KnnBackend::kAuto, k);
+  const auto searcher = ResolveKnnSearcher(dataset, subspace, k);
   KnnResultTable table;
   searcher->QueryAllKnn(k, &table, num_threads_);
   return KthDistanceFromTable(table, n);
@@ -52,8 +51,7 @@ std::vector<double> KnnDistanceScorer::ScoreSubspacePrepared(
   if (n < 2) return std::vector<double>(n, 0.0);
   const std::size_t k = ClampNeighborhoodSize(k_, n, name().c_str());
   const std::shared_ptr<const KnnResultTable> table =
-      prepared.cache().GetKnnTable(subspace, KnnBackend::kAuto, k,
-                                   num_threads_, /*use_batch_kernel=*/true);
+      prepared.cache().GetKnnTable(subspace, k, num_threads_);
   return KthDistanceFromTable(*table, n);
 }
 
@@ -69,8 +67,7 @@ std::vector<double> KnnAverageScorer::ScoreSubspace(
   const std::size_t n = dataset.num_objects();
   if (n < 2) return std::vector<double>(n, 0.0);
   const std::size_t k = ClampNeighborhoodSize(k_, n, name().c_str());
-  const auto searcher =
-      ResolveKnnSearcher(dataset, subspace, KnnBackend::kAuto, k);
+  const auto searcher = ResolveKnnSearcher(dataset, subspace, k);
   KnnResultTable table;
   searcher->QueryAllKnn(k, &table, num_threads_);
   return MeanDistanceFromTable(table, n);
@@ -82,8 +79,7 @@ std::vector<double> KnnAverageScorer::ScoreSubspacePrepared(
   if (n < 2) return std::vector<double>(n, 0.0);
   const std::size_t k = ClampNeighborhoodSize(k_, n, name().c_str());
   const std::shared_ptr<const KnnResultTable> table =
-      prepared.cache().GetKnnTable(subspace, KnnBackend::kAuto, k,
-                                   num_threads_, /*use_batch_kernel=*/true);
+      prepared.cache().GetKnnTable(subspace, k, num_threads_);
   return MeanDistanceFromTable(*table, n);
 }
 

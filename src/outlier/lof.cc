@@ -16,24 +16,17 @@ std::vector<double> LofScorer::ScoreSubspace(const Dataset& dataset,
   if (n == 0) return {};
   const std::size_t k = ClampNeighborhoodSize(params_.min_pts, n, "lof");
 
-  const auto searcher =
-      ResolveKnnSearcher(dataset, subspace, params_.backend, k);
+  const auto searcher = ResolveKnnSearcher(dataset, subspace, k);
 
   // Pass 1: k-nearest neighborhoods and k-distances (the quadratic part)
   // through the batched all-kNN engine — one blocked sweep instead of n
-  // independent scans; `use_batch_knn = false` keeps the per-query
-  // reference path for benchmarking. Either way neighborhoods land in one
-  // flat n*k table and the pass is worker-parallel and read-only on the
-  // searcher.
+  // independent scans. Neighborhoods land in one flat n*k table and the
+  // pass is worker-parallel and read-only on the searcher.
   const std::size_t num_threads = params_.num_threads == 0
                                       ? DefaultNumThreads()
                                       : params_.num_threads;
   KnnResultTable table;
-  if (params_.use_batch_knn) {
-    searcher->QueryAllKnn(k, &table, num_threads);
-  } else {
-    searcher->QueryAllKnnPerQuery(k, &table, num_threads);
-  }
+  searcher->QueryAllKnn(k, &table, num_threads);
   return ScoreFromTable(table, n, num_threads);
 }
 
@@ -49,8 +42,7 @@ std::vector<double> LofScorer::ScoreSubspacePrepared(
   // n*k table are built once per (k, subspace) and shared with every other
   // consumer of this PreparedDataset.
   const std::shared_ptr<const KnnResultTable> table =
-      prepared.cache().GetKnnTable(subspace, params_.backend, k, num_threads,
-                                   params_.use_batch_knn);
+      prepared.cache().GetKnnTable(subspace, k, num_threads);
   return ScoreFromTable(*table, n, num_threads);
 }
 

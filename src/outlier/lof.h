@@ -15,18 +15,9 @@ struct LofParams {
   /// 10-50; the experiments here use one shared value for all competitors,
   /// as the paper requires for comparability.
   std::size_t min_pts = 10;
-  /// Neighbor-search backend. kAuto resolves per subspace through
-  /// ResolveKnnSearcher; scores are identical for every choice (backends
-  /// agree bit for bit), only the wall clock differs.
-  KnnBackend backend = KnnBackend::kAuto;
   /// Worker threads for the kNN pass (the quadratic part). 1 = serial,
   /// 0 = hardware concurrency. Scores are identical for any value.
   std::size_t num_threads = 1;
-  /// Use the batched all-kNN engine for pass 1. Off = the pre-batching
-  /// per-query reference path; scores are byte-identical either way
-  /// (pinned by tests/knn_batch_test.cc), so this is a benchmarking and
-  /// bisection knob, not a semantic one.
-  bool use_batch_knn = true;
 };
 
 /// Local Outlier Factor (Breunig et al., SIGMOD 2000), restricted to an
@@ -37,6 +28,10 @@ struct LofParams {
 /// lrd(p) = 1 / mean_{o in N_k(p)} reach-dist_k(p, o) and
 /// reach-dist_k(p, o) = max(k-distance(o), d(p, o)).
 /// Scores near 1 mean inlier; larger means stronger local density drop.
+///
+/// Neighborhoods come from the searcher ResolveKnnSearcher picks per
+/// subspace, queried through the batched all-kNN engine; every backend
+/// returns identical tables, so only the wall clock depends on the pick.
 class LofScorer : public OutlierScorer {
  public:
   explicit LofScorer(LofParams params = {}) : params_(params) {}
@@ -53,8 +48,8 @@ class LofScorer : public OutlierScorer {
 
   std::string name() const override { return "lof"; }
 
-  /// MinPts is the only score-affecting parameter; backend, threads and
-  /// batching are perf knobs pinned bit-identical by the kNN engine tests.
+  /// MinPts is the only score-affecting parameter; the thread count is a
+  /// perf knob pinned bit-identical by the kNN engine tests.
   std::string cache_key() const override {
     return "lof:minpts=" + std::to_string(params_.min_pts);
   }
@@ -74,14 +69,16 @@ class LofScorer : public OutlierScorer {
 
   const LofParams& params() const { return params_; }
 
- private:
   /// Passes 2-3 (lrd + LOF ratio) over an already-computed neighborhood
-  /// table; shared verbatim by the cold and prepared paths so they cannot
-  /// drift.
+  /// table of `n` rows; shared verbatim by the cold and prepared paths so
+  /// they cannot drift, and public so a table from any searcher (e.g. the
+  /// per-query reference NeighborSearcher::QueryAllKnnPerQuery) can be
+  /// scored directly.
   std::vector<double> ScoreFromTable(const KnnResultTable& table,
                                      std::size_t n,
                                      std::size_t num_threads) const;
 
+ private:
   /// Passes 1-2 (k-distance + lrd); shared by ScoreFromTable and
   /// BuildTrainedState so the serialized trained state is bit-identical
   /// to the densities the in-sample score used.

@@ -47,8 +47,10 @@ struct TrainedScorerState {
 /// This is the second step of the paper's decoupled processing: HiCS (or any
 /// other subspace search) selects subspaces, and any implementation of this
 /// interface ranks objects within them. The paper instantiates it with LOF
-/// and names ORCA/OUTRES as future alternatives; this library ships LOF plus
-/// two kNN-based scores to demonstrate the pluggability.
+/// and names ORCA/OUTRES as future alternatives. This library implements
+/// it for LOF, the kNN-distance and kNN-average scores, the grid-density
+/// score, LOCI, ABOD, OutRes and a univariate baseline; ORCA's top-n
+/// miner (outlier/orca.h) is a separate entry point, not a scorer.
 ///
 /// Two entry-point families:
 ///  - the (Dataset, Subspace) pair is the self-contained cold path;
@@ -113,13 +115,12 @@ class OutlierScorer {
   /// fault-injection site "scorer.<name>", and validates the output — a
   /// wrong-sized or non-finite score vector becomes a Status error naming
   /// the offending objects instead of silently poisoning the aggregate.
-  /// Scorer implementations may override to add internal checkpoints.
   ///
   /// `fault_ordinal`, when non-zero, is this call's 1-based position in
   /// the caller's logical scoring sequence (the subspace index in a
   /// ranking pass); the fault site is probed with it so fault placement
   /// is deterministic under parallel ranking. 0 counts by arrival order.
-  virtual Result<std::vector<double>> ScoreSubspaceChecked(
+  Result<std::vector<double>> ScoreSubspaceChecked(
       const Dataset& dataset, const Subspace& subspace, const RunContext& ctx,
       std::uint64_t fault_ordinal = 0) const;
 

@@ -153,8 +153,7 @@ Result<HicsModel> HicsModel::Fit(const Dataset& dataset,
     }
     for (TrainedSubspace& t : trained) {
       const std::shared_ptr<const KnnResultTable> table =
-          prepared.cache().GetKnnTable(t.subspace, KnnBackend::kAuto, k,
-                                       threads, /*use_batch_kernel=*/true);
+          prepared.cache().GetKnnTable(t.subspace, k, threads);
       t.scorer_state = scorer->BuildTrainedState(*table);
     }
   } else {
@@ -251,8 +250,7 @@ const NeighborSearcher& HicsModel::SearcherFor(std::size_t s) const {
   std::shared_ptr<const NeighborSearcher>& slot = runtime_->searchers[s];
   if (slot == nullptr) {
     const Subspace& subspace = subspaces_[s].subspace;
-    slot = ResolveKnnSearcher(training_data_, subspace, KnnBackend::kAuto,
-                              EffectiveK());
+    slot = ResolveKnnSearcher(training_data_, subspace, EffectiveK());
   }
   return *slot;
 }

@@ -144,7 +144,7 @@ std::vector<std::uint8_t> EncodeConfig(const HicsModelConfig& config) {
   w.U8(p.prune_redundant ? 1 : 0);
   w.U64(p.seed);
   w.U64(p.num_threads);
-  w.U8(p.use_rank_space_kernel ? 1 : 0);
+  w.U8(1);  // reserved; see the v2 note in model_io.h
   w.U32(static_cast<std::uint32_t>(config.scorer.kind));
   w.U64(config.scorer.k);
   w.U32(static_cast<std::uint32_t>(config.aggregation));
@@ -172,8 +172,7 @@ Status DecodeConfig(Reader* r, HicsModelConfig* config) {
   HICS_RETURN_NOT_OK(r->U64(&p.seed));
   HICS_RETURN_NOT_OK(r->U64(&u64));
   p.num_threads = u64;
-  HICS_RETURN_NOT_OK(r->U8(&u8));
-  p.use_rank_space_kernel = u8 != 0;
+  HICS_RETURN_NOT_OK(r->U8(&u8));  // reserved byte, ignored
   HICS_RETURN_NOT_OK(r->U32(&u32));
   config->scorer.kind = static_cast<ScorerKind>(u32);
   HICS_RETURN_NOT_OK(r->U64(&u64));

@@ -37,6 +37,11 @@ namespace hics {
 ///        provenance. Readers of this build reject v1 files rather than
 ///        guess at a default — models are cheap to refit and a silent
 ///        default would misreport how a model was produced.
+///        The config byte after num_threads is reserved. It once held a
+///        contrast-kernel flag (0 = gather+sort, 1 = rank-space) whose
+///        values gave bit-identical models; writers now always store 1
+///        and readers ignore it, so the format stays v2 and files written
+///        either way load and score identically.
 inline constexpr std::uint32_t kHicsModelFormatVersion = 2;
 inline constexpr std::size_t kHicsModelMagicSize = 8;
 inline constexpr char kHicsModelMagic[kHicsModelMagicSize + 1] = "HICSMODL";

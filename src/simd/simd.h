@@ -26,8 +26,9 @@
 //   them at full hardware width.
 //
 // The tier is detected once (cpuid) and can be forced down for testing via
-// the HICS_SIMD environment variable ("scalar", "avx2", "avx512") or
-// SetSimdTier / ScopedSimdTier (HicsParams::simd_tier routes here).
+// the HICS_SIMD environment variable ("scalar", "avx2", "avx512") or, in
+// tests and benches, SetSimdTier / ScopedSimdTier. The tier is
+// process-wide state, so no library entry point sets it per run.
 // Requests above the detected/compiled capability clamp down, never up.
 
 #ifndef HICS_SIMD_SIMD_H_

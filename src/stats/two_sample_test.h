@@ -89,7 +89,8 @@ class TwoSampleTest {
   /// Must return the same value — bit for bit — as gathering the selected
   /// values of `view.column` in id order and passing them to
   /// DeviationPresortedMarginal(view.marginal_sorted, gathered, scratch);
-  /// the contrast estimator's oracle mode verifies exactly that.
+  /// tests/contrast_kernel_test.cc checks exactly that against the
+  /// gather+sort reference contrast.
   ///
   /// The shipped tests override it: Welch accumulates count/sum/M2 during
   /// two id-order sweeps and never materializes the conditional; KS and

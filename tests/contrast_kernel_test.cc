@@ -1,11 +1,12 @@
 // Rank-space contrast kernel guarantees (DESIGN.md §5d):
 //  (1) contrast scores are *bit-identical* between the rank-space kernel
-//      (epoch-stamped selection + DeviationFromSelection) and the
-//      materializing gather+sort oracle, for every deviation function
-//      (welch/ks/cvm), across random datasets, subspace sizes, and
-//      duplicate-heavy data;
-//  (2) RunHicsSearch output (subspaces, scores, order) is unchanged by the
-//      kernel flag and by the thread count;
+//      (rank-predicate selection + DeviationFromSelection) and the
+//      materializing gather+sort oracle (contrast_oracle.h), for every
+//      deviation function (welch/ks/cvm), across random datasets,
+//      subspace sizes, and duplicate-heavy data;
+//  (2) every subspace RunHicsSearch reports carries exactly the oracle's
+//      contrast on the search's per-subspace stream, for every thread
+//      count;
 //  (3) the generic base-class DeviationFromSelection (used by third-party
 //      tests without a fused override) reproduces the gather semantics.
 
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "contrast_oracle.h"
 #include "core/contrast.h"
 #include "core/hics.h"
 #include "stats/two_sample_test.h"
@@ -54,10 +56,9 @@ TEST_P(ContrastKernelParityTest, RankKernelMatchesOracleBitForBit) {
   Dataset ds = RandomDataset(300, 6, c.seed, c.quantized);
   const auto test = stats::MakeTwoSampleTest(c.test_name);
   ASSERT_NE(test, nullptr);
-  ContrastParams rank_params{40, 0.15, true};
-  ContrastParams oracle_params{40, 0.15, false};
-  const ContrastEstimator rank(ds, *test, rank_params);
-  const ContrastEstimator oracle(ds, *test, oracle_params);
+  const ContrastParams params{40, 0.15};
+  const ContrastEstimator rank(ds, *test, params);
+  const ContrastOracle oracle(ds, *test, params);
   const std::vector<Subspace> subspaces = {
       Subspace({0, 1}), Subspace({2, 5}), Subspace({0, 1, 2}),
       Subspace({1, 3, 4, 5}), Subspace({0, 1, 2, 3, 4, 5})};
@@ -66,7 +67,7 @@ TEST_P(ContrastKernelParityTest, RankKernelMatchesOracleBitForBit) {
     const double a = rank.Contrast(sub, &ra);
     const double b = oracle.Contrast(sub, &rb);
     // Deliberately EXPECT_EQ, not NEAR: the kernels must agree bit for
-    // bit, which is what lets the flag flip without changing any result.
+    // bit, which is what lets the library ship the rank-space kernel only.
     EXPECT_EQ(a, b) << c.test_name << " " << sub.ToString();
   }
 }
@@ -93,46 +94,40 @@ TEST(ContrastKernelTest, SearchOutputUnchangedByKernelAndThreads) {
   base.output_top_k = 30;
   base.seed = 13;
 
-  auto run = [&ds](HicsParams p) {
-    auto result = RunHicsSearch(ds, p);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    return *std::move(result);
-  };
-
-  HicsParams oracle = base;
-  oracle.use_rank_space_kernel = false;
-  const std::vector<ScoredSubspace> reference = run(oracle);
-  ASSERT_FALSE(reference.empty());
-
   for (const char* test_name : {"welch", "ks", "cvm"}) {
+    const auto test = stats::MakeTwoSampleTest(test_name);
+    ASSERT_NE(test, nullptr);
+    const ContrastOracle oracle(ds, *test,
+                                {base.num_iterations, base.alpha});
+    std::vector<ScoredSubspace> serial;
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      HicsParams o = base;
-      o.statistical_test = test_name;
-      o.use_rank_space_kernel = false;
-      o.num_threads = threads;
-      HicsParams r = o;
-      r.use_rank_space_kernel = true;
-      const std::vector<ScoredSubspace> want = run(o);
-      const std::vector<ScoredSubspace> got = run(r);
-      ASSERT_EQ(got.size(), want.size()) << test_name;
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got[i].subspace, want[i].subspace)
+      HicsParams p = base;
+      p.statistical_test = test_name;
+      p.num_threads = threads;
+      auto result = RunHicsSearch(ds, p);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const std::vector<ScoredSubspace>& got = *result;
+      ASSERT_FALSE(got.empty()) << test_name;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        // Deliberately EXPECT_EQ: the search's rank-space contrast must
+        // be the oracle's gather+sort contrast bit for bit.
+        EXPECT_EQ(got[i].score,
+                  oracle.SearchContrast(got[i].subspace, base.seed))
+            << test_name << " threads " << threads << " rank " << i << " "
+            << got[i].subspace.ToString();
+      }
+      if (threads == 1) {
+        serial = got;
+        continue;
+      }
+      ASSERT_EQ(got.size(), serial.size()) << test_name;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].subspace, serial[i].subspace)
             << test_name << " threads " << threads << " rank " << i;
-        EXPECT_EQ(got[i].score, want[i].score)
+        EXPECT_EQ(got[i].score, serial[i].score)
             << test_name << " threads " << threads << " rank " << i;
       }
     }
-  }
-
-  // The welch single-thread rank run must also equal the cross-kernel
-  // reference computed above (same seed, same dataset).
-  HicsParams r1 = base;
-  r1.use_rank_space_kernel = true;
-  const std::vector<ScoredSubspace> got = run(r1);
-  ASSERT_EQ(got.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(got[i].subspace, reference[i].subspace);
-    EXPECT_EQ(got[i].score, reference[i].score);
   }
 }
 
@@ -158,10 +153,9 @@ class MeanGapDeviation : public stats::TwoSampleTest {
 TEST(ContrastKernelTest, BaseClassFallbackMatchesOracle) {
   Dataset ds = RandomDataset(200, 4, 91);
   const MeanGapDeviation test;
-  ContrastParams rank_params{25, 0.2, true};
-  ContrastParams oracle_params{25, 0.2, false};
-  const ContrastEstimator rank(ds, test, rank_params);
-  const ContrastEstimator oracle(ds, test, oracle_params);
+  const ContrastParams params{25, 0.2};
+  const ContrastEstimator rank(ds, test, params);
+  const ContrastOracle oracle(ds, test, params);
   for (const Subspace& sub :
        {Subspace({0, 1}), Subspace({0, 2, 3}), Subspace({0, 1, 2, 3})}) {
     Rng ra(5), rb(5);

@@ -215,21 +215,26 @@ TEST(KnnBatchTest, TableReuseAcrossShapes) {
 TEST(KnnBatchTest, LofScoresByteIdenticalAcrossMigrationAndThreads) {
   Dataset ds = RandomDataset(350, 6, 31, /*with_duplicates=*/true);
   const Subspace subspace({0, 2, 3});
-  // Reference: the pre-batching configuration (per-query brute force,
-  // serial).
-  const LofScorer reference({.min_pts = 10,
-                             .backend = KnnBackend::kBruteForce,
-                             .num_threads = 1,
-                             .use_batch_knn = false});
-  const auto expected = reference.ScoreSubspace(ds, subspace);
-  for (bool batch : {false, true}) {
-    for (std::size_t num_threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
-      const LofScorer lof({.min_pts = 10,
-                           .backend = KnnBackend::kBruteForce,
-                           .num_threads = num_threads,
-                           .use_batch_knn = batch});
-      const auto scores = lof.ScoreSubspace(ds, subspace);
+  const std::size_t n = ds.num_objects();
+  const auto brute = MakeSearcher(ds, subspace, KnnBackend::kBruteForce);
+  // Reference: the pre-batching configuration (per-query brute-force
+  // table, serial) scored through LOF's passes 2-3.
+  KnnResultTable reference_table;
+  brute->QueryAllKnnPerQuery(10, &reference_table, 1);
+  const auto expected =
+      LofScorer({.min_pts = 10, .num_threads = 1})
+          .ScoreFromTable(reference_table, n, 1);
+  for (std::size_t num_threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
+    const LofScorer lof({.min_pts = 10, .num_threads = num_threads});
+    for (bool batch : {false, true}) {
+      KnnResultTable table;
+      if (batch) {
+        brute->QueryAllKnn(10, &table, num_threads);
+      } else {
+        brute->QueryAllKnnPerQuery(10, &table, num_threads);
+      }
+      const auto scores = lof.ScoreFromTable(table, n, num_threads);
       ASSERT_EQ(scores.size(), expected.size());
       for (std::size_t i = 0; i < scores.size(); ++i) {
         EXPECT_EQ(scores[i], expected[i])
@@ -237,10 +242,11 @@ TEST(KnnBatchTest, LofScoresByteIdenticalAcrossMigrationAndThreads) {
             << num_threads;
       }
     }
+    // The scorer's own path (resolved backend, batched table) must not
+    // change scores either.
+    EXPECT_EQ(lof.ScoreSubspace(ds, subspace), expected)
+        << "threads " << num_threads;
   }
-  // The auto-selected backend must not change scores either.
-  const LofScorer auto_backend({.min_pts = 10});
-  EXPECT_EQ(auto_backend.ScoreSubspace(ds, subspace), expected);
 }
 
 TEST(KnnBatchTest, BufferRadiusMatchesAllocatingWrapper) {
@@ -347,11 +353,12 @@ TEST(KdTreeBatchTest, RadiusQueriesMatchBruteAfterRelayout) {
 TEST(KnnBatchTest, ChooseKnnBackendShape) {
   // Exact constants are calibration-dependent; the invariants are that the
   // KD-tree is only ever chosen for low-dimensional or large-N workloads
-  // and that kAuto never leaks out.
+  // and that the verdict is always one of the two backends.
   for (std::size_t n : {10u, 100u, 1000u, 10000u}) {
     for (std::size_t d : {1u, 2u, 4u, 8u, 16u}) {
       const KnnBackend choice = ChooseKnnBackend(n, d);
-      EXPECT_NE(choice, KnnBackend::kAuto);
+      EXPECT_TRUE(choice == KnnBackend::kKdTree ||
+                  choice == KnnBackend::kBruteForce);
       if (d > 8 || n < 64) {
         EXPECT_EQ(choice, KnnBackend::kBruteForce)
             << "n " << n << " d " << d;

@@ -101,9 +101,7 @@ TEST(KnnScorersTest, ScoresByteIdenticalWhicheverBackendResolves) {
         std::pair<const Dataset*, KnnBackend>{&uniform,
                                               KnnBackend::kBruteForce}}) {
     const Subspace subspace = ds->FullSpace();
-    ASSERT_EQ(ResolveKnnSearcher(*ds, subspace, KnnBackend::kAuto, k)
-                  ->backend(),
-              resolves_to);
+    ASSERT_EQ(ResolveKnnSearcher(*ds, subspace, k)->backend(), resolves_to);
     KnnResultTable table;
     MakeBruteForceSearcher(*ds, subspace)->QueryAllKnn(k, &table);
     std::vector<double> kth(n), mean(n);
@@ -120,10 +118,9 @@ TEST(KnnScorersTest, ScoresByteIdenticalWhicheverBackendResolves) {
     EXPECT_EQ(knn_distance.ScoreSubspaceCached(prepared, subspace), kth);
     EXPECT_EQ(knn_average.ScoreSubspace(*ds, subspace), mean);
     EXPECT_EQ(knn_average.ScoreSubspaceCached(prepared, subspace), mean);
-    const std::vector<double> lof_brute =
-        LofScorer({.min_pts = k, .backend = KnnBackend::kBruteForce})
-            .ScoreSubspace(*ds, subspace);
     const LofScorer lof_auto({.min_pts = k});
+    const std::vector<double> lof_brute =
+        lof_auto.ScoreFromTable(table, n, 1);
     EXPECT_EQ(lof_auto.ScoreSubspace(*ds, subspace), lof_brute);
     EXPECT_EQ(lof_auto.ScoreSubspaceCached(prepared, subspace), lof_brute);
   }

@@ -53,10 +53,14 @@ TEST(LofTest, IsolatedPointGetsTopScore) {
 
 TEST(LofTest, KdTreeBackendMatchesBruteForce) {
   Dataset ds = BlobWithOutlier(300, 3);
-  LofScorer brute({.min_pts = 12, .backend = KnnBackend::kBruteForce});
-  LofScorer kd({.min_pts = 12, .backend = KnnBackend::kKdTree});
-  const auto s1 = brute.ScoreFullSpace(ds);
-  const auto s2 = kd.ScoreFullSpace(ds);
+  const LofScorer lof({.min_pts = 12});
+  KnnResultTable brute_table, kd_table;
+  MakeSearcher(ds, ds.FullSpace(), KnnBackend::kBruteForce)
+      ->QueryAllKnn(12, &brute_table);
+  MakeSearcher(ds, ds.FullSpace(), KnnBackend::kKdTree)
+      ->QueryAllKnn(12, &kd_table);
+  const auto s1 = lof.ScoreFromTable(brute_table, ds.num_objects(), 1);
+  const auto s2 = lof.ScoreFromTable(kd_table, ds.num_objects(), 1);
   ASSERT_EQ(s1.size(), s2.size());
   for (std::size_t i = 0; i < s1.size(); ++i) {
     EXPECT_NEAR(s1[i], s2[i], 1e-9) << "object " << i;

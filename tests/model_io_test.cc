@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -94,6 +95,56 @@ TEST(ModelIoTest, PropertyRoundTripOverRandomModels) {
       EXPECT_EQ(SerializeHicsModel(*restored), bytes);
     }
   }
+}
+
+TEST(ModelIoTest, ReservedConfigByteIsIgnored) {
+  // The config byte after num_threads is reserved: older v2 writers stored
+  // a contrast-kernel flag there, 0 for the gather+sort oracle kernel and
+  // 1 for the rank-space kernel, and both described bit-identical models.
+  // A file holding 0 must load and score exactly like one holding 1.
+  const HicsModel model = FitSmallModel(ScorerKind::kLof, 5, 3);
+  const std::vector<std::uint8_t> bytes = SerializeHicsModel(model);
+  // Magic, u32 version, u32 section count, then the config section's
+  // u32 id and u64 payload size.
+  constexpr std::size_t kPayload = kHicsModelMagicSize + 4 + 4 + 4 + 8;
+  std::uint32_t section_id = 0;
+  std::memcpy(&section_id, bytes.data() + kPayload - 12, sizeof(section_id));
+  ASSERT_EQ(section_id, static_cast<std::uint32_t>(ModelSection::kConfig));
+  std::uint64_t payload_size = 0;
+  std::memcpy(&payload_size, bytes.data() + kPayload - 8,
+              sizeof(payload_size));
+  // Config payload: u64 M, f64 alpha, u64 cutoff, u64 top-k, the test
+  // name (u64 length + bytes), u64 max dims, u8 prune, u64 seed, u64
+  // threads, then the reserved byte.
+  const std::size_t reserved =
+      kPayload + 4 * 8 + 8 +
+      model.config().search_params.statistical_test.size() + 8 + 1 + 8 + 8;
+  ASSERT_LT(reserved, kPayload + payload_size);
+  ASSERT_EQ(bytes[reserved], 1u);
+
+  std::vector<std::uint8_t> patched = bytes;
+  patched[reserved] = 0;
+  const std::uint32_t crc = Crc32(std::span<const std::uint8_t>(
+      patched.data() + kPayload, payload_size));
+  std::memcpy(patched.data() + kPayload + payload_size, &crc, sizeof(crc));
+
+  auto original = DeserializeHicsModel(bytes);
+  auto loaded = DeserializeHicsModel(patched);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectModelsEqual(*original, *loaded);
+  // The writer always stores 1, so re-saving yields today's file.
+  EXPECT_EQ(SerializeHicsModel(*loaded), bytes);
+
+  Rng rng(21);
+  const std::size_t num_queries = 6;
+  std::vector<double> queries(num_queries * model.num_attributes());
+  for (double& v : queries) v = rng.UniformDouble();
+  const auto want = original->ScoreQueries(queries, num_queries);
+  const auto got = loaded->ScoreQueries(queries, num_queries);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, *want);
 }
 
 TEST(ModelIoTest, EveryTruncationIsRejected) {

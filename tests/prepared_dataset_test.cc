@@ -538,8 +538,7 @@ TEST(ArtifactCacheTest, AutoKnnTableCachesOnlyTheResolvedSearcher) {
                                               KnnBackend::kBruteForce}}) {
     const Subspace subspace = ds->FullSpace();
     const PreparedDataset prepared(*ds);
-    const auto table = prepared.cache().GetKnnTable(
-        subspace, KnnBackend::kAuto, 10, 1, true);
+    const auto table = prepared.cache().GetKnnTable(subspace, 10, 1);
     EXPECT_EQ(prepared.cache().num_searchers(), 1u);
     const std::uint64_t misses = prepared.cache().stats().searcher_misses;
     EXPECT_EQ(prepared.cache().GetSearcher(subspace, kept)->backend(), kept);

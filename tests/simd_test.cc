@@ -415,16 +415,6 @@ TEST(SimdDispatchTest, ScopedOverrideClampsAndRestores) {
   EXPECT_EQ(simd::ActiveTier(), ambient);
 }
 
-TEST(SimdDispatchTest, HicsParamsValidateRejectsUnknownTier) {
-  HicsParams params;
-  params.simd_tier = "sse42";
-  EXPECT_FALSE(params.Validate().ok());
-  for (const char* ok : {"auto", "scalar", "avx2", "avx512"}) {
-    params.simd_tier = ok;
-    EXPECT_TRUE(params.Validate().ok()) << ok;
-  }
-}
-
 // --- Dispatch-seam end-to-end identity ------------------------------------
 
 Dataset SeamData(std::uint64_t seed) {
@@ -437,27 +427,33 @@ Dataset SeamData(std::uint64_t seed) {
   return data->data;
 }
 
-HicsParams SeamParams(const char* tier, std::size_t threads) {
+HicsParams SeamParams(std::size_t threads) {
   HicsParams params;
   params.num_iterations = 20;
   params.max_dimensionality = 3;
   params.output_top_k = 40;
   params.num_threads = threads;
-  params.simd_tier = tier;
   return params;
+}
+
+// The search at the scalar tier: the reference every seam test compares
+// the dispatched tiers against.
+Result<std::vector<ScoredSubspace>> ScalarSearch(const Dataset& data) {
+  simd::ScopedSimdTier forced(SimdTier::kScalar);
+  return RunHicsSearch(data, SeamParams(1));
 }
 
 const std::size_t kSeamThreads[] = {1, 2, 4};
 
 TEST(SimdSeamTest, SearchIsIdenticalAcrossTiersAndThreads) {
   const Dataset data = SeamData(91);
-  const auto reference = RunHicsSearch(data, SeamParams("scalar", 1));
+  const auto reference = ScalarSearch(data);
   ASSERT_TRUE(reference.ok());
   ASSERT_FALSE(reference->empty());
   for (SimdTier tier : AvailableTiers()) {
     for (std::size_t threads : kSeamThreads) {
-      const auto result =
-          RunHicsSearch(data, SeamParams(simd::SimdTierName(tier), threads));
+      simd::ScopedSimdTier forced(tier);
+      const auto result = RunHicsSearch(data, SeamParams(threads));
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       ASSERT_EQ(result->size(), reference->size())
           << simd::SimdTierName(tier) << " threads=" << threads;
@@ -474,7 +470,7 @@ TEST(SimdSeamTest, SearchIsIdenticalAcrossTiersAndThreads) {
 
 TEST(SimdSeamTest, RankingIsIdenticalAcrossTiersAndThreads) {
   const Dataset data = SeamData(92);
-  const auto subspaces = RunHicsSearch(data, SeamParams("scalar", 1));
+  const auto subspaces = ScalarSearch(data);
   ASSERT_TRUE(subspaces.ok());
   ASSERT_GT(subspaces->size(), 2u);
   const LofScorer lof({.min_pts = 10});
@@ -503,7 +499,7 @@ TEST(SimdSeamTest, RankingIsIdenticalAcrossTiersAndThreads) {
 TEST(SimdSeamTest, ServeIsIdenticalAcrossTiers) {
   const Dataset data = SeamData(93);
   HicsModelConfig config;
-  config.search_params = SeamParams("scalar", 1);
+  config.search_params = SeamParams(1);
   config.scorer = {ScorerKind::kLof, 10};
   // Out-of-sample queries: perturbed copies of training rows.
   std::vector<double> queries;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "contrast_oracle.h"
 #include "core/contrast.h"
 #include "stats/ks_test.h"
 
@@ -208,10 +209,9 @@ TEST(SliceSamplerTest, DuplicateHeavyColumnsKeepKsBitIdentical) {
     }
   }
   const stats::KsDeviation ks;
-  ContrastParams rank_params{30, 0.2, true};
-  ContrastParams oracle_params{30, 0.2, false};
-  const ContrastEstimator rank(ds, ks, rank_params);
-  const ContrastEstimator oracle(ds, ks, oracle_params);
+  const ContrastParams params{30, 0.2};
+  const ContrastEstimator rank(ds, ks, params);
+  const ContrastOracle oracle(ds, ks, params);
   for (const Subspace& sub :
        {Subspace({0, 1}), Subspace({0, 1, 2}), Subspace({0, 1, 2, 3})}) {
     Rng ra(9), rb(9);

@@ -681,6 +681,18 @@ TEST(StreamingGridOpsTest, GridArtifactKeyEncodesRangeBits) {
   EXPECT_EQ(k1, GridArtifactKey(8, false, r2));
   EXPECT_NE(k1, GridArtifactKey(9, false, r1));
   EXPECT_NE(k1, GridArtifactKey(8, true, r1));
+  // Each range contributes its two 16-digit hex fields whole, the ','
+  // between them and the trailing ';': 16+1+16+1 characters.
+  const std::string prefix = "grid:bins=8:pk=0:r=";
+  ASSERT_EQ(k1.substr(0, prefix.size()), prefix);
+  const std::size_t per_range = 16 + 1 + 16 + 1;
+  ASSERT_EQ(k1.size(), prefix.size() + r1.size() * per_range);
+  for (std::size_t i = 0; i < r1.size(); ++i) {
+    const std::string range = k1.substr(prefix.size() + i * per_range,
+                                        per_range);
+    EXPECT_EQ(range[16], ',') << "range " << i << ": " << range;
+    EXPECT_EQ(range.back(), ';') << "range " << i << ": " << range;
+  }
   // One ULP of range shift must change the key.
   r2[1].second = std::nextafter(r2[1].second, 1.0);
   EXPECT_NE(k1, GridArtifactKey(8, false, r2));

@@ -148,7 +148,9 @@ TEST(ChooseScoringBackendTest, KnnDelegationNeverReturnsGrid) {
   for (std::size_t n : {10u, 1000u, 32768u, 1u << 20}) {
     for (std::size_t d : {1u, 2u, 4u, 8u, 16u}) {
       const KnnBackend choice = ChooseKnnBackend(n, d);
-      EXPECT_NE(choice, KnnBackend::kAuto) << "n " << n << " d " << d;
+      EXPECT_TRUE(choice == KnnBackend::kKdTree ||
+                  choice == KnnBackend::kBruteForce)
+          << "n " << n << " d " << d;
     }
   }
   EXPECT_EQ(ChooseKnnBackend(1u << 20, 2), KnnBackend::kKdTree);
@@ -193,40 +195,34 @@ TEST(ResolveKnnSearcherTest, ProbeSeparatesUniformFromPlantedStructure) {
   const Subspace& structured = planted.relevant_subspaces[0];
   ASSERT_EQ(structured.size(), 8u);
   for (int repeat = 0; repeat < 3; ++repeat) {
-    EXPECT_EQ(ResolveKnnSearcher(uniform, uniform.FullSpace(),
-                                 KnnBackend::kAuto, 10)
-                  ->backend(),
+    EXPECT_EQ(ResolveKnnSearcher(uniform, uniform.FullSpace(), 10)->backend(),
               KnnBackend::kBruteForce);
-    EXPECT_EQ(
-        ResolveKnnSearcher(planted.data, structured, KnnBackend::kAuto, 10)
-            ->backend(),
-        KnnBackend::kKdTree);
+    EXPECT_EQ(ResolveKnnSearcher(planted.data, structured, 10)->backend(),
+              KnnBackend::kKdTree);
   }
 }
 
 TEST(ResolveKnnSearcherTest, ConcreteRequestsAndOutOfBandWorkloadsSkipProbe) {
   const SyntheticDataset planted = PlantedData(4000, 8);
   const Dataset uniform = UniformData(4000, 8, 19);
-  // A concrete request is built as asked, whatever the probe would say.
-  EXPECT_EQ(ResolveKnnSearcher(planted.data, planted.data.FullSpace(),
-                               KnnBackend::kBruteForce, 10)
+  // A concrete request goes through MakeSearcher and is built as asked,
+  // whatever the probe would say.
+  EXPECT_EQ(MakeSearcher(planted.data, planted.data.FullSpace(),
+                         KnnBackend::kBruteForce)
                 ->backend(),
             KnnBackend::kBruteForce);
-  EXPECT_EQ(ResolveKnnSearcher(uniform, uniform.FullSpace(),
-                               KnnBackend::kKdTree, 10)
-                ->backend(),
-            KnnBackend::kKdTree);
-  // Outside the probe band kAuto is the static verdict.
+  EXPECT_EQ(
+      MakeSearcher(uniform, uniform.FullSpace(), KnnBackend::kKdTree)
+          ->backend(),
+      KnnBackend::kKdTree);
+  // Outside the probe band the resolution is the static verdict.
   const SyntheticDataset small = PlantedData(1000, 8);
   ASSERT_FALSE(InKnnProbeBand(1000, 8));
-  EXPECT_EQ(ResolveKnnSearcher(small.data, small.data.FullSpace(),
-                               KnnBackend::kAuto, 10)
+  EXPECT_EQ(ResolveKnnSearcher(small.data, small.data.FullSpace(), 10)
                 ->backend(),
             ChooseKnnBackend(1000, 8));
   ASSERT_FALSE(InKnnProbeBand(4000, 3));
-  EXPECT_EQ(ResolveKnnSearcher(uniform, Subspace({0, 4, 7}),
-                               KnnBackend::kAuto, 10)
-                ->backend(),
+  EXPECT_EQ(ResolveKnnSearcher(uniform, Subspace({0, 4, 7}), 10)->backend(),
             ChooseKnnBackend(4000, 3));
 }
 
