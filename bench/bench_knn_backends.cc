@@ -27,8 +27,9 @@
 // mismatch makes the binary exit nonzero (`tables_identical`).
 //
 // Timings depend on the dispatched SIMD tier (the brute kernels run the
-// tier's screen-row kernels; the kd-tree does not use them), so the header
-// line and the JSON "simd" object record the tier each record came from.
+// tier's screen-row kernels, the kd-tree its leaf_screen kernel), so the
+// header line and the JSON "simd" object record the tier each record came
+// from.
 //
 // Output: a table on stdout and BENCH_knn_backends.json with every cell,
 // the per-N crossover dimensionality where the KD-tree stops winning on
@@ -360,10 +361,6 @@ int Run() {
       .Field("kd_tree_min_objects",
              static_cast<std::uint64_t>(kKdTreeMinObjects))
       .Field("kd_tree_max_dims", static_cast<std::uint64_t>(kKdTreeMaxDims))
-      .Field("kd_tree_extended_min_objects",
-             static_cast<std::uint64_t>(kKdTreeExtendedMinObjects))
-      .Field("kd_tree_extended_max_dims",
-             static_cast<std::uint64_t>(kKdTreeExtendedMaxDims))
       .Field("probe_min_objects", static_cast<std::uint64_t>(kProbeMinObjects))
       .Field("probe_min_dims", static_cast<std::uint64_t>(kProbeMinDims))
       .Field("probe_max_dims", static_cast<std::uint64_t>(kProbeMaxDims))

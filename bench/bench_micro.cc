@@ -207,6 +207,25 @@ void WriteKernelThroughput(bench::JsonWriter& json) {
                           w * sizeof(double)),
       static_cast<double>(2 * dim * w + 3 * w));
 
+  // One KD-tree leaf block: 16 column-major points of the SoA above
+  // against one of its points, bound at a middling distance.
+  const std::size_t block = simd::kLeafScreenWidth;
+  std::vector<double> query(dim);
+  for (std::size_t d = 0; d < dim; ++d) query[d] = soa[d * n + 3];
+  const double leaf_bound = static_cast<double>(dim) / 6.0;
+  const bench::KernelRate leaf = MeasureKernel(
+      [&] {
+        bench::KeepAlive(kernels.leaf_screen(query.data(), soa.data() + 64, n,
+                                             dim, block, leaf_bound,
+                                             d2.data()));
+        bench::KeepAlive(d2.data());
+      },
+      // Per call: dim column segments of `block` doubles + the query read,
+      // `block` distances written; sub, mul and add per (dim, t) plus the
+      // 3-add lane combine and the compare per point.
+      static_cast<double>((dim * block + dim + block) * sizeof(double)),
+      static_cast<double>(3 * dim * block + 4 * block));
+
   const std::size_t dist_dim = 32;
   std::vector<double> pa(dist_dim), pb(dist_dim);
   for (double& v : pa) v = rng.UniformDouble();
@@ -268,6 +287,7 @@ void WriteKernelThroughput(bench::JsonWriter& json) {
   bench::WriteKernelRate(json, "screen_row_f64", screen_f64);
   bench::WriteKernelRate(json, "screen_row_f32", screen_f32);
   bench::WriteKernelRate(json, "squared_distance", distance);
+  bench::WriteKernelRate(json, "leaf_screen", leaf);
   bench::WriteKernelRate(json, "compact_selected", compact);
   bench::WriteKernelRate(json, "compact_selected_sorted", compact_sorted);
   bench::WriteKernelRate(json, "sum", sum_rate);
@@ -309,8 +329,8 @@ void WriteKernelThroughput(bench::JsonWriter& json) {
 /// The record also carries the SIMD dispatch state ("simd" object), the
 /// effective GB/s / GFLOP/s of each dispatched kernel ("kernels" object),
 /// and simd_identical = whether the search repeated on every runnable
-/// tier and the float32-screen kNN mode all reproduced the tracked
-/// results byte for byte.
+/// tier, and the float32-screen kNN mode and the KD-tree forced to every
+/// runnable tier reproduced the brute-force kNN tables, byte for byte.
 void WritePipelineStageReport() {
   SyntheticParams gen;
   gen.num_objects = 1000;
@@ -471,44 +491,47 @@ void WritePipelineStageReport() {
   // SIMD cross-tier identity: re-run the tracked search forced down to
   // each runnable tier (a ScopedSimdTier around the run) and
   // require the byte-identical subspace list; then require the float32
-  // screening mode to reproduce the exact-double kNN tables element for
-  // element on the top search results. Together with search_identical /
+  // screening mode, and the KD-tree under every runnable tier, to
+  // reproduce the exact-double brute-force kNN tables element for element
+  // on the top search results. Together with search_identical /
   // ranking_identical this pins the CANONICAL-kernel contract: the
   // dispatched tier must never be observable in results.
   bool simd_identical = true;
+  std::vector<simd::SimdTier> tiers;
   for (simd::SimdTier tier :
        {simd::SimdTier::kScalar, simd::SimdTier::kAvx2,
         simd::SimdTier::kAvx512}) {
-    if (tier > simd::DetectedTier()) continue;
+    if (tier <= simd::DetectedTier()) tiers.push_back(tier);
+  }
+  for (simd::SimdTier tier : tiers) {
     simd::ScopedSimdTier forced(tier);
     if (!same_subspaces(RunHicsSearch(data, params))) {
       simd_identical = false;
     }
   }
-  const std::size_t f32_check =
+  const auto same_table = [](const KnnResultTable& x,
+                             const KnnResultTable& y) {
+    if (x.num_queries() != y.num_queries()) return false;
+    for (std::size_t q = 0; q < x.num_queries(); ++q) {
+      const auto a = x.Row(q);
+      const auto b = y.Row(q);
+      if (!std::equal(a.begin(), a.end(), b.begin(), b.end())) return false;
+    }
+    return true;
+  };
+  const std::size_t table_check =
       std::min<std::size_t>(5, subspaces->size());
-  for (std::size_t s = 0; simd_identical && s < f32_check; ++s) {
+  for (std::size_t s = 0; simd_identical && s < table_check; ++s) {
     const Subspace& sub = (*subspaces)[s].subspace;
-    const auto exact = MakeBruteForceSearcher(data, sub);
-    const auto screened =
-        MakeBruteForceSearcher(data, sub, KnnPrecision::kFloat32Screen);
-    KnnResultTable exact_table, screened_table;
-    exact->QueryAllKnn(10, &exact_table, 1);
-    screened->QueryAllKnn(10, &screened_table, 1);
-    for (std::size_t q = 0; q < exact_table.num_queries(); ++q) {
-      const auto a = exact_table.Row(q);
-      const auto b = screened_table.Row(q);
-      if (a.size() != b.size()) {
-        simd_identical = false;
-        break;
-      }
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].id != b[i].id || a[i].distance != b[i].distance) {
-          simd_identical = false;
-          break;
-        }
-      }
-      if (!simd_identical) break;
+    KnnResultTable exact_table, table;
+    MakeBruteForceSearcher(data, sub)->QueryAllKnn(10, &exact_table, 1);
+    MakeBruteForceSearcher(data, sub, KnnPrecision::kFloat32Screen)
+        ->QueryAllKnn(10, &table, 1);
+    simd_identical = same_table(exact_table, table);
+    for (simd::SimdTier tier : tiers) {
+      simd::ScopedSimdTier forced(tier);
+      MakeKdTreeSearcher(data, sub)->QueryAllKnn(10, &table, 1);
+      simd_identical = simd_identical && same_table(exact_table, table);
     }
   }
 

@@ -10,7 +10,9 @@
 // inline and dispatched vector paths agree bit for bit (the build pins
 // -ffp-contract=off; see src/simd/simd.h). Subspace distances (dim 2..8)
 // stay on the inlined scalar path — a function-pointer dispatch costs more
-// than the arithmetic there; full-width rows go through ActiveKernels().
+// than the arithmetic there; full-width rows go through ActiveKernels(),
+// and the KD-tree amortizes one dispatched leaf_screen call over a whole
+// leaf block of the same distances.
 
 #ifndef HICS_INDEX_DISTANCE_H_
 #define HICS_INDEX_DISTANCE_H_

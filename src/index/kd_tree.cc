@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -7,22 +8,22 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "index/distance.h"
 #include "index/neighbor_searcher.h"
+#include "simd/simd.h"
 
 namespace hics {
 
 namespace {
 
 /// Median-split KD-tree laid out for scanning (DESIGN.md §5c). The
-/// projected coordinates are stored once, in tree order, so every leaf
-/// bucket is one contiguous slab; `ids_` maps a tree position to its
-/// object id and `pos_` maps back. One search routine answers QueryKnn,
-/// QueryKnnPoint, QueryAllKnn and the backend probe: each visited leaf is
-/// scanned as a block of SquaredDistance values (the canonical 4-lane
-/// order, so distances are bit-identical to brute force), the block is
-/// filtered against the current k-th distance, and the survivors are
-/// inserted into a sorted top-k row.
+/// projected coordinates are stored once, column-major in tree order, so
+/// every leaf bucket is one contiguous run of each column; `ids_` maps a
+/// tree position to its object id and `pos_` maps back. One search routine
+/// answers QueryKnn, QueryKnnPoint, QueryAllKnn and the backend probe:
+/// each visited leaf block goes through one dispatched leaf_screen call
+/// (SquaredDistance's canonical lanes, so distances are bit-identical to
+/// brute force, plus the mask against the current k-th distance), and the
+/// masked points are inserted into a sorted top-k row.
 class KdTreeSearcher : public NeighborSearcher {
  public:
   KdTreeSearcher(const Dataset& dataset, const Subspace& subspace)
@@ -46,10 +47,13 @@ class KdTreeSearcher : public NeighborSearcher {
     }
     points_.resize(num_objects_ * dim_);
     pos_.resize(num_objects_);
-    for (std::size_t p = 0; p < num_objects_; ++p) {
-      for (std::size_t j = 0; j < dim_; ++j) {
-        points_[p * dim_ + j] = columns[j][ids_[p]];
+    for (std::size_t j = 0; j < dim_; ++j) {
+      double* column = &points_[j * num_objects_];
+      for (std::size_t p = 0; p < num_objects_; ++p) {
+        column[p] = columns[j][ids_[p]];
       }
+    }
+    for (std::size_t p = 0; p < num_objects_; ++p) {
       pos_[ids_[p]] = static_cast<std::uint32_t>(p);
     }
   }
@@ -59,7 +63,8 @@ class KdTreeSearcher : public NeighborSearcher {
     HICS_CHECK_LT(query, num_objects_);
     const std::size_t p = pos_[query];
     out->resize(CappedK(k));
-    SearchInto(&points_[p * dim_], p, out->size(), out->data());
+    std::vector<double> q;
+    SearchInto(Gather(p, &q), p, out->size(), out->data());
   }
 
   void QueryKnnPoint(std::span<const double> point, std::size_t k,
@@ -78,11 +83,15 @@ class KdTreeSearcher : public NeighborSearcher {
     if (kcap == 0) return;
     // Queries run in tree order: consecutive queries share their leaf and
     // most of their search path, so the scanned buckets stay cache-hot.
-    ParallelFor(0, num_objects_, num_threads, [&](std::size_t p) {
-      const std::size_t id = ids_[p];
-      SearchInto(&points_[p * dim_], p, kcap, out->MutableRow(id));
-      *out->MutableCount(id) = kcap;
-    });
+    std::vector<std::vector<double>> queries(
+        ParallelWorkerCount(num_objects_, num_threads));
+    ParallelForWorker(0, num_objects_, num_threads,
+                      [&](std::size_t p, std::size_t worker) {
+                        const std::size_t id = ids_[p];
+                        SearchInto(Gather(p, &queries[worker]), p, kcap,
+                                   out->MutableRow(id));
+                        *out->MutableCount(id) = kcap;
+                      });
   }
 
   /// Leaf points scanned answering the k-NN queries of `num_probes`
@@ -93,10 +102,11 @@ class KdTreeSearcher : public NeighborSearcher {
     const std::size_t kcap = CappedK(k);
     if (kcap == 0) return 0;
     std::vector<Neighbor> row(kcap);
+    std::vector<double> q;
     std::size_t scanned = 0;
     for (std::size_t i = 0; i < num_probes && scanned < budget; ++i) {
       const std::size_t p = i * num_objects_ / num_probes;
-      scanned += SearchInto(&points_[p * dim_], p, kcap, row.data());
+      scanned += SearchInto(Gather(p, &q), p, kcap, row.data());
     }
     return scanned;
   }
@@ -108,8 +118,9 @@ class KdTreeSearcher : public NeighborSearcher {
     result.clear();
     if (num_objects_ == 0) return;
     const std::size_t p = pos_[query];
-    SearchRadius(0, &points_[p * dim_], p, radius * radius,
-                 [&](std::size_t hit, double d2) {
+    std::vector<double> q;
+    SearchRadius(0, simd::ActiveKernels().leaf_screen, Gather(p, &q), p,
+                 radius * radius, [&](std::size_t hit, double d2) {
                    result.push_back({ids_[hit], std::sqrt(d2)});
                  });
     std::sort(result.begin(), result.end());
@@ -118,8 +129,10 @@ class KdTreeSearcher : public NeighborSearcher {
   std::size_t CountRadius(std::size_t query, double radius) const override {
     HICS_CHECK_LT(query, num_objects_);
     const std::size_t p = pos_[query];
+    std::vector<double> q;
     std::size_t count = 0;
-    SearchRadius(0, &points_[p * dim_], p, radius * radius,
+    SearchRadius(0, simd::ActiveKernels().leaf_screen, Gather(p, &q), p,
+                 radius * radius,
                  [&](std::size_t, double) { ++count; });
     return count;
   }
@@ -137,7 +150,7 @@ class KdTreeSearcher : public NeighborSearcher {
  private:
   /// Bucket size of a leaf, and the block a leaf is scanned in (leaves of
   /// identical points may exceed it and are scanned block by block).
-  static constexpr std::size_t kLeafSize = 16;
+  static constexpr std::size_t kLeafSize = simd::kLeafScreenWidth;
   static constexpr std::uint32_t kLeaf =
       std::numeric_limits<std::uint32_t>::max();
 
@@ -158,22 +171,20 @@ class KdTreeSearcher : public NeighborSearcher {
   struct TopK {
     Neighbor* row;
     std::size_t kcap;
+    simd::SimdKernels::LeafScreenFn leaf_screen;
     std::size_t count = 0;
     std::size_t scanned = 0;  ///< leaf points whose distance was taken
 
     bool full() const { return count == kcap; }
 
-    /// Inserts leaf survivors into the full row in scan order. Each is
-    /// rechecked against the current k-th entry, which tightens as
-    /// earlier survivors land, so most late ones cost one comparison.
-    void InsertSurvivors(const Neighbor* cand, std::size_t m) {
-      for (std::size_t a = 0; a < m; ++a) {
-        const Neighbor c = cand[a];
-        if (!(c < row[kcap - 1])) continue;
-        std::size_t b = kcap - 1;
-        for (; b > 0 && c < row[b - 1]; --b) row[b] = row[b - 1];
-        row[b] = c;
-      }
+    /// Inserts one leaf survivor into the full row. It is rechecked
+    /// against the current k-th entry, which tightens as earlier survivors
+    /// land, so most late ones cost one comparison.
+    void InsertSurvivor(const Neighbor& c) {
+      if (!(c < row[kcap - 1])) return;
+      std::size_t b = kcap - 1;
+      for (; b > 0 && c < row[b - 1]; --b) row[b] = row[b - 1];
+      row[b] = c;
     }
   };
 
@@ -216,13 +227,23 @@ class KdTreeSearcher : public NeighborSearcher {
     Build(columns, mid, end);
   }
 
+  /// The coordinates of tree position p, gathered from the columns into
+  /// `buffer` (a query point in row form).
+  const double* Gather(std::size_t p, std::vector<double>* buffer) const {
+    buffer->resize(dim_);
+    for (std::size_t j = 0; j < dim_; ++j) {
+      (*buffer)[j] = points_[j * num_objects_ + p];
+    }
+    return buffer->data();
+  }
+
   /// The one k-NN search: fills row[0, kcap) with the kcap nearest
   /// objects of point q in ascending (distance, id) order, skipping tree
   /// position `exclude`. Returns the number of leaf points scanned.
   std::size_t SearchInto(const double* q, std::size_t exclude,
                          std::size_t kcap, Neighbor* row) const {
     if (kcap == 0) return 0;
-    TopK top{row, kcap};
+    TopK top{row, kcap, simd::ActiveKernels().leaf_screen};
     SearchKnn(0, q, exclude, &top);
     // Nothing is pruned before the row fills, so it always fills.
     HICS_DCHECK(top.full());
@@ -251,98 +272,80 @@ class KdTreeSearcher : public NeighborSearcher {
     }
   }
 
+  /// Bit t for each tree position b + t of the block [b, b + count),
+  /// except the excluded one.
+  static std::uint32_t BlockBits(std::size_t b, std::size_t count,
+                                 std::size_t exclude) {
+    std::uint32_t bits = (std::uint32_t{1} << count) - 1;
+    // Unsigned wrap: an exclude before the block fails the test too.
+    if (exclude - b < count) bits &= ~(std::uint32_t{1} << (exclude - b));
+    return bits;
+  }
+
   void ScanLeaf(const Node& node, const double* q, std::size_t exclude,
                 TopK* top) const {
     top->scanned += node.end - node.begin;
     double d2[kLeafSize];
-    Neighbor survivors[kLeafSize];
     for (std::size_t b = node.begin; b < node.end; b += kLeafSize) {
-      const std::size_t e = std::min<std::size_t>(node.end, b + kLeafSize);
-      block_distances_(q, &points_[b * dim_], e - b, dim_, d2);
-      std::size_t p = b;
-      for (; p < e && !top->full(); ++p) {
-        if (p == exclude) continue;
-        top->row[top->count++] = {ids_[p], d2[p - b]};
+      const std::size_t count = std::min<std::size_t>(node.end - b, kLeafSize);
+      // Until the row is full every point of the block is taken; once it
+      // is, the mask against the k-th distance filters (ties pass, and
+      // InsertSurvivor orders them by id).
+      const bool filling = !top->full();
+      const double bound = filling ? std::numeric_limits<double>::infinity()
+                                   : top->row[top->kcap - 1].distance;
+      const std::uint32_t screened = top->leaf_screen(
+          q, &points_[b], num_objects_, dim_, count, bound, d2);
+      std::uint32_t bits = BlockBits(b, count, exclude) &
+                           (filling ? ~std::uint32_t{0} : screened);
+      for (; bits != 0 && !top->full(); bits &= bits - 1) {
+        const std::size_t t = static_cast<std::size_t>(std::countr_zero(bits));
+        top->row[top->count++] = {ids_[b + t], d2[t]};
         if (top->full()) std::sort(top->row, top->row + top->kcap);
       }
-      if (p == e) continue;
-      // Filter against the k-th distance (ties pass; InsertSurvivors orders
-      // them by id), branch-free: every point is written, only survivors
-      // advance the cursor.
-      const double bound = top->row[top->kcap - 1].distance;
-      std::size_t m = 0;
-      for (; p < e; ++p) {
-        survivors[m] = {ids_[p], d2[p - b]};
-        m += static_cast<std::size_t>(d2[p - b] <= bound) &
-             static_cast<std::size_t>(p != exclude);
+      for (; bits != 0; bits &= bits - 1) {
+        const std::size_t t = static_cast<std::size_t>(std::countr_zero(bits));
+        top->InsertSurvivor({ids_[b + t], d2[t]});
       }
-      if (m > 0) top->InsertSurvivors(survivors, m);
     }
-  }
-
-  /// Squared distances from q to `count` consecutive tree-ordered points,
-  /// bit-identical to SquaredDistance: each point sums lane j % 4 in
-  /// ascending j and combines the lanes canonically. A dimensionality
-  /// fixed at compile time unrolls the lanes into registers.
-  using BlockDistanceFn = void (*)(const double* q, const double* x,
-                                   std::size_t count, std::size_t dim,
-                                   double* d2);
-
-  template <std::size_t D>
-  static void BlockDistancesFixed(const double* q, const double* x,
-                                  std::size_t count, std::size_t,
-                                  double* d2) {
-    for (std::size_t t = 0; t < count; ++t, x += D) {
-      double s[4] = {0.0, 0.0, 0.0, 0.0};
-      for (std::size_t j = 0; j < D; ++j) {
-        const double diff = q[j] - x[j];
-        s[j % 4] += diff * diff;
-      }
-      d2[t] = simd::internal::Combine4(s);
-    }
-  }
-
-  static void BlockDistancesAnyDim(const double* q, const double* x,
-                                   std::size_t count, std::size_t dim,
-                                   double* d2) {
-    for (std::size_t t = 0; t < count; ++t) {
-      d2[t] = SquaredDistance(q, x + t * dim, dim);
-    }
-  }
-
-  /// The scalar SquaredDistance path covers dim < kSimdDistanceMinDim;
-  /// wider points take the dispatched kernel through SquaredDistance.
-  template <std::size_t... D>
-  static BlockDistanceFn PickBlockDistances(std::size_t dim,
-                                            std::index_sequence<D...>) {
-    constexpr BlockDistanceFn kFixed[] = {&BlockDistancesFixed<D>...};
-    return dim < sizeof...(D) ? kFixed[dim] : &BlockDistancesAnyDim;
   }
 
   template <typename Visit>
-  void SearchRadius(std::size_t node_id, const double* q, std::size_t exclude,
-                    double r2, const Visit& visit) const {
+  void SearchRadius(std::size_t node_id,
+                    simd::SimdKernels::LeafScreenFn leaf_screen,
+                    const double* q, std::size_t exclude, double r2,
+                    const Visit& visit) const {
     const Node& node = nodes_[node_id];
     if (node.split_dim == kLeaf) {
-      for (std::size_t p = node.begin; p < node.end; ++p) {
-        if (p == exclude) continue;
-        const double d2 = SquaredDistance(q, &points_[p * dim_], dim_);
-        if (d2 <= r2) visit(p, d2);
+      double d2[kLeafSize];
+      for (std::size_t b = node.begin; b < node.end; b += kLeafSize) {
+        const std::size_t count =
+            std::min<std::size_t>(node.end - b, kLeafSize);
+        for (std::uint32_t bits = BlockBits(b, count, exclude) &
+                                  leaf_screen(q, &points_[b], num_objects_,
+                                              dim_, count, r2, d2);
+             bits != 0; bits &= bits - 1) {
+          const std::size_t t =
+              static_cast<std::size_t>(std::countr_zero(bits));
+          visit(b + t, d2[t]);
+        }
       }
       return;
     }
     const double diff = q[node.split_dim] - node.split_value;
     const std::size_t near = diff <= 0.0 ? node_id + 1 : node.right;
     const std::size_t far = diff <= 0.0 ? node.right : node_id + 1;
-    SearchRadius(near, q, exclude, r2, visit);
-    if (diff * diff <= r2) SearchRadius(far, q, exclude, r2, visit);
+    SearchRadius(near, leaf_screen, q, exclude, r2, visit);
+    if (diff * diff <= r2) {
+      SearchRadius(far, leaf_screen, q, exclude, r2, visit);
+    }
   }
 
   std::size_t num_objects_;
   std::size_t dim_;
-  BlockDistanceFn block_distances_ = PickBlockDistances(
-      dim_, std::make_index_sequence<kSimdDistanceMinDim>{});
-  std::vector<double> points_;      ///< tree position p at [p*dim, (p+1)*dim)
+  /// Column-major in tree order: coordinate j of position p at
+  /// [j * num_objects_ + p].
+  std::vector<double> points_;
   std::vector<std::uint32_t> ids_;  ///< tree position -> object id
   std::vector<std::uint32_t> pos_;  ///< object id -> tree position
   std::vector<Node> nodes_;         ///< preorder; root at 0

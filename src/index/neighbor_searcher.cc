@@ -38,27 +38,18 @@ std::unique_ptr<NeighborSearcher> MakeSearcher(const Dataset& dataset,
 KnnBackend ChooseKnnBackend(std::size_t num_objects,
                             std::size_t num_dimensions) {
   // The crossover of all-kNN wall clock per backend over an (N, |S|) grid
-  // of uniform data (k = 10, index build included, avx512-dispatched SIMD
-  // screen kernels), recorded by bench_knn_backends before the KD-tree got
-  // its tree-ordered, blocked leaf scan: the tree then won through
-  // |S| <= 4 at every measured N and held on through |S| <= 6 once N
-  // reached ~4000. The constants are kept on purpose although the
-  // re-recorded BENCH_knn_backends.json puts the uniform crossover at
-  // |S| = 6 for every N: inside the probe band the probe in
-  // ResolveKnnSearcher decides anyway, and re-pinning the static verdict
-  // below kProbeMinObjects is an open ROADMAP item. Below the measured
-  // range the whole decision is sub-100us — brute force avoids betting on
-  // an unmeasured tree-build constant there.
+  // of uniform data, the tree's worst case (k = 10, index build included,
+  // avx512-dispatched kernels), in BENCH_knn_backends.json: with the
+  // leaf_screen kernel the tree wins through |S| = 7 at every measured N
+  // (by 1.5-1.8x at |S| = 7), and breaks even at |S| = 8 for N >= 2000. Below
+  // kProbeMinObjects this verdict is the resolution; above it the probe
+  // in ResolveKnnSearcher decides |S| in [kProbeMinDims, kProbeMaxDims].
+  // Below the measured range the whole decision is sub-100us — brute
+  // force avoids betting on an unmeasured tree-build constant there.
   using namespace knn_policy;
-  if (num_objects >= kKdTreeMinObjects &&
-      num_dimensions <= kKdTreeMaxDims) {
-    return KnnBackend::kKdTree;
-  }
-  if (num_objects >= kKdTreeExtendedMinObjects &&
-      num_dimensions <= kKdTreeExtendedMaxDims) {
-    return KnnBackend::kKdTree;
-  }
-  return KnnBackend::kBruteForce;
+  return num_objects >= kKdTreeMinObjects && num_dimensions <= kKdTreeMaxDims
+             ? KnnBackend::kKdTree
+             : KnnBackend::kBruteForce;
 }
 
 bool InKnnProbeBand(std::size_t num_objects, std::size_t num_dimensions) {

@@ -185,8 +185,9 @@ std::unique_ptr<NeighborSearcher> MakeBruteForceSearcher(
     const Dataset& dataset, const Subspace& subspace,
     KnnPrecision precision = KnnPrecision::kFloat64);
 
-/// Median-split KD-tree with its coordinates stored in tree order (leaf
-/// buckets contiguous, scanned as distance blocks — DESIGN.md §5c); faster
+/// Median-split KD-tree with its coordinates stored column-major in tree
+/// order (each leaf bucket a contiguous run of every column, scanned by
+/// one SIMD leaf_screen call per block — DESIGN.md §5c); faster
 /// for low-dimensional or strongly structured subspaces, degrades toward
 /// brute force as uniform dimensionality grows (the classic curse;
 /// compared in bench_knn_backends). Requires fewer than 2^32 objects.
@@ -220,12 +221,9 @@ ProbedKdTree MakeProbedKdTreeSearcher(const Dataset& dataset,
 /// `selector` record beside the cells they were fitted to).
 namespace knn_policy {
 /// Static verdict: KD-tree for |S| <= kKdTreeMaxDims once
-/// N >= kKdTreeMinObjects, stretching to kKdTreeExtendedMaxDims at
-/// N >= kKdTreeExtendedMinObjects; brute force otherwise.
+/// N >= kKdTreeMinObjects; brute force otherwise.
 inline constexpr std::size_t kKdTreeMinObjects = 256;
-inline constexpr std::size_t kKdTreeMaxDims = 4;
-inline constexpr std::size_t kKdTreeExtendedMinObjects = 4000;
-inline constexpr std::size_t kKdTreeExtendedMaxDims = 6;
+inline constexpr std::size_t kKdTreeMaxDims = 7;
 /// Probe band: workloads with N >= kProbeMinObjects and
 /// kProbeMinDims <= |S| <= kProbeMaxDims, where the tree's win depends on
 /// how structured the data is, are decided by a KD-tree probe. The
@@ -236,10 +234,10 @@ inline constexpr std::size_t kProbeMaxDims = 16;
 /// The probe answers k-NN for this many evenly spaced tree positions...
 inline constexpr std::size_t kProbeQueries = 64;
 /// ...and keeps the tree iff fewer than this fraction of N leaf points
-/// were scanned per query. The measured break-even lies between 0.356
-/// (uniform N = 2000, |S| = 6: the tree wins) and 0.391 (uniform
-/// N = 4000, |S| = 7: brute force wins) in BENCH_knn_backends.json.
-inline constexpr double kProbeMaxScanFraction = 0.375;
+/// were scanned per query. In BENCH_knn_backends.json the tree still wins
+/// by 1.5x at 0.710 (uniform N = 2000, |S| = 7), breaks even near 0.82
+/// to 0.94 (uniform |S| = 8 at N = 4000 and 2000) and loses from 0.99 on.
+inline constexpr double kProbeMaxScanFraction = 0.75;
 }  // namespace knn_policy
 
 /// Data-free kNN policy: the static (N, |S|) verdict for callers that have

@@ -6,6 +6,10 @@
 // canonical kernels (and the global -ffp-contract=off keeps the compiler
 // from fusing behind our back); the SCREENING kernels fuse freely.
 //
+// The KD-tree leaf screen turns the vector the other way: a ymm holds one
+// partial of four *points*, four accumulators hold the four partials, and
+// a leaf block of 16 points takes four such groups.
+//
 // Compaction has no compress instruction on AVX2; it is emulated with a
 // per-mask shuffle table driving vpermd over the 4 candidate doubles.
 
@@ -64,6 +68,65 @@ double SquaredDistanceBoundedAvx2(const double* a, const double* b,
   _mm256_storeu_pd(s, acc);
   SquaredDistanceTail4(a, b, j, dim, s);
   return Combine4(s);
+}
+
+/// Leaf-screen distances of the four points at `col` (point i's
+/// coordinate j at col[j * stride + i]): lane i is point i and acc<l> is
+/// its canonical partial s[l], so the lanes reproduce squared_distance.
+/// kMasked loads only the lanes set in `lanes`.
+template <bool kMasked>
+__m256d LeafGroupAvx2(const double* q, const double* col, std::size_t stride,
+                      std::size_t dim, __m256i lanes) {
+  const auto sq = [&](std::size_t j) {
+    const double* p = col + j * stride;
+    const __m256d x =
+        kMasked ? _mm256_maskload_pd(p, lanes) : _mm256_loadu_pd(p);
+    const __m256d d = _mm256_sub_pd(_mm256_set1_pd(q[j]), x);
+    return _mm256_mul_pd(d, d);
+  };
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  __m256d acc2 = _mm256_setzero_pd();
+  __m256d acc3 = _mm256_setzero_pd();
+  std::size_t j = 0;
+  for (; j + 4 <= dim; j += 4) {
+    acc0 = _mm256_add_pd(acc0, sq(j));
+    acc1 = _mm256_add_pd(acc1, sq(j + 1));
+    acc2 = _mm256_add_pd(acc2, sq(j + 2));
+    acc3 = _mm256_add_pd(acc3, sq(j + 3));
+  }
+  if (j < dim) acc0 = _mm256_add_pd(acc0, sq(j));
+  if (j + 1 < dim) acc1 = _mm256_add_pd(acc1, sq(j + 1));
+  if (j + 2 < dim) acc2 = _mm256_add_pd(acc2, sq(j + 2));
+  return _mm256_add_pd(_mm256_add_pd(acc0, acc2), _mm256_add_pd(acc1, acc3));
+}
+
+std::uint32_t LeafScreenAvx2(const double* q, const double* cols,
+                             std::size_t stride, std::size_t dim,
+                             std::size_t count, double bound, double* d2) {
+  // Up to four ymm groups of four points; a partial last group masks its
+  // loads and store, so no column is read past its `count` points.
+  const __m256d vbound = _mm256_set1_pd(bound);
+  std::uint32_t mask = 0;
+  std::size_t t = 0;
+  for (; t + 4 <= count; t += 4) {
+    const __m256d d = LeafGroupAvx2<false>(q, cols + t, stride, dim,
+                                           _mm256_setzero_si256());
+    _mm256_storeu_pd(d2 + t, d);
+    const int le = _mm256_movemask_pd(_mm256_cmp_pd(d, vbound, _CMP_LE_OQ));
+    mask |= static_cast<std::uint32_t>(le) << t;
+  }
+  if (t < count) {
+    const __m256i lanes = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(count - t)),
+        _mm256_setr_epi64x(0, 1, 2, 3));
+    const __m256d d = LeafGroupAvx2<true>(q, cols + t, stride, dim, lanes);
+    _mm256_maskstore_pd(d2 + t, lanes, d);
+    const int le = _mm256_movemask_pd(_mm256_cmp_pd(d, vbound, _CMP_LE_OQ)) &
+                   _mm256_movemask_pd(_mm256_castsi256_pd(lanes));
+    mask |= static_cast<std::uint32_t>(le) << t;
+  }
+  return mask;
 }
 
 void ScreenRowF64Avx2(const double* soa, std::size_t stride, std::size_t dim,
@@ -290,6 +353,7 @@ const SimdKernels& Avx2Kernels() {
   static const SimdKernels kernels = {
       SquaredDistanceAvx2,
       SquaredDistanceBoundedAvx2,
+      LeafScreenAvx2,
       ScreenRowF64Avx2,
       ScreenRowF32Avx2,
       SliceMaskAvx2,

@@ -1,9 +1,11 @@
 // AVX-512 tier (F/BW/DQ/VL baseline). CANONICAL kernels keep the scalar
 // tier's partial-sum lanes: the exact distance stays on 4 ymm lanes (the
 // canonical decomposition is 4-wide; running it 8-wide would change the
-// result), the moments run one zmm accumulator whose 8 lanes *are* the
-// canonical 8 partials, and compaction uses the native compress-store —
-// which preserves ascending order exactly like the scalar cursor loop.
+// result), the KD-tree leaf screen runs 8 *points* per zmm (two zmm per
+// leaf block, masked loads for a short block) with the 4 partials in 4
+// accumulators, the moments run one zmm accumulator whose 8 lanes *are*
+// the canonical 8 partials, and compaction uses the native compress-store
+// — which preserves ascending order exactly like the scalar cursor loop.
 // SCREENING kernels run full zmm width with FMA.
 
 #ifdef HICS_SIMD_COMPILED_AVX512
@@ -59,6 +61,54 @@ double SquaredDistanceBoundedAvx512(const double* a, const double* b,
   _mm256_storeu_pd(s, acc);
   SquaredDistanceTail4(a, b, j, dim, s);
   return Combine4(s);
+}
+
+/// Leaf-screen distances of the up to eight points at `col` selected by
+/// `lanes` (point i's coordinate j at col[j * stride + i]): lane i is point
+/// i and acc<l> is its canonical partial s[l]. Masked-off lanes load zero
+/// and never touch memory.
+__m512d LeafGroupAvx512(const double* q, const double* col,
+                        std::size_t stride, std::size_t dim, __mmask8 lanes) {
+  const auto sq = [&](std::size_t j) {
+    const __m512d d =
+        _mm512_sub_pd(_mm512_set1_pd(q[j]),
+                      _mm512_maskz_loadu_pd(lanes, col + j * stride));
+    return _mm512_mul_pd(d, d);
+  };
+  __m512d acc0 = _mm512_setzero_pd();
+  __m512d acc1 = _mm512_setzero_pd();
+  __m512d acc2 = _mm512_setzero_pd();
+  __m512d acc3 = _mm512_setzero_pd();
+  std::size_t j = 0;
+  for (; j + 4 <= dim; j += 4) {
+    acc0 = _mm512_add_pd(acc0, sq(j));
+    acc1 = _mm512_add_pd(acc1, sq(j + 1));
+    acc2 = _mm512_add_pd(acc2, sq(j + 2));
+    acc3 = _mm512_add_pd(acc3, sq(j + 3));
+  }
+  if (j < dim) acc0 = _mm512_add_pd(acc0, sq(j));
+  if (j + 1 < dim) acc1 = _mm512_add_pd(acc1, sq(j + 1));
+  if (j + 2 < dim) acc2 = _mm512_add_pd(acc2, sq(j + 2));
+  return _mm512_add_pd(_mm512_add_pd(acc0, acc2), _mm512_add_pd(acc1, acc3));
+}
+
+std::uint32_t LeafScreenAvx512(const double* q, const double* cols,
+                               std::size_t stride, std::size_t dim,
+                               std::size_t count, double bound, double* d2) {
+  // Two zmm groups of eight points cover a whole leaf block.
+  const __m512d vbound = _mm512_set1_pd(bound);
+  std::uint32_t mask = 0;
+  for (std::size_t t = 0; t < count; t += 8) {
+    const __mmask8 lanes =
+        count - t >= 8 ? __mmask8{0xFF}
+                       : static_cast<__mmask8>((1u << (count - t)) - 1);
+    const __m512d d = LeafGroupAvx512(q, cols + t, stride, dim, lanes);
+    _mm512_mask_storeu_pd(d2 + t, lanes, d);
+    mask |= static_cast<std::uint32_t>(
+                _mm512_mask_cmp_pd_mask(lanes, d, vbound, _CMP_LE_OQ))
+            << t;
+  }
+  return mask;
 }
 
 void ScreenRowF64Avx512(const double* soa, std::size_t stride,
@@ -256,6 +306,7 @@ const SimdKernels& Avx512Kernels() {
   static const SimdKernels kernels = {
       SquaredDistanceAvx512,
       SquaredDistanceBoundedAvx512,
+      LeafScreenAvx512,
       ScreenRowF64Avx512,
       ScreenRowF32Avx512,
       SliceMaskAvx512,

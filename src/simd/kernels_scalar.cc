@@ -7,6 +7,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "simd/kernels.h"
 #include "simd/kernels_common.h"
@@ -71,6 +72,76 @@ double SquaredDistanceBoundedScalar(const double* a, const double* b,
   }
   SquaredDistanceTail4(a, b, j, dim, s);
   return Combine4(s);
+}
+
+/// Leaf-screen distances for a dimensionality fixed at compile time: the
+/// column pointers and query coordinates stay in registers and the point
+/// loop carries no dependency, so the compiler vectorizes it across points
+/// even at the baseline ISA. Per point: lane j % 4, ascending j.
+template <std::size_t D>
+void LeafDistancesFixed(const double* q, const double* cols,
+                        std::size_t stride, std::size_t, std::size_t count,
+                        double* d2) {
+  const double* c[D];
+  double qv[D];
+  for (std::size_t j = 0; j < D; ++j) {
+    c[j] = cols + j * stride;
+    qv[j] = q[j];
+  }
+  for (std::size_t t = 0; t < count; ++t) {
+    double s[4] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t j = 0; j < D; ++j) {
+      const double diff = qv[j] - c[j][t];
+      s[j % 4] += diff * diff;
+    }
+    d2[t] = Combine4(s);
+  }
+}
+
+/// Any dimensionality: dimension-major over one partial row per lane, each
+/// point still summing lane j % 4 in ascending j.
+void LeafDistancesAnyDim(const double* q, const double* cols,
+                         std::size_t stride, std::size_t dim,
+                         std::size_t count, double* d2) {
+  double s[4][kLeafScreenWidth] = {};
+  for (std::size_t j = 0; j < dim; ++j) {
+    const double qj = q[j];
+    const double* c = cols + j * stride;
+    double* lane = s[j % 4];
+    for (std::size_t t = 0; t < count; ++t) {
+      const double diff = qj - c[t];
+      lane[t] += diff * diff;
+    }
+  }
+  for (std::size_t t = 0; t < count; ++t) {
+    const double lanes[4] = {s[0][t], s[1][t], s[2][t], s[3][t]};
+    d2[t] = Combine4(lanes);
+  }
+}
+
+using LeafDistancesFn = void (*)(const double*, const double*, std::size_t,
+                                 std::size_t, std::size_t, double*);
+
+/// Entry d is LeafDistancesFixed<d> for d in [1, 16); dim 0 and wider
+/// points take LeafDistancesAnyDim.
+template <std::size_t... D>
+constexpr std::array<LeafDistancesFn, sizeof...(D) + 1> LeafDistancesTable(
+    std::index_sequence<D...>) {
+  return {&LeafDistancesAnyDim, &LeafDistancesFixed<D + 1>...};
+}
+constexpr auto kLeafDistances =
+    LeafDistancesTable(std::make_index_sequence<15>{});
+
+std::uint32_t LeafScreenScalar(const double* q, const double* cols,
+                               std::size_t stride, std::size_t dim,
+                               std::size_t count, double bound, double* d2) {
+  (dim < kLeafDistances.size() ? kLeafDistances[dim] : &LeafDistancesAnyDim)(
+      q, cols, stride, dim, count, d2);
+  std::uint32_t mask = 0;
+  for (std::size_t t = 0; t < count; ++t) {
+    mask |= static_cast<std::uint32_t>(d2[t] <= bound) << t;
+  }
+  return mask;
 }
 
 void ScreenRowF64Scalar(const double* soa, std::size_t stride,
@@ -197,6 +268,7 @@ const SimdKernels& ScalarKernels() {
   static const SimdKernels kernels = {
       SquaredDistanceScalar,
       SquaredDistanceBoundedScalar,
+      LeafScreenScalar,
       ScreenRowF64Scalar,
       ScreenRowF32Scalar,
       SliceMaskScalar,

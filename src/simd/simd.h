@@ -1,9 +1,11 @@
 // Explicit SIMD layer: runtime CPU dispatch over scalar / AVX2 / AVX-512
 // implementations of the two hot kernel families (DESIGN.md §5g):
 //
-//   * the batched-kNN distance kernels — the exact 4-partial-sum squared
-//     distance every result-bearing path shares, and the Gram-screening
-//     tile rows (f64 and f32) that only ever *prune* pairs,
+//   * the kNN distance kernels — the exact 4-partial-sum squared distance
+//     every result-bearing path shares, the KD-tree leaf screen (the same
+//     distance for a column-major block of up to 16 points per call, plus
+//     its compare mask), and the Gram-screening tile rows (f64 and f32)
+//     that only ever *prune* pairs,
 //   * the rank-space contrast kernels — the rank-predicate slice mask
 //     (one pass over the conditions' uint32 ranks), stamp-filtered
 //     compaction of that selection (object-id order for moment tests,
@@ -12,13 +14,14 @@
 //
 // Bit-identity contract. Kernels come in two classes:
 //
-//   CANONICAL — squared_distance(_bounded), mean, sum_sq_dev, slice_mask,
-//   both compaction kernels, and the grid bin_index kernel define *the*
-//   result. Every tier computes the same partial-sum decomposition in the
-//   same combine order (see kernels_scalar.cc for the reference), so
-//   outputs are bit-identical across scalar/AVX2/AVX-512 and across
-//   machines. None of them may use FMA (the build pins -ffp-contract=off
-//   so inlined scalar code cannot silently contract either).
+//   CANONICAL — squared_distance(_bounded), leaf_screen, mean, sum_sq_dev,
+//   slice_mask, both compaction kernels, and the grid bin_index kernel
+//   define *the* result. Every tier computes the same partial-sum
+//   decomposition in the same combine order (see kernels_scalar.cc for the
+//   reference), so outputs are bit-identical across scalar/AVX2/AVX-512
+//   and across machines. None of them may use FMA (the build pins
+//   -ffp-contract=off so inlined scalar code cannot silently contract
+//   either).
 //
 //   SCREENING — screen_row_f64 / screen_row_f32 produce approximations
 //   whose error the caller covers with a slack margin before an exact
@@ -75,6 +78,20 @@ struct SimdKernels {
   /// certificate of exceedance.
   double (*squared_distance_bounded)(const double* a, const double* b,
                                      std::size_t dim, double bound);
+
+  /// CANONICAL. Leaf screen of the KD-tree: squared distances from `q` to
+  /// `count` (<= kLeafScreenWidth) column-major points, where coordinate j
+  /// of point t is cols[j * stride + t]:
+  ///   d2[t] = squared_distance(q, point t, dim)  (same lanes and combine)
+  /// and bit t of the returned mask is set iff d2[t] <= bound. The vector
+  /// runs across the points, never across a point's dimensions, so every
+  /// tier is bit-identical to squared_distance. Writes d2[0, count) only
+  /// and reads no column element past cols[j * stride + count - 1].
+  using LeafScreenFn = std::uint32_t (*)(const double* q, const double* cols,
+                                         std::size_t stride, std::size_t dim,
+                                         std::size_t count, double bound,
+                                         double* d2);
+  LeafScreenFn leaf_screen;
 
   /// SCREENING. One row of the Gram-decomposition tile:
   ///   d2[t] = ni + norms[t] - 2 * <x_i, x_{j0+t}>   for t in [0, w)
@@ -175,6 +192,9 @@ inline constexpr std::size_t kCompactPad = 8;
 
 /// Maximum `w` the screening-row kernels accept (the distance tile edge).
 inline constexpr std::size_t kMaxScreenWidth = 128;
+
+/// Maximum `count` leaf_screen accepts: one KD-tree leaf block.
+inline constexpr std::size_t kLeafScreenWidth = 16;
 
 /// Features of the machine we are running on (cpuid, cached).
 const SimdFeatures& DetectedFeatures();

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
 
 #include "common/random.h"
+#include "index/neighbor_searcher.h"
 
 namespace hics {
 namespace {
@@ -64,6 +68,61 @@ TEST(LofTest, KdTreeBackendMatchesBruteForce) {
   ASSERT_EQ(s1.size(), s2.size());
   for (std::size_t i = 0; i < s1.size(); ++i) {
     EXPECT_NEAR(s1[i], s2[i], 1e-9) << "object " << i;
+  }
+}
+
+TEST(LofTest, KdTreeNeighborsAndScoresPermuteWithRows) {
+  // A row shuffle permutes the kd-tree's kNN tables and the LOF scores bit
+  // for bit when no two distances tie: the (distance, id) order then never
+  // reads an id, so only the labels move.
+  const std::size_t n = 600;
+  const std::size_t k = 10;
+  Rng rng(8);
+  Dataset data(n, 6);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < 6; ++j) data.Set(i, j, rng.UniformDouble());
+  }
+  std::vector<std::size_t> perm(n);  // shuffled row i is data row perm[i]
+  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+  rng.Shuffle(&perm);
+  Dataset shuffled(n, 6);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < 6; ++j) {
+      shuffled.Set(i, j, data.Get(perm[i], j));
+    }
+  }
+  for (const Subspace& subspace : {Subspace{2, 5}, Subspace{0, 1, 3, 4}}) {
+    // LOF ranks these subspaces through the kd-tree.
+    ASSERT_EQ(ResolveKnnSearcher(data, subspace, k)->backend(),
+              KnnBackend::kKdTree);
+    // k + 1 neighbors, so the strict order below also separates the k-th
+    // neighbor from the first one left out.
+    KnnResultTable original, permuted;
+    MakeKdTreeSearcher(data, subspace)->QueryAllKnn(k + 1, &original);
+    MakeKdTreeSearcher(shuffled, subspace)->QueryAllKnn(k + 1, &permuted);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto want = original.Row(perm[i]);
+      const auto got = permuted.Row(i);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t m = 0; m < want.size(); ++m) {
+        if (m > 0) {
+          ASSERT_LT(want[m - 1].distance, want[m].distance);
+        }
+        EXPECT_EQ(perm[got[m].id], want[m].id) << "row " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[m].distance),
+                  std::bit_cast<std::uint64_t>(want[m].distance))
+            << "row " << i;
+      }
+    }
+    const LofScorer lof({.min_pts = k});
+    const auto scores = lof.ScoreSubspace(data, subspace);
+    const auto shuffled_scores = lof.ScoreSubspace(shuffled, subspace);
+    ASSERT_EQ(shuffled_scores.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(shuffled_scores[i]),
+                std::bit_cast<std::uint64_t>(scores[perm[i]]))
+          << "row " << i;
+    }
   }
 }
 

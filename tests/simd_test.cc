@@ -1,13 +1,14 @@
 // SIMD layer guarantees (DESIGN.md §5g):
-//  (1) every CANONICAL kernel (exact distance, bounded distance, the slice
-//      mask, both compactions, sum, sum_sq_dev) is bit-identical across
+//  (1) every CANONICAL kernel (exact distance, bounded distance, the
+//      KD-tree leaf screen, the slice mask, both compactions, sum,
+//      sum_sq_dev) is bit-identical across
 //      every tier this machine can run, on hostile inputs too (NaN,
 //      duplicates, tie-heavy, remainder-heavy lengths);
 //  (2) the SCREENING kernels stay within the slack margins the brute-force
 //      searcher covers them with, in both precisions;
 //  (3) the dispatch seam: tier parsing/clamping/scoped restore, and — end
-//      to end — ranking, search, and serve outputs are byte-identical when
-//      each tier is forced, across thread counts {1, 2, 4}.
+//      to end — ranking, search, serve and every KD-tree query are
+//      byte-identical when each tier is forced, across thread counts.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,8 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -80,6 +83,69 @@ TEST(SimdKernelTest, SquaredDistanceIdenticalAcrossTiers) {
         EXPECT_EQ(Bits(expected), Bits(got))
             << "dim=" << dim << " tier=" << simd::SimdTierName(tier)
             << " specials=" << specials;
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, LeafScreenIdenticalAcrossTiers) {
+  // Every tier against scalar over each block size, dimensionality and a
+  // padded or exact column stride; d2 must also be SquaredDistance of the
+  // gathered point, the mask must be exactly d2 <= bound (a bound equal to
+  // one computed d2 sets that bit), and nothing past d2[count) is written.
+  const double inf = std::numeric_limits<double>::infinity();
+  const simd::SimdKernels& scalar = KernelsForTier(SimdTier::kScalar);
+  for (std::size_t dim = 1; dim <= 20; ++dim) {
+    for (std::size_t count = 1; count <= simd::kLeafScreenWidth; ++count) {
+      for (std::size_t stride : {count, count + 5}) {
+        // Exactly dim * stride elements: the last column ends at the
+        // allocation's end, so an over-read shows under ASan.
+        const std::vector<double> cols =
+            HostileValues(dim * stride, 31 * dim + count, false);
+        const std::vector<double> q = HostileValues(dim, 7 * dim, false);
+        std::vector<double> point(dim);
+        std::vector<double> expected(count);
+        for (std::size_t t = 0; t < count; ++t) {
+          for (std::size_t j = 0; j < dim; ++j) {
+            point[j] = cols[j * stride + t];
+          }
+          expected[t] = SquaredDistance(q.data(), point.data(), dim);
+        }
+        const double tie = expected[count / 2];
+        const double below = std::nextafter(
+            *std::min_element(expected.begin(), expected.end()), -inf);
+        for (double bound : {tie, inf, below}) {
+          std::vector<double> ref(count + 1, -1.0);
+          const std::uint32_t ref_mask = scalar.leaf_screen(
+              q.data(), cols.data(), stride, dim, count, bound, ref.data());
+          for (SimdTier tier : AvailableTiers()) {
+            const std::string where =
+                "dim=" + std::to_string(dim) + " count=" +
+                std::to_string(count) + " stride=" + std::to_string(stride) +
+                " bound=" + std::to_string(bound) +
+                " tier=" + simd::SimdTierName(tier);
+            std::vector<double> d2(count + 1, -1.0);
+            const std::uint32_t mask = KernelsForTier(tier).leaf_screen(
+                q.data(), cols.data(), stride, dim, count, bound, d2.data());
+            EXPECT_EQ(mask, ref_mask) << where;
+            EXPECT_EQ(Bits(d2[count]), Bits(-1.0)) << where;
+            for (std::size_t t = 0; t < count; ++t) {
+              EXPECT_EQ(Bits(d2[t]), Bits(ref[t])) << where << " t=" << t;
+              EXPECT_EQ(Bits(d2[t]), Bits(expected[t])) << where << " t=" << t;
+              EXPECT_EQ((mask >> t) & 1u,
+                        static_cast<std::uint32_t>(expected[t] <= bound))
+                  << where << " t=" << t;
+            }
+            EXPECT_EQ(mask >> count, 0u) << where;
+          }
+          if (bound == inf) {
+            EXPECT_EQ(ref_mask, (std::uint32_t{1} << count) - 1);
+          } else if (bound == below) {
+            EXPECT_EQ(ref_mask, 0u);
+          } else {
+            EXPECT_NE((ref_mask >> (count / 2)) & 1u, 0u) << "tie at bound";
+          }
+        }
       }
     }
   }
@@ -537,6 +603,97 @@ TEST(SimdSeamTest, ServeIsIdenticalAcrossTiers) {
     for (std::size_t i = 0; i < ref_queries.size(); ++i) {
       EXPECT_EQ(Bits((*scored)[i]), Bits(ref_queries[i]))
           << "query " << i << " tier=" << simd::SimdTierName(tier);
+    }
+  }
+}
+
+void ExpectSameNeighbors(std::span<const Neighbor> got,
+                         std::span<const Neighbor> want,
+                         const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << where << " neighbor " << i;
+    EXPECT_EQ(Bits(got[i].distance), Bits(want[i].distance))
+        << where << " neighbor " << i;
+  }
+}
+
+TEST(SimdSeamTest, KdTreeIdenticalAcrossTiers) {
+  // N = 301 is not a multiple of the 16-point leaf block, so some leaf
+  // ends at the last element of the last column; rows [100, 140) are one
+  // point repeated, a leaf of 40 identical points scanned in three blocks.
+  // |S| = 16 and 20 sit at and past the old 16-dim distance switch.
+  const std::size_t n = 301;
+  Dataset data(n, 20);
+  Rng rng(95);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < 20; ++j) {
+      data.Set(i, j, i >= 100 && i < 140 ? 0.25 : rng.UniformDouble());
+    }
+  }
+  const std::size_t k = 10;
+  for (std::size_t dims : {2, 7, 16, 20}) {
+    std::vector<std::size_t> attributes;
+    for (std::size_t j = 0; j < dims; ++j) attributes.push_back(j * 3 % 20);
+    const Subspace subspace(attributes);
+    // Out-of-sample points: perturbed rows and one exact copy of a
+    // duplicated row.
+    std::vector<std::vector<double>> points;
+    for (std::size_t q = 0; q < n; q += 37) {
+      std::vector<double> point;
+      for (std::size_t j : subspace) {
+        point.push_back(data.Get(q, j) + 0.001 * rng.UniformDouble());
+      }
+      points.push_back(point);
+    }
+    points.emplace_back(dims, 0.25);
+    // Scalar brute force is the reference for every query kind; the
+    // radius is each query's k-th neighbor distance, so ties at the radius
+    // are exercised.
+    KnnResultTable reference;
+    std::vector<std::vector<Neighbor>> ref_points, ref_radius;
+    std::vector<double> radii;
+    {
+      simd::ScopedSimdTier forced(SimdTier::kScalar);
+      const auto brute = MakeBruteForceSearcher(data, subspace);
+      brute->QueryAllKnnPerQuery(k, &reference, 1);
+      for (const auto& point : points) {
+        ref_points.push_back(brute->QueryKnnPoint(point, k));
+      }
+      for (std::size_t q = 0; q < n; ++q) {
+        radii.push_back(reference.Row(q).back().distance);
+        ref_radius.push_back(brute->QueryRadius(q, radii.back()));
+      }
+    }
+    for (SimdTier tier : AvailableTiers()) {
+      simd::ScopedSimdTier forced(tier);
+      const auto tree = MakeKdTreeSearcher(data, subspace);
+      const std::string where = std::string("tier=") +
+                                simd::SimdTierName(tier) +
+                                " dims=" + std::to_string(dims);
+      for (std::size_t threads : {1, 4}) {
+        KnnResultTable table;
+        tree->QueryAllKnn(k, &table, threads);
+        ASSERT_EQ(table.num_queries(), n);
+        for (std::size_t q = 0; q < n; ++q) {
+          ExpectSameNeighbors(table.Row(q), reference.Row(q),
+                              where + " threads=" + std::to_string(threads) +
+                                  " QueryAllKnn q=" + std::to_string(q));
+        }
+      }
+      for (std::size_t q = 0; q < n; ++q) {
+        const std::string at = where + " q=" + std::to_string(q);
+        ExpectSameNeighbors(tree->QueryKnn(q, k), reference.Row(q),
+                            at + " QueryKnn");
+        ExpectSameNeighbors(tree->QueryRadius(q, radii[q]), ref_radius[q],
+                            at + " QueryRadius");
+        EXPECT_EQ(tree->CountRadius(q, radii[q]), ref_radius[q].size())
+            << at << " CountRadius";
+      }
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        ExpectSameNeighbors(tree->QueryKnnPoint(points[i], k), ref_points[i],
+                            where + " QueryKnnPoint " + std::to_string(i));
+      }
     }
   }
 }
