@@ -117,10 +117,11 @@ int main() {
         while (b == a) b = 2 * kGroups + rng.UniformIndex(kNoiseAttrs);
         subspaces.push_back(hics::Subspace{a, b});
       }
+      const hics::PreparedDataset prepared(c.data);
       const auto avg = hics::RankWithSubspaces(
-          c.data, subspaces, lof, hics::ScoreAggregation::kAverage);
+          prepared, subspaces, lof, hics::ScoreAggregation::kAverage);
       const auto mx = hics::RankWithSubspaces(
-          c.data, subspaces, lof, hics::ScoreAggregation::kMax);
+          prepared, subspaces, lof, hics::ScoreAggregation::kMax);
       auc_avg.Add(Unwrap(hics::ComputeAuc(avg, c.data.labels()), "AUC"));
       auc_max.Add(Unwrap(hics::ComputeAuc(mx, c.data.labels()), "AUC"));
       rank_single_avg.Add(MeanRank(avg, c.single_ids));

@@ -104,9 +104,9 @@ int main() {
   std::vector<Sample> rank_samples;
   for (std::size_t threads : kThreadCounts) {
     hics::Timer timer;
-    const auto scores =
-        hics::RankWithSubspaces(data, reference, ranking_lof,
-                                hics::ScoreAggregation::kAverage, threads);
+    const auto scores = hics::RankWithSubspaces(
+        hics::PreparedDataset(data), hics::PlainSubspaces(reference),
+        ranking_lof, hics::ScoreAggregation::kAverage, threads);
     Sample sample{threads, timer.ElapsedSeconds(), true};
     if (threads == 1) rank_reference = scores;
     sample.identical = scores == rank_reference;

@@ -92,7 +92,8 @@ double CorrelationBaselineAuc(const hics::Dataset& data, bool spearman) {
   }
   hics::KeepTopK(&scored, kTopK);
   const hics::LofScorer lof({kLofMinPts});
-  const auto scores = hics::RankWithSubspaces(data, scored, lof);
+  const auto scores = hics::RankWithSubspaces(
+      hics::PreparedDataset(data), hics::PlainSubspaces(scored), lof);
   return Unwrap(hics::ComputeAuc(scores, data.labels()), "AUC");
 }
 

@@ -56,7 +56,8 @@ inline MethodRun RunSubspaceMethod(const SubspaceSearchMethod& method,
   Timer timer;
   auto subspaces = Unwrap(method.Search(data), run.method.c_str());
   run.num_subspaces = subspaces.size();
-  run.scores = RankWithSubspaces(data, subspaces, lof);
+  run.scores =
+      RankWithSubspaces(PreparedDataset(data), PlainSubspaces(subspaces), lof);
   run.runtime_seconds = timer.ElapsedSeconds();
   if (data.has_labels()) {
     run.auc = Unwrap(ComputeAuc(run.scores, data.labels()), "AUC");

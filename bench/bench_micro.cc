@@ -405,12 +405,14 @@ void WritePipelineStageReport() {
       AggregateScores(per_query_subspace, ScoreAggregation::kAverage);
   const double rank_per_query_seconds = per_query_timer.ElapsedSeconds();
   Timer serial_timer;
+  const std::vector<Subspace> plain = PlainSubspaces(*subspaces);
   const auto serial_scores = RankWithSubspaces(
-      data, *subspaces, lof, ScoreAggregation::kAverage, 1);
+      PreparedDataset(data), plain, lof, ScoreAggregation::kAverage, 1);
   const double rank_serial_seconds = serial_timer.ElapsedSeconds();
   Timer parallel_timer;
-  const auto parallel_scores = RankWithSubspaces(
-      data, *subspaces, lof, ScoreAggregation::kAverage, parallel_threads);
+  const auto parallel_scores =
+      RankWithSubspaces(PreparedDataset(data), plain, lof,
+                        ScoreAggregation::kAverage, parallel_threads);
   const double rank_parallel_seconds = parallel_timer.ElapsedSeconds();
   const bool identical = serial_scores == per_query_scores &&
                          parallel_scores == serial_scores;
@@ -421,13 +423,11 @@ void WritePipelineStageReport() {
   const PreparedDataset prepared(data);
   Timer cold_timer;
   const auto cold_scores = RankWithSubspaces(
-      prepared, *subspaces, lof, ScoreAggregation::kAverage,
-      parallel_threads);
+      prepared, plain, lof, ScoreAggregation::kAverage, parallel_threads);
   const double rank_cold_seconds = cold_timer.ElapsedSeconds();
   Timer warm_timer;
   const auto warm_scores = RankWithSubspaces(
-      prepared, *subspaces, lof, ScoreAggregation::kAverage,
-      parallel_threads);
+      prepared, plain, lof, ScoreAggregation::kAverage, parallel_threads);
   const double rank_warm_seconds = warm_timer.ElapsedSeconds();
   const bool warm_identical =
       cold_scores == per_query_scores && warm_scores == per_query_scores;

@@ -110,7 +110,8 @@ int main() {
 
   std::printf("\nranking quality with interchangeable scorers:\n");
   for (const hics::OutlierScorer* scorer : scorers) {
-    const auto scores = hics::RankWithSubspaces(prepared, *subspaces, *scorer);
+    const auto scores = hics::RankWithSubspaces(
+        prepared, hics::PlainSubspaces(*subspaces), *scorer);
     const double auc = *hics::ComputeAuc(scores, data.labels());
     const double p_at_k =
         *hics::PrecisionAtN(scores, data.labels(), kFraudulent);

@@ -1,8 +1,8 @@
 // Shared Euclidean distance kernels for the neighbor-search backends and
 // the distance-based scorers. Every caller that needs results identical to
-// another path (KD-tree vs brute force parity, batched vs per-query kNN,
-// ORCA vs the brute-force top-n reference) must accumulate in the same
-// order; centralizing the kernels here makes that invariant structural.
+// another path (KD-tree vs brute force parity, batched vs per-query kNN)
+// must accumulate in the same order; centralizing the kernels here makes
+// that invariant structural.
 //
 // The canonical accumulation is four independent partial sums (lane
 // l takes dimensions j % 4 == l) combined as (s0+s2) + (s1+s3) — the

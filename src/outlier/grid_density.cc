@@ -133,16 +133,6 @@ std::vector<double> GridDensityScorer::ScoreWithGrid(
   return scores;
 }
 
-std::vector<double> GridDensityScorer::ScoreSubspace(
-    const Dataset& dataset, const Subspace& subspace) const {
-  GridOptions options;
-  options.bins_per_dim = params_.bins_per_dim;
-  options.num_threads = params_.num_threads;
-  options.keep_point_keys = !params_.smooth;
-  const SubspaceGrid grid(dataset, subspace, options);
-  return ScoreWithGrid(dataset, subspace, grid);
-}
-
 std::vector<double> GridDensityScorer::ScoreSubspaceSharded(
     const ShardPlane& sharded, const Subspace& subspace) const {
   GridOptions options;
@@ -201,8 +191,7 @@ std::vector<double> GridDensityScorer::ScoreSubspacePrepared(
   // across a window slide by exact retire/admit (only possible without
   // retained point keys — ids shift). Densities are identical either way.
   options.keep_point_keys = false;
-  // Ranges come from the prepared artifact (no column rescan); the grid
-  // — and therefore every score — is identical to the cold path's.
+  // Ranges come from the prepared artifact (no column rescan).
   std::vector<std::pair<double, double>> ranges(subspace.size());
   for (std::size_t j = 0; j < subspace.size(); ++j) {
     ranges[j] = prepared.AttributeRange(subspace[j]);
@@ -230,7 +219,7 @@ std::string GridDensityScorer::cache_key() const {
          ":smooth=" + std::string(params_.smooth ? "1" : "0");
 }
 
-TrainedScorerState GridDensityScorer::BuildTrainedStatePrepared(
+TrainedScorerState GridDensityScorer::BuildTrainedState(
     const PreparedDataset& prepared, const Subspace& subspace) const {
   GridOptions options;
   options.bins_per_dim = params_.bins_per_dim;
@@ -275,8 +264,10 @@ TrainedScorerState GridDensityScorer::BuildTrainedStatePrepared(
   return state;
 }
 
-double GridDensityScorer::ScoreOutOfSamplePoint(
-    std::span<const double> projected, const TrainedScorerState& state) const {
+double GridDensityScorer::ScoreOutOfSample(
+    std::span<const double> projected, std::span<const Neighbor> neighbors,
+    const TrainedScorerState& state) const {
+  (void)neighbors;
   HICS_CHECK_EQ(state.channels.size(), kStateChannels);
   const std::vector<double>& meta = state.channels[0];
   const std::vector<double>& key_pairs = state.channels[1];

@@ -46,19 +46,16 @@ struct GridDensityParams {
 /// Determinism: binning runs the canonical SIMD bin_index kernel, the
 /// moments run the canonical sum/sum_sq_dev kernels, and cell counts are
 /// exact integers, so scores are bit-identical across SIMD tiers, thread
-/// counts, dense/sparse grid layouts, and the cold/prepared paths.
+/// counts, dense/sparse grid layouts, and cache states.
 class GridDensityScorer : public OutlierScorer {
  public:
-  /// Trained-state channel layout (BuildTrainedStatePrepared):
+  /// Trained-state channel layout (BuildTrainedState):
   ///   0: meta [dims, bins, smooth, total, mean, sigma, lo..., width...]
   ///   1: occupied cell keys, ascending, as (low32, high32) double pairs
   ///   2: occupied cell counts, aligned with channel 1
   static constexpr std::size_t kStateChannels = 3;
 
   explicit GridDensityScorer(const GridDensityParams& params = {});
-
-  std::vector<double> ScoreSubspace(const Dataset& dataset,
-                                    const Subspace& subspace) const override;
 
   std::vector<double> ScoreSubspacePrepared(
       const PreparedDataset& prepared, const Subspace& subspace) const override;
@@ -76,15 +73,17 @@ class GridDensityScorer : public OutlierScorer {
 
   std::string cache_key() const override;
 
+  /// Out-of-sample support without neighbors (NeighborhoodSize() stays
+  /// 0): a query is binned into the trained histogram and scored from its
+  /// cell count and the training moments, O(|S| + log C).
   bool SupportsOutOfSample() const override { return true; }
-  bool OutOfSampleNeedsNeighbors() const override { return false; }
-  std::size_t NeighborhoodSize() const override { return 0; }
 
-  TrainedScorerState BuildTrainedStatePrepared(
+  TrainedScorerState BuildTrainedState(
       const PreparedDataset& prepared, const Subspace& subspace) const override;
 
-  double ScoreOutOfSamplePoint(std::span<const double> projected,
-                               const TrainedScorerState& state) const override;
+  double ScoreOutOfSample(std::span<const double> projected,
+                          std::span<const Neighbor> neighbors,
+                          const TrainedScorerState& state) const override;
 
   /// Structural validation of a deserialized trained state for a
   /// `dims`-attribute subspace over `num_objects` training objects:

@@ -34,17 +34,6 @@ std::vector<double> MeanDistanceFromTable(const KnnResultTable& table,
 
 }  // namespace
 
-std::vector<double> KnnDistanceScorer::ScoreSubspace(
-    const Dataset& dataset, const Subspace& subspace) const {
-  const std::size_t n = dataset.num_objects();
-  if (n < 2) return std::vector<double>(n, 0.0);
-  const std::size_t k = ClampNeighborhoodSize(k_, n, name().c_str());
-  const auto searcher = ResolveKnnSearcher(dataset, subspace, k);
-  KnnResultTable table;
-  searcher->QueryAllKnn(k, &table, num_threads_);
-  return KthDistanceFromTable(table, n);
-}
-
 std::vector<double> KnnDistanceScorer::ScoreSubspacePrepared(
     const PreparedDataset& prepared, const Subspace& subspace) const {
   const std::size_t n = prepared.num_objects();
@@ -56,21 +45,11 @@ std::vector<double> KnnDistanceScorer::ScoreSubspacePrepared(
 }
 
 double KnnDistanceScorer::ScoreOutOfSample(
-    std::span<const Neighbor> neighbors,
+    std::span<const double> projected, std::span<const Neighbor> neighbors,
     const TrainedScorerState& state) const {
+  (void)projected;
   (void)state;
   return neighbors.empty() ? 0.0 : neighbors.back().distance;
-}
-
-std::vector<double> KnnAverageScorer::ScoreSubspace(
-    const Dataset& dataset, const Subspace& subspace) const {
-  const std::size_t n = dataset.num_objects();
-  if (n < 2) return std::vector<double>(n, 0.0);
-  const std::size_t k = ClampNeighborhoodSize(k_, n, name().c_str());
-  const auto searcher = ResolveKnnSearcher(dataset, subspace, k);
-  KnnResultTable table;
-  searcher->QueryAllKnn(k, &table, num_threads_);
-  return MeanDistanceFromTable(table, n);
 }
 
 std::vector<double> KnnAverageScorer::ScoreSubspacePrepared(
@@ -84,8 +63,9 @@ std::vector<double> KnnAverageScorer::ScoreSubspacePrepared(
 }
 
 double KnnAverageScorer::ScoreOutOfSample(
-    std::span<const Neighbor> neighbors,
+    std::span<const double> projected, std::span<const Neighbor> neighbors,
     const TrainedScorerState& state) const {
+  (void)projected;
   (void)state;
   if (neighbors.empty()) return 0.0;
   double sum = 0.0;

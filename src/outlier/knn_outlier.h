@@ -20,11 +20,8 @@ class KnnDistanceScorer : public OutlierScorer {
   explicit KnnDistanceScorer(std::size_t k = 10, std::size_t num_threads = 1)
       : k_(k), num_threads_(num_threads) {}
 
-  std::vector<double> ScoreSubspace(const Dataset& dataset,
-                                    const Subspace& subspace) const override;
-
-  /// Prepared path: the n*k neighborhood table comes from the artifact
-  /// cache (shared with LOF when both use the same k in one subspace).
+  /// The n*k neighborhood table comes from the artifact cache (shared
+  /// with LOF when both use the same k in one subspace).
   std::vector<double> ScoreSubspacePrepared(
       const PreparedDataset& prepared, const Subspace& subspace) const override;
 
@@ -40,7 +37,8 @@ class KnnDistanceScorer : public OutlierScorer {
   /// the searcher.
   bool SupportsOutOfSample() const override { return true; }
   std::size_t NeighborhoodSize() const override { return k_; }
-  double ScoreOutOfSample(std::span<const Neighbor> neighbors,
+  double ScoreOutOfSample(std::span<const double> projected,
+                          std::span<const Neighbor> neighbors,
                           const TrainedScorerState& state) const override;
 
  private:
@@ -56,10 +54,7 @@ class KnnAverageScorer : public OutlierScorer {
   explicit KnnAverageScorer(std::size_t k = 10, std::size_t num_threads = 1)
       : k_(k), num_threads_(num_threads) {}
 
-  std::vector<double> ScoreSubspace(const Dataset& dataset,
-                                    const Subspace& subspace) const override;
-
-  /// Prepared path: neighborhood table from the artifact cache.
+  /// Neighborhood table from the artifact cache.
   std::vector<double> ScoreSubspacePrepared(
       const PreparedDataset& prepared, const Subspace& subspace) const override;
 
@@ -74,7 +69,8 @@ class KnnAverageScorer : public OutlierScorer {
   /// training objects; stateless like knn-dist.
   bool SupportsOutOfSample() const override { return true; }
   std::size_t NeighborhoodSize() const override { return k_; }
-  double ScoreOutOfSample(std::span<const Neighbor> neighbors,
+  double ScoreOutOfSample(std::span<const double> projected,
+                          std::span<const Neighbor> neighbors,
                           const TrainedScorerState& state) const override;
 
  private:

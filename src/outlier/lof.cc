@@ -10,26 +10,6 @@
 
 namespace hics {
 
-std::vector<double> LofScorer::ScoreSubspace(const Dataset& dataset,
-                                             const Subspace& subspace) const {
-  const std::size_t n = dataset.num_objects();
-  if (n == 0) return {};
-  const std::size_t k = ClampNeighborhoodSize(params_.min_pts, n, "lof");
-
-  const auto searcher = ResolveKnnSearcher(dataset, subspace, k);
-
-  // Pass 1: k-nearest neighborhoods and k-distances (the quadratic part)
-  // through the batched all-kNN engine — one blocked sweep instead of n
-  // independent scans. Neighborhoods land in one flat n*k table and the
-  // pass is worker-parallel and read-only on the searcher.
-  const std::size_t num_threads = params_.num_threads == 0
-                                      ? DefaultNumThreads()
-                                      : params_.num_threads;
-  KnnResultTable table;
-  searcher->QueryAllKnn(k, &table, num_threads);
-  return ScoreFromTable(table, n, num_threads);
-}
-
 std::vector<double> LofScorer::ScoreSubspacePrepared(
     const PreparedDataset& prepared, const Subspace& subspace) const {
   const std::size_t n = prepared.num_objects();
@@ -38,8 +18,9 @@ std::vector<double> LofScorer::ScoreSubspacePrepared(
   const std::size_t num_threads = params_.num_threads == 0
                                       ? DefaultNumThreads()
                                       : params_.num_threads;
-  // Pass 1 comes from the artifact cache: the projected searcher and the
-  // n*k table are built once per (k, subspace) and shared with every other
+  // Pass 1 (the quadratic part) comes from the artifact cache: the
+  // projected searcher and the n*k table, built once per (k, subspace)
+  // through the batched all-kNN engine and shared with every other
   // consumer of this PreparedDataset.
   const std::shared_ptr<const KnnResultTable> table =
       prepared.cache().GetKnnTable(subspace, k, num_threads);
@@ -120,16 +101,22 @@ std::vector<double> LofScorer::ScoreFromTable(const KnnResultTable& table,
 }
 
 TrainedScorerState LofScorer::BuildTrainedState(
-    const KnnResultTable& table) const {
+    const PreparedDataset& prepared, const Subspace& subspace) const {
+  const std::size_t n = prepared.num_objects();
+  const std::size_t k = ClampNeighborhoodSize(params_.min_pts, n, "lof");
+  const std::shared_ptr<const KnnResultTable> table =
+      prepared.cache().GetKnnTable(subspace, k, params_.num_threads);
   TrainedScorerState state;
   state.channels.resize(2);
-  ComputeDensities(table, table.num_queries(), /*num_threads=*/1,
-                   &state.channels[0], &state.channels[1]);
+  ComputeDensities(*table, n, /*num_threads=*/1, &state.channels[0],
+                   &state.channels[1]);
   return state;
 }
 
-double LofScorer::ScoreOutOfSample(std::span<const Neighbor> neighbors,
+double LofScorer::ScoreOutOfSample(std::span<const double> projected,
+                                   std::span<const Neighbor> neighbors,
                                    const TrainedScorerState& state) const {
+  (void)projected;
   HICS_CHECK_EQ(state.channels.size(), 2u);
   const std::vector<double>& k_distance = state.channels[0];
   const std::vector<double>& lrd = state.channels[1];

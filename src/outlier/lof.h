@@ -36,13 +36,10 @@ class LofScorer : public OutlierScorer {
  public:
   explicit LofScorer(LofParams params = {}) : params_(params) {}
 
-  std::vector<double> ScoreSubspace(const Dataset& dataset,
-                                    const Subspace& subspace) const override;
-
-  /// Prepared path: draws the projected searcher and the n*k neighborhood
-  /// table from `prepared`'s artifact cache (building and publishing them
-  /// on first use), then runs the same pass-2/3 density math as the cold
-  /// path. Bit-identical to ScoreSubspace for every backend/thread count.
+  /// Draws the projected searcher and the n*k neighborhood table from
+  /// `prepared`'s artifact cache (building and publishing them on first
+  /// use), then runs the pass-2/3 density math of ScoreFromTable.
+  /// Bit-identical for every backend, thread count and cache state.
   std::vector<double> ScoreSubspacePrepared(
       const PreparedDataset& prepared, const Subspace& subspace) const override;
 
@@ -63,15 +60,15 @@ class LofScorer : public OutlierScorer {
   bool SupportsOutOfSample() const override { return true; }
   std::size_t NeighborhoodSize() const override { return params_.min_pts; }
   TrainedScorerState BuildTrainedState(
-      const KnnResultTable& table) const override;
-  double ScoreOutOfSample(std::span<const Neighbor> neighbors,
+      const PreparedDataset& prepared, const Subspace& subspace) const override;
+  double ScoreOutOfSample(std::span<const double> projected,
+                          std::span<const Neighbor> neighbors,
                           const TrainedScorerState& state) const override;
 
   const LofParams& params() const { return params_; }
 
   /// Passes 2-3 (lrd + LOF ratio) over an already-computed neighborhood
-  /// table of `n` rows; shared verbatim by the cold and prepared paths so
-  /// they cannot drift, and public so a table from any searcher (e.g. the
+  /// table of `n` rows; public so a table from any searcher (e.g. the
   /// per-query reference NeighborSearcher::QueryAllKnnPerQuery) can be
   /// scored directly.
   std::vector<double> ScoreFromTable(const KnnResultTable& table,

@@ -53,22 +53,14 @@ std::vector<double> OutlierScorer::ScoreSubspaceSharded(
   return scores;
 }
 
-double OutlierScorer::ScoreOutOfSample(std::span<const Neighbor> neighbors,
+double OutlierScorer::ScoreOutOfSample(std::span<const double> projected,
+                                       std::span<const Neighbor> neighbors,
                                        const TrainedScorerState& state) const {
+  (void)projected;
   (void)neighbors;
   (void)state;
   HICS_CHECK(false) << "scorer '" << name()
                     << "' does not support out-of-sample scoring";
-  return 0.0;
-}
-
-double OutlierScorer::ScoreOutOfSamplePoint(
-    std::span<const double> projected, const TrainedScorerState& state) const {
-  (void)projected;
-  (void)state;
-  HICS_CHECK(false) << "scorer '" << name()
-                    << "' does not support neighbor-free out-of-sample "
-                       "scoring";
   return 0.0;
 }
 
@@ -124,17 +116,6 @@ bool AllFinite(const std::vector<double>& scores) {
 }
 
 }  // namespace
-
-Result<std::vector<double>> OutlierScorer::ScoreSubspaceChecked(
-    const Dataset& dataset, const Subspace& subspace, const RunContext& ctx,
-    std::uint64_t fault_ordinal) const {
-  HICS_RETURN_NOT_OK(ctx.CheckProgress());
-  HICS_RETURN_NOT_OK(ctx.InjectFault("scorer." + name(), fault_ordinal));
-  std::vector<double> scores = ScoreSubspace(dataset, subspace);
-  HICS_RETURN_NOT_OK(ValidateScoreVector(name(), scores,
-                                         dataset.num_objects(), subspace));
-  return scores;
-}
 
 Result<std::vector<double>> OutlierScorer::ScoreSubspacePreparedChecked(
     const PreparedDataset& prepared, const Subspace& subspace,

@@ -46,36 +46,34 @@ struct TrainedScorerState {
 ///
 /// This is the second step of the paper's decoupled processing: HiCS (or any
 /// other subspace search) selects subspaces, and any implementation of this
-/// interface ranks objects within them. The paper instantiates it with LOF
-/// and names ORCA/OUTRES as future alternatives. This library implements
-/// it for LOF, the kNN-distance and kNN-average scores, the grid-density
-/// score, LOCI, ABOD, OutRes and a univariate baseline; ORCA's top-n
-/// miner (outlier/orca.h) is a separate entry point, not a scorer.
+/// interface ranks objects within them. The paper instantiates it with LOF;
+/// this library implements it for LOF, the kNN-distance and kNN-average
+/// scores, the grid-density score and a univariate baseline.
 ///
-/// Two entry-point families:
-///  - the (Dataset, Subspace) pair is the self-contained cold path;
-///  - the (PreparedDataset, Subspace) pair draws shared derived state
-///    (projected searchers, kNN tables, memoized score vectors) from the
-///    prepared artifact, amortizing repeated scoring of one dataset. Both
-///    families return bit-identical scores; the prepared path only trades
-///    wall clock.
+/// One in-sample seam: a scorer implements ScoreSubspacePrepared, which
+/// may draw shared derived state (projected searchers, kNN tables, grids)
+/// from the prepared artifact's cache. Every other in-sample entry point —
+/// the Dataset adapter, the memoizing and checked variants, the ranking
+/// functions — reaches the scorer through it, so they all return the same
+/// bits; only the wall clock depends on the cache state.
 class OutlierScorer {
  public:
   virtual ~OutlierScorer() = default;
 
-  /// Scores every object of `dataset` with distances restricted to
-  /// `subspace`. Returns a vector of size dataset.num_objects().
-  virtual std::vector<double> ScoreSubspace(const Dataset& dataset,
-                                            const Subspace& subspace) const = 0;
-
-  /// Prepared-path scoring: same contract and bit-identical result as
-  /// ScoreSubspace, but derived state may come from `prepared`'s artifact
-  /// cache instead of being rebuilt. The default adapter simply scores the
-  /// prepared dataset's column store; searcher-based scorers override it
-  /// to reuse cached searchers / kNN tables.
+  /// Scores every object of `prepared.dataset()` with distances restricted
+  /// to `subspace`. Returns a vector of size prepared.num_objects(). Derived
+  /// state may come from (and be published to) `prepared`'s artifact
+  /// cache; the result must not depend on what the cache holds.
   virtual std::vector<double> ScoreSubspacePrepared(
-      const PreparedDataset& prepared, const Subspace& subspace) const {
-    return ScoreSubspace(prepared.dataset(), subspace);
+      const PreparedDataset& prepared, const Subspace& subspace) const = 0;
+
+  /// Dataset adapter: scores through a transient PreparedDataset. Its rank
+  /// artifacts are built lazily, so this costs one empty ArtifactCache,
+  /// and whatever the scorer caches is dropped on return.
+  std::vector<double> ScoreSubspace(const Dataset& dataset,
+                                    const Subspace& subspace) const {
+    const PreparedDataset prepared(dataset);
+    return ScoreSubspacePrepared(prepared, subspace);
   }
 
   /// Scores in the full data space.
@@ -110,23 +108,20 @@ class OutlierScorer {
   virtual std::vector<double> ScoreSubspaceSharded(
       const ShardPlane& sharded, const Subspace& subspace) const;
 
-  /// Fallible entry point used by the degraded-execution pipeline: honors
-  /// the context (cancellation/deadline checked up front), exposes the
-  /// fault-injection site "scorer.<name>", and validates the output — a
-  /// wrong-sized or non-finite score vector becomes a Status error naming
-  /// the offending objects instead of silently poisoning the aggregate.
+  /// Prepared, fallible, *memoizing* entry point — what the degraded
+  /// ranking path calls per subspace. It honors the context
+  /// (cancellation/deadline checked up front), exposes the fault-injection
+  /// site "scorer.<name>", and validates the output: a wrong-sized or
+  /// non-finite score vector becomes a Status error naming the offending
+  /// objects instead of silently poisoning the aggregate.
   ///
   /// `fault_ordinal`, when non-zero, is this call's 1-based position in
   /// the caller's logical scoring sequence (the subspace index in a
   /// ranking pass); the fault site is probed with it so fault placement
   /// is deterministic under parallel ranking. 0 counts by arrival order.
-  Result<std::vector<double>> ScoreSubspaceChecked(
-      const Dataset& dataset, const Subspace& subspace, const RunContext& ctx,
-      std::uint64_t fault_ordinal = 0) const;
-
-  /// Prepared, fallible, *memoizing* entry point — what the prepared
-  /// ranking paths call per subspace. Order of operations is part of the
-  /// bit-identity contract with the cold path:
+  ///
+  /// Order of operations is part of the bit-identity contract between
+  /// cold and warm caches:
   ///  1. context checkpoint, then the "scorer.<name>" fault probe — both
   ///     happen *before* any cache access, so an injected fault fires on
   ///     the same ordinal whether the cache is cold or warm;
@@ -149,7 +144,7 @@ class OutlierScorer {
 
   /// Semantic identity of this scorer for the per-subspace score cache:
   /// two scorer instances with equal cache_key() must produce bit-identical
-  /// ScoreSubspace output on every (dataset, subspace). The key must
+  /// ScoreSubspacePrepared output on every (dataset, subspace). The key must
   /// therefore encode every score-affecting parameter (k, bandwidths, ...)
   /// and must exclude pure performance knobs (threads, backend, batching),
   /// which by the library's determinism discipline never change scores.
@@ -165,41 +160,15 @@ class OutlierScorer {
   /// The neighborhood size this scorer queries with (LOF's min_pts, the
   /// kNN scorers' k) before any dataset clamping; 0 for scorers without a
   /// neighborhood notion. The serving layer uses it to size searcher
-  /// queries and trained kNN tables.
+  /// queries, and runs none at all when it is 0: such a scorer answers
+  /// out-of-sample queries from its trained state alone.
   virtual std::size_t NeighborhoodSize() const { return 0; }
 
-  /// Builds the per-subspace trained state from the fitted dataset's
-  /// all-kNN table for this subspace (row q = neighbors of training object
-  /// q). Only meaningful when SupportsOutOfSample(); the default state is
-  /// empty.
+  /// Builds the per-subspace trained state from the fitted dataset. Only
+  /// meaningful when SupportsOutOfSample(); the default state is empty.
+  /// Neighbor scorers draw the all-kNN table from `prepared`'s cache, the
+  /// one an in-sample ranking pass over the same artifact already built.
   virtual TrainedScorerState BuildTrainedState(
-      const KnnResultTable& table) const {
-    (void)table;
-    return {};
-  }
-
-  /// Scores one out-of-sample query from its neighborhood among the
-  /// *training* objects (`neighbors`, ascending (distance, id), nothing
-  /// excluded) and the state built at fit time. Must not depend on other
-  /// queries — serving batches in any split is bit-identical to one query
-  /// at a time. CHECK-fails on scorers without out-of-sample support; the
-  /// serving layer gates on SupportsOutOfSample() and returns a typed
-  /// Status instead.
-  virtual double ScoreOutOfSample(std::span<const Neighbor> neighbors,
-                                  const TrainedScorerState& state) const;
-
-  /// True when ScoreOutOfSample consumes a neighbor list — the serving
-  /// layer then runs a kNN query per (query, subspace). Neighbor-free
-  /// scorers (the grid-density tier answers from histogram state alone)
-  /// return false, and serving skips the searcher entirely: O(1) per
-  /// query instead of a tree descent or brute scan.
-  virtual bool OutOfSampleNeedsNeighbors() const { return true; }
-
-  /// Builds the per-subspace trained state directly from the prepared
-  /// dataset — the fit path for scorers whose state is not a function of
-  /// a kNN table (OutOfSampleNeedsNeighbors() == false). The default
-  /// state is empty.
-  virtual TrainedScorerState BuildTrainedStatePrepared(
       const PreparedDataset& prepared, const Subspace& subspace) const {
     (void)prepared;
     (void)subspace;
@@ -207,13 +176,18 @@ class OutlierScorer {
   }
 
   /// Scores one out-of-sample query from its projected coordinates
-  /// (`projected[j]` = query value of subspace attribute j) and the state
-  /// built at fit time — the neighbor-free counterpart of
-  /// ScoreOutOfSample, used when OutOfSampleNeedsNeighbors() is false.
-  /// Same independence contract: must not depend on other queries.
-  /// CHECK-fails on scorers that do not implement it.
-  virtual double ScoreOutOfSamplePoint(std::span<const double> projected,
-                                       const TrainedScorerState& state) const;
+  /// (`projected[j]` = query value of subspace attribute j), its
+  /// neighborhood among the *training* objects (`neighbors`, ascending
+  /// (distance, id), nothing excluded; empty when NeighborhoodSize() is
+  /// 0) and the state built at fit time. Neighbor scorers read
+  /// `neighbors`, the grid-density scorer reads `projected`. Must not
+  /// depend on other queries — serving batches in any split is
+  /// bit-identical to one query at a time. CHECK-fails on scorers without
+  /// out-of-sample support; the serving layer gates on
+  /// SupportsOutOfSample() and returns a typed Status instead.
+  virtual double ScoreOutOfSample(std::span<const double> projected,
+                                  std::span<const Neighbor> neighbors,
+                                  const TrainedScorerState& state) const;
 
   /// Short identifier, e.g. "lof".
   virtual std::string name() const = 0;

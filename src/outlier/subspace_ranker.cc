@@ -62,30 +62,6 @@ std::vector<double> AggregateScores(
   return result;
 }
 
-std::vector<double> RankWithSubspaces(const Dataset& dataset,
-                                      const std::vector<Subspace>& subspaces,
-                                      const OutlierScorer& scorer,
-                                      ScoreAggregation aggregation,
-                                      std::size_t num_threads) {
-  if (subspaces.empty()) return scorer.ScoreFullSpace(dataset);
-  // Pre-sized slots: each subspace's vector lands at its own index, so the
-  // aggregation consumes them in subspace order regardless of which worker
-  // finished first — the result is byte-identical to the serial run.
-  std::vector<std::vector<double>> per_subspace(subspaces.size());
-  ParallelFor(0, subspaces.size(), num_threads, [&](std::size_t i) {
-    per_subspace[i] = scorer.ScoreSubspace(dataset, subspaces[i]);
-  });
-  return AggregateScores(per_subspace, aggregation);
-}
-
-std::vector<double> RankWithSubspaces(
-    const Dataset& dataset, const std::vector<ScoredSubspace>& subspaces,
-    const OutlierScorer& scorer, ScoreAggregation aggregation,
-    std::size_t num_threads) {
-  return RankWithSubspaces(dataset, PlainSubspaces(subspaces), scorer,
-                           aggregation, num_threads);
-}
-
 std::vector<double> RankWithSubspaces(const PreparedDataset& prepared,
                                       const std::vector<Subspace>& subspaces,
                                       const OutlierScorer& scorer,
@@ -100,14 +76,6 @@ std::vector<double> RankWithSubspaces(const PreparedDataset& prepared,
     per_subspace[i] = scorer.ScoreSubspaceCached(prepared, subspaces[i]);
   });
   return AggregateScores(per_subspace, aggregation);
-}
-
-std::vector<double> RankWithSubspaces(
-    const PreparedDataset& prepared,
-    const std::vector<ScoredSubspace>& subspaces, const OutlierScorer& scorer,
-    ScoreAggregation aggregation, std::size_t num_threads) {
-  return RankWithSubspaces(prepared, PlainSubspaces(subspaces), scorer,
-                           aggregation, num_threads);
 }
 
 Result<std::vector<double>> RankWithSubspacesSharded(
@@ -142,21 +110,16 @@ Result<std::vector<double>> RankWithSubspacesSharded(
                                   aggregation, policy, num_threads);
 }
 
-namespace {
-
-/// Degraded ranking over any per-subspace scoring callable
-/// `score(subspace, ordinal) -> Result<vector<double>>`, shared by the
-/// Dataset and PreparedDataset entry points so their degraded semantics
-/// cannot drift. Per-subspace outcomes land in pre-sized slots and are
-/// assembled in subspace order, so the result is byte-identical for every
-/// thread count (each scorer call carries its subspace index as the fault
-/// ordinal, pinning injected faults to the same subspaces). At one worker
-/// ParallelTryFor runs the subspaces in index order and stops at the first
-/// interruption, which is the serial contract.
-template <typename ScoreFn>
-DegradedRankingResult RankDegraded(
-    const std::vector<Subspace>& subspaces, ScoreAggregation aggregation,
-    const RunContext& ctx, std::size_t num_threads, const ScoreFn& score) {
+DegradedRankingResult RankWithSubspacesDegraded(
+    const PreparedDataset& prepared, const std::vector<Subspace>& subspaces,
+    const OutlierScorer& scorer, ScoreAggregation aggregation,
+    const RunContext& ctx, std::size_t num_threads) {
+  // Per-subspace outcomes land in pre-sized slots and are assembled in
+  // subspace order, so the result is byte-identical for every thread
+  // count (each scorer call carries its subspace index as the fault
+  // ordinal, pinning injected faults to the same subspaces). At one worker
+  // ParallelTryFor runs the subspaces in index order and stops at the
+  // first interruption, which is the serial contract.
   enum class SlotState : char { kPending, kOk, kFailed };
   DegradedRankingResult result;
   std::vector<SlotState> state(subspaces.size(), SlotState::kPending);
@@ -169,7 +132,9 @@ DegradedRankingResult RankDegraded(
       [&](std::size_t i) -> Status {
         HICS_RETURN_NOT_OK(ctx.CheckProgress());
         attempted.fetch_add(1, std::memory_order_relaxed);
-        Result<std::vector<double>> scores = score(subspaces[i], i + 1);
+        Result<std::vector<double>> scores =
+            scorer.ScoreSubspacePreparedChecked(prepared, subspaces[i], ctx,
+                                                i + 1);
         if (scores.ok()) {
           slot_scores[i] = std::move(scores).ValueOrDie();
           state[i] = SlotState::kOk;
@@ -219,31 +184,6 @@ DegradedRankingResult RankDegraded(
     result.scores = AggregateScores(per_subspace, aggregation);
   }
   return result;
-}
-
-}  // namespace
-
-DegradedRankingResult RankWithSubspacesDegraded(
-    const Dataset& dataset, const std::vector<Subspace>& subspaces,
-    const OutlierScorer& scorer, ScoreAggregation aggregation,
-    const RunContext& ctx, std::size_t num_threads) {
-  return RankDegraded(
-      subspaces, aggregation, ctx, num_threads,
-      [&](const Subspace& subspace, std::size_t ordinal) {
-        return scorer.ScoreSubspaceChecked(dataset, subspace, ctx, ordinal);
-      });
-}
-
-DegradedRankingResult RankWithSubspacesDegraded(
-    const PreparedDataset& prepared, const std::vector<Subspace>& subspaces,
-    const OutlierScorer& scorer, ScoreAggregation aggregation,
-    const RunContext& ctx, std::size_t num_threads) {
-  return RankDegraded(
-      subspaces, aggregation, ctx, num_threads,
-      [&](const Subspace& subspace, std::size_t ordinal) {
-        return scorer.ScoreSubspacePreparedChecked(prepared, subspace, ctx,
-                                                   ordinal);
-      });
 }
 
 }  // namespace hics

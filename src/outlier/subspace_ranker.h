@@ -64,47 +64,27 @@ std::vector<double> AggregateScores(
 /// every subspace in `subspaces` and aggregates. With an empty subspace
 /// list, scores the full space (traditional outlier ranking).
 ///
+/// Each subspace is scored through OutlierScorer::ScoreSubspaceCached, so
+/// projected searchers, kNN tables and whole score vectors are drawn from
+/// (and published to) `prepared`'s artifact cache. A warm cache turns
+/// repeated rankings of one dataset — the serving pattern — into cache
+/// lookups plus one aggregation pass. To rank a plain Dataset, wrap it in
+/// a PreparedDataset (its rank artifacts are built lazily, so ranking pays
+/// nothing for them); to rank search output, pass
+/// PlainSubspaces(scored).
+///
 /// `num_threads` scores subspaces concurrently on the shared thread pool
 /// (1 = serial, 0 = hardware concurrency). Each subspace's scores land in
 /// a pre-sized slot and aggregation runs over the slots in subspace
-/// order, so the result is byte-identical for every thread count. The
-/// scorer must tolerate concurrent ScoreSubspace calls (all shipped
+/// order, so the result is byte-identical for every thread count and
+/// cache state. The scorer must tolerate concurrent calls (all shipped
 /// scorers are stateless).
-std::vector<double> RankWithSubspaces(const Dataset& dataset,
-                                      const std::vector<Subspace>& subspaces,
-                                      const OutlierScorer& scorer,
-                                      ScoreAggregation aggregation =
-                                          ScoreAggregation::kAverage,
-                                      std::size_t num_threads = 1);
-
-/// Convenience overload for scored subspaces (scores ignored; only the
-/// projections matter for ranking).
-std::vector<double> RankWithSubspaces(
-    const Dataset& dataset, const std::vector<ScoredSubspace>& subspaces,
-    const OutlierScorer& scorer,
-    ScoreAggregation aggregation = ScoreAggregation::kAverage,
-    std::size_t num_threads = 1);
-
-/// Prepared-path ranking: scores each subspace through
-/// OutlierScorer::ScoreSubspaceCached, so projected searchers, kNN tables
-/// and whole score vectors are drawn from (and published to) `prepared`'s
-/// artifact cache. A warm cache turns repeated rankings of one dataset —
-/// the serving pattern — into cache lookups plus one aggregation pass.
-/// Byte-identical to the Dataset overload for every cache state and
-/// thread count.
 std::vector<double> RankWithSubspaces(const PreparedDataset& prepared,
                                       const std::vector<Subspace>& subspaces,
                                       const OutlierScorer& scorer,
                                       ScoreAggregation aggregation =
                                           ScoreAggregation::kAverage,
                                       std::size_t num_threads = 1);
-
-/// Prepared-path convenience overload for scored subspaces.
-std::vector<double> RankWithSubspaces(
-    const PreparedDataset& prepared,
-    const std::vector<ScoredSubspace>& subspaces, const OutlierScorer& scorer,
-    ScoreAggregation aggregation = ScoreAggregation::kAverage,
-    std::size_t num_threads = 1);
 
 /// Caller consent for sharded scoring semantics (DESIGN.md §5i). Sharded
 /// scoring is exact only for scorers that merge per-shard state without
@@ -166,12 +146,16 @@ struct DegradedRankingResult {
 };
 
 /// Fault-isolated, context-aware ranking: scores each subspace through
-/// OutlierScorer::ScoreSubspaceChecked, skips and records subspaces whose
-/// scorer fails, and stops early (keeping the aggregate over the subspaces
-/// already scored) when the context is cancelled or past its deadline.
-/// Never fails itself; with an empty `subspaces` list it returns an empty
-/// result with attempted == 0 so the caller can fall back to full-space
-/// scoring.
+/// OutlierScorer::ScoreSubspacePreparedChecked, skips and records
+/// subspaces whose scorer fails, and stops early (keeping the aggregate
+/// over the subspaces already scored) when the context is cancelled or
+/// past its deadline. Never fails itself; with an empty `subspaces` list
+/// it returns an empty result with attempted == 0 so the caller can fall
+/// back to full-space scoring. Healthy subspaces hit the artifact cache;
+/// the checkpoint and fault probe run before any cache access, so
+/// injected fault placement — and the surviving ensemble — is
+/// byte-identical between cold and warm runs, and a failed or skipped
+/// subspace never populates the cache.
 ///
 /// `num_threads` (1 = serial, 0 = hardware concurrency) scores subspaces
 /// concurrently; each call passes its subspace index as the fault
@@ -181,17 +165,6 @@ struct DegradedRankingResult {
 /// in order, while several workers additionally keep any later subspaces
 /// that had already completed (both aggregate only completed members, in
 /// subspace order). `failures` is in subspace order either way.
-DegradedRankingResult RankWithSubspacesDegraded(
-    const Dataset& dataset, const std::vector<Subspace>& subspaces,
-    const OutlierScorer& scorer, ScoreAggregation aggregation,
-    const RunContext& ctx, std::size_t num_threads = 1);
-
-/// Prepared-path degraded ranking: same fault-isolation contract as the
-/// Dataset overload, scored through ScoreSubspacePreparedChecked so
-/// healthy subspaces hit the artifact cache. The checkpoint and fault
-/// probe run before any cache access, so injected fault placement — and
-/// the surviving ensemble — is byte-identical between cold and warm runs,
-/// and a failed or skipped subspace never populates the cache.
 DegradedRankingResult RankWithSubspacesDegraded(
     const PreparedDataset& prepared, const std::vector<Subspace>& subspaces,
     const OutlierScorer& scorer, ScoreAggregation aggregation,

@@ -71,8 +71,9 @@ std::vector<double> UnivariateDeviations(const std::vector<double>& values,
   return std::vector<double>(values.size(), 0.0);
 }
 
-std::vector<double> UnivariateScorer::ScoreSubspace(
-    const Dataset& dataset, const Subspace& subspace) const {
+std::vector<double> UnivariateScorer::ScoreSubspacePrepared(
+    const PreparedDataset& prepared, const Subspace& subspace) const {
+  const Dataset& dataset = prepared.dataset();
   std::vector<double> scores(dataset.num_objects(), 0.0);
   for (std::size_t dim : subspace) {
     const std::vector<double> per_attr =

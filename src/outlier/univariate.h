@@ -41,8 +41,8 @@ class UnivariateScorer : public OutlierScorer {
       UnivariateMethod method = UnivariateMethod::kRobustZScore)
       : method_(method) {}
 
-  std::vector<double> ScoreSubspace(const Dataset& dataset,
-                                    const Subspace& subspace) const override;
+  std::vector<double> ScoreSubspacePrepared(
+      const PreparedDataset& prepared, const Subspace& subspace) const override;
 
   std::string name() const override;
 

@@ -139,27 +139,15 @@ Result<HicsModel> HicsModel::Fit(const Dataset& dataset,
       prepared, PlainSubspaces(trained), *scorer, config.aggregation,
       threads);
 
-  // Step 3: per-subspace trained scorer state. Neighbor-based scorers
-  // build it from the same cached kNN tables the ranking pass used (or
-  // the tables are built here if the scorer's internal path didn't need
-  // them); neighbor-free scorers (grid-density) build it straight from
-  // the prepared artifact — no kNN table ever exists for them.
-  if (scorer->OutOfSampleNeedsNeighbors()) {
-    const std::size_t k = ClampNeighborhoodSize(scorer->NeighborhoodSize(), n,
-                                                "serve.fit");
-    if (k == 0) {
-      return Status::InvalidArgument(
-          "cannot fit a servable model on fewer than 2 training objects");
-    }
-    for (TrainedSubspace& t : trained) {
-      const std::shared_ptr<const KnnResultTable> table =
-          prepared.cache().GetKnnTable(t.subspace, k, threads);
-      t.scorer_state = scorer->BuildTrainedState(*table);
-    }
-  } else {
-    for (TrainedSubspace& t : trained) {
-      t.scorer_state = scorer->BuildTrainedStatePrepared(prepared, t.subspace);
-    }
+  // Step 3: per-subspace trained scorer state. Neighbor scorers draw it
+  // from the kNN tables the ranking pass just cached; neighbor-free
+  // scorers (grid-density) build it straight from the prepared artifact.
+  if (scorer->NeighborhoodSize() > 0 && n < 2) {
+    return Status::InvalidArgument(
+        "cannot fit a servable model on fewer than 2 training objects");
+  }
+  for (TrainedSubspace& t : trained) {
+    t.scorer_state = scorer->BuildTrainedState(prepared, t.subspace);
   }
 
   return HicsModel(config, dataset, std::move(trained),
@@ -277,8 +265,9 @@ Result<std::vector<double>> HicsModel::ScoreQueries(
         std::to_string(d) + " attributes");
   }
   ServeDiagnostics local;
-  const bool needs_neighbors = scorer_->OutOfSampleNeedsNeighbors();
-  const std::size_t k = needs_neighbors ? EffectiveK() : 0;
+  // k == 0 for neighbor-free scorers (NeighborhoodSize() == 0): they run
+  // no searcher at all, O(1) per query instead of a tree descent or scan.
+  const std::size_t k = EffectiveK();
   const std::size_t num_subspaces = subspaces_.size();
 
   std::vector<double> scores;
@@ -316,16 +305,11 @@ Result<std::vector<double>> HicsModel::ScoreQueries(
       const Subspace& subspace = subspaces_[s].subspace;
       projected.clear();
       for (std::size_t dim : subspace) projected.push_back(queries[q * d + dim]);
-      if (needs_neighbors) {
-        SearcherFor(s).QueryKnnPoint(projected, k, &neighbors);
-        per_subspace.push_back(scorer_->ScoreOutOfSample(
-            std::span<const Neighbor>(neighbors.data(), neighbors.size()),
-            subspaces_[s].scorer_state));
-      } else {
-        // Neighbor-free tier: O(1) histogram lookup, no searcher at all.
-        per_subspace.push_back(scorer_->ScoreOutOfSamplePoint(
-            projected, subspaces_[s].scorer_state));
-      }
+      if (k > 0) SearcherFor(s).QueryKnnPoint(projected, k, &neighbors);
+      per_subspace.push_back(scorer_->ScoreOutOfSample(
+          projected,
+          std::span<const Neighbor>(neighbors.data(), neighbors.size()),
+          subspaces_[s].scorer_state));
     }
 
     if (per_subspace.empty()) {

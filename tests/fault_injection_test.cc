@@ -141,11 +141,12 @@ TEST(FaultInjectionPipelineTest, NonFiniteScorerOutputIsIsolated) {
   // propagate NaN into the aggregate.
   class NanOnSecondCall : public OutlierScorer {
    public:
-    std::vector<double> ScoreSubspace(const Dataset& dataset,
-                                      const Subspace& subspace) const override {
-      std::vector<double> scores(dataset.num_objects(), 0.0);
+    std::vector<double> ScoreSubspacePrepared(
+        const PreparedDataset& prepared,
+        const Subspace& subspace) const override {
+      std::vector<double> scores(prepared.num_objects(), 0.0);
       for (std::size_t i = 0; i < scores.size(); ++i) {
-        scores[i] = dataset.Get(i, subspace[0]);
+        scores[i] = prepared.dataset().Get(i, subspace[0]);
       }
       if (++calls_ == 2) scores[0] = std::nan("");
       return scores;
@@ -322,10 +323,11 @@ TEST(CancellationTest, MidRankingCancellationKeepsPartialAggregate) {
    public:
     CancellingScorer(const OutlierScorer& inner, const RunContext& ctx)
         : inner_(inner), ctx_(ctx) {}
-    std::vector<double> ScoreSubspace(const Dataset& dataset,
-                                      const Subspace& subspace) const override {
+    std::vector<double> ScoreSubspacePrepared(
+        const PreparedDataset& prepared,
+        const Subspace& subspace) const override {
       if (++calls_ == 3) ctx_.RequestCancellation();
-      return inner_.ScoreSubspace(dataset, subspace);
+      return inner_.ScoreSubspacePrepared(prepared, subspace);
     }
     std::string name() const override { return inner_.name(); }
 
@@ -338,7 +340,7 @@ TEST(CancellationTest, MidRankingCancellationKeepsPartialAggregate) {
   const CancellingScorer scorer(lof, ctx);
 
   const DegradedRankingResult ranked = RankWithSubspacesDegraded(
-      data, plain, scorer, ScoreAggregation::kAverage, ctx);
+      PreparedDataset(data), plain, scorer, ScoreAggregation::kAverage, ctx);
   EXPECT_TRUE(ranked.cancelled);
   EXPECT_FALSE(ranked.deadline_exceeded);
   // The 3rd call itself completes (cooperative model); nothing after it

@@ -324,7 +324,7 @@ TEST(GridDensityTest, OutOfSamplePointMatchesInSampleScore) {
     const GridDensityScorer scorer(params);
     const auto in_sample = scorer.ScoreSubspacePrepared(prepared, subspace);
     const TrainedScorerState state =
-        scorer.BuildTrainedStatePrepared(prepared, subspace);
+        scorer.BuildTrainedState(prepared, subspace);
     EXPECT_TRUE(scorer
                     .ValidateTrainedState(state, subspace.size(),
                                           ds.num_objects())
@@ -334,7 +334,7 @@ TEST(GridDensityTest, OutOfSamplePointMatchesInSampleScore) {
       for (std::size_t j = 0; j < subspace.size(); ++j) {
         projected[j] = ds.Get(i, subspace[j]);
       }
-      EXPECT_EQ(Bits(scorer.ScoreOutOfSamplePoint(projected, state)),
+      EXPECT_EQ(Bits(scorer.ScoreOutOfSample(projected, {}, state)),
                 Bits(in_sample[i]))
           << "object " << i << " smooth=" << smooth;
     }
@@ -346,12 +346,12 @@ TEST(GridDensityTest, OutOfSampleQueryOutsideTrainingRangeIsFinite) {
   const Subspace subspace({0, 1});
   PreparedDataset prepared(ds);
   const GridDensityScorer scorer;
-  const auto state = scorer.BuildTrainedStatePrepared(prepared, subspace);
+  const auto state = scorer.BuildTrainedState(prepared, subspace);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (std::vector<double> q :
        {std::vector<double>{1e9, 1e9}, std::vector<double>{-1e9, 0.0},
         std::vector<double>{nan, nan}}) {
-    EXPECT_TRUE(std::isfinite(scorer.ScoreOutOfSamplePoint(q, state)));
+    EXPECT_TRUE(std::isfinite(scorer.ScoreOutOfSample(q, {}, state)));
   }
 }
 
@@ -360,7 +360,7 @@ TEST(GridDensityTest, ValidateTrainedStateRejectsTampering) {
   const Subspace subspace({0, 1, 2});
   PreparedDataset prepared(ds);
   const GridDensityScorer scorer;
-  const auto good = scorer.BuildTrainedStatePrepared(prepared, subspace);
+  const auto good = scorer.BuildTrainedState(prepared, subspace);
   const std::size_t n = ds.num_objects();
   ASSERT_TRUE(GridDensityScorer::ValidateTrainedState(good, 3, n).ok());
 
@@ -412,8 +412,7 @@ TEST(GridDensityTest, ScorerContractSurface) {
   const GridDensityScorer scorer;
   EXPECT_EQ(scorer.name(), "grid-density");
   EXPECT_TRUE(scorer.SupportsOutOfSample());
-  EXPECT_FALSE(scorer.OutOfSampleNeedsNeighbors());
-  EXPECT_EQ(scorer.NeighborhoodSize(), 0u);
+  EXPECT_EQ(scorer.NeighborhoodSize(), 0u);  // serves without neighbors
   EXPECT_FALSE(scorer.cache_key().empty());
 }
 

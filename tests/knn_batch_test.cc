@@ -324,7 +324,7 @@ TEST(KdTreeBatchTest, DuplicateHeavyColumnsMatchBrutePerQuery) {
 }
 
 TEST(KdTreeBatchTest, RadiusQueriesMatchBruteAfterRelayout) {
-  // LOCI, DBSCAN and RIS reach the kd-tree through QueryRadius and
+  // DBSCAN and RIS reach the kd-tree through QueryRadius and
   // CountRadius; both must see object ids, not tree positions.
   Dataset quantized(2500, 3);
   Rng rng(83);

@@ -7,6 +7,7 @@
 #include "engine/prepared_dataset.h"
 #include "outlier/lof.h"
 #include "outlier/subspace_ranker.h"
+#include "scorer_oracle.h"
 
 namespace hics {
 namespace {
@@ -78,7 +79,7 @@ TEST(KnnScorersTest, ScoresByteIdenticalWhicheverBackendResolves) {
   // N = 2000 and |S| = 8 lie in the probe band: the generator's planted
   // subspace resolves to the kd-tree and uniform data to brute force.
   // Either way every neighbor-based scorer, cold or cached, must produce
-  // the scores a forced brute-force table gives.
+  // the oracle's scores over a brute-force table.
   const std::size_t n = 2000;
   const std::size_t k = 10;
   SyntheticParams gen;
@@ -102,15 +103,10 @@ TEST(KnnScorersTest, ScoresByteIdenticalWhicheverBackendResolves) {
                                               KnnBackend::kBruteForce}}) {
     const Subspace subspace = ds->FullSpace();
     ASSERT_EQ(ResolveKnnSearcher(*ds, subspace, k)->backend(), resolves_to);
-    KnnResultTable table;
-    MakeBruteForceSearcher(*ds, subspace)->QueryAllKnn(k, &table);
-    std::vector<double> kth(n), mean(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      double sum = 0.0;
-      for (const Neighbor& nb : table.Row(i)) sum += nb.distance;
-      kth[i] = table.Row(i).back().distance;
-      mean[i] = sum / static_cast<double>(k);
-    }
+    const std::vector<double> kth = OracleKthDistanceScores(*ds, subspace, k);
+    const std::vector<double> mean =
+        OracleMeanDistanceScores(*ds, subspace, k);
+    const std::vector<double> lof_oracle = OracleLofScores(*ds, subspace, k);
     const PreparedDataset prepared(*ds);
     const KnnDistanceScorer knn_distance(k);
     const KnnAverageScorer knn_average(k);
@@ -119,10 +115,8 @@ TEST(KnnScorersTest, ScoresByteIdenticalWhicheverBackendResolves) {
     EXPECT_EQ(knn_average.ScoreSubspace(*ds, subspace), mean);
     EXPECT_EQ(knn_average.ScoreSubspaceCached(prepared, subspace), mean);
     const LofScorer lof_auto({.min_pts = k});
-    const std::vector<double> lof_brute =
-        lof_auto.ScoreFromTable(table, n, 1);
-    EXPECT_EQ(lof_auto.ScoreSubspace(*ds, subspace), lof_brute);
-    EXPECT_EQ(lof_auto.ScoreSubspaceCached(prepared, subspace), lof_brute);
+    EXPECT_EQ(lof_auto.ScoreSubspace(*ds, subspace), lof_oracle);
+    EXPECT_EQ(lof_auto.ScoreSubspaceCached(prepared, subspace), lof_oracle);
   }
 }
 

@@ -82,10 +82,11 @@ TEST(ParallelDeterminismTest, RankingIsIdenticalForEveryThreadCount) {
   ASSERT_GT(subspaces->size(), 4u);
   const LofScorer lof({.min_pts = 10});
 
-  const auto reference = RankWithSubspaces(data, *subspaces, lof,
+  const std::vector<Subspace> plain = PlainSubspaces(*subspaces);
+  const auto reference = RankWithSubspaces(PreparedDataset(data), plain, lof,
                                            ScoreAggregation::kAverage, 1);
   for (std::size_t threads : kThreadCounts) {
-    const auto scores = RankWithSubspaces(data, *subspaces, lof,
+    const auto scores = RankWithSubspaces(PreparedDataset(data), plain, lof,
                                           ScoreAggregation::kAverage, threads);
     ASSERT_EQ(scores.size(), reference.size());
     for (std::size_t i = 0; i < scores.size(); ++i) {

@@ -19,6 +19,7 @@
 #include "outlier/knn_outlier.h"
 #include "outlier/lof.h"
 #include "outlier/subspace_ranker.h"
+#include "scorer_oracle.h"
 #include "search/subspace_search.h"
 
 namespace hics {
@@ -41,6 +42,17 @@ Dataset ClusteredDataset(std::size_t n, std::size_t d, std::uint64_t seed) {
 std::vector<Subspace> SomeSubspaces() {
   return {Subspace{0, 1}, Subspace{2, 3}, Subspace{0, 2},
           Subspace{1, 3}, Subspace{0, 1, 2}};
+}
+
+/// The reference LOF ranking: the oracle's per-subspace scores, averaged.
+std::vector<double> OracleLofRanking(const Dataset& ds,
+                                     const std::vector<Subspace>& subspaces,
+                                     std::size_t min_pts) {
+  std::vector<std::vector<double>> per_subspace;
+  for (const Subspace& s : subspaces) {
+    per_subspace.push_back(OracleLofScores(ds, s, min_pts));
+  }
+  return AggregateScores(per_subspace, ScoreAggregation::kAverage);
 }
 
 // ---------------------------------------------------------------------------
@@ -159,14 +171,13 @@ TEST(PreparedDatasetTest, ColdAndWarmRankingIdenticalAcrossThreadCounts) {
   const Dataset ds = ClusteredDataset(160, 4, 17);
   const auto subspaces = SomeSubspaces();
   const LofScorer scorer({.min_pts = 8});
-  const std::vector<double> reference =
-      RankWithSubspaces(ds, subspaces, scorer);
+  const std::vector<double> reference = OracleLofRanking(ds, subspaces, 8);
 
   const PreparedDataset prepared(ds);
   for (std::size_t threads : {std::size_t{1}, std::size_t{2},
                               std::size_t{4}}) {
     // First pass fills the cache (cold), second is fully warm; both must
-    // equal the plain Dataset path byte for byte.
+    // equal the oracle byte for byte.
     const auto cold = RankWithSubspaces(prepared, subspaces, scorer,
                                         ScoreAggregation::kAverage, threads);
     const auto warm = RankWithSubspaces(prepared, subspaces, scorer,
@@ -207,8 +218,8 @@ TEST(PreparedDatasetTest, DistinctScorerParamsDoNotShareScoreEntries) {
   const auto scores8 = lof8.ScoreSubspaceCached(prepared, s);
   const auto scores12 = lof12.ScoreSubspaceCached(prepared, s);
   EXPECT_EQ(prepared.cache().num_score_vectors(), 2u);
-  EXPECT_EQ(scores8, lof8.ScoreSubspace(ds, s));
-  EXPECT_EQ(scores12, lof12.ScoreSubspace(ds, s));
+  EXPECT_EQ(scores8, OracleLofScores(ds, s, 8));
+  EXPECT_EQ(scores12, OracleLofScores(ds, s, 12));
   // Same k => the kNN table is shared between knn-dist and knn-avg.
   const KnnDistanceScorer dist(9);
   const KnnAverageScorer avg(9);
@@ -269,10 +280,10 @@ TEST(PreparedDatasetTest, FailedSubspaceIsNeverCached) {
             nullptr);
 
   // A later healthy run scores it fresh and only then caches it, matching
-  // the plain cold path byte for byte.
+  // the oracle byte for byte.
   const std::vector<double> healthy =
       RankWithSubspaces(prepared, subspaces, scorer);
-  EXPECT_EQ(healthy, RankWithSubspaces(ds, subspaces, scorer));
+  EXPECT_EQ(healthy, OracleLofRanking(ds, subspaces, 8));
   EXPECT_EQ(prepared.cache().num_score_vectors(), subspaces.size());
 }
 
@@ -304,7 +315,7 @@ TEST(PreparedDatasetTest, WarmCacheDoesNotMaskInjectedFaults) {
   RunContext cold_ctx;
   cold_ctx.SetFaultInjector(&cold_injector);
   const DegradedRankingResult cold_degraded =
-      RankWithSubspacesDegraded(ds, subspaces, scorer,
+      RankWithSubspacesDegraded(PreparedDataset(ds), subspaces, scorer,
                                 ScoreAggregation::kAverage, cold_ctx);
   EXPECT_EQ(warm_degraded.scores, cold_degraded.scores);
   EXPECT_EQ(warm_degraded.succeeded, cold_degraded.succeeded);
@@ -341,11 +352,10 @@ TEST(PreparedDatasetTest, ConcurrentMixedSubspaceHitsStayConsistent) {
   const LofScorer scorer({.min_pts = 8});
   const PreparedDataset prepared(ds);
 
-  // Reference vectors from the plain cold path.
   std::vector<std::vector<double>> reference;
   reference.reserve(subspaces.size());
   for (const Subspace& s : subspaces) {
-    reference.push_back(scorer.ScoreSubspace(ds, s));
+    reference.push_back(OracleLofScores(ds, s, 8));
   }
 
   // Many workers hammer overlapping subspaces: every call must return the
@@ -375,9 +385,9 @@ class PoisonScorer : public OutlierScorer {
  public:
   explicit PoisonScorer(std::vector<std::size_t> bad) : bad_(std::move(bad)) {}
 
-  std::vector<double> ScoreSubspace(const Dataset& dataset,
-                                    const Subspace&) const override {
-    std::vector<double> scores(dataset.num_objects(), 1.0);
+  std::vector<double> ScoreSubspacePrepared(const PreparedDataset& prepared,
+                                            const Subspace&) const override {
+    std::vector<double> scores(prepared.num_objects(), 1.0);
     for (std::size_t i : bad_) {
       scores[i] = std::numeric_limits<double>::quiet_NaN();
     }
@@ -397,8 +407,8 @@ class PoisonScorer : public OutlierScorer {
 TEST(ScoreValidationTest, ReportsAllNonFiniteIndices) {
   const Dataset ds = ClusteredDataset(50, 3, 33);
   const PoisonScorer scorer({3, 17, 41});
-  const auto result =
-      scorer.ScoreSubspaceChecked(ds, ds.FullSpace(), RunContext());
+  const auto result = scorer.ScoreSubspacePreparedChecked(
+      PreparedDataset(ds), ds.FullSpace(), RunContext());
   ASSERT_FALSE(result.ok());
   const std::string message = result.status().message();
   EXPECT_NE(message.find("3 non-finite"), std::string::npos) << message;
@@ -410,8 +420,8 @@ TEST(ScoreValidationTest, CapsReportedIndicesAndCountsTheRest) {
   std::vector<std::size_t> bad;
   for (std::size_t i = 0; i < 12; ++i) bad.push_back(i * 5);
   const PoisonScorer scorer(bad);
-  const auto result =
-      scorer.ScoreSubspaceChecked(ds, ds.FullSpace(), RunContext());
+  const auto result = scorer.ScoreSubspacePreparedChecked(
+      PreparedDataset(ds), ds.FullSpace(), RunContext());
   ASSERT_FALSE(result.ok());
   const std::string message = result.status().message();
   EXPECT_NE(message.find("12 non-finite"), std::string::npos) << message;
@@ -440,9 +450,9 @@ TEST(ScoreValidationTest, PoisonScorerNeverEntersCache) {
 /// partial vector and keep it out of the cache.
 class TruncatingScorer : public OutlierScorer {
  public:
-  std::vector<double> ScoreSubspace(const Dataset& dataset,
-                                    const Subspace&) const override {
-    const std::size_t n = dataset.num_objects();
+  std::vector<double> ScoreSubspacePrepared(const PreparedDataset& prepared,
+                                            const Subspace&) const override {
+    const std::size_t n = prepared.num_objects();
     return std::vector<double>(n > 3 ? n - 3 : 0, 1.0);
   }
   std::string name() const override { return "truncating"; }
@@ -477,19 +487,19 @@ TEST(DeadlineCacheRaceTest, ExpiredDeadlineLeavesCacheEmpty) {
   EXPECT_EQ(prepared.cache().num_score_vectors(), 0u);
 
   // The same prepared artifact keeps serving clean contexts, and the now
-  // cached vector is byte-identical to a cold computation.
+  // cached vector is byte-identical to the oracle.
   const auto healthy = scorer.ScoreSubspacePreparedChecked(
       prepared, ds.FullSpace(), RunContext());
   ASSERT_TRUE(healthy.ok());
-  EXPECT_EQ(*healthy, scorer.ScoreSubspace(ds, ds.FullSpace()));
+  EXPECT_EQ(*healthy, OracleLofScores(ds, ds.FullSpace(), 8));
   EXPECT_EQ(prepared.cache().num_score_vectors(), 1u);
 }
 
 TEST(DeadlineCacheRaceTest, DeadlineRacingParallelRankingNeverPoisonsCache) {
   // Concurrent degraded rankings race a deadline that expires mid-run.
   // Whatever subset completes, every cache entry that exists afterwards
-  // must be a complete, byte-identical-to-cold score vector: a deadline
-  // may shrink the ensemble, never corrupt the artifact.
+  // must be a complete score vector, byte-identical to the oracle: a
+  // deadline may shrink the ensemble, never corrupt the artifact.
   const Dataset ds = ClusteredDataset(300, 4, 47);
   const LofScorer scorer({/*min_pts=*/10});
   const std::vector<Subspace> subspaces = SomeSubspaces();
@@ -504,7 +514,7 @@ TEST(DeadlineCacheRaceTest, DeadlineRacingParallelRankingNeverPoisonsCache) {
       const auto cached = prepared.cache().FindScores(scorer.cache_key(), s);
       if (cached == nullptr) continue;  // raced out before publishing: fine
       EXPECT_EQ(cached->size(), ds.num_objects());
-      EXPECT_EQ(*cached, scorer.ScoreSubspace(ds, s))
+      EXPECT_EQ(*cached, OracleLofScores(ds, s, 10))
           << "trial " << trial << " subspace " << s.ToString();
     }
   }
@@ -588,8 +598,7 @@ TEST(ArtifactCacheBudgetTest, RejectsWhenFullButReturnsIdenticalBits) {
   const Dataset ds = ClusteredDataset(80, 4, 53);
   const auto subspaces = SomeSubspaces();
   const LofScorer scorer({.min_pts = 8});
-  const std::vector<double> reference =
-      RankWithSubspaces(ds, subspaces, scorer);
+  const std::vector<double> reference = OracleLofRanking(ds, subspaces, 8);
 
   const PreparedDataset prepared(ds);
   prepared.cache().SetByteBudget(1);  // nothing fits

@@ -13,8 +13,6 @@
 #include "eval/roc.h"
 #include "outlier/knn_outlier.h"
 #include "outlier/lof.h"
-#include "outlier/loci.h"
-#include "outlier/outres.h"
 
 namespace hics {
 namespace {
@@ -47,10 +45,7 @@ TEST(ScorerAgreementTest, AllScorersSeparateClearOutliers) {
   const LofScorer lof({.min_pts = 12});
   const KnnDistanceScorer knn_dist(12);
   const KnnAverageScorer knn_avg(12);
-  const LociScorer loci({.num_radii = 8, .min_neighbors = 10});
-  const OutresScorer outres;
-  const OutlierScorer* scorers[] = {&lof, &knn_dist, &knn_avg, &loci,
-                                    &outres};
+  const OutlierScorer* scorers[] = {&lof, &knn_dist, &knn_avg};
   for (const OutlierScorer* scorer : scorers) {
     const auto scores = scorer->ScoreFullSpace(ds);
     const double auc = *ComputeAuc(scores, ds.labels());

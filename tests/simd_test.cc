@@ -543,15 +543,16 @@ TEST(SimdSeamTest, RankingIsIdenticalAcrossTiersAndThreads) {
   std::vector<double> reference;
   {
     simd::ScopedSimdTier forced(SimdTier::kScalar);
-    reference = RankWithSubspaces(data, *subspaces, lof,
+    reference = RankWithSubspaces(PreparedDataset(data),
+                                  PlainSubspaces(*subspaces), lof,
                                   ScoreAggregation::kAverage, 1);
   }
   for (SimdTier tier : AvailableTiers()) {
     for (std::size_t threads : kSeamThreads) {
       simd::ScopedSimdTier forced(tier);
-      const auto scores = RankWithSubspaces(data, *subspaces, lof,
-                                            ScoreAggregation::kAverage,
-                                            threads);
+      const auto scores = RankWithSubspaces(
+          PreparedDataset(data), PlainSubspaces(*subspaces), lof,
+          ScoreAggregation::kAverage, threads);
       ASSERT_EQ(scores.size(), reference.size());
       for (std::size_t i = 0; i < scores.size(); ++i) {
         EXPECT_EQ(Bits(scores[i]), Bits(reference[i]))

@@ -271,8 +271,9 @@ TEST_P(StreamingIdentityTest, SlidesMatchColdRebuildAcrossThreadCounts) {
         ASSERT_TRUE(cold_search.ok());
         ExpectSameScored(*streamed_search, *cold_search);
         EXPECT_EQ(*streamed_rank,
-                  RankWithSubspaces(cold, *cold_search, grid_scorer,
-                                    ScoreAggregation::kAverage, threads));
+                  RankWithSubspaces(cold, PlainSubspaces(*cold_search),
+                                    grid_scorer, ScoreAggregation::kAverage,
+                                    threads));
         // Neighbor-based scorers take the prepared path too when the
         // plane is unsharded.
         const auto streamed_lof = RankWithSubspaces(
@@ -281,8 +282,9 @@ TEST_P(StreamingIdentityTest, SlidesMatchColdRebuildAcrossThreadCounts) {
             ShardedScoringPolicy::kAllowApproximation, threads);
         ASSERT_TRUE(streamed_lof.ok());
         EXPECT_EQ(*streamed_lof,
-                  RankWithSubspaces(cold, *cold_search, lof_scorer,
-                                    ScoreAggregation::kAverage, threads));
+                  RankWithSubspaces(cold, PlainSubspaces(*cold_search),
+                                    lof_scorer, ScoreAggregation::kAverage,
+                                    threads));
       } else {
         const ShardedDataset cold(cold_ds, shards, threads);
         ASSERT_EQ(cold.num_shards(), streaming.num_shards());

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "common/random.h"
 #include "data/synthetic.h"
+#include "engine/sharded_dataset.h"
+#include "engine/streaming_search.h"
+#include "outlier/grid_density.h"
 #include "outlier/lof.h"
 
 namespace hics {
@@ -68,7 +73,7 @@ TEST(RankWithSubspacesTest, CumulativeScoringFindsBothOutliers) {
   LofScorer lof({.min_pts = 12});
   const std::vector<Subspace> subspaces = {Subspace({0, 1}),
                                            Subspace({2, 3})};
-  const auto scores = RankWithSubspaces(ds, subspaces, lof);
+  const auto scores = RankWithSubspaces(PreparedDataset(ds), subspaces, lof);
   ASSERT_EQ(scores.size(), ds.num_objects());
   // Both implanted outliers must outrank every regular object.
   double max_regular = 0.0;
@@ -82,19 +87,55 @@ TEST(RankWithSubspacesTest, CumulativeScoringFindsBothOutliers) {
 TEST(RankWithSubspacesTest, EmptySubspaceListFallsBackToFullSpace) {
   Dataset ds = TwoSubspaceOutliers(8);
   LofScorer lof({.min_pts = 12});
-  const auto fallback = RankWithSubspaces(ds, std::vector<Subspace>{}, lof);
+  const auto fallback =
+      RankWithSubspaces(PreparedDataset(ds), std::vector<Subspace>{}, lof);
   const auto full = lof.ScoreFullSpace(ds);
   EXPECT_EQ(fallback, full);
 }
 
 TEST(RankWithSubspacesTest, ScoredOverloadIgnoresScores) {
-  Dataset ds = TwoSubspaceOutliers(9);
-  LofScorer lof({.min_pts = 12});
+  // The sharded and streaming ScoredSubspace overloads must rank exactly
+  // like their PlainSubspaces form. Three shards and an exact-merge scorer
+  // put both planes on the sharded estimator.
+  const Dataset ds = TwoSubspaceOutliers(9);
+  GridDensityParams params;
+  params.bins_per_dim = 6;
+  const GridDensityScorer grid(params);
   const std::vector<ScoredSubspace> scored = {{Subspace({0, 1}), 0.9},
                                               {Subspace({2, 3}), 0.1}};
-  const std::vector<Subspace> plain = {Subspace({0, 1}), Subspace({2, 3})};
-  EXPECT_EQ(RankWithSubspaces(ds, scored, lof),
-            RankWithSubspaces(ds, plain, lof));
+  const std::vector<Subspace> plain = PlainSubspaces(scored);
+  constexpr ScoreAggregation kAvg = ScoreAggregation::kAverage;
+  constexpr ShardedScoringPolicy kExact =
+      ShardedScoringPolicy::kRequireExactMerge;
+
+  const ShardedDataset sharded(ds, 3);
+  ASSERT_EQ(sharded.num_shards(), 3u);
+  const auto sharded_scored =
+      RankWithSubspacesSharded(sharded, scored, grid, kAvg, kExact);
+  const auto sharded_plain =
+      RankWithSubspacesSharded(sharded, plain, grid, kAvg, kExact);
+  ASSERT_TRUE(sharded_scored.ok()) << sharded_scored.status().ToString();
+  ASSERT_TRUE(sharded_plain.ok()) << sharded_plain.status().ToString();
+  EXPECT_EQ(*sharded_scored, *sharded_plain);
+
+  StreamingDataset streaming(
+      ds.num_attributes(), {.capacity = ds.num_objects(), .num_shards = 3});
+  std::vector<std::vector<double>> rows(ds.num_objects());
+  for (std::size_t i = 0; i < ds.num_objects(); ++i) {
+    for (std::size_t j = 0; j < ds.num_attributes(); ++j) {
+      rows[i].push_back(ds.Get(i, j));
+    }
+  }
+  ASSERT_TRUE(streaming.Admit(rows).ok());
+  ASSERT_EQ(streaming.num_shards(), 3u);
+  const auto streamed_scored =
+      RankWithSubspaces(streaming, scored, grid, kAvg, kExact);
+  const auto streamed_plain =
+      RankWithSubspaces(streaming, plain, grid, kAvg, kExact);
+  ASSERT_TRUE(streamed_scored.ok()) << streamed_scored.status().ToString();
+  ASSERT_TRUE(streamed_plain.ok()) << streamed_plain.status().ToString();
+  EXPECT_EQ(*streamed_scored, *streamed_plain);
+  EXPECT_EQ(*streamed_plain, *sharded_plain);
 }
 
 TEST(RankWithSubspacesTest, IrrelevantSubspacesDiluteTheSignal) {
@@ -114,8 +155,9 @@ TEST(RankWithSubspacesTest, IrrelevantSubspacesDiluteTheSignal) {
   for (std::size_t j = 4; j + 1 < 12; j += 2) {
     diluted.push_back(Subspace({j, j + 1}));
   }
-  const auto good = RankWithSubspaces(noisy, relevant, lof);
-  const auto blurred = RankWithSubspaces(noisy, diluted, lof);
+  const PreparedDataset prepared(noisy);
+  const auto good = RankWithSubspaces(prepared, relevant, lof);
+  const auto blurred = RankWithSubspaces(prepared, diluted, lof);
 
   auto margin = [](const std::vector<double>& scores) {
     double max_regular = 0.0;
@@ -125,6 +167,74 @@ TEST(RankWithSubspacesTest, IrrelevantSubspacesDiluteTheSignal) {
     return std::min(scores[200], scores[201]) - max_regular;
   };
   EXPECT_GT(margin(good), margin(blurred));
+}
+
+/// A scorer that implements the in-sample seam and nothing else in-sample:
+/// its score mixes a cached kNN table with a lazily built rank artifact,
+/// so every entry point must route through ScoreSubspacePrepared with a
+/// working PreparedDataset to reproduce it. `calls` counts computations.
+class SeamOnlyScorer : public OutlierScorer {
+ public:
+  std::vector<double> ScoreSubspacePrepared(
+      const PreparedDataset& prepared,
+      const Subspace& subspace) const override {
+    calls.fetch_add(1, std::memory_order_relaxed);
+    const auto table = prepared.cache().GetKnnTable(subspace, 3, 1);
+    std::vector<double> scores(prepared.num_objects());
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      double deviation = 0.0;
+      for (std::size_t a : subspace) {
+        const double d =
+            prepared.ColumnSpan(a)[i] - prepared.MarginalMean(a);
+        deviation += d * d;
+      }
+      scores[i] = table->Row(i).back().distance + deviation;
+    }
+    return scores;
+  }
+  std::string name() const override { return "seam-only"; }
+  std::string cache_key() const override { return "seam-only"; }
+
+  mutable std::atomic<int> calls{0};
+};
+
+TEST(ScorerSeamTest, PreparedOnlyScorerGivesSameBitsThroughEveryEntryPoint) {
+  const Dataset ds = TwoSubspaceOutliers(12);
+  const std::vector<Subspace> subspaces = {Subspace({0, 1}), Subspace({2, 3}),
+                                           Subspace({0, 2, 3})};
+  const SeamOnlyScorer scorer;
+  std::vector<std::vector<double>> direct;
+  for (const Subspace& s : subspaces) {
+    direct.push_back(scorer.ScoreSubspacePrepared(PreparedDataset(ds), s));
+  }
+
+  for (std::size_t i = 0; i < subspaces.size(); ++i) {
+    const Subspace& s = subspaces[i];
+    EXPECT_EQ(scorer.ScoreSubspace(ds, s), direct[i]) << s.ToString();
+    const PreparedDataset prepared(ds);
+    EXPECT_EQ(scorer.ScoreSubspaceCached(prepared, s), direct[i]);
+    const int calls_after_cold = scorer.calls.load();
+    EXPECT_EQ(scorer.ScoreSubspaceCached(prepared, s), direct[i]);
+    EXPECT_EQ(scorer.calls.load(), calls_after_cold);  // served warm
+    const auto checked = scorer.ScoreSubspacePreparedChecked(
+        PreparedDataset(ds), s, RunContext());
+    ASSERT_TRUE(checked.ok()) << checked.status().ToString();
+    EXPECT_EQ(*checked, direct[i]);
+  }
+
+  const std::vector<double> aggregate =
+      AggregateScores(direct, ScoreAggregation::kAverage);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    EXPECT_EQ(RankWithSubspaces(PreparedDataset(ds), subspaces, scorer,
+                                ScoreAggregation::kAverage, threads),
+              aggregate)
+        << "threads=" << threads;
+    const DegradedRankingResult degraded = RankWithSubspacesDegraded(
+        PreparedDataset(ds), subspaces, scorer, ScoreAggregation::kAverage,
+        RunContext(), threads);
+    EXPECT_EQ(degraded.succeeded, subspaces.size());
+    EXPECT_EQ(degraded.scores, aggregate) << "threads=" << threads;
+  }
 }
 
 TEST(ChooseScoringBackendTest, GridTierTakesOverAtLargeN) {
