@@ -5,8 +5,6 @@
 //   brute_per_query  — N independent bound-abandoning scans (the
 //                      pre-batching reference path),
 //   brute_batched    — the blocked SoA + symmetric-pair kernel,
-//   brute_f32_screen — the same blocked kernel screening in float32 with
-//                      exact-double recompute of surviving candidates,
 //   kd_tree          — the tree-ordered KD-tree's batched search,
 //   resolved         — ResolveKnnSearcher's choice, probe included.
 //
@@ -176,7 +174,6 @@ struct Cell {
   std::size_t n;
   std::size_t dim;
   double per_query_seconds;
-  double batched_f32_seconds;
   Measurement m;
 };
 
@@ -210,9 +207,9 @@ int Run() {
   std::printf("uniform all-kNN wall clock (k = %zu, median of %d, simd tier "
               "%s), seconds\n",
               kK, kRuns, simd::SimdTierName(simd::ActiveTier()));
-  std::printf("%6s %4s %12s %12s %12s %12s %12s %8s %s\n", "N", "|S|",
-              "brute/query", "brute/batch", "brute/f32", "kd-tree",
-              "resolved", "probe/N", "verdict");
+  std::printf("%6s %4s %12s %12s %12s %12s %8s %s\n", "N", "|S|",
+              "brute/query", "brute/batch", "kd-tree", "resolved", "probe/N",
+              "verdict");
   for (std::size_t n : sizes) {
     for (std::size_t dim : dims) {
       const Dataset ds = UniformData(n, dim, 1000 + n + dim);
@@ -222,11 +219,8 @@ int Run() {
         const auto s = MakeBruteForceSearcher(ds, full);
         s->QueryAllKnnPerQuery(kK, &reference);
       });
-      const double batched_f32 = MedianSeconds(kRuns, [&] {
-        const auto s = MakeBruteForceSearcher(ds, full,
-                                              KnnPrecision::kFloat32Screen);
-        s->QueryAllKnn(kK, &table);
-      });
+      // Untimed: the batched kernel against the per-query scan.
+      MakeBruteForceSearcher(ds, full)->QueryAllKnn(kK, &table);
       const Measurement m = Measure(ds, full);
       const bool identical = m.identical && SameTable(table, reference);
       tables_identical = tables_identical && identical;
@@ -234,10 +228,10 @@ int Run() {
         worst_resolved_ratio = std::max(worst_resolved_ratio,
                                         ResolvedOverBest(m));
       }
-      cells.push_back({n, dim, per_query, batched_f32, m});
-      std::printf("%6zu %4zu %12.6f %12.6f %12.6f %12.6f %12.6f %8.3f %s%s\n",
-                  n, dim, per_query, m.brute_seconds, batched_f32,
-                  m.kd_seconds, m.resolved_seconds, m.probe_points_per_n,
+      cells.push_back({n, dim, per_query, m});
+      std::printf("%6zu %4zu %12.6f %12.6f %12.6f %12.6f %8.3f %s%s\n", n,
+                  dim, per_query, m.brute_seconds, m.kd_seconds,
+                  m.resolved_seconds, m.probe_points_per_n,
                   BackendName(m.verdict), identical ? "" : "  MISMATCH");
     }
   }
@@ -323,7 +317,6 @@ int Run() {
         .Field("dim", static_cast<std::uint64_t>(c.dim))
         .Field("brute_per_query_seconds", c.per_query_seconds)
         .Field("brute_batched_seconds", c.m.brute_seconds)
-        .Field("brute_f32_screen_seconds", c.batched_f32_seconds)
         .Field("kd_tree_seconds", c.m.kd_seconds)
         .Field("resolved_seconds", c.m.resolved_seconds)
         .Field("probe_points_per_n", c.m.probe_points_per_n)

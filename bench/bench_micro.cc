@@ -177,13 +177,6 @@ void WriteKernelThroughput(bench::JsonWriter& json) {
       norms[i] += soa[d * n + i] * soa[d * n + i];
     }
   }
-  std::vector<float> soa32(soa.begin(), soa.end());
-  std::vector<float> norms32(n, 0.0f);
-  for (std::size_t d = 0; d < dim; ++d) {
-    for (std::size_t i = 0; i < n; ++i) {
-      norms32[i] += soa32[d * n + i] * soa32[d * n + i];
-    }
-  }
   std::vector<double> d2(w);
   const bench::KernelRate screen_f64 = MeasureKernel(
       [&] {
@@ -195,15 +188,6 @@ void WriteKernelThroughput(bench::JsonWriter& json) {
       // doubles written; 2 flops per (dim, t) product-accumulate plus the
       // 3-op norm combine per output.
       static_cast<double>((dim * w + w) * sizeof(double) +
-                          w * sizeof(double)),
-      static_cast<double>(2 * dim * w + 3 * w));
-  const bench::KernelRate screen_f32 = MeasureKernel(
-      [&] {
-        kernels.screen_row_f32(soa32.data(), n, dim, 3, 64, w, norms32[3],
-                               norms32.data() + 64, d2.data());
-        bench::KeepAlive(d2.data());
-      },
-      static_cast<double>((dim * w + w) * sizeof(float) +
                           w * sizeof(double)),
       static_cast<double>(2 * dim * w + 3 * w));
 
@@ -285,7 +269,6 @@ void WriteKernelThroughput(bench::JsonWriter& json) {
 
   json.BeginObject("kernels");
   bench::WriteKernelRate(json, "screen_row_f64", screen_f64);
-  bench::WriteKernelRate(json, "screen_row_f32", screen_f32);
   bench::WriteKernelRate(json, "squared_distance", distance);
   bench::WriteKernelRate(json, "leaf_screen", leaf);
   bench::WriteKernelRate(json, "compact_selected", compact);
@@ -329,8 +312,9 @@ void WriteKernelThroughput(bench::JsonWriter& json) {
 /// The record also carries the SIMD dispatch state ("simd" object), the
 /// effective GB/s / GFLOP/s of each dispatched kernel ("kernels" object),
 /// and simd_identical = whether the search repeated on every runnable
-/// tier, and the float32-screen kNN mode and the KD-tree forced to every
-/// runnable tier reproduced the brute-force kNN tables, byte for byte.
+/// tier, and the batched brute-force kernel and the KD-tree forced to
+/// every runnable tier reproduced the per-query kNN tables, byte for
+/// byte.
 void WritePipelineStageReport() {
   SyntheticParams gen;
   gen.num_objects = 1000;
@@ -490,9 +474,9 @@ void WritePipelineStageReport() {
 
   // SIMD cross-tier identity: re-run the tracked search forced down to
   // each runnable tier (a ScopedSimdTier around the run) and
-  // require the byte-identical subspace list; then require the float32
-  // screening mode, and the KD-tree under every runnable tier, to
-  // reproduce the exact-double brute-force kNN tables element for element
+  // require the byte-identical subspace list; then require the batched
+  // brute-force kernel and the KD-tree, under every runnable tier, to
+  // reproduce the per-query brute-force kNN tables element for element
   // on the top search results. Together with search_identical /
   // ranking_identical this pins the CANONICAL-kernel contract: the
   // dispatched tier must never be observable in results.
@@ -524,12 +508,12 @@ void WritePipelineStageReport() {
   for (std::size_t s = 0; simd_identical && s < table_check; ++s) {
     const Subspace& sub = (*subspaces)[s].subspace;
     KnnResultTable exact_table, table;
-    MakeBruteForceSearcher(data, sub)->QueryAllKnn(10, &exact_table, 1);
-    MakeBruteForceSearcher(data, sub, KnnPrecision::kFloat32Screen)
-        ->QueryAllKnn(10, &table, 1);
-    simd_identical = same_table(exact_table, table);
+    MakeBruteForceSearcher(data, sub)->QueryAllKnnPerQuery(10, &exact_table,
+                                                           1);
     for (simd::SimdTier tier : tiers) {
       simd::ScopedSimdTier forced(tier);
+      MakeBruteForceSearcher(data, sub)->QueryAllKnn(10, &table, 1);
+      simd_identical = simd_identical && same_table(exact_table, table);
       MakeKdTreeSearcher(data, sub)->QueryAllKnn(10, &table, 1);
       simd_identical = simd_identical && same_table(exact_table, table);
     }

@@ -76,9 +76,8 @@ class SubspaceGrid {
                const GridOptions& options);
 
   /// Prepared-path overload: attribute ranges come from the prepared
-  /// artifact's memoized AttributeRange (the sorted-column ends when the
-  /// rank artifacts already exist) instead of a fresh min/max scan over
-  /// every column. The resulting grid is identical to the Dataset
+  /// artifact's memoized AttributeRange instead of a fresh min/max scan
+  /// over every column. The resulting grid is identical to the Dataset
   /// overload's.
   SubspaceGrid(const PreparedDataset& prepared, const Subspace& subspace,
                const GridOptions& options);
@@ -230,7 +229,7 @@ class SubspaceGrid {
   std::vector<std::uint64_t> point_keys_;
 };
 
-/// Cache key of a grid artifact (ArtifactCache::FindGridErased): encodes
+/// Cache key of a grid artifact (ArtifactCache::FindGrid): encodes
 /// every grid-shaping parameter — bins per dim, point-key retention, and
 /// the exact bit patterns of the (min, max) ranges the grid bins against.
 /// Two windows whose ranges differ in even one bit get different keys, so

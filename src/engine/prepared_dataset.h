@@ -61,11 +61,14 @@ struct ArtifactCacheStats {
   }
 };
 
+class SubspaceGrid;  // cluster/grid.h; held only through shared_ptr here
+
 /// Thread-safe, subspace-keyed memoization of the derived artifacts the
 /// ranking stage rebuilds per call today: projected NeighborSearchers
 /// (SoA conversion + KD-tree build), batched all-kNN tables, whole
-/// per-subspace score vectors, and (type-erased — see FindGridErased)
-/// subspace histograms.
+/// per-subspace score vectors, and subspace histograms (SubspaceGrid,
+/// which the engine only forward-declares, so it does not link the
+/// cluster layer).
 ///
 /// Correctness rests on the repo-wide bit-identity discipline (DESIGN.md
 /// §5b-§5d): every producer of a cached artifact is deterministic in its
@@ -77,6 +80,11 @@ struct ArtifactCacheStats {
 /// the value: the subspace, the backend (searchers are distinct objects
 /// per backend even though their answers agree), the row capacity k, and
 /// the scorer's semantic cache key.
+///
+/// Every kind lives on its own Shelf, which writes the entry lifecycle
+/// once: epoch stamp, stale eviction on lookup, first insert wins,
+/// admission under the byte budget, sweep on epoch advance, and
+/// in-order reclaim.
 ///
 /// Epochs (DESIGN.md §5j): every entry is stamped with the cache's epoch
 /// at insert time. A static dataset never advances the epoch and nothing
@@ -138,41 +146,37 @@ class ArtifactCache {
       const std::string& scorer_key, const Subspace& subspace,
       std::vector<double> scores);
 
-  /// The cached grid artifact for (grid_key, subspace), or nullptr on a
-  /// miss. Grids are stored type-erased (shared_ptr<const void>) because
-  /// the engine layer sits *below* the cluster layer that defines
-  /// SubspaceGrid; the grid-density scorer owns the concrete type and
-  /// casts. `grid_key` must encode every grid-shaping parameter —
-  /// bins_per_dim, point-key retention, and the bit patterns of the
-  /// attribute ranges the grid was binned against (GridArtifactKey in
-  /// cluster/grid.h builds it) — so a range shift after a window slide
-  /// can never alias a cached grid built against the old bounds.
-  std::shared_ptr<const void> FindGridErased(const std::string& grid_key,
-                                             const Subspace& subspace);
+  /// The cached grid for (grid_key, subspace), or nullptr on a miss.
+  /// `grid_key` must encode every grid-shaping parameter — bins_per_dim,
+  /// point-key retention, and the bit patterns of the attribute ranges
+  /// the grid was binned against (GridArtifactKey in cluster/grid.h
+  /// builds it) — so a range shift after a window slide can never alias
+  /// a cached grid built against the old bounds.
+  std::shared_ptr<const SubspaceGrid> FindGrid(const std::string& grid_key,
+                                               const Subspace& subspace);
 
-  /// Publishes a grid artifact (`bytes` = its estimated footprint, which
-  /// the caller computes because the engine cannot see the concrete
-  /// type). First insert wins; budget rejection returns the caller's
-  /// pointer uncached, like the other kinds.
-  std::shared_ptr<const void> InsertGridErased(const std::string& grid_key,
-                                               const Subspace& subspace,
-                                               std::shared_ptr<const void> grid,
-                                               std::size_t bytes);
+  /// Publishes a grid (`bytes` = its SubspaceGrid::ApproxMemoryBytes,
+  /// which the caller passes because the engine cannot see the type).
+  /// First insert wins; budget rejection returns the caller's pointer
+  /// uncached, like the other kinds.
+  std::shared_ptr<const SubspaceGrid> InsertGrid(
+      const std::string& grid_key, const Subspace& subspace,
+      std::shared_ptr<const SubspaceGrid> grid, std::size_t bytes);
 
   /// Current dataset epoch of this cache (0 for static datasets that
   /// never advance it).
   std::uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
-  /// Carry hook for AdvanceEpoch: called for every cached grid entry
+  /// Carry hook for AdvanceEpoch: called for every stale grid entry
   /// during the sweep. Return a replacement grid (updating *bytes to its
   /// new footprint) to keep the entry — restamped at the new epoch — or
   /// nullptr to evict it like every other stale artifact. The streaming
   /// data plane uses this to slide window grids incrementally
   /// (SubspaceGrid::RetireRow/AdmitRow) instead of rebuilding them when
   /// the attribute ranges survived the slide.
-  using GridCarryFn = std::function<std::shared_ptr<const void>(
+  using GridCarryFn = std::function<std::shared_ptr<const SubspaceGrid>(
       const std::string& grid_key, const Subspace& subspace,
-      const std::shared_ptr<const void>& grid, std::size_t* bytes)>;
+      const std::shared_ptr<const SubspaceGrid>& grid, std::size_t* bytes)>;
 
   /// Advances the cache to `new_epoch` (strictly greater than the current
   /// epoch) and sweeps every entry stamped at an older epoch: stale
@@ -195,10 +199,10 @@ class ArtifactCache {
 
   ArtifactCacheStats stats() const;
 
-  std::size_t num_searchers() const;
-  std::size_t num_knn_tables() const;
-  std::size_t num_score_vectors() const;
-  std::size_t num_grids() const;
+  std::size_t num_searchers() const { return searchers_.size(); }
+  std::size_t num_knn_tables() const { return knn_tables_.size(); }
+  std::size_t num_score_vectors() const { return scores_.size(); }
+  std::size_t num_grids() const { return grids_.size(); }
 
   /// Caps the cache's estimated footprint at `bytes` (0 = unbounded, the
   /// default). An artifact whose estimated size would push
@@ -222,78 +226,158 @@ class ArtifactCache {
   /// its doubles (n * 8), a grid whatever footprint its inserter
   /// declared. Container/node overhead is excluded; treat the budget as
   /// a sizing knob, not an accounting ledger.
-  std::size_t ApproxMemoryBytes() const;
+  std::size_t ApproxMemoryBytes() const {
+    return ledger_.approx_bytes.load(std::memory_order_relaxed);
+  }
 
  private:
-  /// One cached artifact plus the metadata eviction needs: the epoch it
-  /// was stamped with at insert and the bytes it was charged.
-  template <typename T>
-  struct Entry {
-    std::shared_ptr<T> value;
-    std::uint64_t epoch = 0;
-    std::size_t bytes = 0;
+  /// The byte budget and eviction tallies every shelf charges.
+  struct Ledger {
+    std::atomic<std::size_t> byte_budget{0};
+    std::atomic<std::size_t> approx_bytes{0};
+    std::atomic<std::uint64_t> budget_rejections{0};
+    std::atomic<std::uint64_t> evicted_artifacts{0};
+    std::atomic<std::uint64_t> invalidated_bytes{0};
+
+    /// Charges `bytes` against the budget. Returns false — charging
+    /// nothing — when a budget is set and the charge would exceed it.
+    bool Admit(std::size_t bytes);
+    /// Books one eviction: returns `bytes` to the footprint and bumps
+    /// the eviction counters.
+    void Evict(std::size_t bytes);
+    bool Over(std::size_t budget) const {
+      return approx_bytes.load(std::memory_order_relaxed) > budget;
+    }
   };
 
-  /// Charges `bytes` against the budget. Returns false — charging
-  /// nothing — when a budget is set and the charge would exceed it.
-  bool AdmitBytes(std::size_t bytes);
+  /// One artifact kind: its entries under one mutex, each stamped with
+  /// the epoch it was inserted at and the bytes it was charged, plus the
+  /// kind's hit/miss counters. Builds happen outside, between Find and
+  /// Publish.
+  template <typename Key, typename Value>
+  class Shelf {
+   public:
+    using Ptr = std::shared_ptr<const Value>;
 
-  /// Books one eviction: returns `bytes` to the footprint and bumps the
-  /// eviction counters.
-  void AccountEviction(std::size_t bytes);
+    explicit Shelf(Ledger& ledger) : ledger_(ledger) {}
 
-  /// Evicts entries in the documented deterministic order until the
-  /// footprint is within `budget`. Caller holds no kind mutex.
-  void ReclaimToBudget(std::size_t budget);
+    /// The entry for `key` if it is stamped `now`, counting a hit;
+    /// otherwise nullptr, evicting a stale-stamped entry (defense in
+    /// depth: AdvanceEpoch normally sweeps it). Misses are the caller's
+    /// to count (Miss), since one logical lookup may probe several keys.
+    Ptr Find(const Key& key, std::uint64_t now) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      const auto it = entries_.find(key);
+      if (it == entries_.end()) return nullptr;
+      if (it->second.epoch != now) {
+        ledger_.Evict(it->second.bytes);
+        entries_.erase(it);
+        return nullptr;
+      }
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      return it->second.value;
+    }
+
+    void Miss() { misses_.fetch_add(1, std::memory_order_relaxed); }
+
+    /// Caches `value` under `key` at `now`, charged `bytes`. A racing
+    /// builder's entry wins and is returned; a budget rejection returns
+    /// `value` uncached (identical bits, just not memoized).
+    Ptr Publish(const Key& key, Ptr value, std::size_t bytes,
+                std::uint64_t now) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      const auto it = entries_.find(key);
+      if (it != entries_.end()) return it->second.value;
+      if (!ledger_.Admit(bytes)) {
+        ledger_.budget_rejections.fetch_add(1, std::memory_order_relaxed);
+        return value;
+      }
+      return entries_.emplace(key, Entry{std::move(value), now, bytes})
+          .first->second.value;
+    }
+
+    /// Evicts every entry not stamped `now`.
+    void Sweep(std::uint64_t now) {
+      Sweep(now, [](const Key&, const Ptr&, std::size_t*) { return Ptr(); });
+    }
+
+    /// Sweep, offering each stale entry to `carry` first:
+    /// carry(key, value, &bytes) returns a replacement to keep — restamped
+    /// `now` and re-charged the updated bytes — or nullptr to evict.
+    template <typename Carry>
+    void Sweep(std::uint64_t now, const Carry& carry) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      for (auto it = entries_.begin(); it != entries_.end();) {
+        Entry& entry = it->second;
+        if (entry.epoch != now) {
+          std::size_t bytes = entry.bytes;
+          if (Ptr kept = carry(it->first, entry.value, &bytes)) {
+            ledger_.approx_bytes.fetch_add(bytes, std::memory_order_relaxed);
+            ledger_.approx_bytes.fetch_sub(entry.bytes,
+                                           std::memory_order_relaxed);
+            entry = Entry{std::move(kept), now, bytes};
+          } else {
+            ledger_.Evict(entry.bytes);
+            it = entries_.erase(it);
+            continue;
+          }
+        }
+        ++it;
+      }
+    }
+
+    /// Evicts entries in ascending key order until the footprint is
+    /// within `budget`.
+    void Reclaim(std::size_t budget) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      for (auto it = entries_.begin();
+           ledger_.Over(budget) && it != entries_.end();) {
+        ledger_.Evict(it->second.bytes);
+        it = entries_.erase(it);
+      }
+    }
+
+    std::size_t size() const {
+      std::lock_guard<std::mutex> lock(mutex_);
+      return entries_.size();
+    }
+    std::uint64_t hits() const {
+      return hits_.load(std::memory_order_relaxed);
+    }
+    std::uint64_t misses() const {
+      return misses_.load(std::memory_order_relaxed);
+    }
+
+   private:
+    struct Entry {
+      Ptr value;
+      std::uint64_t epoch = 0;
+      std::size_t bytes = 0;
+    };
+
+    Ledger& ledger_;
+    mutable std::mutex mutex_;
+    std::map<Key, Entry> entries_;
+    std::atomic<std::uint64_t> hits_{0};
+    std::atomic<std::uint64_t> misses_{0};
+  };
 
   using SearcherKey = std::pair<int, Subspace>;
   using KnnKey = std::pair<std::size_t, Subspace>;
-  using ScoreKey = std::pair<std::string, Subspace>;
-  using GridKey = std::pair<std::string, Subspace>;
+  using NamedKey = std::pair<std::string, Subspace>;
 
-  /// The cached searcher for `key` at epoch `now` (counting a hit), or
-  /// nullptr; a stale-stamped entry is evicted. Caller holds
-  /// searcher_mutex_.
-  std::shared_ptr<const NeighborSearcher> FindSearcherLocked(
-      const SearcherKey& key, std::uint64_t now);
-
-  /// Caches a freshly built searcher under its backend(), subject to the
-  /// byte budget; a racing builder's entry wins. Returns the canonical
-  /// (or, when rejected by the budget, the uncached) searcher.
+  /// Caches a freshly built searcher under its backend().
   std::shared_ptr<const NeighborSearcher> PublishSearcher(
       const Subspace& subspace, std::shared_ptr<const NeighborSearcher> built,
       std::uint64_t now);
 
   const Dataset* dataset_;
-
-  mutable std::mutex searcher_mutex_;
-  std::map<SearcherKey, Entry<const NeighborSearcher>> searchers_;
-
-  mutable std::mutex knn_mutex_;
-  std::map<KnnKey, Entry<const KnnResultTable>> knn_tables_;
-
-  mutable std::mutex score_mutex_;
-  std::map<ScoreKey, Entry<const std::vector<double>>> scores_;
-
-  mutable std::mutex grid_mutex_;
-  std::map<GridKey, Entry<const void>> grids_;
-
   std::atomic<std::uint64_t> epoch_{0};
-
-  mutable std::atomic<std::uint64_t> searcher_hits_{0};
-  mutable std::atomic<std::uint64_t> searcher_misses_{0};
-  mutable std::atomic<std::uint64_t> knn_hits_{0};
-  mutable std::atomic<std::uint64_t> knn_misses_{0};
-  mutable std::atomic<std::uint64_t> score_hits_{0};
-  mutable std::atomic<std::uint64_t> score_misses_{0};
-  mutable std::atomic<std::uint64_t> grid_hits_{0};
-  mutable std::atomic<std::uint64_t> grid_misses_{0};
-
-  std::atomic<std::size_t> byte_budget_{0};
-  std::atomic<std::size_t> approx_bytes_{0};
-  mutable std::atomic<std::uint64_t> budget_rejections_{0};
-  mutable std::atomic<std::uint64_t> evicted_artifacts_{0};
-  mutable std::atomic<std::uint64_t> invalidated_bytes_{0};
+  Ledger ledger_;
+  Shelf<SearcherKey, NeighborSearcher> searchers_{ledger_};
+  Shelf<KnnKey, KnnResultTable> knn_tables_{ledger_};
+  Shelf<NamedKey, std::vector<double>> scores_{ledger_};
+  Shelf<NamedKey, SubspaceGrid> grids_{ledger_};
 };
 
 /// Construction knobs of a PreparedDataset beyond the dataset itself.
@@ -398,14 +482,12 @@ class PreparedDataset {
   double MarginalMean(std::size_t attribute) const;
   double MarginalVariance(std::size_t attribute) const;
 
-  /// (min, max) of attribute `attribute`'s finite values; (0, 0) when the
-  /// column is empty or all-NaN. Memoized for all attributes on first
-  /// call: reuses the pre-sorted columns' ends when the rank artifacts
-  /// are already built (no data scan at all), and one NaN-ignoring
-  /// min/max pass otherwise — identical results either way. This is the
-  /// range substrate of the grid-density tier (SubspaceGrid's prepared
-  /// overload), so repeated grid builds across subspaces never rescan
-  /// columns.
+  /// (min, max) of attribute `attribute`'s non-NaN values; (0, 0) when
+  /// the column is empty or all-NaN (stats::RangeIgnoringNaN). Memoized
+  /// for all attributes on first call by one pass per column. This is
+  /// the range substrate of the grid-density tier (SubspaceGrid's
+  /// prepared overload), so repeated grid builds across subspaces never
+  /// rescan columns.
   std::pair<double, double> AttributeRange(std::size_t attribute) const;
 
   /// The subspace-keyed artifact cache. Const-accessible by design: the
@@ -420,10 +502,6 @@ class PreparedDataset {
   std::uint64_t epoch_ = 0;
 
   mutable std::once_flag rank_artifacts_once_;
-  /// Set (release) at the end of the rank-artifact build; lets
-  /// AttributeRange read the sorted columns lock-free when they already
-  /// exist without forcing their construction when they don't.
-  mutable std::atomic<bool> rank_artifacts_ready_{false};
   mutable std::unique_ptr<SortedAttributeIndex> index_;
   mutable std::vector<std::vector<double>> sorted_columns_;
   mutable std::vector<double> marginal_means_;
@@ -433,8 +511,7 @@ class PreparedDataset {
   mutable std::vector<std::vector<std::size_t>> pending_orders_;
 
   mutable std::once_flag ranges_once_;
-  mutable std::vector<double> attr_min_;
-  mutable std::vector<double> attr_max_;
+  mutable std::vector<std::pair<double, double>> ranges_;
 
   mutable std::shared_ptr<ArtifactCache> cache_;
 };

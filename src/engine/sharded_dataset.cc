@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
 #include "common/check.h"
 #include "common/parallel.h"
+#include "stats/descriptive.h"
 
 namespace hics {
 namespace {
@@ -102,30 +102,15 @@ std::size_t ShardedDataset::shard_size(std::size_t s) const {
 std::pair<double, double> ShardedDataset::GlobalAttributeRange(
     std::size_t attribute) const {
   HICS_CHECK(attribute < dataset_.num_attributes());
+  // Over the FULL column: the merge contract requires every shard to bin
+  // against identical bounds.
   std::call_once(ranges_once_, [this] {
-    const std::size_t d = dataset_.num_attributes();
-    attr_min_.resize(d);
-    attr_max_.resize(d);
-    for (std::size_t a = 0; a < d; ++a) {
-      // Same NaN-ignoring scan as PreparedDataset::AttributeRange's
-      // unprepared branch, over the FULL column: the merge contract
-      // requires every shard to bin against identical bounds.
-      double mn = std::numeric_limits<double>::infinity();
-      double mx = -std::numeric_limits<double>::infinity();
-      for (double v : dataset_.Column(a)) {
-        if (!(v == v)) continue;  // skip NaN
-        if (v < mn) mn = v;
-        if (v > mx) mx = v;
-      }
-      if (!(mn <= mx)) {
-        mn = 0.0;
-        mx = 0.0;
-      }
-      attr_min_[a] = mn;
-      attr_max_[a] = mx;
+    ranges_.reserve(dataset_.num_attributes());
+    for (std::size_t a = 0; a < dataset_.num_attributes(); ++a) {
+      ranges_.push_back(stats::RangeIgnoringNaN(dataset_.Column(a)));
     }
   });
-  return {attr_min_[attribute], attr_max_[attribute]};
+  return ranges_[attribute];
 }
 
 }  // namespace hics

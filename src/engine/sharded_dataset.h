@@ -93,9 +93,9 @@ class ShardedDataset : public ShardPlane {
   /// to PreparedDataset::AttributeRange on the full dataset. This is the
   /// globally agreed range every per-shard SubspaceGrid bins against, so
   /// per-shard cell keys match the unsharded grid's and cell counts merge
-  /// exactly. Computed by one memoized NaN-ignoring pass over the full
-  /// columns (never by merging per-shard ranges: the (0, 0) all-NaN
-  /// sentinel would be ambiguous with a real [0, 0] range).
+  /// exactly. Computed by one memoized stats::RangeIgnoringNaN pass over
+  /// the full columns (never by merging per-shard ranges: the (0, 0)
+  /// all-NaN sentinel would be ambiguous with a real [0, 0] range).
   std::pair<double, double> GlobalAttributeRange(
       std::size_t attribute) const override;
 
@@ -106,8 +106,7 @@ class ShardedDataset : public ShardPlane {
   std::vector<std::unique_ptr<PreparedDataset>> shards_;
 
   mutable std::once_flag ranges_once_;
-  mutable std::vector<double> attr_min_;
-  mutable std::vector<double> attr_max_;
+  mutable std::vector<std::pair<double, double>> ranges_;
 };
 
 }  // namespace hics

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <limits>
 #include <map>
 #include <string>
 
 #include "common/check.h"
 #include "common/parallel.h"
 #include "cluster/grid.h"
+#include "stats/descriptive.h"
 
 namespace hics {
 
@@ -196,23 +196,10 @@ void StreamingDataset::ApplyMutation(
                admitted.end(), merged.begin(), by_value);
     orders_[a] = std::move(merged);
 
-    // Same NaN-ignoring scan as ShardedDataset::GlobalAttributeRange /
-    // PreparedDataset::AttributeRange, recomputed eagerly so readers of
-    // the new epoch never race a lazy fill. NaN cannot actually enter
-    // (admissions are finite-checked) but the scan form must match the
-    // cold path bit for bit.
-    double mn = std::numeric_limits<double>::infinity();
-    double mx = -std::numeric_limits<double>::infinity();
-    for (double v : col) {
-      if (!(v == v)) continue;
-      if (v < mn) mn = v;
-      if (v > mx) mx = v;
-    }
-    if (!(mn <= mx)) {
-      mn = 0.0;
-      mx = 0.0;
-    }
-    ranges_[a] = {mn, mx};
+    // The range helper ShardedDataset::GlobalAttributeRange and
+    // PreparedDataset::AttributeRange use, recomputed eagerly so readers
+    // of the new epoch never race a lazy fill.
+    ranges_[a] = stats::RangeIgnoringNaN(col);
   });
 
   // Advance the persistent window cache. Searchers, kNN tables, and score
@@ -221,9 +208,8 @@ void StreamingDataset::ApplyMutation(
   // unchanged) are carried by exact integer retire/admit instead.
   const ArtifactCache::GridCarryFn carry =
       [&](const std::string& key, const Subspace& subspace,
-          const std::shared_ptr<const void>& grid_erased,
-          std::size_t* bytes) -> std::shared_ptr<const void> {
-    const auto* grid = static_cast<const SubspaceGrid*>(grid_erased.get());
+          const std::shared_ptr<const SubspaceGrid>& grid,
+          std::size_t* bytes) -> std::shared_ptr<const SubspaceGrid> {
     if (grid->has_point_keys()) return nullptr;  // stale id mapping
     std::vector<std::pair<double, double>> sub_ranges;
     sub_ranges.reserve(subspace.size());
@@ -249,7 +235,7 @@ void StreamingDataset::ApplyMutation(
       carried->AdmitRow(projected);
     }
     *bytes = carried->ApproxMemoryBytes();
-    return std::static_pointer_cast<const void>(carried);
+    return carried;
   };
   window_cache_->AdvanceEpoch(epoch_, carry);
 

@@ -35,11 +35,8 @@ namespace {
 /// heaps — half the distance work of N independent scans.
 class BruteForceSearcher : public NeighborSearcher {
  public:
-  BruteForceSearcher(const Dataset& dataset, const Subspace& subspace,
-                     KnnPrecision precision)
-      : num_objects_(dataset.num_objects()),
-        dim_(subspace.size()),
-        precision_(precision) {
+  BruteForceSearcher(const Dataset& dataset, const Subspace& subspace)
+      : num_objects_(dataset.num_objects()), dim_(subspace.size()) {
     HICS_CHECK_GT(dim_, 0u);
     points_.resize(num_objects_ * dim_);
     soa_.resize(num_objects_ * dim_);
@@ -56,25 +53,6 @@ class BruteForceSearcher : public NeighborSearcher {
         ++d;
       }
       norms_[i] = norm;
-    }
-    if (precision_ == KnnPrecision::kFloat32Screen) {
-      // Narrowed SoA + norms for the single-precision screening rows. The
-      // f32 norms are recomputed in float (not narrowed from the double
-      // norms) so the screening arithmetic is self-consistent; the wider
-      // f32 slack covers the conversion and accumulation error either way.
-      soa32_.resize(soa_.size());
-      norms32_.resize(num_objects_);
-      for (std::size_t idx = 0; idx < soa_.size(); ++idx) {
-        soa32_[idx] = static_cast<float>(soa_[idx]);
-      }
-      for (std::size_t i = 0; i < num_objects_; ++i) {
-        float norm = 0.0f;
-        for (std::size_t d = 0; d < dim_; ++d) {
-          const float v = soa32_[d * num_objects_ + i];
-          norm += v * v;
-        }
-        norms32_[i] = norm;
-      }
     }
   }
 
@@ -205,8 +183,7 @@ class BruteForceSearcher : public NeighborSearcher {
   KnnBackend backend() const override { return KnnBackend::kBruteForce; }
 
   std::size_t MemoryBytes() const override {
-    return (points_.size() + soa_.size() + norms_.size()) * sizeof(double) +
-           (soa32_.size() + norms32_.size()) * sizeof(float);
+    return (points_.size() + soa_.size() + norms_.size()) * sizeof(double);
   }
 
  private:
@@ -225,18 +202,8 @@ class BruteForceSearcher : public NeighborSearcher {
   /// repo by orders of magnitude. Pairs inside the margin fall through to
   /// the exact kernel, so the margin only trades a few redundant exact
   /// computations for screening safety.
-  ///
-  /// Float32 screening adds the input-narrowing error and the f32
-  /// accumulation error of the dot product and norms, all bounded by a few
-  /// (dim + O(1)) float ulps of the (|x_i|^2 + |x_j|^2) scale; the margin
-  /// below over-covers that by an order of magnitude. A wider margin only
-  /// sends more pairs to the exact recheck — never changes a result.
-  double ScreeningSlack(double norm_i, double norm_j) const {
-    const double scale = norm_i + norm_j;
-    if (precision_ == KnnPrecision::kFloat32Screen) {
-      return 5e-7 * static_cast<double>(dim_ + 8) * scale;
-    }
-    return 1e-12 * scale;
+  static double ScreeningSlack(double norm_i, double norm_j) {
+    return 1e-12 * (norm_i + norm_j);
   }
 
   /// Max-heap push into a row of the result table: keeps the kcap best
@@ -256,18 +223,12 @@ class BruteForceSearcher : public NeighborSearcher {
   /// Screening distances for query i against columns [j0, jend):
   /// d2[t] = |x_i|^2 + |x_{j0+t}|^2 - 2 <x_i, x_{j0+t}>, with the dot
   /// products accumulated dimension-major over the SoA columns by the
-  /// dispatched SIMD screening kernel (f64 or f32 per precision_).
+  /// dispatched SIMD screening kernel.
   void ScreeningRow(std::size_t i, std::size_t j0, std::size_t jend,
                     double* d2) const {
-    const std::size_t w = jend - j0;
-    const simd::SimdKernels& kernels = simd::ActiveKernels();
-    if (precision_ == KnnPrecision::kFloat32Screen) {
-      kernels.screen_row_f32(soa32_.data(), num_objects_, dim_, i, j0, w,
-                             norms32_[i], norms32_.data() + j0, d2);
-    } else {
-      kernels.screen_row_f64(soa_.data(), num_objects_, dim_, i, j0, w,
-                             norms_[i], norms_.data() + j0, d2);
-    }
+    simd::ActiveKernels().screen_row_f64(soa_.data(), num_objects_, dim_, i,
+                                         j0, jend - j0, norms_[i],
+                                         norms_.data() + j0, d2);
   }
 
   /// One (query-block x point-block) tile of the symmetric serial sweep:
@@ -343,20 +304,16 @@ class BruteForceSearcher : public NeighborSearcher {
 
   std::size_t num_objects_;
   std::size_t dim_;
-  KnnPrecision precision_;
   std::vector<double> points_;  ///< row-major: point i at [i*dim, (i+1)*dim)
   std::vector<double> soa_;     ///< dimension-major: dim d at [d*n, (d+1)*n)
   std::vector<double> norms_;   ///< |x_i|^2 (screening only)
-  std::vector<float> soa32_;    ///< f32 SoA copy (kFloat32Screen only)
-  std::vector<float> norms32_;  ///< f32 norms (kFloat32Screen only)
 };
 
 }  // namespace
 
 std::unique_ptr<NeighborSearcher> MakeBruteForceSearcher(
-    const Dataset& dataset, const Subspace& subspace,
-    KnnPrecision precision) {
-  return std::make_unique<BruteForceSearcher>(dataset, subspace, precision);
+    const Dataset& dataset, const Subspace& subspace) {
+  return std::make_unique<BruteForceSearcher>(dataset, subspace);
 }
 
 }  // namespace hics

@@ -27,12 +27,10 @@ void NeighborSearcher::QueryAllKnnPerQuery(std::size_t k, KnnResultTable* out,
 
 std::unique_ptr<NeighborSearcher> MakeSearcher(const Dataset& dataset,
                                                const Subspace& subspace,
-                                               KnnBackend backend,
-                                               KnnPrecision precision) {
-  // The KD-tree has no screening stage, so precision does not apply there.
+                                               KnnBackend backend) {
   return backend == KnnBackend::kKdTree
              ? MakeKdTreeSearcher(dataset, subspace)
-             : MakeBruteForceSearcher(dataset, subspace, precision);
+             : MakeBruteForceSearcher(dataset, subspace);
 }
 
 KnnBackend ChooseKnnBackend(std::size_t num_objects,

@@ -73,18 +73,6 @@ enum class KnnBackend {
   kKdTree,      ///< median-split KD-tree
 };
 
-/// Precision of the *screening* stage of the batched brute-force kernel.
-/// Results are bit-identical either way: screening only prunes pairs, and
-/// every surviving candidate is re-evaluated with the exact double
-/// difference-form distance. kFloat32Screen runs the Gram tile rows in
-/// single precision (twice the SIMD lanes, half the SoA bandwidth) under a
-/// correspondingly wider slack margin; per-query paths and the KD-tree are
-/// unaffected.
-enum class KnnPrecision {
-  kFloat64,       ///< screen in double (default)
-  kFloat32Screen, ///< screen in float, exact double recheck on candidates
-};
-
 /// k-nearest-neighbor search over the objects of one dataset, with distances
 /// restricted to a subspace (Euclidean on the projected attributes, as in
 /// the paper's dist_S). Backends: brute force and KD-tree.
@@ -182,8 +170,7 @@ class NeighborSearcher {
 /// bound abandonment; batched (QueryAllKnn) it switches to a cache-blocked
 /// SoA kernel that computes each symmetric pair once — see DESIGN.md §5c.
 std::unique_ptr<NeighborSearcher> MakeBruteForceSearcher(
-    const Dataset& dataset, const Subspace& subspace,
-    KnnPrecision precision = KnnPrecision::kFloat64);
+    const Dataset& dataset, const Subspace& subspace);
 
 /// Median-split KD-tree with its coordinates stored column-major in tree
 /// order (each leaf bucket a contiguous run of every column, scanned by
@@ -198,9 +185,9 @@ std::unique_ptr<NeighborSearcher> MakeKdTreeSearcher(const Dataset& dataset,
 /// policy instead (ResolveKnnSearcher, or ChooseKnnBackend without data);
 /// this entry point is for building one backend on purpose, e.g. a
 /// reference to compare against.
-std::unique_ptr<NeighborSearcher> MakeSearcher(
-    const Dataset& dataset, const Subspace& subspace, KnnBackend backend,
-    KnnPrecision precision = KnnPrecision::kFloat64);
+std::unique_ptr<NeighborSearcher> MakeSearcher(const Dataset& dataset,
+                                               const Subspace& subspace,
+                                               KnnBackend backend);
 
 /// A KD-tree searcher together with its probe count: the leaf points
 /// scanned answering the k-NN queries of `num_probes` tree positions

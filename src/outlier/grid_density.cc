@@ -133,17 +133,27 @@ std::vector<double> GridDensityScorer::ScoreWithGrid(
   return scores;
 }
 
-std::vector<double> GridDensityScorer::ScoreSubspaceSharded(
-    const ShardPlane& sharded, const Subspace& subspace) const {
+std::shared_ptr<const SubspaceGrid> GridDensityScorer::CachedGrid(
+    ArtifactCache& cache, const std::string& grid_key, const Dataset& dataset,
+    const Subspace& subspace,
+    std::span<const std::pair<double, double>> ranges) const {
+  if (auto hit = cache.FindGrid(grid_key, subspace)) return hit;
   GridOptions options;
   options.bins_per_dim = params_.bins_per_dim;
   options.num_threads = params_.num_threads;
   // Cached grids never retain point keys: the cache outlives the call,
   // and on a streaming plane object ids shift with every slide, so only
-  // the keyless form can survive (and be carried). The gather re-bins per
-  // point, landing on identical densities.
+  // the keyless form can survive (and be carried by exact retire/admit).
+  // The gather re-bins per point, landing on identical densities.
   options.keep_point_keys = false;
+  auto built =
+      std::make_shared<const SubspaceGrid>(dataset, subspace, ranges, options);
+  const std::size_t bytes = built->ApproxMemoryBytes();
+  return cache.InsertGrid(grid_key, subspace, std::move(built), bytes);
+}
 
+std::vector<double> GridDensityScorer::ScoreSubspaceSharded(
+    const ShardPlane& sharded, const Subspace& subspace) const {
   // Every shard bins against the GLOBAL ranges, so a row's cell key is
   // the same one the full-dataset grid would assign it; shard grids then
   // merge by pure integer count addition. The cache key encodes the
@@ -155,22 +165,11 @@ std::vector<double> GridDensityScorer::ScoreSubspaceSharded(
   }
   const std::string grid_key =
       GridArtifactKey(params_.bins_per_dim, false, ranges);
-
   const std::size_t num_shards = sharded.num_shards();
   std::vector<std::shared_ptr<const SubspaceGrid>> shard_grids(num_shards);
   ParallelFor(0, num_shards, params_.num_threads, [&](std::size_t s) {
-    ArtifactCache& cache = sharded.shard(s).cache();
-    if (std::shared_ptr<const void> hit =
-            cache.FindGridErased(grid_key, subspace)) {
-      shard_grids[s] = std::static_pointer_cast<const SubspaceGrid>(hit);
-      return;
-    }
-    auto built = std::make_shared<const SubspaceGrid>(
-        sharded.shard(s).dataset(), subspace,
-        std::span<const std::pair<double, double>>(ranges), options);
-    shard_grids[s] = std::static_pointer_cast<const SubspaceGrid>(
-        cache.InsertGridErased(grid_key, subspace, built,
-                               built->ApproxMemoryBytes()));
+    shard_grids[s] = CachedGrid(sharded.shard(s).cache(), grid_key,
+                                sharded.shard(s).dataset(), subspace, ranges);
   });
   std::vector<const SubspaceGrid*> grid_ptrs(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
@@ -183,34 +182,15 @@ std::vector<double> GridDensityScorer::ScoreSubspaceSharded(
 
 std::vector<double> GridDensityScorer::ScoreSubspacePrepared(
     const PreparedDataset& prepared, const Subspace& subspace) const {
-  GridOptions options;
-  options.bins_per_dim = params_.bins_per_dim;
-  options.num_threads = params_.num_threads;
-  // Keyless, like the sharded path: the grid is published to the
-  // prepared artifact's cache, where the streaming plane can carry it
-  // across a window slide by exact retire/admit (only possible without
-  // retained point keys — ids shift). Densities are identical either way.
-  options.keep_point_keys = false;
   // Ranges come from the prepared artifact (no column rescan).
   std::vector<std::pair<double, double>> ranges(subspace.size());
   for (std::size_t j = 0; j < subspace.size(); ++j) {
     ranges[j] = prepared.AttributeRange(subspace[j]);
   }
-  const std::string grid_key =
-      GridArtifactKey(params_.bins_per_dim, false, ranges);
-  ArtifactCache& cache = prepared.cache();
-  std::shared_ptr<const SubspaceGrid> grid;
-  if (std::shared_ptr<const void> hit =
-          cache.FindGridErased(grid_key, subspace)) {
-    grid = std::static_pointer_cast<const SubspaceGrid>(hit);
-  } else {
-    auto built = std::make_shared<const SubspaceGrid>(
-        prepared.dataset(), subspace,
-        std::span<const std::pair<double, double>>(ranges), options);
-    grid = std::static_pointer_cast<const SubspaceGrid>(
-        cache.InsertGridErased(grid_key, subspace, built,
-                               built->ApproxMemoryBytes()));
-  }
+  const std::shared_ptr<const SubspaceGrid> grid =
+      CachedGrid(prepared.cache(),
+                 GridArtifactKey(params_.bins_per_dim, false, ranges),
+                 prepared.dataset(), subspace, ranges);
   return ScoreWithGrid(prepared.dataset(), subspace, *grid);
 }
 

@@ -2,8 +2,10 @@
 #define HICS_OUTLIER_GRID_DENSITY_H_
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/grid.h"
@@ -99,6 +101,14 @@ class GridDensityScorer : public OutlierScorer {
   const GridDensityParams& params() const { return params_; }
 
  private:
+  /// The keyless grid of `subspace` over `dataset`, binned against
+  /// `ranges` (whose bits `grid_key` encodes), from `cache` or built and
+  /// published there.
+  std::shared_ptr<const SubspaceGrid> CachedGrid(
+      ArtifactCache& cache, const std::string& grid_key,
+      const Dataset& dataset, const Subspace& subspace,
+      std::span<const std::pair<double, double>> ranges) const;
+
   std::vector<double> ScoreWithGrid(const Dataset& dataset,
                                     const Subspace& subspace,
                                     const SubspaceGrid& grid) const;

@@ -162,34 +162,6 @@ void ScreenRowF64Avx2(const double* soa, std::size_t stride, std::size_t dim,
   }
 }
 
-void ScreenRowF32Avx2(const float* soa, std::size_t stride, std::size_t dim,
-                      std::size_t i, std::size_t j0, std::size_t w, float ni,
-                      const float* norms, double* d2) {
-  std::size_t t = 0;
-  const __m256 vni = _mm256_set1_ps(ni);
-  for (; t + 8 <= w; t += 8) {
-    __m256 acc = _mm256_setzero_ps();
-    for (std::size_t d = 0; d < dim; ++d) {
-      const float* base = soa + d * stride;
-      acc = _mm256_fmadd_ps(_mm256_broadcast_ss(base + i),
-                            _mm256_loadu_ps(base + j0 + t), acc);
-    }
-    const __m256 r =
-        _mm256_sub_ps(_mm256_add_ps(vni, _mm256_loadu_ps(norms + t)),
-                      _mm256_add_ps(acc, acc));
-    _mm256_storeu_pd(d2 + t, _mm256_cvtps_pd(_mm256_castps256_ps128(r)));
-    _mm256_storeu_pd(d2 + t + 4,
-                     _mm256_cvtps_pd(_mm256_extractf128_ps(r, 1)));
-  }
-  for (; t < w; ++t) {
-    float dot = 0.0f;
-    for (std::size_t d = 0; d < dim; ++d) {
-      dot += soa[d * stride + i] * soa[d * stride + j0 + t];
-    }
-    d2[t] = static_cast<double>(ni + norms[t] - 2.0f * dot);
-  }
-}
-
 void SliceMaskAvx2(const std::uint32_t* const* ranks,
                    const std::uint32_t* starts, std::size_t num_conditions,
                    std::uint32_t block, std::size_t n, std::uint32_t* mask) {
@@ -355,7 +327,6 @@ const SimdKernels& Avx2Kernels() {
       SquaredDistanceBoundedAvx2,
       LeafScreenAvx2,
       ScreenRowF64Avx2,
-      ScreenRowF32Avx2,
       SliceMaskAvx2,
       CompactSelectedAvx2,
       CompactSelectedSortedAvx2,

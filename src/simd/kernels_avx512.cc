@@ -156,35 +156,6 @@ void ScreenRowF64Avx512(const double* soa, std::size_t stride,
   }
 }
 
-void ScreenRowF32Avx512(const float* soa, std::size_t stride, std::size_t dim,
-                        std::size_t i, std::size_t j0, std::size_t w,
-                        float ni, const float* norms, double* d2) {
-  std::size_t t = 0;
-  const __m512 vni = _mm512_set1_ps(ni);
-  for (; t + 16 <= w; t += 16) {
-    __m512 acc = _mm512_setzero_ps();
-    for (std::size_t d = 0; d < dim; ++d) {
-      const float* base = soa + d * stride;
-      acc = _mm512_fmadd_ps(_mm512_set1_ps(base[i]),
-                            _mm512_loadu_ps(base + j0 + t), acc);
-    }
-    const __m512 r =
-        _mm512_sub_ps(_mm512_add_ps(vni, _mm512_loadu_ps(norms + t)),
-                      _mm512_add_ps(acc, acc));
-    _mm512_storeu_pd(d2 + t,
-                     _mm512_cvtps_pd(_mm512_castps512_ps256(r)));
-    _mm512_storeu_pd(d2 + t + 8,
-                     _mm512_cvtps_pd(_mm512_extractf32x8_ps(r, 1)));
-  }
-  for (; t < w; ++t) {
-    float dot = 0.0f;
-    for (std::size_t d = 0; d < dim; ++d) {
-      dot += soa[d * stride + i] * soa[d * stride + j0 + t];
-    }
-    d2[t] = static_cast<double>(ni + norms[t] - 2.0f * dot);
-  }
-}
-
 void SliceMaskAvx512(const std::uint32_t* const* ranks,
                      const std::uint32_t* starts, std::size_t num_conditions,
                      std::uint32_t block, std::size_t n, std::uint32_t* mask) {
@@ -308,7 +279,6 @@ const SimdKernels& Avx512Kernels() {
       SquaredDistanceBoundedAvx512,
       LeafScreenAvx512,
       ScreenRowF64Avx512,
-      ScreenRowF32Avx512,
       SliceMaskAvx512,
       CompactSelectedAvx512,
       CompactSelectedSortedAvx512,

@@ -159,20 +159,6 @@ void ScreenRowF64Scalar(const double* soa, std::size_t stride,
   }
 }
 
-void ScreenRowF32Scalar(const float* soa, std::size_t stride, std::size_t dim,
-                        std::size_t i, std::size_t j0, std::size_t w,
-                        float ni, const float* norms, double* d2) {
-  std::array<float, kMaxScreenWidth> dot{};
-  for (std::size_t d = 0; d < dim; ++d) {
-    const float xi = soa[d * stride + i];
-    const float* col = soa + d * stride + j0;
-    for (std::size_t t = 0; t < w; ++t) dot[t] += xi * col[t];
-  }
-  for (std::size_t t = 0; t < w; ++t) {
-    d2[t] = static_cast<double>(ni + norms[t] - 2.0f * dot[t]);
-  }
-}
-
 void SliceMaskScalar(const std::uint32_t* const* ranks,
                      const std::uint32_t* starts, std::size_t num_conditions,
                      std::uint32_t block, std::size_t n, std::uint32_t* mask) {
@@ -270,7 +256,6 @@ const SimdKernels& ScalarKernels() {
       SquaredDistanceBoundedScalar,
       LeafScreenScalar,
       ScreenRowF64Scalar,
-      ScreenRowF32Scalar,
       SliceMaskScalar,
       CompactSelectedScalar,
       CompactSelectedSortedScalar,

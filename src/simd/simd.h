@@ -4,8 +4,8 @@
 //   * the kNN distance kernels — the exact 4-partial-sum squared distance
 //     every result-bearing path shares, the KD-tree leaf screen (the same
 //     distance for a column-major block of up to 16 points per call, plus
-//     its compare mask), and the Gram-screening tile rows (f64 and f32)
-//     that only ever *prune* pairs,
+//     its compare mask), and the Gram-screening tile row that only ever
+//     *prunes* pairs,
 //   * the rank-space contrast kernels — the rank-predicate slice mask
 //     (one pass over the conditions' uint32 ranks), stamp-filtered
 //     compaction of that selection (object-id order for moment tests,
@@ -23,10 +23,10 @@
 //   -ffp-contract=off so inlined scalar code cannot silently contract
 //   either).
 //
-//   SCREENING — screen_row_f64 / screen_row_f32 produce approximations
-//   whose error the caller covers with a slack margin before an exact
-//   recompute; they are free to reassociate and fuse, so each tier runs
-//   them at full hardware width.
+//   SCREENING — screen_row_f64 produces approximations whose error the
+//   caller covers with a slack margin before an exact recompute; it is
+//   free to reassociate and fuse, so each tier runs it at full hardware
+//   width.
 //
 // The tier is detected once (cpuid) and can be forced down for testing via
 // the HICS_SIMD environment variable ("scalar", "avx2", "avx512") or, in
@@ -102,15 +102,6 @@ struct SimdKernels {
   void (*screen_row_f64)(const double* soa, std::size_t stride,
                          std::size_t dim, std::size_t i, std::size_t j0,
                          std::size_t w, double ni, const double* norms,
-                         double* d2);
-
-  /// SCREENING. Single-precision variant over a float32 SoA copy; `ni`
-  /// and `norms` are the float32 norms. Results are converted to double.
-  /// Roughly twice the lanes of screen_row_f64; needs the wider float32
-  /// slack (see BruteForceSearcher::ScreeningSlack).
-  void (*screen_row_f32)(const float* soa, std::size_t stride,
-                         std::size_t dim, std::size_t i, std::size_t j0,
-                         std::size_t w, float ni, const float* norms,
                          double* d2);
 
   /// CANONICAL. Rank-predicate slice selection: for every object i in

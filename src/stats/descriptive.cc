@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/check.h"
@@ -106,6 +107,18 @@ std::vector<double> AverageRanks(std::span<const double> values) {
     i = j + 1;
   }
   return ranks;
+}
+
+std::pair<double, double> RangeIgnoringNaN(std::span<const double> values) {
+  double mn = std::numeric_limits<double>::infinity();
+  double mx = -std::numeric_limits<double>::infinity();
+  for (double v : values) {
+    if (!(v == v)) continue;
+    if (v < mn) mn = v;
+    if (v > mx) mx = v;
+  }
+  if (!(mn <= mx)) return {0.0, 0.0};
+  return {mn, mx};
 }
 
 }  // namespace hics::stats

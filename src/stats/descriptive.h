@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace hics::stats {
@@ -50,6 +51,10 @@ double Median(std::span<const double> values);
 
 /// Ranks with average tie-handling (1-based ranks, as used by Spearman).
 std::vector<double> AverageRanks(std::span<const double> values);
+
+/// (min, max) over the values that are not NaN (infinities count); (0, 0)
+/// when there are none. The attribute range every grid bins against.
+std::pair<double, double> RangeIgnoringNaN(std::span<const double> values);
 
 }  // namespace hics::stats
 

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include "core/pipeline.h"
 #include "data/synthetic.h"
@@ -91,6 +94,66 @@ TEST_P(MonotoneInvarianceTest, ContrastInvariantUnderMonotoneTransform) {
   // Identical: the sorted index (hence every slice) and every rank-based
   // deviation are unchanged by monotone transforms.
   EXPECT_DOUBLE_EQ(contrast_a, contrast_b);
+}
+
+TEST_P(MonotoneInvarianceTest, SearchInvariantUnderMonotoneTransform) {
+  // KS and CvM slices are rank blocks (Def. 5, Alg. 1) and both tests
+  // read only the order of the values, so a strictly increasing
+  // per-attribute transform that creates no new ties must leave the whole
+  // lattice search unchanged, bit for bit.
+  SyntheticParams gen;
+  gen.num_objects = 400;
+  gen.num_attributes = 8;
+  gen.seed = 29;
+  auto generated = GenerateSynthetic(gen);
+  ASSERT_TRUE(generated.ok());
+  const Dataset& original = generated->data;
+  const std::size_t n = original.num_objects();
+  Dataset transformed = original;
+  for (std::size_t a = 0; a < original.num_attributes(); ++a) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v = original.Get(i, a);
+      const double t = a % 3 == 0   ? std::exp(v)
+                       : a % 3 == 1 ? v * v * v + v
+                                    : std::atan(v) + 4.0 * v;
+      transformed.Set(i, a, t);
+    }
+  }
+  // The precondition: every attribute's pairwise order, ties included,
+  // survives the transform (rounding could otherwise merge two values).
+  for (std::size_t a = 0; a < original.num_attributes(); ++a) {
+    std::vector<std::size_t> ids(n);
+    std::iota(ids.begin(), ids.end(), std::size_t{0});
+    std::stable_sort(ids.begin(), ids.end(), [&](std::size_t x,
+                                                  std::size_t y) {
+      return original.Get(x, a) < original.Get(y, a);
+    });
+    for (std::size_t r = 1; r < n; ++r) {
+      const std::size_t x = ids[r - 1];
+      const std::size_t y = ids[r];
+      ASSERT_EQ(original.Get(x, a) < original.Get(y, a),
+                transformed.Get(x, a) < transformed.Get(y, a))
+          << "attribute " << a << " rank " << r;
+    }
+  }
+
+  HicsParams params;
+  params.statistical_test = GetParam();
+  params.num_iterations = 40;
+  params.seed = 7;
+  const auto before = RunHicsSearch(original, params);
+  const auto after = RunHicsSearch(transformed, params);
+  ASSERT_TRUE(before.ok() && after.ok());
+  ASSERT_EQ(before->size(), after->size());
+  ASSERT_FALSE(before->empty());
+  for (std::size_t s = 0; s < before->size(); ++s) {
+    EXPECT_EQ((*before)[s].subspace, (*after)[s].subspace) << "rank " << s;
+    EXPECT_EQ(std::memcmp(&(*before)[s].score, &(*after)[s].score,
+                          sizeof(double)),
+              0)
+        << "rank " << s << ": " << (*before)[s].score << " vs "
+        << (*after)[s].score;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RankBasedTests, MonotoneInvarianceTest,

@@ -89,21 +89,6 @@ TEST_P(KnnBatchParityTest, BruteForceBatchMatchesPerQuery) {
   }
 }
 
-TEST_P(KnnBatchParityTest, Float32ScreenBatchMatchesPerQuery) {
-  // Float32 screening only prunes; candidates are re-decided by the exact
-  // double kernel, so the batch must stay element-identical to the
-  // (always-double) per-query scan — duplicates and ties included.
-  const BatchCase& c = GetParam();
-  Dataset ds = RandomDataset(c.n, c.d, c.seed + 13, c.duplicates);
-  const auto searcher = MakeBruteForceSearcher(
-      ds, ds.FullSpace(), KnnPrecision::kFloat32Screen);
-  for (std::size_t k : {std::size_t{1}, std::size_t{5}, c.n - 1}) {
-    for (std::size_t num_threads : {std::size_t{1}, std::size_t{3}}) {
-      ExpectBatchMatchesPerQuery(*searcher, k, num_threads);
-    }
-  }
-}
-
 TEST_P(KnnBatchParityTest, KdTreeBatchMatchesPerQuery) {
   const BatchCase& c = GetParam();
   Dataset ds = RandomDataset(c.n, c.d, c.seed + 7, c.duplicates);

@@ -109,13 +109,9 @@ TEST(SearcherMemoryTest, ReportedBytesAreTheBufferSizes) {
   const Dataset ds = RandomDataset(n, 3, 91);
   const Subspace subspace({0, 2});
   const std::size_t dims = subspace.size();
-  // Brute force: row-major copy, SoA copy and norms in double; the f32
-  // screen adds a float SoA copy and float norms.
-  const std::size_t brute64 = (2 * n * dims + n) * sizeof(double);
-  EXPECT_EQ(MakeBruteForceSearcher(ds, subspace)->MemoryBytes(), brute64);
-  EXPECT_EQ(MakeBruteForceSearcher(ds, subspace, KnnPrecision::kFloat32Screen)
-                ->MemoryBytes(),
-            brute64 + (n * dims + n) * sizeof(float));
+  // Brute force: row-major copy, SoA copy and norms in double.
+  EXPECT_EQ(MakeBruteForceSearcher(ds, subspace)->MemoryBytes(),
+            (2 * n * dims + n) * sizeof(double));
   // KD-tree: one tree-ordered coordinate copy, the uint32 position<->id
   // maps, and 24-byte nodes (split value plus four uint32 fields).
   EXPECT_EQ(MakeKdTreeSearcher(ds, subspace)->MemoryBytes(),

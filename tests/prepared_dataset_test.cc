@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "cluster/grid.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "core/contrast_matrix.h"
@@ -687,7 +692,7 @@ TEST(ArtifactCacheEpochTest, AdvanceSweepsEveryKindAndAccountsIt) {
   ASSERT_EQ(cache.epoch(), 0u);
 
   // Populate one artifact of every kind: searcher + kNN table + score
-  // vector (via the LOF cached path) and a type-erased grid.
+  // vector (via the LOF cached path) and a grid.
   const LofScorer scorer({.min_pts = 8});
   scorer.ScoreSubspaceCached(prepared, Subspace{0, 1});
   const GridDensityScorer grids(GridDensityParams{});
@@ -793,6 +798,231 @@ TEST(ArtifactCacheBudgetTest, ShrinkToZeroDisablesTheBudget) {
   cache.SetByteBudget(0);  // 0 = unbounded again
   EXPECT_NE(cache.InsertScores("k", Subspace{0, 1}, v), nullptr);
   EXPECT_NE(cache.FindScores("k", Subspace{0, 1}), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// The entry lifecycle every artifact kind shares
+
+/// A keyless grid of `subspace`, the form the grid-density scorer caches.
+std::shared_ptr<const SubspaceGrid> KeylessGrid(const PreparedDataset& prepared,
+                                                const Subspace& subspace) {
+  GridOptions options;
+  options.keep_point_keys = false;
+  return std::make_shared<const SubspaceGrid>(prepared, subspace, options);
+}
+
+TEST(ArtifactCacheBudgetTest, ReclaimWalksKindsInTheDocumentedOrder) {
+  const Dataset ds = ClusteredDataset(120, 4, 71);
+  const PreparedDataset prepared(ds);
+  ArtifactCache& cache = prepared.cache();
+  const Subspace knn_sub{0, 1};
+  // One entry of each kind, sizes read off the footprint as they land.
+  cache.GetSearcher(knn_sub, KnnBackend::kBruteForce);
+  const std::size_t searcher_bytes = cache.ApproxMemoryBytes();
+  cache.GetKnnTable(knn_sub, 5, 1);  // reuses the cached searcher
+  const std::size_t knn_bytes = cache.ApproxMemoryBytes() - searcher_bytes;
+  const auto grid = KeylessGrid(prepared, Subspace{2, 3});
+  cache.InsertGrid("g", Subspace{2, 3}, grid, grid->ApproxMemoryBytes());
+  cache.InsertScores("s", Subspace{0, 2},
+                     std::vector<double>(ds.num_objects(), 1.0));
+  ASSERT_EQ(cache.num_searchers(), 1u);
+  ASSERT_EQ(cache.num_knn_tables(), 1u);
+  ASSERT_EQ(cache.num_grids(), 1u);
+  ASSERT_EQ(cache.num_score_vectors(), 1u);
+  const std::size_t grid_bytes = grid->ApproxMemoryBytes();
+  ASSERT_EQ(cache.ApproxMemoryBytes(),
+            searcher_bytes + knn_bytes + grid_bytes +
+                ds.num_objects() * sizeof(double));
+
+  // Each step leaves one byte too few for what is left, so exactly one
+  // more kind goes: scores, then kNN tables, then grids, then searchers.
+  const auto counts = [&] {
+    return std::vector<std::size_t>{cache.num_score_vectors(),
+                                    cache.num_knn_tables(), cache.num_grids(),
+                                    cache.num_searchers()};
+  };
+  cache.SetByteBudget(searcher_bytes + knn_bytes + grid_bytes);
+  EXPECT_EQ(counts(), (std::vector<std::size_t>{0, 1, 1, 1}));
+  cache.SetByteBudget(searcher_bytes + knn_bytes + grid_bytes - 1);
+  EXPECT_EQ(counts(), (std::vector<std::size_t>{0, 0, 1, 1}));
+  cache.SetByteBudget(searcher_bytes + grid_bytes - 1);
+  EXPECT_EQ(counts(), (std::vector<std::size_t>{0, 0, 0, 1}));
+  cache.SetByteBudget(searcher_bytes - 1);
+  EXPECT_EQ(counts(), (std::vector<std::size_t>{0, 0, 0, 0}));
+  EXPECT_EQ(cache.ApproxMemoryBytes(), 0u);
+  EXPECT_EQ(cache.stats().evicted_artifacts, 4u);
+}
+
+TEST(ArtifactCacheTest, ScriptedSequenceCountsEveryKindExactly) {
+  const Dataset ds = ClusteredDataset(60, 4, 73);
+  const std::size_t n = ds.num_objects();
+  const PreparedDataset prepared(ds);
+  ArtifactCache& cache = prepared.cache();
+  const Subspace a{0, 1};
+  const Subspace b{2, 3};
+  const std::vector<double> v(n, 1.0);
+
+  // Searchers: a miss, then a hit.
+  const auto searcher = cache.GetSearcher(a, KnnBackend::kBruteForce);
+  EXPECT_EQ(cache.GetSearcher(a, KnnBackend::kBruteForce), searcher);
+  // kNN tables: a miss (whose searcher probe hits), then a hit.
+  const auto table = cache.GetKnnTable(a, 5, 1);
+  EXPECT_EQ(cache.GetKnnTable(a, 5, 1), table);
+  // Scores: a miss, an insert, a hit, a duplicate insert.
+  EXPECT_EQ(cache.FindScores("k", a), nullptr);
+  const auto scores = cache.InsertScores("k", a, v);
+  EXPECT_EQ(cache.FindScores("k", a), scores);
+  EXPECT_EQ(cache.InsertScores("k", a, v), scores);
+  // Grids: the same four steps.
+  const auto grid = KeylessGrid(prepared, a);
+  const std::size_t grid_bytes = grid->ApproxMemoryBytes();
+  EXPECT_EQ(cache.FindGrid("g", a), nullptr);
+  EXPECT_EQ(cache.InsertGrid("g", a, grid, grid_bytes), grid);
+  EXPECT_EQ(cache.FindGrid("g", a), grid);
+  EXPECT_EQ(
+      cache.InsertGrid("g", a, KeylessGrid(prepared, a), grid_bytes), grid);
+  const std::size_t footprint = cache.ApproxMemoryBytes();
+  const std::size_t table_bytes =
+      n * 5 * sizeof(Neighbor) + n * sizeof(std::size_t);
+  EXPECT_EQ(footprint, searcher->MemoryBytes() + table_bytes +
+                           n * sizeof(double) + grid_bytes);
+
+  // A full budget rejects one new artifact of every kind; the kNN miss
+  // also rejects the searcher it resolves.
+  cache.SetByteBudget(footprint);
+  EXPECT_NE(cache.GetSearcher(b, KnnBackend::kBruteForce), nullptr);
+  EXPECT_NE(cache.GetKnnTable(b, 5, 1), nullptr);
+  EXPECT_NE(cache.InsertScores("k", b, v), nullptr);
+  EXPECT_NE(cache.InsertGrid("g", b, KeylessGrid(prepared, b), grid_bytes),
+            nullptr);
+  EXPECT_EQ(cache.ApproxMemoryBytes(), footprint);
+  cache.SetByteBudget(0);
+
+  // An advance that carries the grid unchanged and sweeps the rest.
+  cache.AdvanceEpoch(1, [](const std::string&, const Subspace&,
+                           const std::shared_ptr<const SubspaceGrid>& kept,
+                           std::size_t*) { return kept; });
+  EXPECT_EQ(cache.FindGrid("g", a), grid);
+  EXPECT_EQ(cache.FindScores("k", a), nullptr);
+
+  const ArtifactCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.searcher_hits, 2u);    // GetSearcher + the kNN probe
+  EXPECT_EQ(stats.searcher_misses, 3u);  // a, b, and b's kNN probe
+  EXPECT_EQ(stats.knn_table_hits, 1u);
+  EXPECT_EQ(stats.knn_table_misses, 2u);
+  EXPECT_EQ(stats.score_hits, 1u);
+  EXPECT_EQ(stats.score_misses, 2u);
+  EXPECT_EQ(stats.grid_hits, 2u);
+  EXPECT_EQ(stats.grid_misses, 1u);
+  EXPECT_EQ(stats.budget_rejections, 5u);
+  EXPECT_EQ(stats.evicted_artifacts, 3u);
+  EXPECT_EQ(stats.invalidated_bytes, footprint - grid_bytes);
+  EXPECT_EQ(stats.approx_bytes, grid_bytes);
+  EXPECT_EQ(cache.num_grids(), 1u);
+  EXPECT_EQ(cache.num_searchers() + cache.num_knn_tables() +
+                cache.num_score_vectors(),
+            0u);
+}
+
+TEST(ArtifactCacheTest, ConcurrentMixedKindsKeepOneCanonicalEntryPerKey) {
+  const Dataset ds = ClusteredDataset(200, 4, 75);
+  const std::size_t n = ds.num_objects();
+  const PreparedDataset prepared(ds);
+  ArtifactCache& cache = prepared.cache();
+  const std::vector<Subspace> keys = {Subspace{0, 1}, Subspace{1, 2},
+                                      Subspace{2, 3}};
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 6;
+  // What each thread saw, per kind and key, every round.
+  struct Seen {
+    std::vector<const void*> searcher, table, scores, grid;
+  };
+  std::vector<std::vector<Seen>> seen(kThreads,
+                                      std::vector<Seen>(keys.size()));
+  std::atomic<bool> go{false};  // release all threads at once
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+          // Threads start on different keys so their misses overlap.
+          const std::size_t k = (i + t) % keys.size();
+          const Subspace& sub = keys[k];
+          Seen& out = seen[t][k];
+          out.searcher.push_back(
+              cache.GetSearcher(sub, KnnBackend::kBruteForce).get());
+          out.table.push_back(cache.GetKnnTable(sub, 5, 1).get());
+          auto scores = cache.FindScores("k", sub);
+          if (!scores) {
+            scores = cache.InsertScores(
+                "k", sub, std::vector<double>(n, static_cast<double>(k)));
+          }
+          out.scores.push_back(scores.get());
+          auto grid = cache.FindGrid("g", sub);
+          if (!grid) {
+            auto built = KeylessGrid(prepared, sub);
+            const std::size_t bytes = built->ApproxMemoryBytes();
+            grid = cache.InsertGrid("g", sub, std::move(built), bytes);
+          }
+          out.grid.push_back(grid.get());
+        }
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& w : workers) w.join();
+
+  EXPECT_EQ(cache.num_searchers(), keys.size());
+  EXPECT_EQ(cache.num_knn_tables(), keys.size());
+  EXPECT_EQ(cache.num_score_vectors(), keys.size());
+  EXPECT_EQ(cache.num_grids(), keys.size());
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    const void* searcher =
+        cache.GetSearcher(keys[k], KnnBackend::kBruteForce).get();
+    const void* table = cache.GetKnnTable(keys[k], 5, 1).get();
+    const void* scores = cache.FindScores("k", keys[k]).get();
+    const void* grid = cache.FindGrid("g", keys[k]).get();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        EXPECT_EQ(seen[t][k].searcher[r], searcher) << "key " << k;
+        EXPECT_EQ(seen[t][k].table[r], table) << "key " << k;
+        EXPECT_EQ(seen[t][k].scores[r], scores) << "key " << k;
+        EXPECT_EQ(seen[t][k].grid[r], grid) << "key " << k;
+      }
+    }
+  }
+  // Every score and grid lookup counted exactly once, as a hit or a miss.
+  const ArtifactCacheStats stats = cache.stats();
+  const std::size_t lookups = kThreads * kRounds * keys.size() + keys.size();
+  EXPECT_EQ(stats.score_hits + stats.score_misses, lookups);
+  EXPECT_EQ(stats.grid_hits + stats.grid_misses, lookups);
+  EXPECT_EQ(stats.knn_table_hits + stats.knn_table_misses, lookups);
+  EXPECT_EQ(stats.budget_rejections, 0u);
+}
+
+// Regression: SortedAttributeIndex orders by `<`, under which a NaN is
+// equivalent to every value, so a NaN can land mid-column and split the
+// sorted column into two ascending runs whose ends are not the extremes.
+TEST(PreparedDatasetTest, AttributeRangeIgnoresMidColumnNaNOnceRanksExist) {
+  const GridDensityScorer scorer(GridDensityParams{});
+  const Subspace subspace{0, 1};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    Dataset ds(40, 2);
+    for (std::size_t i = 0; i < 40; ++i) {
+      for (std::size_t j = 0; j < 2; ++j) ds.Set(i, j, rng.UniformDouble());
+    }
+    ds.Set(rng.UniformIndex(40), 0, std::numeric_limits<double>::quiet_NaN());
+    const PreparedDataset warm(ds);
+    warm.sorted_index();  // rank artifacts first, ranges second
+    const PreparedDataset cold(ds);
+    EXPECT_EQ(warm.AttributeRange(0), cold.AttributeRange(0))
+        << "seed " << seed;
+    EXPECT_EQ(scorer.ScoreSubspacePrepared(warm, subspace),
+              scorer.ScoreSubspacePrepared(cold, subspace))
+        << "seed " << seed;
+  }
 }
 
 }  // namespace

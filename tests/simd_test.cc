@@ -402,13 +402,6 @@ TEST(SimdKernelTest, ScreeningRowsStayWithinSlack) {
         norms[i] += soa[d * n + i] * soa[d * n + i];
       }
     }
-    std::vector<float> soa32(soa.begin(), soa.end());
-    std::vector<float> norms32(n, 0.0f);
-    for (std::size_t d = 0; d < dim; ++d) {
-      for (std::size_t i = 0; i < n; ++i) {
-        norms32[i] += soa32[d * n + i] * soa32[d * n + i];
-      }
-    }
     auto exact = [&](std::size_t i, std::size_t j) {
       double sum = 0.0;
       for (std::size_t d = 0; d < dim; ++d) {
@@ -428,16 +421,7 @@ TEST(SimdKernelTest, ScreeningRowsStayWithinSlack) {
       for (std::size_t t = 0; t < w; ++t) {
         const double slack = 1e-12 * (norms[i] + norms[j0 + t]);
         EXPECT_LE(std::fabs(d2[t] - exact(i, j0 + t)), slack)
-            << "f64 dim=" << dim << " t=" << t
-            << " tier=" << simd::SimdTierName(tier);
-      }
-      k.screen_row_f32(soa32.data(), n, dim, i, j0, w, norms32[i],
-                       norms32.data() + j0, d2.data());
-      for (std::size_t t = 0; t < w; ++t) {
-        const double slack = 5e-7 * static_cast<double>(dim + 8) *
-                             (norms[i] + norms[j0 + t]);
-        EXPECT_LE(std::fabs(d2[t] - exact(i, j0 + t)), slack)
-            << "f32 dim=" << dim << " t=" << t
+            << "dim=" << dim << " t=" << t
             << " tier=" << simd::SimdTierName(tier);
       }
     }
@@ -710,25 +694,19 @@ TEST(SimdSeamTest, KnnTablesIdenticalAcrossTiersAndPrecisions) {
   for (SimdTier tier : AvailableTiers()) {
     for (std::size_t threads : kSeamThreads) {
       simd::ScopedSimdTier forced(tier);
-      for (KnnPrecision precision :
-           {KnnPrecision::kFloat64, KnnPrecision::kFloat32Screen}) {
-        KnnResultTable table;
-        MakeBruteForceSearcher(data, subspace, precision)
-            ->QueryAllKnn(10, &table, threads);
-        ASSERT_EQ(table.num_queries(), reference.num_queries());
-        for (std::size_t q = 0; q < table.num_queries(); ++q) {
-          const auto got = table.Row(q);
-          const auto want = reference.Row(q);
-          ASSERT_EQ(got.size(), want.size())
-              << "query " << q << " tier=" << simd::SimdTierName(tier)
-              << " precision="
-              << (precision == KnnPrecision::kFloat64 ? "f64" : "f32screen");
-          for (std::size_t i = 0; i < want.size(); ++i) {
-            EXPECT_EQ(got[i].id, want[i].id) << "query " << q;
-            EXPECT_EQ(Bits(got[i].distance), Bits(want[i].distance))
-                << "query " << q << " neighbor " << i
-                << " tier=" << simd::SimdTierName(tier);
-          }
+      KnnResultTable table;
+      MakeBruteForceSearcher(data, subspace)->QueryAllKnn(10, &table, threads);
+      ASSERT_EQ(table.num_queries(), reference.num_queries());
+      for (std::size_t q = 0; q < table.num_queries(); ++q) {
+        const auto got = table.Row(q);
+        const auto want = reference.Row(q);
+        ASSERT_EQ(got.size(), want.size())
+            << "query " << q << " tier=" << simd::SimdTierName(tier);
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].id, want[i].id) << "query " << q;
+          EXPECT_EQ(Bits(got[i].distance), Bits(want[i].distance))
+              << "query " << q << " neighbor " << i
+              << " tier=" << simd::SimdTierName(tier);
         }
       }
     }
