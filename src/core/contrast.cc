@@ -50,9 +50,10 @@ double ContrastEstimator::IterationDeviation(const Subspace& subspace,
   view.marginal_variance = prepared_->MarginalVariance(attribute);
   view.column = prepared_->dataset().Column(attribute);
   view.sorted_order = prepared_->sorted_index().SortedOrder(attribute);
-  view.stamps = scratch->slice.mask;
-  view.selected_stamp = scratch->selection.selected_stamp;
-  return test_.DeviationFromSelection(view, &scratch->sorted_conditional);
+  view.condition_ranks = scratch->selection.condition_ranks;
+  view.condition_starts = scratch->selection.condition_starts;
+  view.block = scratch->selection.block;
+  return test_.DeviationFromSelection(view, &scratch->deviation);
 }
 
 double ContrastEstimator::Contrast(const Subspace& subspace, Rng* rng) const {

@@ -34,13 +34,12 @@ struct ContrastParams {
 
 /// Reusable working storage for one worker thread's contrast estimation:
 /// the slice sampler's scratch, the selection it describes, and the
-/// deviation function's conditional-sample sort buffer. Capacity persists
-/// across subspaces, making the Monte Carlo loop allocation-free at steady
-/// state.
+/// deviation function's selection buffers. Capacity persists across
+/// subspaces, making the Monte Carlo loop allocation-free at steady state.
 struct ContrastScratch {
   SliceScratch slice;
   SliceSelection selection;
-  std::vector<double> sorted_conditional;
+  stats::SelectionScratch deviation;
 };
 
 /// Estimates the contrast (Definition 5) of subspaces of one dataset:

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "simd/simd.h"
-
 namespace hics {
 
 SliceSampler::SliceSampler(const Dataset& dataset,
@@ -89,9 +87,7 @@ void SliceSampler::DrawSelection(const Subspace& subspace, double alpha,
   HICS_CHECK_GE(subspace.size(), 2u)
       << "a one-dimensional subspace has no notion of contrast";
   const std::size_t n = dataset_.num_objects();
-  out->test_attribute = 0;
-  out->selected_stamp = 0;
-  out->num_conditions = 0;
+  *out = SliceSelection{};
   if (n == 0) return;
 
   // Identical RNG consumption to Draw: one shuffle, then one block-start
@@ -104,7 +100,6 @@ void SliceSampler::DrawSelection(const Subspace& subspace, double alpha,
 
   const std::size_t block = BlockSize(subspace.size(), alpha);
   const std::size_t num_conditions = attrs.size() - 1;
-  out->num_conditions = num_conditions;
   scratch->condition_ranks.resize(num_conditions);
   scratch->condition_starts.resize(num_conditions);
   for (std::size_t c = 0; c < num_conditions; ++c) {
@@ -114,12 +109,9 @@ void SliceSampler::DrawSelection(const Subspace& subspace, double alpha,
     scratch->condition_ranks[c] = index_.Ranks(attrs[c]).data();
     scratch->condition_starts[c] = static_cast<std::uint32_t>(start);
   }
-  scratch->mask.resize(n);
-  simd::ActiveKernels().slice_mask(
-      scratch->condition_ranks.data(), scratch->condition_starts.data(),
-      num_conditions, static_cast<std::uint32_t>(block), n,
-      scratch->mask.data());
-  out->selected_stamp = 1;
+  out->condition_ranks = scratch->condition_ranks;
+  out->condition_starts = scratch->condition_starts;
+  out->block = static_cast<std::uint32_t>(block);
 }
 
 }  // namespace hics

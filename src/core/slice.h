@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/dataset.h"
@@ -33,28 +34,35 @@ struct SliceScratch {
   std::vector<std::uint16_t> selected;
   /// Attribute permutation of the subspace under test.
   std::vector<std::size_t> attrs;
-  /// Selection mask written by DrawSelection (simd slice_mask): 1 for an
-  /// object every condition's rank block contains, 0 otherwise. Fully
-  /// rewritten by each draw, so it carries no state between draws.
-  std::vector<std::uint32_t> mask;
-  /// Per-condition rank columns and block starts of the current draw.
+  /// Per-condition rank columns and block starts of the current draw
+  /// (DrawSelection); the SliceSelection spans point here.
   std::vector<const std::uint32_t*> condition_ranks;
   std::vector<std::uint32_t> condition_starts;
 };
 
 /// Output of SliceSampler::DrawSelection: the rank-space description of one
 /// slice. The selected objects are not materialized; they are exactly the
-/// ids with scratch->mask[id] == selected_stamp, which downstream
-/// consumers sweep in whatever order suits their statistic (object-id
-/// order for moment accumulation, sorted-attribute order for rank tests).
+/// ids i with
+///
+///   uint32(condition_ranks[c][i] - condition_starts[c]) < block
+///
+/// for every condition c, which downstream consumers test in whatever
+/// form suits their statistic (simd slice_select for moment tests,
+/// slice_mask + sorted-order compaction for rank tests). The spans point
+/// into the SliceScratch of the draw and stay valid until the next
+/// DrawSelection call on it.
 struct SliceSelection {
   /// The attribute whose marginal vs conditional distribution is tested.
   std::size_t test_attribute = 0;
-  /// Mask value identifying this draw's selected objects (always 1 after
-  /// a draw over a non-empty dataset).
-  std::uint32_t selected_stamp = 0;
+  /// Rank columns (SortedAttributeIndex::Ranks) of the |S| - 1
+  /// conditioning attributes, and each one's block start.
+  std::span<const std::uint32_t* const> condition_ranks;
+  std::span<const std::uint32_t> condition_starts;
+  /// Rank-block length shared by every condition (BlockSize).
+  std::uint32_t block = 0;
+
   /// Number of conditioning attributes (|S| - 1).
-  std::size_t num_conditions = 0;
+  std::size_t num_conditions() const { return condition_starts.size(); }
 };
 
 /// Generates random adaptive subspace slices over pre-sorted attribute
@@ -98,14 +106,14 @@ class SliceSampler {
 
   /// Rank-space variant: performs the same random slice construction as
   /// Draw — identical RNG consumption, so a shared rng state yields the
-  /// same slice through either entry point — but records the selection as
-  /// a 0/1 mask in `scratch->mask` instead of gathering the test
-  /// attribute's values. An object is in condition c's block iff its rank
-  /// lies in [start_c, start_c + block), so the mask is one streaming,
-  /// vectorized pass over the conditions' uint32 rank columns
-  /// (simd::SimdKernels::slice_mask) — no scatter into the sorted orders
-  /// and no materialization. The selection stays valid until the next
-  /// DrawSelection call on the same scratch.
+  /// same slice through either entry point — but records only the draw's
+  /// conditions (rank columns, block starts, block length) instead of
+  /// gathering the test attribute's values. An object is in condition c's
+  /// block iff its rank lies in [start_c, start_c + block), so the
+  /// consumer selects with one vectorized pass over the conditions' uint32
+  /// rank columns (simd::SimdKernels::slice_select) — no scatter into the
+  /// sorted orders and no O(N) work here. The selection stays valid until
+  /// the next DrawSelection call on the same scratch.
   void DrawSelection(const Subspace& subspace, double alpha, Rng* rng,
                      SliceScratch* scratch, SliceSelection* out) const;
 

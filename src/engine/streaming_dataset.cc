@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "cluster/grid.h"
+#include "index/sorted_index.h"
 #include "stats/descriptive.h"
 
 namespace hics {
@@ -169,32 +170,12 @@ void StreamingDataset::ApplyMutation(
   HICS_CHECK_EQ(new_n, old_n - evict + rows.size());
 
   // Incremental per-attribute maintenance: sorted order (compact the
-  // survivors, sort the admitted run, merge) and the (min, max) range, in
-  // one parallel pass over attributes. The merge lands on exactly the
-  // permutation std::stable_sort would produce over the new window:
-  // survivors keep their relative order (a stable property under id
-  // shift), the admitted run is stable-sorted, and ties go to the
-  // survivor run, whose ids are all smaller than any admitted id.
+  // survivors, sort the admitted run, merge — the permutation a cold
+  // SortedAttributeIndex builds over the new window) and the (min, max)
+  // range, in one parallel pass over attributes.
   ParallelFor(0, d, options_.build_threads, [&](std::size_t a) {
     const std::vector<double>& col = window_.Column(a);
-    const std::vector<std::size_t>& old_order = orders_[a];
-    std::vector<std::size_t> survivors;
-    survivors.reserve(old_n - evict);
-    for (std::size_t id : old_order) {
-      if (id >= evict) survivors.push_back(id - evict);
-    }
-    std::vector<std::size_t> admitted(new_n - survivors.size());
-    for (std::size_t i = 0; i < admitted.size(); ++i) {
-      admitted[i] = survivors.size() + i;
-    }
-    const auto by_value = [&](std::size_t x, std::size_t y) {
-      return col[x] < col[y];
-    };
-    std::stable_sort(admitted.begin(), admitted.end(), by_value);
-    std::vector<std::size_t> merged(new_n);
-    std::merge(survivors.begin(), survivors.end(), admitted.begin(),
-               admitted.end(), merged.begin(), by_value);
-    orders_[a] = std::move(merged);
+    orders_[a] = SlideSortedOrder(col, orders_[a], evict);
 
     // The range helper ShardedDataset::GlobalAttributeRange and
     // PreparedDataset::AttributeRange use, recomputed eagerly so readers

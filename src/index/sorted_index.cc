@@ -29,7 +29,7 @@ SortedAttributeIndex::SortedAttributeIndex(const Dataset& dataset,
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(),
                      [&column](std::size_t x, std::size_t y) {
-                       return column[x] < column[y];
+                       return SortedIndexLess(column[x], column[y]);
                      });
     auto& rank = rank_[a];
     rank.resize(num_objects_);
@@ -63,6 +63,27 @@ std::span<const std::size_t> SortedAttributeIndex::Block(
   HICS_CHECK_LE(start + length, num_objects_);
   return std::span<const std::size_t>(order_[attribute]).subspan(start,
                                                                  length);
+}
+
+std::vector<std::size_t> SlideSortedOrder(
+    std::span<const double> column, std::span<const std::size_t> old_order,
+    std::size_t evict) {
+  std::vector<std::size_t> survivors;
+  survivors.reserve(old_order.size() - std::min(evict, old_order.size()));
+  for (std::size_t id : old_order) {
+    if (id >= evict) survivors.push_back(id - evict);
+  }
+  HICS_CHECK_LE(survivors.size(), column.size());
+  std::vector<std::size_t> admitted(column.size() - survivors.size());
+  std::iota(admitted.begin(), admitted.end(), survivors.size());
+  const auto by_value = [&column](std::size_t x, std::size_t y) {
+    return SortedIndexLess(column[x], column[y]);
+  };
+  std::stable_sort(admitted.begin(), admitted.end(), by_value);
+  std::vector<std::size_t> merged(column.size());
+  std::merge(survivors.begin(), survivors.end(), admitted.begin(),
+             admitted.end(), merged.begin(), by_value);
+  return merged;
 }
 
 }  // namespace hics

@@ -1,6 +1,7 @@
 #ifndef HICS_INDEX_SORTED_INDEX_H_
 #define HICS_INDEX_SORTED_INDEX_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -9,6 +10,15 @@
 #include "common/dataset.h"
 
 namespace hics {
+
+/// The value order of every sorted index: ascending, with each NaN after
+/// every number (NaNs are equivalent to one another). Unlike `<`, this is
+/// a strict weak order on columns holding NaNs, so std::stable_sort and
+/// std::merge under it are well defined and keep equal values — and all
+/// NaNs — in ascending id order.
+inline bool SortedIndexLess(double a, double b) {
+  return a < b || (std::isnan(b) && !std::isnan(a));
+}
 
 /// Pre-computed one-dimensional index structures (paper §IV-A): for every
 /// attribute, the permutation of object ids sorted ascending by that
@@ -31,10 +41,10 @@ class SortedAttributeIndex {
   /// Adopts caller-computed sorted orders (one permutation of
   /// [0, num_objects) per attribute) and derives the inverse-permutation
   /// ranks. The orders must be exactly what the sorting constructor would
-  /// have produced — ascending by value with ties in ascending id order
-  /// (std::stable_sort) — which is the contract the streaming plane's
-  /// incremental merge maintenance upholds, so an adopted index is
-  /// bit-identical to a cold rebuild over the same rows.
+  /// have produced — std::stable_sort under SortedIndexLess — which is
+  /// the contract the streaming plane's incremental maintenance
+  /// (SlideSortedOrder) upholds, so an adopted index is bit-identical to a
+  /// cold rebuild over the same rows.
   SortedAttributeIndex(std::size_t num_objects,
                        std::vector<std::vector<std::size_t>> orders);
 
@@ -73,6 +83,18 @@ class SortedAttributeIndex {
   std::vector<std::vector<std::size_t>> order_;   // per attribute
   std::vector<std::vector<std::uint32_t>> rank_;  // inverse permutations
 };
+
+/// Sorted order of `column` after a window slide, maintained from the
+/// order before it: `old_order` sorted the previous window, whose first
+/// `evict` rows left; the survivors are now ids [0, m) of `column` and
+/// the admitted rows ids [m, column.size()). The survivors keep their
+/// relative order (a stable property under the id shift), the admitted
+/// run is stable-sorted, and the two are merged with ties to the survivor
+/// run, whose ids are all smaller — exactly the order the sorting
+/// constructor builds over `column`, in O(N + a log a) for a admitted rows.
+std::vector<std::size_t> SlideSortedOrder(
+    std::span<const double> column, std::span<const std::size_t> old_order,
+    std::size_t evict);
 
 }  // namespace hics
 

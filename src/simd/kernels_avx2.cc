@@ -11,7 +11,9 @@
 // a leaf block of 16 points takes four such groups.
 //
 // Compaction has no compress instruction on AVX2; it is emulated with a
-// per-mask shuffle table driving vpermd over the 4 candidate doubles.
+// per-mask shuffle table driving vpermd over the 4 candidate doubles. The
+// fused slice select runs 8 objects' rank predicates per step and
+// compacts their column values as two such 4-double steps.
 
 #ifdef HICS_SIMD_COMPILED_AVX2
 
@@ -162,30 +164,6 @@ void ScreenRowF64Avx2(const double* soa, std::size_t stride, std::size_t dim,
   }
 }
 
-void SliceMaskAvx2(const std::uint32_t* const* ranks,
-                   const std::uint32_t* starts, std::size_t num_conditions,
-                   std::uint32_t block, std::size_t n, std::uint32_t* mask) {
-  // AVX2 has no unsigned compare: bias both sides by 2^31 and compare
-  // signed. Folding the bias into the start, (r - (s + 2^31)) equals
-  // (r - s) ^ 2^31, so each condition costs one sub and one cmpgt.
-  constexpr std::uint32_t kBias = 0x80000000u;
-  const __m256i vblock = _mm256_set1_epi32(static_cast<int>(block ^ kBias));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i in = _mm256_set1_epi32(-1);
-    for (std::size_t c = 0; c < num_conditions; ++c) {
-      const __m256i r =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ranks[c] + i));
-      const __m256i x = _mm256_sub_epi32(
-          r, _mm256_set1_epi32(static_cast<int>(starts[c] + kBias)));
-      in = _mm256_and_si256(in, _mm256_cmpgt_epi32(vblock, x));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(mask + i),
-                        _mm256_srli_epi32(in, 31));
-  }
-  SliceMaskTail(ranks, starts, num_conditions, block, i, n, mask);
-}
-
 /// vpermd control words packing the doubles selected by a 4-bit stamp mask
 /// to the vector front: entry m lists the selected doubles' int32 halves
 /// (2e, 2e+1) in ascending e, padded with zeros (the padding lanes are
@@ -218,6 +196,106 @@ inline std::size_t CompactStep(__m256d values, int mask, double* out,
   _mm256_storeu_pd(out + k, packed);  // out has kCompactPad slots of slack
   return k + static_cast<std::size_t>(__builtin_popcount(
                  static_cast<unsigned>(mask)));
+}
+
+/// The slice predicate, 8 objects per step: calls store(i, in, live) for
+/// each group of objects starting at i, where `live` has all bits set in
+/// the lanes of the group's objects below n and lane j of `in` is all
+/// ones iff object i + j is live and lies in every condition's rank
+/// block. AVX2 has no unsigned compare: bias both sides by 2^31 and
+/// compare signed. Folding the bias into the start, (r - (s + 2^31))
+/// equals (r - s) ^ 2^31, so each condition costs one sub and one cmpgt.
+/// A short last group masks its rank loads.
+template <std::size_t kC, typename Store>
+void SliceScanAvx2(const std::uint32_t* const* ranks,
+                   const std::uint32_t* starts, std::size_t num_conditions,
+                   std::uint32_t block, std::size_t n, Store&& store) {
+  constexpr std::uint32_t kBias = 0x80000000u;
+  const __m256i vblock = _mm256_set1_epi32(static_cast<int>(block ^ kBias));
+  const auto biased = [&](std::uint32_t start) {
+    return _mm256_set1_epi32(static_cast<int>(start + kBias));
+  };
+  const std::uint32_t* r[ConditionSlots(kC)];
+  __m256i s[ConditionSlots(kC)];
+  if constexpr (kC != kAnyConditions) {
+    for (std::size_t c = 0; c < kC; ++c) {
+      r[c] = ranks[c];
+      s[c] = biased(starts[c]);
+    }
+  }
+  const auto in_slice = [&](std::size_t i, __m256i live, bool full) {
+    const auto narrow = [&](__m256i in, const std::uint32_t* rc, __m256i sc) {
+      const __m256i* p = reinterpret_cast<const __m256i*>(rc + i);
+      const __m256i x = _mm256_sub_epi32(
+          full ? _mm256_loadu_si256(p)
+               : _mm256_maskload_epi32(reinterpret_cast<const int*>(p), live),
+          sc);
+      return _mm256_and_si256(in, _mm256_cmpgt_epi32(vblock, x));
+    };
+    __m256i in = live;
+    if constexpr (kC == kAnyConditions) {
+      for (std::size_t c = 0; c < num_conditions; ++c) {
+        in = narrow(in, ranks[c], biased(starts[c]));
+      }
+    } else {
+      for (std::size_t c = 0; c < kC; ++c) in = narrow(in, r[c], s[c]);
+    }
+    return in;
+  };
+  const __m256i all = _mm256_set1_epi32(-1);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) store(i, in_slice(i, all, true), all, true);
+  if (i < n) {
+    const __m256i live =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n - i)),
+                           _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    store(i, in_slice(i, live, false), live, false);
+  }
+}
+
+void SliceMaskAvx2(const std::uint32_t* const* ranks,
+                   const std::uint32_t* starts, std::size_t num_conditions,
+                   std::uint32_t block, std::size_t n, std::uint32_t* mask) {
+  WithConditionCount(num_conditions, [&]<std::size_t kC>() {
+    SliceScanAvx2<kC>(
+        ranks, starts, num_conditions, block, n,
+        [&](std::size_t i, __m256i in, __m256i live, bool full) {
+          const __m256i bits = _mm256_srli_epi32(in, 31);
+          if (full) {
+            _mm256_storeu_si256(reinterpret_cast<__m256i*>(mask + i), bits);
+          } else {
+            _mm256_maskstore_epi32(reinterpret_cast<int*>(mask + i), live,
+                                   bits);
+          }
+        });
+  });
+}
+
+std::size_t SliceSelectAvx2(const std::uint32_t* const* ranks,
+                            const std::uint32_t* starts,
+                            std::size_t num_conditions, std::uint32_t block,
+                            const double* column, std::size_t n, double* out) {
+  // Each group of 8 objects compacts as two 4-double CompactSteps; a short
+  // last group masks its column loads to the live objects.
+  std::size_t k = 0;
+  const auto load = [&](const double* values, __m128i live32, bool full) {
+    return full ? _mm256_loadu_pd(values)
+                : _mm256_maskload_pd(values, _mm256_cvtepi32_epi64(live32));
+  };
+  WithConditionCount(num_conditions, [&]<std::size_t kC>() {
+    SliceScanAvx2<kC>(
+        ranks, starts, num_conditions, block, n,
+        [&](std::size_t i, __m256i in, __m256i live, bool full) {
+          const int bits = _mm256_movemask_ps(_mm256_castsi256_ps(in));
+          k = CompactStep(
+              load(column + i, _mm256_castsi256_si128(live), full),
+              bits & 0xF, out, k);
+          k = CompactStep(
+              load(column + i + 4, _mm256_extracti128_si256(live, 1), full),
+              bits >> 4, out, k);
+        });
+  });
+  return k;
 }
 
 std::size_t CompactSelectedAvx2(const double* column,
@@ -328,6 +406,7 @@ const SimdKernels& Avx2Kernels() {
       LeafScreenAvx2,
       ScreenRowF64Avx2,
       SliceMaskAvx2,
+      SliceSelectAvx2,
       CompactSelectedAvx2,
       CompactSelectedSortedAvx2,
       SumAvx2,

@@ -4,9 +4,12 @@
 // result), the KD-tree leaf screen runs 8 *points* per zmm (two zmm per
 // leaf block, masked loads for a short block) with the 4 partials in 4
 // accumulators, the moments run one zmm accumulator whose 8 lanes *are*
-// the canonical 8 partials, and compaction uses the native compress-store
-// — which preserves ascending order exactly like the scalar cursor loop.
-// SCREENING kernels run full zmm width with FMA.
+// the canonical 8 partials, and compaction uses the native compress —
+// which preserves ascending order exactly like the scalar cursor loop.
+// The slice predicate holds 16 objects' intersection in a mask register;
+// the fused select compresses the selected column values in a register
+// and stores the whole vector at the cursor. SCREENING kernels run full
+// zmm width with FMA.
 
 #ifdef HICS_SIMD_COMPILED_AVX512
 
@@ -156,26 +159,95 @@ void ScreenRowF64Avx512(const double* soa, std::size_t stride,
   }
 }
 
+/// The slice predicate, 16 objects per step: calls store(i, in, live)
+/// for each group of objects starting at i, where `live` marks the
+/// group's objects below n and bit j of `in` is set iff object i + j is
+/// live and lies in every condition's rank block. The running
+/// intersection lives in a mask register; each condition narrows it with
+/// one masked unsigned compare. A short last group masks its rank loads.
+template <std::size_t kC, typename Store>
+void SliceScanAvx512(const std::uint32_t* const* ranks,
+                     const std::uint32_t* starts, std::size_t num_conditions,
+                     std::uint32_t block, std::size_t n, Store&& store) {
+  const __m512i vblock = _mm512_set1_epi32(static_cast<int>(block));
+  const std::uint32_t* r[ConditionSlots(kC)];
+  __m512i s[ConditionSlots(kC)];
+  if constexpr (kC != kAnyConditions) {
+    for (std::size_t c = 0; c < kC; ++c) {
+      r[c] = ranks[c];
+      s[c] = _mm512_set1_epi32(static_cast<int>(starts[c]));
+    }
+  }
+  const auto narrow = [&](__mmask16 in, __mmask16 live,
+                          const std::uint32_t* rc, __m512i sc) {
+    const __m512i rv = live == 0xFFFF ? _mm512_loadu_si512(rc)
+                                      : _mm512_maskz_loadu_epi32(live, rc);
+    const __m512i x = _mm512_sub_epi32(rv, sc);
+    return _mm512_mask_cmplt_epu32_mask(in, x, vblock);
+  };
+  const auto in_slice = [&](std::size_t i, __mmask16 live) {
+    __mmask16 in = live;
+    if constexpr (kC == kAnyConditions) {
+      for (std::size_t c = 0; c < num_conditions; ++c) {
+        in = narrow(in, live, ranks[c] + i,
+                    _mm512_set1_epi32(static_cast<int>(starts[c])));
+      }
+    } else {
+      for (std::size_t c = 0; c < kC; ++c) {
+        in = narrow(in, live, r[c] + i, s[c]);
+      }
+    }
+    return in;
+  };
+  std::size_t i = 0;
+  constexpr __mmask16 kAll = 0xFFFF;
+  for (; i + 16 <= n; i += 16) store(i, in_slice(i, kAll), kAll);
+  if (i < n) {
+    const __mmask16 live = static_cast<__mmask16>((1u << (n - i)) - 1);
+    store(i, in_slice(i, live), live);
+  }
+}
+
 void SliceMaskAvx512(const std::uint32_t* const* ranks,
                      const std::uint32_t* starts, std::size_t num_conditions,
                      std::uint32_t block, std::size_t n, std::uint32_t* mask) {
-  // 16 objects per step; the running intersection lives in a mask
-  // register and each condition narrows it with one masked unsigned
-  // compare.
-  const __m512i vblock = _mm512_set1_epi32(static_cast<int>(block));
   const __m512i ones = _mm512_set1_epi32(1);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __mmask16 in = 0xFFFF;
-    for (std::size_t c = 0; c < num_conditions; ++c) {
-      const __m512i x =
-          _mm512_sub_epi32(_mm512_loadu_si512(ranks[c] + i),
-                           _mm512_set1_epi32(static_cast<int>(starts[c])));
-      in = _mm512_mask_cmplt_epu32_mask(in, x, vblock);
-    }
-    _mm512_storeu_si512(mask + i, _mm512_maskz_mov_epi32(in, ones));
-  }
-  SliceMaskTail(ranks, starts, num_conditions, block, i, n, mask);
+  WithConditionCount(num_conditions, [&]<std::size_t kC>() {
+    SliceScanAvx512<kC>(
+        ranks, starts, num_conditions, block, n,
+        [&](std::size_t i, __mmask16 in, __mmask16 live) {
+          _mm512_mask_storeu_epi32(mask + i, live,
+                                   _mm512_maskz_mov_epi32(in, ones));
+        });
+  });
+}
+
+std::size_t SliceSelectAvx512(const std::uint32_t* const* ranks,
+                              const std::uint32_t* starts,
+                              std::size_t num_conditions, std::uint32_t block,
+                              const double* column, std::size_t n,
+                              double* out) {
+  // Each half of a group compresses its selected column values in a
+  // register and stores all eight lanes at the cursor (the kCompactPad
+  // slack absorbs the lanes past the selection).
+  std::size_t k = 0;
+  const auto emit = [&](const double* values, __mmask8 in, __mmask8 live) {
+    const __m512d v = live == 0xFF ? _mm512_loadu_pd(values)
+                                   : _mm512_maskz_loadu_pd(live, values);
+    _mm512_storeu_pd(out + k, _mm512_maskz_compress_pd(in, v));
+    k += static_cast<std::size_t>(__builtin_popcount(in));
+  };
+  WithConditionCount(num_conditions, [&]<std::size_t kC>() {
+    SliceScanAvx512<kC>(
+        ranks, starts, num_conditions, block, n,
+        [&](std::size_t i, __mmask16 in, __mmask16 live) {
+          emit(column + i, static_cast<__mmask8>(in),
+               static_cast<__mmask8>(live));
+          emit(column + i + 8, static_cast<__mmask8>(in >> 8),
+               static_cast<__mmask8>(live >> 8));
+        });
+  });
+  return k;
 }
 
 std::size_t CompactSelectedAvx512(const double* column,
@@ -280,6 +352,7 @@ const SimdKernels& Avx512Kernels() {
       LeafScreenAvx512,
       ScreenRowF64Avx512,
       SliceMaskAvx512,
+      SliceSelectAvx512,
       CompactSelectedAvx512,
       CompactSelectedSortedAvx512,
       SumAvx512,

@@ -67,20 +67,36 @@ inline void BinIndexTail(const double* values, std::size_t j, std::size_t n,
   for (; j < n; ++j) out[j] = BinIndexOne(values[j], lo, scale, max_bin);
 }
 
-/// Tail of the slice mask: objects [i, n) through the element-wise rank
-/// predicate (1 iff the rank lies in [starts[c], starts[c] + block) for
-/// every condition c).
-inline void SliceMaskTail(const std::uint32_t* const* ranks,
-                          const std::uint32_t* starts,
-                          std::size_t num_conditions, std::uint32_t block,
-                          std::size_t i, std::size_t n, std::uint32_t* mask) {
-  for (; i < n; ++i) {
-    std::uint32_t in = 1;
-    for (std::size_t c = 0; c < num_conditions; ++c) {
-      in &= static_cast<std::uint32_t>(ranks[c][i] - starts[c] < block);
-    }
-    mask[i] = in;
+/// Condition counts slice_select and slice_mask instantiate their
+/// predicate loop for: with the count fixed at compile time, the per-
+/// condition rank pointers and broadcast starts are hoisted out of the
+/// object loop and the condition loop unrolls. More conditions than this
+/// run the generic loop, instantiated as kAnyConditions.
+inline constexpr std::size_t kMaxFixedConditions = 7;
+inline constexpr std::size_t kAnyConditions = ~std::size_t{0};
+
+/// Calls fn.template operator()<C>() with C = num_conditions when it is
+/// at most kMaxFixedConditions, and with C = kAnyConditions above.
+template <typename Fn>
+decltype(auto) WithConditionCount(std::size_t num_conditions, Fn&& fn) {
+  static_assert(kMaxFixedConditions == 7, "one case per fixed count");
+  switch (num_conditions) {
+    case 0: return fn.template operator()<0>();
+    case 1: return fn.template operator()<1>();
+    case 2: return fn.template operator()<2>();
+    case 3: return fn.template operator()<3>();
+    case 4: return fn.template operator()<4>();
+    case 5: return fn.template operator()<5>();
+    case 6: return fn.template operator()<6>();
+    case 7: return fn.template operator()<7>();
+    default: return fn.template operator()<kAnyConditions>();
   }
+}
+
+/// Number of hoisting slots a predicate loop for kC conditions needs
+/// (at least one, so the arrays never have length zero).
+constexpr std::size_t ConditionSlots(std::size_t kC) {
+  return kC == kAnyConditions || kC == 0 ? 1 : kC;
 }
 
 }  // namespace hics::simd::internal

@@ -159,19 +159,88 @@ void ScreenRowF64Scalar(const double* soa, std::size_t stride,
   }
 }
 
+/// The slice predicate for objects [i0, i0 + len) over kC conditions
+/// fixed at compile time: in[j] = 1 iff object i0 + j lies in each
+/// condition's rank block (ANDed into the incoming in[j] when kAnd). The
+/// pointers and starts sit in registers and the object loop carries no
+/// dependency, so it vectorizes at the baseline ISA.
+template <std::size_t kC, bool kAnd>
+void SliceFixedScalar(const std::uint32_t* const* ranks,
+                      const std::uint32_t* starts, std::uint32_t block,
+                      std::size_t i0, std::size_t len, std::uint32_t* in) {
+  const std::uint32_t* r[ConditionSlots(kC)];
+  std::uint32_t s[ConditionSlots(kC)];
+  for (std::size_t c = 0; c < kC; ++c) {
+    r[c] = ranks[c] + i0;
+    s[c] = starts[c];
+  }
+  for (std::size_t j = 0; j < len; ++j) {
+    std::uint32_t v = kAnd ? in[j] : 1;
+    for (std::size_t c = 0; c < kC; ++c) {
+      v &= static_cast<std::uint32_t>(r[c][j] - s[c] < block);
+    }
+    in[j] = v;
+  }
+}
+
+/// The slice predicate for objects [i0, i0 + len). Above
+/// kMaxFixedConditions the generic loop walks the conditions in chunks
+/// of fixed instantiations, each chunk ANDed into the flags.
+template <std::size_t kC>
+void SlicePredicateScalar(const std::uint32_t* const* ranks,
+                          const std::uint32_t* starts,
+                          std::size_t num_conditions, std::uint32_t block,
+                          std::size_t i0, std::size_t len, std::uint32_t* in) {
+  if constexpr (kC == kAnyConditions) {
+    SliceFixedScalar<kMaxFixedConditions, false>(ranks, starts, block, i0,
+                                                 len, in);
+    for (std::size_t c = kMaxFixedConditions; c < num_conditions;) {
+      const std::size_t chunk =
+          std::min(kMaxFixedConditions, num_conditions - c);
+      WithConditionCount(chunk, [&]<std::size_t kChunk>() {
+        if constexpr (kChunk != kAnyConditions) {
+          SliceFixedScalar<kChunk, true>(ranks + c, starts + c, block, i0,
+                                         len, in);
+        }
+      });
+      c += chunk;
+    }
+  } else {
+    SliceFixedScalar<kC, false>(ranks, starts, block, i0, len, in);
+  }
+}
+
 void SliceMaskScalar(const std::uint32_t* const* ranks,
                      const std::uint32_t* starts, std::size_t num_conditions,
                      std::uint32_t block, std::size_t n, std::uint32_t* mask) {
-  // Condition-major: each pass is one branch-free sweep over a rank
-  // column, which the compiler vectorizes even at the baseline ISA.
-  std::fill(mask, mask + n, std::uint32_t{1});
-  for (std::size_t c = 0; c < num_conditions; ++c) {
-    const std::uint32_t* r = ranks[c];
-    const std::uint32_t s = starts[c];
-    for (std::size_t i = 0; i < n; ++i) {
-      mask[i] &= static_cast<std::uint32_t>(r[i] - s < block);
+  WithConditionCount(num_conditions, [&]<std::size_t kC>() {
+    SlicePredicateScalar<kC>(ranks, starts, num_conditions, block, 0, n,
+                             mask);
+  });
+}
+
+std::size_t SliceSelectScalar(const std::uint32_t* const* ranks,
+                              const std::uint32_t* starts,
+                              std::size_t num_conditions, std::uint32_t block,
+                              const double* column, std::size_t n,
+                              double* out) {
+  // The predicate fills a stack block of 64 flags (vectorized), then a
+  // branchless cursor loop compacts that block: the flags never leave L1.
+  constexpr std::size_t kGroup = 64;
+  std::uint32_t in[kGroup];
+  return WithConditionCount(num_conditions, [&]<std::size_t kC>() {
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < n; i += kGroup) {
+      const std::size_t len = std::min(kGroup, n - i);
+      SlicePredicateScalar<kC>(ranks, starts, num_conditions, block, i, len,
+                               in);
+      for (std::size_t j = 0; j < len; ++j) {
+        out[k] = column[i + j];
+        k += in[j];
+      }
     }
-  }
+    return k;
+  });
 }
 
 std::size_t CompactSelectedScalar(const double* column,
@@ -257,6 +326,7 @@ const SimdKernels& ScalarKernels() {
       LeafScreenScalar,
       ScreenRowF64Scalar,
       SliceMaskScalar,
+      SliceSelectScalar,
       CompactSelectedScalar,
       CompactSelectedSortedScalar,
       SumScalar,

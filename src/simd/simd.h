@@ -6,22 +6,22 @@
 //     distance for a column-major block of up to 16 points per call, plus
 //     its compare mask), and the Gram-screening tile row that only ever
 //     *prunes* pairs,
-//   * the rank-space contrast kernels — the rank-predicate slice mask
-//     (one pass over the conditions' uint32 ranks), stamp-filtered
-//     compaction of that selection (object-id order for moment tests,
-//     sorted-attribute order for rank tests) and the canonical
-//     8-partial-sum moments.
+//   * the rank-space contrast kernels — the fused slice select (the
+//     rank predicates tested in registers, the selected test-column
+//     values compress-stored in object-id order, for moment tests), the
+//     rank-predicate slice mask and its sorted-attribute-order compaction
+//     (for rank tests), and the canonical 8-partial-sum moments.
 //
 // Bit-identity contract. Kernels come in two classes:
 //
-//   CANONICAL — squared_distance(_bounded), leaf_screen, mean, sum_sq_dev,
-//   slice_mask, both compaction kernels, and the grid bin_index kernel
-//   define *the* result. Every tier computes the same partial-sum
-//   decomposition in the same combine order (see kernels_scalar.cc for the
-//   reference), so outputs are bit-identical across scalar/AVX2/AVX-512
-//   and across machines. None of them may use FMA (the build pins
-//   -ffp-contract=off so inlined scalar code cannot silently contract
-//   either).
+//   CANONICAL — squared_distance(_bounded), leaf_screen, sum, sum_sq_dev,
+//   slice_select, slice_mask, both compaction kernels, and the grid
+//   bin_index kernel define *the* result. Every tier computes the same
+//   partial-sum decomposition in the same combine order (see
+//   kernels_scalar.cc for the reference), so outputs are bit-identical
+//   across scalar/AVX2/AVX-512 and across machines. None of them may use
+//   FMA (the build pins -ffp-contract=off so inlined scalar code cannot
+//   silently contract either).
 //
 //   SCREENING — screen_row_f64 produces approximations whose error the
 //   caller covers with a slack margin before an exact recompute; it is
@@ -114,14 +114,34 @@ struct SimdKernels {
   /// `ranks[c]` is an inverse permutation (SortedAttributeIndex::Ranks).
   /// Integer-only and elementwise, so every tier is bit-identical by
   /// construction. With num_conditions == 0 every object is selected.
+  /// Each tier runs one predicate loop for slice_mask and slice_select,
+  /// instantiated per condition count up to 7 with a generic loop above;
+  /// the two kernels differ only in what they store per object group.
   void (*slice_mask)(const std::uint32_t* const* ranks,
                      const std::uint32_t* starts, std::size_t num_conditions,
                      std::uint32_t block, std::size_t n, std::uint32_t* mask);
 
+  /// CANONICAL. Fused slice selection: writes column[i] for every object
+  /// i in [0, n) that slice_mask would mark 1 — i.e. for which
+  ///   uint32(ranks[c][i] - starts[c]) < block  for every condition c —
+  /// to out[0..k) in ascending object id and returns k. The same values in
+  /// the same order as slice_mask followed by compact_selected with target
+  /// 1, without writing the mask. `out` must have room for n +
+  /// kCompactPad elements; slots past k are scratch garbage.
+  std::size_t (*slice_select)(const std::uint32_t* const* ranks,
+                              const std::uint32_t* starts,
+                              std::size_t num_conditions,
+                              std::uint32_t block, const double* column,
+                              std::size_t n, double* out);
+
   /// CANONICAL. Object-id-order compaction of a slice selection: writes
   /// column[id] for every id in [0, n) with stamps[id] == target to
   /// out[0..k) (ascending id) and returns k. `out` must have room for
-  /// n + kCompactPad elements; slots past k are scratch garbage.
+  /// n + kCompactPad elements; slots past k are scratch garbage. No
+  /// library path calls it since slice_select fused it with slice_mask;
+  /// it remains the reference tests and benches compare slice_select
+  /// against, and the end-to-end benchmark's simd.compact_selected_gbps
+  /// probe.
   std::size_t (*compact_selected)(const double* column,
                                   const std::uint32_t* stamps, std::size_t n,
                                   std::uint32_t target, double* out);

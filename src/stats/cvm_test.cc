@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "simd/simd.h"
 
 namespace hics::stats {
 
@@ -87,21 +86,11 @@ double CvmDeviation::DeviationPresortedMarginal(
   return r.valid ? r.statistic : 0.0;
 }
 
-double CvmDeviation::DeviationFromSelection(
-    const SelectionView& view, std::vector<double>* gather_scratch) const {
-  // Sorted-order emission via the dispatched compaction kernel; see
-  // KsDeviation::DeviationFromSelection for the reasoning.
-  const std::size_t n = view.sorted_order.size();
-  if (gather_scratch->size() < n + simd::kCompactPad) {
-    gather_scratch->resize(n + simd::kCompactPad);
-  }
-  double* out = gather_scratch->data();
-  const std::size_t k = simd::ActiveKernels().compact_selected_sorted(
-      view.marginal_sorted.data(), view.sorted_order.data(),
-      view.stamps.data(), n, view.selected_stamp, out);
-  if (view.marginal_sorted.empty() || k == 0) return 0.0;
-  const CvmResult r =
-      CvmSorted(view.marginal_sorted, std::span<const double>(out, k));
+double CvmDeviation::DeviationFromSelection(const SelectionView& view,
+                                         SelectionScratch* scratch) const {
+  const std::span<const double> conditional = SelectSorted(view, scratch);
+  if (view.marginal_sorted.empty() || conditional.empty()) return 0.0;
+  const CvmResult r = CvmSorted(view.marginal_sorted, conditional);
   return r.valid ? r.statistic : 0.0;
 }
 

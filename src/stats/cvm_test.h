@@ -41,11 +41,10 @@ class CvmDeviation : public TwoSampleTest {
       std::span<const double> marginal_sorted,
       std::span<const double> conditional,
       std::vector<double>* sort_scratch) const override;
-  /// Rank-space path: sorted-order emission of the conditional (see
-  /// KsDeviation::DeviationFromSelection) feeding the O(n) sorted merge.
+  /// Rank-space path: sorted-order emission of the conditional
+  /// (SelectSorted) feeding the O(n) sorted merge.
   double DeviationFromSelection(const SelectionView& view,
-                                std::vector<double>* gather_scratch)
-      const override;
+                                SelectionScratch* scratch) const override;
   std::string name() const override { return "cvm"; }
 };
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "simd/simd.h"
 #include "stats/distributions.h"
 
 namespace hics::stats {
@@ -79,28 +78,11 @@ double KsDeviation::DeviationPresortedMarginal(
   return r.valid ? r.statistic : 0.0;
 }
 
-double KsDeviation::DeviationFromSelection(
-    const SelectionView& view, std::vector<double>* gather_scratch) const {
-  // Walking the sorted order and filtering on the stamp yields the
-  // selected values ascending: the same value sequence sort-after-gather
-  // produces (ties carry equal values), with the sort itself gone.
-  // marginal_sorted[pos] == column[sorted_order[pos]], so the emitted
-  // value needs no second indirection. The dispatched SIMD kernel gathers
-  // the stamps through sorted_order and compress-stores the hits — a pure
-  // data movement, so every tier emits the identical value sequence. The
-  // scratch vector stays at n + pad between calls; only the first k slots
-  // are meaningful (the pad absorbs full-width stores near the cursor).
-  const std::size_t n = view.sorted_order.size();
-  if (gather_scratch->size() < n + simd::kCompactPad) {
-    gather_scratch->resize(n + simd::kCompactPad);
-  }
-  double* out = gather_scratch->data();
-  const std::size_t k = simd::ActiveKernels().compact_selected_sorted(
-      view.marginal_sorted.data(), view.sorted_order.data(),
-      view.stamps.data(), n, view.selected_stamp, out);
-  if (view.marginal_sorted.empty() || k == 0) return 0.0;
-  const KsResult r =
-      KsTestSorted(view.marginal_sorted, std::span<const double>(out, k));
+double KsDeviation::DeviationFromSelection(const SelectionView& view,
+                                         SelectionScratch* scratch) const {
+  const std::span<const double> conditional = SelectSorted(view, scratch);
+  if (view.marginal_sorted.empty() || conditional.empty()) return 0.0;
+  const KsResult r = KsTestSorted(view.marginal_sorted, conditional);
   return r.valid ? r.statistic : 0.0;
 }
 

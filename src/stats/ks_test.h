@@ -36,12 +36,11 @@ class KsDeviation : public TwoSampleTest {
       std::span<const double> marginal_sorted,
       std::span<const double> conditional,
       std::vector<double>* sort_scratch) const override;
-  /// Rank-space path: emits the conditional sample already sorted by
-  /// walking the view's sorted order filtered on the selection stamp, then
-  /// runs the O(n) sorted merge — the per-draw O(m log m) sort disappears.
+  /// Rank-space path: emits the conditional sample already sorted
+  /// (SelectSorted), then runs the O(n) sorted merge — the per-draw
+  /// O(m log m) sort disappears.
   double DeviationFromSelection(const SelectionView& view,
-                                std::vector<double>* gather_scratch)
-      const override;
+                                SelectionScratch* scratch) const override;
   std::string name() const override { return "ks"; }
 };
 

@@ -9,18 +9,42 @@
 
 namespace hics::stats {
 
-double TwoSampleTest::DeviationFromSelection(
-    const SelectionView& view, std::vector<double>* gather_scratch) const {
-  // Reference semantics: gather the selected values in object-id order,
-  // then evaluate as if the caller had materialized the conditional.
+std::span<const double> SelectInIdOrder(const SelectionView& view,
+                                        SelectionScratch* scratch) {
   const std::size_t n = view.column.size();
-  gather_scratch->resize(n + simd::kCompactPad);
-  const std::size_t k = simd::ActiveKernels().compact_selected(
-      view.column.data(), view.stamps.data(), n, view.selected_stamp,
-      gather_scratch->data());
-  return DeviationPresortedMarginal(
-      view.marginal_sorted,
-      std::span<const double>(gather_scratch->data(), k));
+  scratch->values.resize(n + simd::kCompactPad);
+  const std::size_t k = simd::ActiveKernels().slice_select(
+      view.condition_ranks.data(), view.condition_starts.data(),
+      view.condition_ranks.size(), view.block, view.column.data(), n,
+      scratch->values.data());
+  return std::span<const double>(scratch->values.data(), k);
+}
+
+std::span<const double> SelectSorted(const SelectionView& view,
+                                     SelectionScratch* scratch) {
+  // marginal_sorted[pos] == column[sorted_order[pos]], so the emitted
+  // value needs no second indirection. The compaction gathers the mask
+  // through sorted_order and compress-stores the hits — a pure data
+  // movement, so every tier emits the identical value sequence.
+  const simd::SimdKernels& kernels = simd::ActiveKernels();
+  const std::size_t n = view.sorted_order.size();
+  scratch->mask.resize(n);
+  scratch->values.resize(n + simd::kCompactPad);
+  kernels.slice_mask(view.condition_ranks.data(), view.condition_starts.data(),
+                     view.condition_ranks.size(), view.block, n,
+                     scratch->mask.data());
+  const std::size_t k = kernels.compact_selected_sorted(
+      view.marginal_sorted.data(), view.sorted_order.data(),
+      scratch->mask.data(), n, 1, scratch->values.data());
+  return std::span<const double>(scratch->values.data(), k);
+}
+
+double TwoSampleTest::DeviationFromSelection(const SelectionView& view,
+                                             SelectionScratch* scratch) const {
+  // Reference semantics: the selected values in object-id order, evaluated
+  // as if the caller had materialized the conditional.
+  return DeviationPresortedMarginal(view.marginal_sorted,
+                                    SelectInIdOrder(view, scratch));
 }
 
 std::unique_ptr<TwoSampleTest> MakeTwoSampleTest(const std::string& name) {

@@ -13,9 +13,13 @@ namespace hics::stats {
 /// Rank-space view of one slice selection, handed to
 /// TwoSampleTest::DeviationFromSelection by the contrast estimator. The
 /// conditional sample is *not* materialized; it is the subset of `column`
-/// whose object id carries the selection stamp:
+/// whose object ids lie in every condition's rank block:
 ///
-///   id selected  <=>  stamps[id] == selected_stamp
+///   id selected  <=>  uint32(condition_ranks[c][id] - condition_starts[c])
+///                         < block   for every condition c
+///
+/// which simd::SimdKernels::slice_select (values in id order) and
+/// slice_mask (a per-id 0/1 mask) evaluate.
 ///
 /// Invariants the producer guarantees:
 ///  * `marginal_sorted` is `column` sorted ascending, and element `pos`
@@ -23,7 +27,8 @@ namespace hics::stats {
 ///  * `marginal_mean` / `marginal_variance` equal Mean(marginal_sorted) /
 ///    SampleVariance(marginal_sorted) exactly (same summation order), so
 ///    moment-based tests reproduce the materializing path bitwise.
-///  * `stamps.size() == column.size() == sorted_order.size()`.
+///  * `column.size() == sorted_order.size()`, every rank column has that
+///    length, and condition_ranks.size() == condition_starts.size().
 struct SelectionView {
   /// Test attribute's values sorted ascending (the marginal sample).
   std::span<const double> marginal_sorted;
@@ -34,13 +39,39 @@ struct SelectionView {
   /// Test attribute's values in object-id order.
   std::span<const double> column;
   /// Object ids ascending by test-attribute value; walking it and
-  /// filtering on the stamp emits the conditional sample already sorted.
+  /// filtering on the selection emits the conditional sample already
+  /// sorted.
   std::span<const std::size_t> sorted_order;
-  /// Per-object selection stamps (SliceScratch::mask).
-  std::span<const std::uint32_t> stamps;
-  /// Stamp value identifying the selected objects.
-  std::uint32_t selected_stamp = 0;
+  /// The draw's conditions: each conditioning attribute's rank column
+  /// (inverse sorted permutation), its block start, and the block length.
+  std::span<const std::uint32_t* const> condition_ranks;
+  std::span<const std::uint32_t> condition_starts;
+  std::uint32_t block = 0;
 };
+
+/// Per-caller working storage of DeviationFromSelection; capacity
+/// persists across draws, so the Monte Carlo loop is allocation-free at
+/// steady state. Distinct per concurrent caller.
+struct SelectionScratch {
+  /// Conditional-sample buffer (n + simd::kCompactPad doubles).
+  std::vector<double> values;
+  /// Per-object selection mask, for tests that filter a sorted order.
+  std::vector<std::uint32_t> mask;
+};
+
+/// The selected values of `view.column` in ascending object id — the
+/// conditional sample the materializing path gathers — written by one
+/// simd slice_select pass into `scratch->values`.
+std::span<const double> SelectInIdOrder(const SelectionView& view,
+                                        SelectionScratch* scratch);
+
+/// The selected values sorted ascending: slice_mask writes the selection
+/// into `scratch->mask`, then compact_selected_sorted walks
+/// `view.sorted_order` filtered on it into `scratch->values`. The same
+/// value sequence gather-then-std::sort produces (ties carry equal
+/// values), without the sort.
+std::span<const double> SelectSorted(const SelectionView& view,
+                                     SelectionScratch* scratch);
 
 /// Interface for the paper's deviation(p̂_A, p̂_B) function (§III-E): a
 /// two-sample statistical test that maps a marginal sample A and a
@@ -92,16 +123,15 @@ class TwoSampleTest {
   /// tests/contrast_kernel_test.cc checks exactly that against the
   /// gather+sort reference contrast.
   ///
-  /// The shipped tests override it: Welch accumulates count/sum/M2 during
-  /// two id-order sweeps and never materializes the conditional; KS and
-  /// CvM emit the conditional already sorted by walking `sorted_order`
-  /// filtered on the stamp, eliminating the per-draw O(m log m) sort. The
-  /// base implementation gathers into `gather_scratch` (reusing its
-  /// capacity) and defers to DeviationPresortedMarginal, so third-party
-  /// tests stay correct without opting in.
+  /// The shipped tests override it: Welch runs the canonical moment
+  /// kernels over the slice_select output; KS and CvM build the selection
+  /// mask with slice_mask and emit the conditional already sorted by
+  /// walking `sorted_order` filtered on it, eliminating the per-draw
+  /// O(m log m) sort. The base implementation gathers with slice_select
+  /// into `scratch->values` and defers to DeviationPresortedMarginal, so
+  /// third-party tests stay correct without opting in.
   virtual double DeviationFromSelection(const SelectionView& view,
-                                        std::vector<double>* gather_scratch)
-      const;
+                                        SelectionScratch* scratch) const;
 
   /// Short identifier for reports, e.g. "welch" or "ks".
   virtual std::string name() const = 0;

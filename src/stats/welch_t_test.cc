@@ -59,27 +59,18 @@ double WelchTDeviation::Deviation(std::span<const double> marginal,
 }
 
 double WelchTDeviation::DeviationFromSelection(
-    const SelectionView& view, std::vector<double>* gather_scratch) const {
-  const std::size_t n = view.column.size();
-
-  // Compact the selected values into scratch (ascending object id — the
-  // order the gather path materializes the conditional in), then run the
-  // canonical moment kernels over the dense sample. Both steps are the
-  // dispatched SIMD kernels, and the compacted array is elementwise equal
-  // to the gathered conditional, so the moments — hence the p-value — are
-  // bit-identical to the Deviation(gather) path on every tier. Replaces a
-  // latency-bound masked sweep over all n with ~n/lanes compaction plus
-  // moments over only the ~alpha-fraction selected sample.
-  const simd::SimdKernels& kernels = simd::ActiveKernels();
-  gather_scratch->resize(n + simd::kCompactPad);
-  const std::size_t count =
-      kernels.compact_selected(view.column.data(), view.stamps.data(), n,
-                               view.selected_stamp, gather_scratch->data());
+    const SelectionView& view, SelectionScratch* scratch) const {
+  // The selected values in ascending object id — elementwise equal to the
+  // gathered conditional — then the canonical moment kernels over the
+  // dense sample, so the moments, hence the p-value, are bit-identical to
+  // the Deviation(gather) path on every tier.
+  const std::span<const double> conditional = SelectInIdOrder(view, scratch);
+  const std::size_t count = conditional.size();
   if (view.marginal_sorted.size() < 2 || count < 2) return 0.0;
-  const double sum = kernels.sum(gather_scratch->data(), count);
+  const simd::SimdKernels& kernels = simd::ActiveKernels();
+  const double sum = kernels.sum(conditional.data(), count);
   const double mean = sum / static_cast<double>(count);
-  const double sum_sq =
-      kernels.sum_sq_dev(gather_scratch->data(), count, mean);
+  const double sum_sq = kernels.sum_sq_dev(conditional.data(), count, mean);
   const double var = sum_sq / static_cast<double>(count - 1);
 
   const WelchResult r = WelchTTestFromMoments(

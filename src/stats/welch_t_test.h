@@ -37,13 +37,13 @@ class WelchTDeviation : public TwoSampleTest {
  public:
   double Deviation(std::span<const double> marginal,
                    std::span<const double> conditional) const override;
-  /// Fused path: accumulates the conditional's count/sum/M2 in two
-  /// object-id-order sweeps (the same summation order Mean/SampleVariance
-  /// apply to the gathered vector) and reuses the view's precomputed
-  /// marginal moments — no materialization, no O(N) marginal re-scan.
+  /// Fused path: one slice_select pass writes the conditional in object-id
+  /// order, the canonical moment kernels sum it (the same summation order
+  /// Mean/SampleVariance apply to the gathered vector), and the view's
+  /// precomputed marginal moments are reused — no mask, no O(N) marginal
+  /// re-scan.
   double DeviationFromSelection(const SelectionView& view,
-                                std::vector<double>* gather_scratch)
-      const override;
+                                SelectionScratch* scratch) const override;
   std::string name() const override { return "welch"; }
 };
 

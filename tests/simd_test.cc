@@ -1,7 +1,7 @@
 // SIMD layer guarantees (DESIGN.md §5g):
 //  (1) every CANONICAL kernel (exact distance, bounded distance, the
-//      KD-tree leaf screen, the slice mask, both compactions, sum,
-//      sum_sq_dev) is bit-identical across
+//      KD-tree leaf screen, the fused slice select, the slice mask, both
+//      compactions, sum, sum_sq_dev) is bit-identical across
 //      every tier this machine can run, on hostile inputs too (NaN,
 //      duplicates, tie-heavy, remainder-heavy lengths);
 //  (2) the SCREENING kernels stay within the slack margins the brute-force
@@ -300,6 +300,70 @@ TEST(SimdKernelTest, SliceMaskMatchesOracleAcrossTiers) {
                 << "n=" << n << " conditions=" << conditions
                 << " block=" << block << " start_mode=" << start_mode
                 << " tier=" << simd::SimdTierName(tier);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, SliceSelectMatchesOracleAcrossTiers) {
+  // The fused select must write exactly what scalar slice_mask +
+  // compact_selected write — count and bytes — for every condition count
+  // with its own instantiation (0..7) and the generic loop above (8, 9),
+  // at the vector-width edges, with unit, third and full blocks at both
+  // ends of the rank range, and write nothing past out[k + kCompactPad).
+  const simd::SimdKernels& scalar = KernelsForTier(SimdTier::kScalar);
+  constexpr std::size_t kGuard = 16;
+  const double sentinel = -7.25;
+  for (std::size_t n : {0u, 1u, 15u, 16u, 17u, 31u, 33u, 2001u}) {
+    Rng rng(900 + n);
+    std::vector<std::vector<std::uint32_t>> rank_columns(9);
+    for (auto& ranks : rank_columns) {
+      ranks.resize(n);
+      std::iota(ranks.begin(), ranks.end(), 0u);
+      for (std::size_t i = n; i > 1; --i) {
+        std::swap(ranks[i - 1], ranks[rng.UniformIndex(i)]);
+      }
+    }
+    std::vector<const std::uint32_t*> ranks;
+    for (const auto& column : rank_columns) ranks.push_back(column.data());
+    const std::vector<double> column = HostileValues(n, 31 + n, true);
+    for (std::size_t conditions = 0; conditions <= 9; ++conditions) {
+      for (std::size_t block :
+           {std::size_t{1}, std::max<std::size_t>(n / 3, 1),
+            std::max<std::size_t>(n, 1)}) {
+        const std::size_t last = n >= block ? n - block : 0;
+        for (std::size_t start : {std::size_t{0}, last}) {
+          const std::vector<std::uint32_t> starts(
+              conditions, static_cast<std::uint32_t>(start));
+          std::vector<std::uint32_t> mask(n);
+          scalar.slice_mask(ranks.data(), starts.data(), conditions,
+                            static_cast<std::uint32_t>(block), n,
+                            mask.data());
+          std::vector<double> want(n + simd::kCompactPad);
+          const std::size_t k = scalar.compact_selected(
+              column.data(), mask.data(), n, 1, want.data());
+          for (SimdTier tier : AvailableTiers()) {
+            std::vector<double> out(n + simd::kCompactPad + kGuard, sentinel);
+            const std::size_t got = KernelsForTier(tier).slice_select(
+                ranks.data(), starts.data(), conditions,
+                static_cast<std::uint32_t>(block), column.data(), n,
+                out.data());
+            const std::string where =
+                "n=" + std::to_string(n) +
+                " conditions=" + std::to_string(conditions) +
+                " block=" + std::to_string(block) +
+                " start=" + std::to_string(start) +
+                " tier=" + simd::SimdTierName(tier);
+            ASSERT_EQ(got, k) << where;
+            for (std::size_t i = 0; i < k; ++i) {
+              ASSERT_EQ(Bits(out[i]), Bits(want[i])) << where << " i=" << i;
+            }
+            for (std::size_t i = k + simd::kCompactPad; i < out.size(); ++i) {
+              ASSERT_EQ(Bits(out[i]), Bits(sentinel))
+                  << where << " wrote slot " << i;
+            }
           }
         }
       }

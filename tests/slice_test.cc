@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "contrast_oracle.h"
 #include "core/contrast.h"
+#include "simd/simd.h"
 #include "stats/ks_test.h"
 
 namespace hics {
@@ -22,6 +23,28 @@ Dataset UniformDataset(std::size_t n, std::size_t d, std::uint64_t seed) {
     for (std::size_t j = 0; j < d; ++j) ds.Set(i, j, rng.UniformDouble());
   }
   return ds;
+}
+
+/// Whether object `id` lies in every condition's rank block of `sel`.
+bool Selected(const SliceSelection& sel, std::size_t id) {
+  for (std::size_t c = 0; c < sel.num_conditions(); ++c) {
+    const std::uint32_t rank = sel.condition_ranks[c][id];
+    const std::uint32_t start = sel.condition_starts[c];
+    if (rank < start || rank - start >= sel.block) return false;
+  }
+  return true;
+}
+
+/// The selected test-column values through the dispatched fused kernel.
+std::vector<double> SliceSelect(const SliceSelection& sel,
+                                const std::vector<double>& column) {
+  std::vector<double> out(column.size() + simd::kCompactPad);
+  const std::size_t k = simd::ActiveKernels().slice_select(
+      sel.condition_ranks.data(), sel.condition_starts.data(),
+      sel.num_conditions(), sel.block, column.data(), column.size(),
+      out.data());
+  out.resize(k);
+  return out;
 }
 
 TEST(SliceSamplerTest, BlockSizeFollowsAlgorithmOne) {
@@ -128,9 +151,9 @@ TEST(SliceSamplerTest, DeterministicGivenRngState) {
 }
 
 TEST(SliceSamplerTest, DrawSelectionMatchesMaterializingDraw) {
-  // Same RNG state through either entry point -> same slice: the mask
-  // must select exactly the objects whose test-attribute values Draw
-  // materializes.
+  // Same RNG state through either entry point -> same slice: the
+  // selection's rank-block conditions must select exactly the objects
+  // whose test-attribute values Draw materializes.
   Dataset ds = UniformDataset(400, 5, 21);
   SortedAttributeIndex index(ds);
   SliceSampler sampler(ds, index);
@@ -143,16 +166,18 @@ TEST(SliceSamplerTest, DrawSelectionMatchesMaterializingDraw) {
     sampler.Draw(sub, 0.15, &r1, &s1, &draw);
     sampler.DrawSelection(sub, 0.15, &r2, &s2, &sel);
     EXPECT_EQ(sel.test_attribute, draw.test_attribute);
-    EXPECT_EQ(sel.num_conditions, sub.size() - 1);
-    ASSERT_EQ(s2.mask.size(), 400u);
-    std::vector<double> masked;
+    EXPECT_EQ(sel.num_conditions(), sub.size() - 1);
+    ASSERT_EQ(sel.condition_ranks.size(), sel.num_conditions());
+    EXPECT_EQ(sel.block, sampler.BlockSize(sub.size(), 0.15));
+    std::vector<double> selected;
     const auto& col = ds.Column(sel.test_attribute);
     for (std::size_t id = 0; id < 400; ++id) {
-      ASSERT_LE(s2.mask[id], 1u);
-      if (s2.mask[id] == sel.selected_stamp) masked.push_back(col[id]);
+      if (Selected(sel, id)) selected.push_back(col[id]);
     }
-    // The mask is object-id order, exactly like Draw's gather.
-    EXPECT_EQ(masked, draw.conditional_sample);
+    // Object-id order, exactly like Draw's gather — by brute force and
+    // through the fused kernel.
+    EXPECT_EQ(selected, draw.conditional_sample);
+    EXPECT_EQ(SliceSelect(sel, col), draw.conditional_sample);
   }
 }
 
@@ -177,10 +202,8 @@ TEST(SliceSamplerTest, SelectionSizeConcentratesAcrossDimensionalities) {
     const int reps = 200;
     for (int rep = 0; rep < reps; ++rep) {
       sampler.DrawSelection(sub, alpha, &rng, &scratch, &sel);
-      std::size_t count = 0;
-      for (std::size_t id = 0; id < n; ++id) {
-        count += scratch.mask[id] == sel.selected_stamp;
-      }
+      const std::size_t count =
+          SliceSelect(sel, ds.Column(sel.test_attribute)).size();
       sum += static_cast<double>(count);
     }
     const double mean = sum / reps;

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <vector>
 
 #include "common/random.h"
@@ -114,6 +116,82 @@ TEST(SortedIndexTest, StableForTies) {
   EXPECT_EQ(order[0], 0u);
   EXPECT_EQ(order[1], 1u);
   EXPECT_EQ(order[2], 2u);
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Reference order: the finite (and infinite) values ascending with ties
+/// in id order, then the NaN ids ascending.
+std::vector<std::size_t> NaNLastOrder(const std::vector<double>& column) {
+  std::vector<std::size_t> numbers, nans;
+  for (std::size_t id = 0; id < column.size(); ++id) {
+    (std::isnan(column[id]) ? nans : numbers).push_back(id);
+  }
+  std::stable_sort(numbers.begin(), numbers.end(),
+                   [&](std::size_t x, std::size_t y) {
+                     return column[x] < column[y];
+                   });
+  numbers.insert(numbers.end(), nans.begin(), nans.end());
+  return numbers;
+}
+
+Dataset OneColumn(const std::vector<double>& column) {
+  Dataset ds(column.size(), 1);
+  for (std::size_t i = 0; i < column.size(); ++i) ds.Set(i, 0, column[i]);
+  return ds;
+}
+
+std::vector<std::size_t> OrderOf(const SortedAttributeIndex& index) {
+  const auto order = index.SortedOrder(0);
+  return std::vector<std::size_t>(order.begin(), order.end());
+}
+
+TEST(SortedIndexTest, NaNsSortAfterEveryNumberInIdOrder) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> column = {3.0, kNaN, 1.0,  kNaN, 2.0,
+                                      -inf, kNaN, 1.0, inf,  0.5};
+  const SortedAttributeIndex index(OneColumn(column));
+  const std::vector<std::size_t> want = {5, 9, 2, 7, 4, 0, 8, 1, 3, 6};
+  EXPECT_EQ(OrderOf(index), want);
+  // Randomized: a third of the cells NaN, plus duplicates.
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    Rng rng(seed);
+    std::vector<double> values(200);
+    for (double& v : values) {
+      const double u = rng.UniformDouble();
+      v = u < 0.33 ? kNaN : std::floor(u * 20.0);
+    }
+    EXPECT_EQ(OrderOf(SortedAttributeIndex(OneColumn(values))),
+              NaNLastOrder(values))
+        << "seed " << seed;
+  }
+}
+
+TEST(SortedIndexTest, SlideOverNaNCellsMatchesAColdRebuild) {
+  // The streaming plane's order maintenance: evict a prefix, admit rows,
+  // merge. Over NaN cells it must land on the cold index's order.
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    Rng rng(100 + seed);
+    const auto cell = [&rng] {
+      const double u = rng.UniformDouble();
+      return u < 0.25 ? kNaN : std::floor(u * 12.0);
+    };
+    std::vector<double> window(60);
+    for (double& v : window) v = cell();
+    std::vector<std::size_t> order =
+        OrderOf(SortedAttributeIndex(OneColumn(window)));
+    for (int step = 0; step < 5; ++step) {
+      const std::size_t evict = rng.UniformIndex(15);
+      const std::size_t admit = rng.UniformIndex(15);
+      window.erase(window.begin(), window.begin() + evict);
+      for (std::size_t i = 0; i < admit; ++i) window.push_back(cell());
+      order = SlideSortedOrder(window, order, evict);
+      EXPECT_EQ(order, OrderOf(SortedAttributeIndex(OneColumn(window))))
+          << "seed " << seed << " step " << step;
+      EXPECT_EQ(order, NaNLastOrder(window))
+          << "seed " << seed << " step " << step;
+    }
+  }
 }
 
 TEST(SortedIndexDeathTest, BlockOutOfRangeAborts) {
