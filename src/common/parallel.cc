@@ -67,28 +67,24 @@ Status ParallelTryForWorker(
   const std::size_t count = end - begin;
   if (count == 0) return Status::OK();
 
-  // First error wins by *index*, not by wall-clock arrival. A worker skips
-  // an iteration only when its index is at or above the smallest failing
-  // index recorded so far; everything below a known failure keeps running
-  // and may replace it with an earlier one. The globally smallest failing
-  // index can therefore never be starved (all indices before it succeed,
-  // so its worker always reaches it), which makes the returned error
-  // deterministic under any thread count or scheduling.
+  // First error wins by *index*, not by wall-clock arrival. Workers claim
+  // indices one at a time in ascending order off a shared cursor, and a
+  // claimed index runs only while it is below the smallest failing index
+  // recorded so far. Every index below the globally smallest failing one
+  // was therefore claimed before it and runs (all of them succeed), which
+  // makes the returned error deterministic under any thread count or
+  // scheduling.
   std::mutex error_mutex;
   Status first_error;
   std::atomic<std::size_t> first_error_index{
       std::numeric_limits<std::size_t>::max()};
   std::atomic<bool> stop{false};  // cooperative wind-down, not an error
+  std::atomic<std::size_t> cursor{begin};
 
-  auto record_error = [&](std::size_t index, Status status) {
-    std::lock_guard<std::mutex> lock(error_mutex);
-    if (index < first_error_index.load(std::memory_order_relaxed)) {
-      first_error = std::move(status);
-      first_error_index.store(index, std::memory_order_relaxed);
-    }
-  };
-  auto run_range = [&](std::size_t lo, std::size_t hi, std::size_t slot) {
-    for (std::size_t i = lo; i < hi; ++i) {
+  auto run_claimed = [&](std::size_t slot) {
+    for (;;) {
+      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (i >= end) return;
       if (i >= first_error_index.load(std::memory_order_relaxed)) return;
       if (stop.load(std::memory_order_relaxed)) return;
       if (should_stop && should_stop()) {
@@ -97,7 +93,11 @@ Status ParallelTryForWorker(
       }
       Status st = fn(i, slot);
       if (!st.ok()) {
-        record_error(i, std::move(st));
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (i < first_error_index.load(std::memory_order_relaxed)) {
+          first_error = std::move(st);
+          first_error_index.store(i, std::memory_order_relaxed);
+        }
         return;
       }
     }
@@ -105,19 +105,14 @@ Status ParallelTryForWorker(
 
   const std::size_t workers = ParallelWorkerCount(count, num_threads);
   if (workers <= 1 || count == 1 || ThreadPool::InParallelRegion()) {
-    run_range(begin, end, 0);
-    return first_error;
+    run_claimed(0);
+  } else {
+    // One index per claim, not chunks: a slow index (a high-dimensional
+    // subspace, a kd-tree rejected by its probe) never holds back indices
+    // queued behind it, and after an error each other worker finishes at
+    // most the one call it already claimed (see header).
+    ThreadPool::Global().Run(workers, run_claimed);
   }
-
-  // Static contiguous chunks, one per slot: slot w owns
-  // [begin + w*chunk, begin + (w+1)*chunk). An error therefore stops the
-  // rest of the failing slot's own range immediately (see header).
-  const std::size_t chunk = (count + workers - 1) / workers;
-  ThreadPool::Global().Run(workers, [&](std::size_t slot) {
-    const std::size_t lo = begin + slot * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    if (lo < hi) run_range(lo, hi, slot);
-  });
   return first_error;
 }
 

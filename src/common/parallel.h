@@ -37,10 +37,12 @@ void ParallelForWorker(
 /// workers finish; iterations never started are skipped. Returns OK when
 /// every executed call returned OK.
 ///
-/// Unlike ParallelFor, distribution is static contiguous (slot w owns the
-/// w-th chunk): an error makes the failing slot abandon the rest of its own
-/// chunk immediately, which keeps the post-error wind-down window bounded
-/// and predictable.
+/// Distribution is self-scheduled one index at a time: slots claim the
+/// next index off a shared cursor, so a slow index never holds back the
+/// ones after it. Claims are made in ascending index order, and a claimed
+/// index at or above a recorded failure is skipped, so once the failing
+/// call returns each other worker finishes at most the one call it had
+/// already claimed.
 ///
 /// `should_stop`, when provided, is polled before each iteration; returning
 /// true makes remaining iterations wind down without producing an error

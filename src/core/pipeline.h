@@ -88,8 +88,8 @@ Result<PipelineResult> RunHicsPipeline(
 
 /// Prepared-path pipeline: search and ranking share `prepared`'s sorted
 /// index and artifact cache end-to-end — one rank-artifact build per
-/// dataset, and repeated runs (the serving pattern) reuse cached
-/// searchers, kNN tables, and score vectors. Bit-identical to the Dataset
+/// dataset, and repeated runs (the serving pattern) reuse cached kNN
+/// tables and score vectors. Bit-identical to the Dataset
 /// overload for every cache state.
 Result<PipelineResult> RunHicsPipeline(
     const PreparedDataset& prepared, const HicsParams& params,

@@ -79,14 +79,6 @@ void ArtifactCache::AdvanceEpoch(std::uint64_t new_epoch,
                });
 }
 
-std::shared_ptr<const NeighborSearcher> ArtifactCache::PublishSearcher(
-    const Subspace& subspace, std::shared_ptr<const NeighborSearcher> built,
-    std::uint64_t now) {
-  const SearcherKey key{static_cast<int>(built->backend()), subspace};
-  const std::size_t bytes = built->MemoryBytes();
-  return searchers_.Publish(key, std::move(built), bytes, now);
-}
-
 std::shared_ptr<const NeighborSearcher> ArtifactCache::GetSearcher(
     const Subspace& subspace, KnnBackend backend) {
   const std::uint64_t now = epoch();
@@ -97,8 +89,11 @@ std::shared_ptr<const NeighborSearcher> ArtifactCache::GetSearcher(
   // Build outside the lock: index construction is the expensive part and
   // must not serialize unrelated subspaces. A racing builder loses to the
   // first insert; both products are equivalent (identical query answers).
-  return PublishSearcher(subspace, MakeSearcher(*dataset_, subspace, backend),
-                         now);
+  std::shared_ptr<const NeighborSearcher> built =
+      MakeSearcher(*dataset_, subspace, backend);
+  const SearcherKey key{static_cast<int>(built->backend()), subspace};
+  const std::size_t bytes = built->MemoryBytes();
+  return searchers_.Publish(key, std::move(built), bytes, now);
 }
 
 std::shared_ptr<const KnnResultTable> ArtifactCache::GetKnnTable(
@@ -116,9 +111,10 @@ std::shared_ptr<const KnnResultTable> ArtifactCache::GetKnnTable(
   }
   if (!searcher) {
     searchers_.Miss();
-    // Built outside the lock, like GetSearcher's.
-    searcher = PublishSearcher(
-        subspace, ResolveKnnSearcher(*dataset_, subspace, k), now);
+    // Built outside the lock, like GetSearcher's, and not shelved: once
+    // the table is published nothing reads the searcher again, so it dies
+    // with this call instead of pinning one index per ranked subspace.
+    searcher = ResolveKnnSearcher(*dataset_, subspace, k);
   }
   auto table = std::make_shared<KnnResultTable>();
   searcher->QueryAllKnn(k, table.get(), num_threads);

@@ -121,11 +121,12 @@ class ArtifactCache {
   /// The memoized all-kNN table for (subspace, k): row q holds the k
   /// nearest neighbors of object q. Keyed without the backend because all
   /// backends return element-identical tables. A miss queries any
-  /// searcher already cached for the subspace through the batched
-  /// all-kNN engine, or else publishes what ResolveKnnSearcher builds, so
-  /// a searcher the resolution keeps is built once and one it rejects is
-  /// never cached. `num_threads` only shapes how a miss is computed,
-  /// never the result.
+  /// searcher already cached for the subspace (GetSearcher shelves them)
+  /// through the batched all-kNN engine, or else queries what
+  /// ResolveKnnSearcher builds and drops it without shelving it: only the
+  /// table is read again, so a ranking holds at most one searcher per
+  /// worker rather than one per subspace. `num_threads` only shapes how a
+  /// miss is computed, never the result.
   std::shared_ptr<const KnnResultTable> GetKnnTable(const Subspace& subspace,
                                                     std::size_t k,
                                                     std::size_t num_threads);
@@ -365,11 +366,6 @@ class ArtifactCache {
   using SearcherKey = std::pair<int, Subspace>;
   using KnnKey = std::pair<std::size_t, Subspace>;
   using NamedKey = std::pair<std::string, Subspace>;
-
-  /// Caches a freshly built searcher under its backend().
-  std::shared_ptr<const NeighborSearcher> PublishSearcher(
-      const Subspace& subspace, std::shared_ptr<const NeighborSearcher> built,
-      std::uint64_t now);
 
   const Dataset* dataset_;
   std::atomic<std::uint64_t> epoch_{0};

@@ -18,10 +18,9 @@ std::vector<double> LofScorer::ScoreSubspacePrepared(
   const std::size_t num_threads = params_.num_threads == 0
                                       ? DefaultNumThreads()
                                       : params_.num_threads;
-  // Pass 1 (the quadratic part) comes from the artifact cache: the
-  // projected searcher and the n*k table, built once per (k, subspace)
-  // through the batched all-kNN engine and shared with every other
-  // consumer of this PreparedDataset.
+  // Pass 1 (the quadratic part) comes from the artifact cache: the n*k
+  // table, built once per (k, subspace) through the batched all-kNN
+  // engine and shared with every other consumer of this PreparedDataset.
   const std::shared_ptr<const KnnResultTable> table =
       prepared.cache().GetKnnTable(subspace, k, num_threads);
   return ScoreFromTable(*table, n, num_threads);

@@ -36,9 +36,9 @@ class LofScorer : public OutlierScorer {
  public:
   explicit LofScorer(LofParams params = {}) : params_(params) {}
 
-  /// Draws the projected searcher and the n*k neighborhood table from
-  /// `prepared`'s artifact cache (building and publishing them on first
-  /// use), then runs the pass-2/3 density math of ScoreFromTable.
+  /// Draws the n*k neighborhood table from `prepared`'s artifact cache
+  /// (built on first use through a searcher the cache does not keep),
+  /// then runs the pass-2/3 density math of ScoreFromTable.
   /// Bit-identical for every backend, thread count and cache state.
   std::vector<double> ScoreSubspacePrepared(
       const PreparedDataset& prepared, const Subspace& subspace) const override;

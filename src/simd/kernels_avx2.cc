@@ -318,30 +318,6 @@ std::size_t CompactSelectedAvx2(const double* column,
   return k;
 }
 
-std::size_t CompactSelectedSortedAvx2(const double* sorted_values,
-                                      const std::size_t* order,
-                                      const std::uint32_t* stamps,
-                                      std::size_t n, std::uint32_t target,
-                                      double* out) {
-  const __m128i vtarget = _mm_set1_epi32(static_cast<int>(target));
-  std::size_t k = 0;
-  std::size_t pos = 0;
-  for (; pos + 4 <= n; pos += 4) {
-    const __m256i idx = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(order + pos));
-    const __m128i st = _mm256_i64gather_epi32(
-        reinterpret_cast<const int*>(stamps), idx, sizeof(std::uint32_t));
-    const int mask =
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(st, vtarget)));
-    k = CompactStep(_mm256_loadu_pd(sorted_values + pos), mask, out, k);
-  }
-  for (; pos < n; ++pos) {
-    out[k] = sorted_values[pos];
-    k += static_cast<std::size_t>(stamps[order[pos]] == target);
-  }
-  return k;
-}
-
 double SumAvx2(const double* values, std::size_t n) {
   __m256d acc0 = _mm256_setzero_pd();  // partial lanes 0..3
   __m256d acc1 = _mm256_setzero_pd();  // partial lanes 4..7
@@ -408,7 +384,9 @@ const SimdKernels& Avx2Kernels() {
       SliceMaskAvx2,
       SliceSelectAvx2,
       CompactSelectedAvx2,
-      CompactSelectedSortedAvx2,
+      // The scalar body: a 64-bit-index gather of the stamps through
+      // the sorted order (vpgatherqd) costs more than the scalar walk.
+      ScalarKernels().compact_selected_sorted,
       SumAvx2,
       SumSqDevAvx2,
       BinIndexAvx2,

@@ -270,31 +270,6 @@ std::size_t CompactSelectedAvx512(const double* column,
   return k;
 }
 
-std::size_t CompactSelectedSortedAvx512(const double* sorted_values,
-                                        const std::size_t* order,
-                                        const std::uint32_t* stamps,
-                                        std::size_t n, std::uint32_t target,
-                                        double* out) {
-  const __m256i vtarget = _mm256_set1_epi32(static_cast<int>(target));
-  std::size_t k = 0;
-  std::size_t pos = 0;
-  for (; pos + 8 <= n; pos += 8) {
-    const __m512i idx = _mm512_loadu_si512(
-        reinterpret_cast<const void*>(order + pos));
-    const __m256i st =
-        _mm512_i64gather_epi32(idx, stamps, sizeof(std::uint32_t));
-    const __mmask8 m = _mm256_cmpeq_epu32_mask(st, vtarget);
-    _mm512_mask_compressstoreu_pd(out + k, m,
-                                  _mm512_loadu_pd(sorted_values + pos));
-    k += static_cast<std::size_t>(__builtin_popcount(m));
-  }
-  for (; pos < n; ++pos) {
-    out[k] = sorted_values[pos];
-    k += static_cast<std::size_t>(stamps[order[pos]] == target);
-  }
-  return k;
-}
-
 double SumAvx512(const double* values, std::size_t n) {
   // One zmm accumulator: lane l is canonical partial s[l] directly.
   __m512d acc = _mm512_setzero_pd();
@@ -354,7 +329,9 @@ const SimdKernels& Avx512Kernels() {
       SliceMaskAvx512,
       SliceSelectAvx512,
       CompactSelectedAvx512,
-      CompactSelectedSortedAvx512,
+      // The scalar body: a 64-bit-index gather of the stamps through
+      // the sorted order (vpgatherqd) costs more than the scalar walk.
+      ScalarKernels().compact_selected_sorted,
       SumAvx512,
       SumSqDevAvx512,
       BinIndexAvx512,

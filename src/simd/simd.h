@@ -149,7 +149,9 @@ struct SimdKernels {
   /// CANONICAL. Sorted-attribute-order compaction: position pos emits
   /// sorted_values[pos] iff stamps[order[pos]] == target, so the output is
   /// the selected sample already sorted ascending. Same out-buffer
-  /// contract as compact_selected.
+  /// contract as compact_selected. Every tier runs the scalar body: the
+  /// AVX2 and AVX-512 bodies gathered the stamps through the 64-bit order
+  /// and lost to it on every measured cell (DESIGN.md §5d).
   std::size_t (*compact_selected_sorted)(const double* sorted_values,
                                          const std::size_t* order,
                                          const std::uint32_t* stamps,

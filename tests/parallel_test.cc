@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <map>
+#include <mutex>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "core/hics.h"
@@ -124,20 +128,69 @@ TEST(ParallelTryForTest, FirstErrorWinsDeterministically) {
 }
 
 TEST(ParallelTryForTest, ErrorStopsRemainingWork) {
-  // Workers poll the stop flag before each iteration, so an early error
-  // must prevent at least the untouched tail of the failing worker's own
-  // chunk from running. With 2 threads over [0, 1000), indices 1..499
-  // belong to the first worker and cannot run after index 0 fails.
-  std::vector<std::atomic<int>> hits(1000);
-  const Status st = ParallelTryFor(0, 1000, 2, [&](std::size_t i) {
-    ++hits[i];
-    if (i == 0) return Status::Internal("immediate");
+  // Workers claim one index at a time, so once the failing call returns
+  // each other worker finishes at most the one call it had already
+  // claimed. Index 0 is the first claim and fails at once; every other
+  // call holds until well after that failure (bounded, in case no failure
+  // comes), so no worker can slip a second call in while the error is
+  // being recorded.
+  using Clock = std::chrono::steady_clock;
+  constexpr std::size_t kThreads = 4;
+  std::atomic<bool> failed{false};
+  std::mutex mutex;
+  std::map<std::thread::id, int> calls_per_thread;
+  std::thread::id failing_thread;
+  const Status st = ParallelTryFor(0, 1000, kThreads, [&](std::size_t i) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      ++calls_per_thread[std::this_thread::get_id()];
+      if (i == 0) failing_thread = std::this_thread::get_id();
+    }
+    if (i == 0) {
+      failed.store(true);
+      return Status::Internal("immediate");
+    }
+    const auto give_up = Clock::now() + std::chrono::seconds(5);
+    while (!failed.load() && Clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
     return Status::OK();
   });
   EXPECT_EQ(st.code(), StatusCode::kInternal);
-  for (std::size_t i = 1; i < 500; ++i) {
-    EXPECT_EQ(hits[i].load(), 0) << "index " << i << " ran after the error";
+  EXPECT_EQ(st.message(), "immediate");
+  EXPECT_LE(calls_per_thread.size(), kThreads);
+  int total = 0;
+  for (const auto& [thread, calls] : calls_per_thread) {
+    EXPECT_EQ(calls, 1) << (thread == failing_thread ? "failing" : "other")
+                        << " worker ran more than its one claimed call";
+    total += calls;
   }
+  EXPECT_LE(total, static_cast<int>(kThreads));
+}
+
+TEST(ParallelTryForTest, SlowIndexDoesNotHoldBackLaterIndices) {
+  // Index 0 waits (bounded, so a regression fails instead of hanging)
+  // until indices 1..3 have run. Under static chunks index 1 would queue
+  // behind index 0 on the same worker and the wait would time out.
+  using Clock = std::chrono::steady_clock;
+  std::atomic<int> later_done{0};
+  std::atomic<bool> saw_later{false};
+  const Status st = ParallelTryFor(0, 4, 2, [&](std::size_t i) {
+    if (i != 0) {
+      later_done.fetch_add(1);
+      return Status::OK();
+    }
+    const auto give_up = Clock::now() + std::chrono::seconds(5);
+    while (later_done.load() < 3 && Clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    saw_later.store(later_done.load() == 3);
+    return Status::OK();
+  });
+  EXPECT_TRUE(st.ok());
+  EXPECT_TRUE(saw_later.load()) << "indices 1..3 waited behind index 0";
+  EXPECT_EQ(later_done.load(), 3);
 }
 
 TEST(ParallelTryForTest, ShouldStopWindsDownWithoutError) {

@@ -530,9 +530,10 @@ TEST(DeadlineCacheRaceTest, DeadlineRacingParallelRankingNeverPoisonsCache) {
 
 TEST(ArtifactCacheTest, AutoKnnTableCachesOnlyTheResolvedSearcher) {
   // N = 2000, |S| = 8 is in the probe band. Planted clusters keep the
-  // probed tree, uniform data rejects it; either way the cache ends up
-  // holding exactly the searcher the resolver returned, under its
-  // backend, and the table equals a forced brute-force one.
+  // probed tree, uniform data rejects it; either way a cold table shelves
+  // no searcher, a searcher shelved beforehand serves the table as a hit
+  // instead of being rebuilt, and the table equals a forced brute-force
+  // one.
   const std::size_t n = 2000;
   SyntheticParams gen;
   gen.num_objects = n;
@@ -552,20 +553,37 @@ TEST(ArtifactCacheTest, AutoKnnTableCachesOnlyTheResolvedSearcher) {
         std::pair<const Dataset*, KnnBackend>{&uniform,
                                               KnnBackend::kBruteForce}}) {
     const Subspace subspace = ds->FullSpace();
-    const PreparedDataset prepared(*ds);
-    const auto table = prepared.cache().GetKnnTable(subspace, 10, 1);
-    EXPECT_EQ(prepared.cache().num_searchers(), 1u);
-    const std::uint64_t misses = prepared.cache().stats().searcher_misses;
-    EXPECT_EQ(prepared.cache().GetSearcher(subspace, kept)->backend(), kept);
-    EXPECT_EQ(prepared.cache().stats().searcher_misses, misses);  // a hit
     KnnResultTable expected;
     MakeBruteForceSearcher(*ds, subspace)->QueryAllKnn(10, &expected);
-    for (std::size_t q = 0; q < n; ++q) {
-      const auto got = table->Row(q);
-      const auto want = expected.Row(q);
-      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
-          << "query " << q;
-    }
+    const auto equals_brute_force = [&](const KnnResultTable& table) {
+      for (std::size_t q = 0; q < n; ++q) {
+        const auto got = table.Row(q);
+        const auto want = expected.Row(q);
+        if (!std::equal(got.begin(), got.end(), want.begin(), want.end())) {
+          return false;
+        }
+      }
+      return true;
+    };
+
+    const PreparedDataset cold(*ds);
+    const auto table = cold.cache().GetKnnTable(subspace, 10, 1);
+    EXPECT_EQ(cold.cache().num_searchers(), 0u);
+    EXPECT_EQ(cold.cache().stats().searcher_misses, 1u);
+    EXPECT_TRUE(equals_brute_force(*table));
+
+    // A searcher shelved through GetSearcher serves the table miss.
+    const PreparedDataset shelved(*ds);
+    const auto searcher = shelved.cache().GetSearcher(subspace, kept);
+    EXPECT_EQ(searcher->backend(), kept);
+    const ArtifactCacheStats before = shelved.cache().stats();
+    const auto served = shelved.cache().GetKnnTable(subspace, 10, 1);
+    const ArtifactCacheStats after = shelved.cache().stats();
+    EXPECT_EQ(after.searcher_misses, before.searcher_misses);
+    EXPECT_EQ(after.searcher_hits, before.searcher_hits + 1);
+    EXPECT_EQ(shelved.cache().num_searchers(), 1u);
+    EXPECT_EQ(shelved.cache().GetSearcher(subspace, kept), searcher);
+    EXPECT_TRUE(equals_brute_force(*served));
   }
 }
 
@@ -589,12 +607,12 @@ TEST(ArtifactCacheBudgetTest, UnboundedCacheAccountsApproximateBytes) {
   const LofScorer scorer({.min_pts = 8});
   scorer.ScoreSubspaceCached(prepared, Subspace{0, 1});
   const ArtifactCacheStats stats = prepared.cache().stats();
-  // Searcher + kNN table + score vector were all admitted and accounted.
+  // The kNN table and the score vector were admitted and accounted.
   EXPECT_GT(stats.approx_bytes, 0u);
   EXPECT_EQ(stats.approx_bytes, prepared.cache().ApproxMemoryBytes());
   EXPECT_EQ(stats.budget_rejections, 0u);
-  // The score vector alone is n doubles; the total must cover at least
-  // that plus the searcher's point slab (n * 2 dims * 8).
+  // The score vector alone is n doubles; the kNN table's n * 8 neighbors
+  // more than cover the rest of the bound (n * 2 * 8).
   const std::size_t n = ds.num_objects();
   EXPECT_GE(stats.approx_bytes, n * sizeof(double) + n * 2 * sizeof(double));
 }
@@ -691,8 +709,9 @@ TEST(ArtifactCacheEpochTest, AdvanceSweepsEveryKindAndAccountsIt) {
   ArtifactCache& cache = prepared.cache();
   ASSERT_EQ(cache.epoch(), 0u);
 
-  // Populate one artifact of every kind: searcher + kNN table + score
-  // vector (via the LOF cached path) and a grid.
+  // Populate artifacts of every kind the scorers shelve: kNN table +
+  // score vector (via the LOF cached path) and a grid. Searcher sweeps
+  // are pinned by ArtifactCacheTest.ScriptedSequenceCountsEveryKindExactly.
   const LofScorer scorer({.min_pts = 8});
   scorer.ScoreSubspaceCached(prepared, Subspace{0, 1});
   const GridDensityScorer grids(GridDensityParams{});
@@ -888,7 +907,7 @@ TEST(ArtifactCacheTest, ScriptedSequenceCountsEveryKindExactly) {
                            n * sizeof(double) + grid_bytes);
 
   // A full budget rejects one new artifact of every kind; the kNN miss
-  // also rejects the searcher it resolves.
+  // offers only its table, never the searcher it resolves.
   cache.SetByteBudget(footprint);
   EXPECT_NE(cache.GetSearcher(b, KnnBackend::kBruteForce), nullptr);
   EXPECT_NE(cache.GetKnnTable(b, 5, 1), nullptr);
@@ -914,7 +933,7 @@ TEST(ArtifactCacheTest, ScriptedSequenceCountsEveryKindExactly) {
   EXPECT_EQ(stats.score_misses, 2u);
   EXPECT_EQ(stats.grid_hits, 2u);
   EXPECT_EQ(stats.grid_misses, 1u);
-  EXPECT_EQ(stats.budget_rejections, 5u);
+  EXPECT_EQ(stats.budget_rejections, 4u);
   EXPECT_EQ(stats.evicted_artifacts, 3u);
   EXPECT_EQ(stats.invalidated_bytes, footprint - grid_bytes);
   EXPECT_EQ(stats.approx_bytes, grid_bytes);
