@@ -402,8 +402,9 @@ void WritePipelineStageReport() {
                          parallel_scores == serial_scores;
 
   // Serving path: one immutable prepared artifact, ranked twice. The cold
-  // pass populates the subspace-keyed cache (searchers + kNN tables +
-  // score vectors); the warm pass must be served from it, byte-identical.
+  // pass populates the subspace-keyed cache with score vectors (kNN
+  // tables are computed and dropped); the warm pass must be served from
+  // it, byte-identical.
   const PreparedDataset prepared(data);
   Timer cold_timer;
   const auto cold_scores = RankWithSubspaces(

@@ -78,8 +78,9 @@ int main() {
               data.CountOutliers());
 
   // One prepared artifact for the whole analysis: search and all three
-  // scorers share the sorted index, the projected searchers, and -- since
-  // the scorers use one k -- the per-subspace kNN tables.
+  // scorers share the sorted index. Each scorer computes its own kNN
+  // tables and drops them once scored; only its score vectors are cached,
+  // for a repeat of the same ranking.
   const hics::PreparedDataset prepared(data);
 
   // Step 1 -- subspace search, done once.
@@ -120,8 +121,9 @@ int main() {
   }
 
   const hics::ArtifactCacheStats cache = prepared.cache().stats();
-  std::printf("\nartifact cache: %llu hits / %llu misses (the kNN tables the "
-              "three scorers\nshare account for the hits)\n",
+  std::printf("\nartifact cache: %llu hits / %llu misses (per scorer and "
+              "subspace: one searcher,\none kNN table and one score vector, "
+              "none of them read twice)\n",
               static_cast<unsigned long long>(cache.hits()),
               static_cast<unsigned long long>(cache.misses()));
 

@@ -443,8 +443,7 @@ int RunDefault() {
   const hics::LofScorer lof({/*min_pts=*/15});
 
   // One prepared artifact shared by the full-space baseline and the
-  // pipeline: the sorted index is built once and every projected searcher
-  // / kNN table is cached across both analyses.
+  // pipeline: the sorted index is built once for both analyses.
   const hics::PreparedDataset prepared(data);
 
   std::printf("-- traditional full-space LOF --\n");

@@ -9,13 +9,8 @@ namespace hics {
 
 namespace {
 
-// Size models behind ApproxMemoryBytes (see the header doc): estimates
-// of the dominant slabs, not allocator-exact accounting.
-std::size_t KnnTableBytes(std::size_t num_objects, std::size_t k) {
-  return num_objects * k * sizeof(Neighbor) +
-         num_objects * sizeof(std::size_t);
-}
-
+// Size model behind ApproxMemoryBytes (see the header doc): an estimate
+// of the dominant slab, not allocator-exact accounting.
 std::size_t ScoresBytes(std::size_t num_objects) {
   return num_objects * sizeof(double);
 }
@@ -55,7 +50,6 @@ void ArtifactCache::SetByteBudget(std::size_t bytes) {
   // never of timing. Every evicted artifact is a pure derivation of the
   // dataset; a later miss rebuilds identical bits.
   scores_.Reclaim(bytes);
-  knn_tables_.Reclaim(bytes);
   grids_.Reclaim(bytes);
   searchers_.Reclaim(bytes);
 }
@@ -68,7 +62,6 @@ void ArtifactCache::AdvanceEpoch(std::uint64_t new_epoch,
       << new_epoch;
   epoch_.store(new_epoch, std::memory_order_release);
   searchers_.Sweep(new_epoch);
-  knn_tables_.Sweep(new_epoch);
   scores_.Sweep(new_epoch);
   grids_.Sweep(new_epoch,
                [&](const NamedKey& key,
@@ -96,14 +89,13 @@ std::shared_ptr<const NeighborSearcher> ArtifactCache::GetSearcher(
   return searchers_.Publish(key, std::move(built), bytes, now);
 }
 
-std::shared_ptr<const KnnResultTable> ArtifactCache::GetKnnTable(
-    const Subspace& subspace, std::size_t k, std::size_t num_threads) {
-  const KnnKey key{k, subspace};
-  const std::uint64_t now = epoch();
-  if (auto hit = knn_tables_.Find(key, now)) return hit;
-  knn_tables_.Miss();
+KnnResultTable ArtifactCache::ComputeKnnTable(const Subspace& subspace,
+                                              std::size_t k,
+                                              std::size_t num_threads) {
+  knn_tables_computed_.fetch_add(1, std::memory_order_relaxed);
   // Every backend answers identically, so any searcher already cached for
   // the subspace serves; the tree is looked up first.
+  const std::uint64_t now = epoch();
   std::shared_ptr<const NeighborSearcher> searcher;
   for (KnnBackend cached : {KnnBackend::kKdTree, KnnBackend::kBruteForce}) {
     searcher = searchers_.Find({static_cast<int>(cached), subspace}, now);
@@ -111,15 +103,14 @@ std::shared_ptr<const KnnResultTable> ArtifactCache::GetKnnTable(
   }
   if (!searcher) {
     searchers_.Miss();
-    // Built outside the lock, like GetSearcher's, and not shelved: once
-    // the table is published nothing reads the searcher again, so it dies
-    // with this call instead of pinning one index per ranked subspace.
+    // Built outside any lock and not shelved: nothing reads it after this
+    // call, so it dies here instead of pinning one index per ranked
+    // subspace.
     searcher = ResolveKnnSearcher(*dataset_, subspace, k);
   }
-  auto table = std::make_shared<KnnResultTable>();
-  searcher->QueryAllKnn(k, table.get(), num_threads);
-  return knn_tables_.Publish(key, std::move(table),
-                             KnnTableBytes(dataset_->num_objects(), k), now);
+  KnnResultTable table;
+  searcher->QueryAllKnn(k, &table, num_threads);
+  return table;
 }
 
 std::shared_ptr<const std::vector<double>> ArtifactCache::FindScores(
@@ -165,8 +156,7 @@ ArtifactCacheStats ArtifactCache::stats() const {
   ArtifactCacheStats s;
   s.searcher_hits = searchers_.hits();
   s.searcher_misses = searchers_.misses();
-  s.knn_table_hits = knn_tables_.hits();
-  s.knn_table_misses = knn_tables_.misses();
+  s.knn_table_misses = knn_tables_computed_.load(std::memory_order_relaxed);
   s.score_hits = scores_.hits();
   s.score_misses = scores_.misses();
   s.grid_hits = grids_.hits();

@@ -26,7 +26,11 @@ namespace hics {
 struct ArtifactCacheStats {
   std::uint64_t searcher_hits = 0;
   std::uint64_t searcher_misses = 0;
+  /// Always 0: kNN tables are computed per call, never shelved. Kept so
+  /// hits() and existing readers of the field stay valid.
   std::uint64_t knn_table_hits = 0;
+  /// kNN tables computed (ArtifactCache::ComputeKnnTable calls): each
+  /// one is the miss a shelved table would have served.
   std::uint64_t knn_table_misses = 0;
   std::uint64_t score_hits = 0;
   std::uint64_t score_misses = 0;
@@ -64,11 +68,16 @@ struct ArtifactCacheStats {
 class SubspaceGrid;  // cluster/grid.h; held only through shared_ptr here
 
 /// Thread-safe, subspace-keyed memoization of the derived artifacts the
-/// ranking stage rebuilds per call today: projected NeighborSearchers
-/// (SoA conversion + KD-tree build), batched all-kNN tables, whole
-/// per-subspace score vectors, and subspace histograms (SubspaceGrid,
-/// which the engine only forward-declares, so it does not link the
-/// cluster layer).
+/// ranking stage would otherwise rebuild per call: projected
+/// NeighborSearchers (SoA conversion + KD-tree build), whole per-subspace
+/// score vectors, and subspace histograms (SubspaceGrid, which the engine
+/// only forward-declares, so it does not link the cluster layer).
+///
+/// All-kNN tables are not shelved. A table (16 * N * k bytes) is read
+/// once, by the scorer that turns it into a score vector, so
+/// ComputeKnnTable hands it to the caller by value and a ranking holds
+/// one table per worker instead of one per subspace. A repeat of the same
+/// score is served by the score-vector shelf.
 ///
 /// Correctness rests on the repo-wide bit-identity discipline (DESIGN.md
 /// §5b-§5d): every producer of a cached artifact is deterministic in its
@@ -78,12 +87,12 @@ class SubspaceGrid;  // cluster/grid.h; held only through shared_ptr here
 /// value a cold computation would have produced. Keys therefore exclude
 /// performance knobs (threads, batching) and include only what selects
 /// the value: the subspace, the backend (searchers are distinct objects
-/// per backend even though their answers agree), the row capacity k, and
-/// the scorer's semantic cache key.
+/// per backend even though their answers agree), and the scorer's
+/// semantic cache key.
 ///
-/// Every kind lives on its own Shelf, which writes the entry lifecycle
-/// once: epoch stamp, stale eviction on lookup, first insert wins,
-/// admission under the byte budget, sweep on epoch advance, and
+/// Each of the three kinds lives on its own Shelf, which writes the entry
+/// lifecycle once: epoch stamp, stale eviction on lookup, first insert
+/// wins, admission under the byte budget, sweep on epoch advance, and
 /// in-order reclaim.
 ///
 /// Epochs (DESIGN.md §5j): every entry is stamped with the cache's epoch
@@ -118,18 +127,16 @@ class ArtifactCache {
   std::shared_ptr<const NeighborSearcher> GetSearcher(const Subspace& subspace,
                                                       KnnBackend backend);
 
-  /// The memoized all-kNN table for (subspace, k): row q holds the k
-  /// nearest neighbors of object q. Keyed without the backend because all
-  /// backends return element-identical tables. A miss queries any
-  /// searcher already cached for the subspace (GetSearcher shelves them)
-  /// through the batched all-kNN engine, or else queries what
-  /// ResolveKnnSearcher builds and drops it without shelving it: only the
-  /// table is read again, so a ranking holds at most one searcher per
-  /// worker rather than one per subspace. `num_threads` only shapes how a
-  /// miss is computed, never the result.
-  std::shared_ptr<const KnnResultTable> GetKnnTable(const Subspace& subspace,
-                                                    std::size_t k,
-                                                    std::size_t num_threads);
+  /// The all-kNN table for (subspace, k): row q holds the k nearest
+  /// neighbors of object q. Computed on every call and returned by value;
+  /// nothing is published. Queries any searcher already shelved for the
+  /// subspace (GetSearcher shelves them; all backends return
+  /// element-identical tables) through the batched all-kNN engine, or
+  /// else what ResolveKnnSearcher builds, which dies with the call. Each
+  /// call counts one knn_table_miss. `num_threads` only shapes how the
+  /// table is computed, never the result.
+  KnnResultTable ComputeKnnTable(const Subspace& subspace, std::size_t k,
+                                 std::size_t num_threads);
 
   /// The cached score vector for (scorer_key, subspace), or nullptr on a
   /// miss. `scorer_key` must encode every score-affecting parameter of
@@ -181,8 +188,8 @@ class ArtifactCache {
 
   /// Advances the cache to `new_epoch` (strictly greater than the current
   /// epoch) and sweeps every entry stamped at an older epoch: stale
-  /// searchers, kNN tables, and score vectors are evicted; grids are
-  /// offered to `carry` first (when provided). Eviction counts into
+  /// searchers and score vectors are evicted; grids are offered to
+  /// `carry` first (when provided). Eviction counts into
   /// evicted_artifacts / invalidated_bytes and returns the footprint to
   /// the budget. Requires external synchronization (no concurrent
   /// lookups/inserts) — see the class comment.
@@ -201,7 +208,6 @@ class ArtifactCache {
   ArtifactCacheStats stats() const;
 
   std::size_t num_searchers() const { return searchers_.size(); }
-  std::size_t num_knn_tables() const { return knn_tables_.size(); }
   std::size_t num_score_vectors() const { return scores_.size(); }
   std::size_t num_grids() const { return grids_.size(); }
 
@@ -211,9 +217,9 @@ class ArtifactCache {
   /// and simply not cached — the caller observes identical bits either
   /// way, only later lookups re-miss. Lowering the budget below the
   /// current footprint reclaims immediately: entries are evicted in a
-  /// deterministic order (score vectors, then kNN tables, then grids,
-  /// then searchers — cheapest-to-rebuild first — each kind in ascending
-  /// key order) until the footprint fits, counted in evicted_artifacts /
+  /// deterministic order (score vectors, then grids, then searchers —
+  /// cheapest-to-rebuild first — each kind in ascending key order) until
+  /// the footprint fits, counted in evicted_artifacts /
   /// invalidated_bytes. Safe because every artifact is a pure derivation:
   /// a later miss rebuilds identical bits. Previously returned
   /// shared_ptrs stay alive (shared ownership) and stay correct.
@@ -222,11 +228,10 @@ class ArtifactCache {
   /// Estimated bytes held by the cached artifacts, from per-kind size
   /// models (not allocator-exact): a searcher counts the buffers it
   /// reports (NeighborSearcher::MemoryBytes — coordinate copies, norms,
-  /// index arrays, tree nodes), a kNN table its neighbor slab plus
-  /// per-row counts (n * k * sizeof(Neighbor) + n * 8), a score vector
-  /// its doubles (n * 8), a grid whatever footprint its inserter
-  /// declared. Container/node overhead is excluded; treat the budget as
-  /// a sizing knob, not an accounting ledger.
+  /// index arrays, tree nodes), a score vector its doubles (n * 8), a
+  /// grid whatever footprint its inserter declared. Container/node
+  /// overhead is excluded; treat the budget as a sizing knob, not an
+  /// accounting ledger.
   std::size_t ApproxMemoryBytes() const {
     return ledger_.approx_bytes.load(std::memory_order_relaxed);
   }
@@ -364,16 +369,15 @@ class ArtifactCache {
   };
 
   using SearcherKey = std::pair<int, Subspace>;
-  using KnnKey = std::pair<std::size_t, Subspace>;
   using NamedKey = std::pair<std::string, Subspace>;
 
   const Dataset* dataset_;
   std::atomic<std::uint64_t> epoch_{0};
   Ledger ledger_;
   Shelf<SearcherKey, NeighborSearcher> searchers_{ledger_};
-  Shelf<KnnKey, KnnResultTable> knn_tables_{ledger_};
   Shelf<NamedKey, std::vector<double>> scores_{ledger_};
   Shelf<NamedKey, SubspaceGrid> grids_{ledger_};
+  std::atomic<std::uint64_t> knn_tables_computed_{0};
 };
 
 /// Construction knobs of a PreparedDataset beyond the dataset itself.
@@ -408,7 +412,7 @@ struct PreparedDatasetOptions {
 /// SortedAttributeIndex that RunHicsSearch and ComputeContrastMatrix each
 /// rebuilt), the pre-sorted columns and marginal moments the contrast
 /// kernels consume, and the subspace-keyed ArtifactCache the ranking
-/// stage draws searchers / kNN tables / score vectors from.
+/// stage draws searchers, score vectors and grids from.
 ///
 /// The dataset itself is the dimension-major SoA point store (Dataset is
 /// column-major; ColumnSpan exposes the contiguous per-attribute arrays

@@ -183,8 +183,8 @@ void StreamingDataset::ApplyMutation(
     ranges_[a] = stats::RangeIgnoringNaN(col);
   });
 
-  // Advance the persistent window cache. Searchers, kNN tables, and score
-  // vectors describe evicted rows and are swept; grids whose binning
+  // Advance the persistent window cache. Searchers and score vectors
+  // describe evicted rows and are swept; grids whose binning
   // geometry survived the slide (range bits unchanged => cache key
   // unchanged) are carried by exact integer retire/admit instead.
   const ArtifactCache::GridCarryFn carry =

@@ -123,11 +123,16 @@ std::vector<double> GridDensityScorer::ScoreWithGrid(
   const std::vector<double> density = GatherDensities(
       dataset, subspace, grid, params_.smooth, params_.num_threads);
   const auto [mean, sigma] = DensityMoments(density);
-  std::vector<double> scores(n, 0.0);
+  return ZScores(density, mean, sigma);
+}
+
+std::vector<double> GridDensityScorer::ZScores(
+    const std::vector<double>& density, double mean, double sigma) {
+  std::vector<double> scores(density.size(), 0.0);
   // Degenerate distribution (all points in one cell): nothing is more
   // outlying than anything else.
   if (!(sigma > 0.0)) return scores;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < density.size(); ++i) {
     scores[i] = (mean - density[i]) / sigma;
   }
   return scores;
@@ -180,18 +185,22 @@ std::vector<double> GridDensityScorer::ScoreSubspaceSharded(
   return ScoreWithGrid(sharded.dataset(), subspace, merged);
 }
 
-std::vector<double> GridDensityScorer::ScoreSubspacePrepared(
+std::shared_ptr<const SubspaceGrid> GridDensityScorer::PreparedGrid(
     const PreparedDataset& prepared, const Subspace& subspace) const {
   // Ranges come from the prepared artifact (no column rescan).
   std::vector<std::pair<double, double>> ranges(subspace.size());
   for (std::size_t j = 0; j < subspace.size(); ++j) {
     ranges[j] = prepared.AttributeRange(subspace[j]);
   }
-  const std::shared_ptr<const SubspaceGrid> grid =
-      CachedGrid(prepared.cache(),
-                 GridArtifactKey(params_.bins_per_dim, false, ranges),
-                 prepared.dataset(), subspace, ranges);
-  return ScoreWithGrid(prepared.dataset(), subspace, *grid);
+  return CachedGrid(prepared.cache(),
+                    GridArtifactKey(params_.bins_per_dim, false, ranges),
+                    prepared.dataset(), subspace, ranges);
+}
+
+std::vector<double> GridDensityScorer::ScoreSubspacePrepared(
+    const PreparedDataset& prepared, const Subspace& subspace) const {
+  return ScoreWithGrid(prepared.dataset(), subspace,
+                       *PreparedGrid(prepared, subspace));
 }
 
 std::string GridDensityScorer::cache_key() const {
@@ -199,20 +208,24 @@ std::string GridDensityScorer::cache_key() const {
          ":smooth=" + std::string(params_.smooth ? "1" : "0");
 }
 
-TrainedScorerState GridDensityScorer::BuildTrainedState(
+FittedSubspace GridDensityScorer::FitSubspace(
     const PreparedDataset& prepared, const Subspace& subspace) const {
-  GridOptions options;
-  options.bins_per_dim = params_.bins_per_dim;
-  options.num_threads = params_.num_threads;
-  options.keep_point_keys = !params_.smooth;
-  const SubspaceGrid grid(prepared, subspace, options);
+  // The one cached grid serves both halves: its densities give the
+  // in-sample scores (as ScoreWithGrid computes them) and the moments,
+  // its cells the state.
+  const std::shared_ptr<const SubspaceGrid> cached =
+      PreparedGrid(prepared, subspace);
+  const SubspaceGrid& grid = *cached;
   const std::vector<double> density =
       GatherDensities(prepared.dataset(), subspace, grid, params_.smooth,
                       params_.num_threads);
   const auto [mean, sigma] = DensityMoments(density);
+  FittedSubspace fit;
+  fit.scores = density.size() < 2 ? std::vector<double>(density.size(), 0.0)
+                                  : ZScores(density, mean, sigma);
 
   const std::size_t dims = subspace.size();
-  TrainedScorerState state;
+  TrainedScorerState& state = fit.state;
   state.channels.resize(kStateChannels);
 
   std::vector<double>& meta = state.channels[0];
@@ -241,7 +254,7 @@ TrainedScorerState GridDensityScorer::BuildTrainedState(
     key_pairs.push_back(static_cast<double>(key >> 32));
     counts.push_back(static_cast<double>(count));
   }
-  return state;
+  return fit;
 }
 
 double GridDensityScorer::ScoreOutOfSample(

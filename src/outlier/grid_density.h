@@ -51,7 +51,7 @@ struct GridDensityParams {
 /// counts, dense/sparse grid layouts, and cache states.
 class GridDensityScorer : public OutlierScorer {
  public:
-  /// Trained-state channel layout (BuildTrainedState):
+  /// Trained-state channel layout (FitSubspace):
   ///   0: meta [dims, bins, smooth, total, mean, sigma, lo..., width...]
   ///   1: occupied cell keys, ascending, as (low32, high32) double pairs
   ///   2: occupied cell counts, aligned with channel 1
@@ -80,8 +80,10 @@ class GridDensityScorer : public OutlierScorer {
   /// cell count and the training moments, O(|S| + log C).
   bool SupportsOutOfSample() const override { return true; }
 
-  TrainedScorerState BuildTrainedState(
-      const PreparedDataset& prepared, const Subspace& subspace) const override;
+  /// Scores and state from the one cached grid ScoreSubspacePrepared
+  /// reads: the scores equal ScoreSubspacePrepared's bit for bit.
+  FittedSubspace FitSubspace(const PreparedDataset& prepared,
+                             const Subspace& subspace) const override;
 
   double ScoreOutOfSample(std::span<const double> projected,
                           std::span<const Neighbor> neighbors,
@@ -109,9 +111,19 @@ class GridDensityScorer : public OutlierScorer {
       const Dataset& dataset, const Subspace& subspace,
       std::span<const std::pair<double, double>> ranges) const;
 
+  /// The keyless grid of `subspace` binned against `prepared`'s attribute
+  /// ranges, through CachedGrid.
+  std::shared_ptr<const SubspaceGrid> PreparedGrid(
+      const PreparedDataset& prepared, const Subspace& subspace) const;
+
   std::vector<double> ScoreWithGrid(const Dataset& dataset,
                                     const Subspace& subspace,
                                     const SubspaceGrid& grid) const;
+
+  /// (mean - density) / sigma per object; all zero when sigma is not
+  /// positive.
+  static std::vector<double> ZScores(const std::vector<double>& density,
+                                     double mean, double sigma);
 
   GridDensityParams params_;
 };

@@ -1,7 +1,6 @@
 #include "outlier/knn_outlier.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "index/neighbor_searcher.h"
 
@@ -39,9 +38,8 @@ std::vector<double> KnnDistanceScorer::ScoreSubspacePrepared(
   const std::size_t n = prepared.num_objects();
   if (n < 2) return std::vector<double>(n, 0.0);
   const std::size_t k = ClampNeighborhoodSize(k_, n, name().c_str());
-  const std::shared_ptr<const KnnResultTable> table =
-      prepared.cache().GetKnnTable(subspace, k, num_threads_);
-  return KthDistanceFromTable(*table, n);
+  return KthDistanceFromTable(
+      prepared.cache().ComputeKnnTable(subspace, k, num_threads_), n);
 }
 
 double KnnDistanceScorer::ScoreOutOfSample(
@@ -57,9 +55,8 @@ std::vector<double> KnnAverageScorer::ScoreSubspacePrepared(
   const std::size_t n = prepared.num_objects();
   if (n < 2) return std::vector<double>(n, 0.0);
   const std::size_t k = ClampNeighborhoodSize(k_, n, name().c_str());
-  const std::shared_ptr<const KnnResultTable> table =
-      prepared.cache().GetKnnTable(subspace, k, num_threads_);
-  return MeanDistanceFromTable(*table, n);
+  return MeanDistanceFromTable(
+      prepared.cache().ComputeKnnTable(subspace, k, num_threads_), n);
 }
 
 double KnnAverageScorer::ScoreOutOfSample(

@@ -20,8 +20,8 @@ class KnnDistanceScorer : public OutlierScorer {
   explicit KnnDistanceScorer(std::size_t k = 10, std::size_t num_threads = 1)
       : k_(k), num_threads_(num_threads) {}
 
-  /// The n*k neighborhood table comes from the artifact cache (shared
-  /// with LOF when both use the same k in one subspace).
+  /// The n*k neighborhood table is computed through the artifact cache
+  /// (ArtifactCache::ComputeKnnTable) and dropped once scored.
   std::vector<double> ScoreSubspacePrepared(
       const PreparedDataset& prepared, const Subspace& subspace) const override;
 
@@ -54,7 +54,8 @@ class KnnAverageScorer : public OutlierScorer {
   explicit KnnAverageScorer(std::size_t k = 10, std::size_t num_threads = 1)
       : k_(k), num_threads_(num_threads) {}
 
-  /// Neighborhood table from the artifact cache.
+  /// Neighborhood table computed through the artifact cache, as for
+  /// KnnDistanceScorer.
   std::vector<double> ScoreSubspacePrepared(
       const PreparedDataset& prepared, const Subspace& subspace) const override;
 

@@ -12,18 +12,27 @@ namespace hics {
 
 std::vector<double> LofScorer::ScoreSubspacePrepared(
     const PreparedDataset& prepared, const Subspace& subspace) const {
+  return FitSubspace(prepared, subspace).scores;
+}
+
+FittedSubspace LofScorer::FitSubspace(const PreparedDataset& prepared,
+                                      const Subspace& subspace) const {
   const std::size_t n = prepared.num_objects();
-  if (n == 0) return {};
+  FittedSubspace fit;
+  fit.state.channels.resize(2);
+  if (n == 0) return fit;
   const std::size_t k = ClampNeighborhoodSize(params_.min_pts, n, "lof");
   const std::size_t num_threads = params_.num_threads == 0
                                       ? DefaultNumThreads()
                                       : params_.num_threads;
-  // Pass 1 (the quadratic part) comes from the artifact cache: the n*k
-  // table, built once per (k, subspace) through the batched all-kNN
-  // engine and shared with every other consumer of this PreparedDataset.
-  const std::shared_ptr<const KnnResultTable> table =
-      prepared.cache().GetKnnTable(subspace, k, num_threads);
-  return ScoreFromTable(*table, n, num_threads);
+  // Pass 1 (the quadratic part): the n*k table through the batched
+  // all-kNN engine. It is read only here, so it dies with this call.
+  const KnnResultTable table =
+      prepared.cache().ComputeKnnTable(subspace, k, num_threads);
+  std::vector<double>& lrd = fit.state.channels[1];
+  ComputeDensities(table, n, num_threads, &fit.state.channels[0], &lrd);
+  fit.scores = RatiosFromDensities(table, lrd, num_threads);
+  return fit;
 }
 
 void LofScorer::ComputeDensities(const KnnResultTable& table, std::size_t n,
@@ -60,17 +69,23 @@ void LofScorer::ComputeDensities(const KnnResultTable& table, std::size_t n,
 std::vector<double> LofScorer::ScoreFromTable(const KnnResultTable& table,
                                               std::size_t n,
                                               std::size_t num_threads) const {
-  std::vector<double> scores(n, 1.0);
   std::vector<double> k_distance;
   std::vector<double> lrd;
   ComputeDensities(table, n, num_threads, &k_distance, &lrd);
-  const auto neighbors_of = [&](std::size_t i) { return table.Row(i); };
+  return RatiosFromDensities(table, lrd, num_threads);
+}
+
+std::vector<double> LofScorer::RatiosFromDensities(
+    const KnnResultTable& table, const std::vector<double>& lrd,
+    std::size_t num_threads) const {
+  const std::size_t n = lrd.size();
+  std::vector<double> scores(n, 1.0);
   constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
   // Pass 3: LOF = mean neighbor lrd ratio; independent per object like
   // pass 2.
   ParallelFor(0, n, num_threads, [&](std::size_t i) {
-    const auto nbrs = neighbors_of(i);
+    const auto nbrs = table.Row(i);
     if (nbrs.empty()) {
       scores[i] = 1.0;
       return;
@@ -97,19 +112,6 @@ std::vector<double> LofScorer::ScoreFromTable(const KnnResultTable& table,
                     : 1.0;
   });
   return scores;
-}
-
-TrainedScorerState LofScorer::BuildTrainedState(
-    const PreparedDataset& prepared, const Subspace& subspace) const {
-  const std::size_t n = prepared.num_objects();
-  const std::size_t k = ClampNeighborhoodSize(params_.min_pts, n, "lof");
-  const std::shared_ptr<const KnnResultTable> table =
-      prepared.cache().GetKnnTable(subspace, k, params_.num_threads);
-  TrainedScorerState state;
-  state.channels.resize(2);
-  ComputeDensities(*table, n, /*num_threads=*/1, &state.channels[0],
-                   &state.channels[1]);
-  return state;
 }
 
 double LofScorer::ScoreOutOfSample(std::span<const double> projected,

@@ -36,10 +36,11 @@ class LofScorer : public OutlierScorer {
  public:
   explicit LofScorer(LofParams params = {}) : params_(params) {}
 
-  /// Draws the n*k neighborhood table from `prepared`'s artifact cache
-  /// (built on first use through a searcher the cache does not keep),
-  /// then runs the pass-2/3 density math of ScoreFromTable.
-  /// Bit-identical for every backend, thread count and cache state.
+  /// FitSubspace's scores: the n*k neighborhood table is computed through
+  /// `prepared`'s artifact cache (which serves a shelved searcher or
+  /// resolves one it does not keep), then the pass-2/3 density math of
+  /// ScoreFromTable runs over it. Bit-identical for every backend, thread
+  /// count and cache state.
   std::vector<double> ScoreSubspacePrepared(
       const PreparedDataset& prepared, const Subspace& subspace) const override;
 
@@ -59,8 +60,10 @@ class LofScorer : public OutlierScorer {
   /// handling mirrors the in-sample path (infinite densities clamp to 1).
   bool SupportsOutOfSample() const override { return true; }
   std::size_t NeighborhoodSize() const override { return params_.min_pts; }
-  TrainedScorerState BuildTrainedState(
-      const PreparedDataset& prepared, const Subspace& subspace) const override;
+  /// One kNN table yields both halves: the state [k_distance, lrd] is
+  /// the pass-1/2 output the pass-3 scores are computed from.
+  FittedSubspace FitSubspace(const PreparedDataset& prepared,
+                             const Subspace& subspace) const override;
   double ScoreOutOfSample(std::span<const double> projected,
                           std::span<const Neighbor> neighbors,
                           const TrainedScorerState& state) const override;
@@ -76,13 +79,18 @@ class LofScorer : public OutlierScorer {
                                      std::size_t num_threads) const;
 
  private:
-  /// Passes 1-2 (k-distance + lrd); shared by ScoreFromTable and
-  /// BuildTrainedState so the serialized trained state is bit-identical
-  /// to the densities the in-sample score used.
+  /// Passes 1-2 (k-distance + lrd); FitSubspace keeps them as the
+  /// trained state, so it is bit-identical to the densities the
+  /// in-sample score used.
   void ComputeDensities(const KnnResultTable& table, std::size_t n,
                         std::size_t num_threads,
                         std::vector<double>* k_distance,
                         std::vector<double>* lrd) const;
+
+  /// Pass 3: each object's mean neighbor lrd ratio.
+  std::vector<double> RatiosFromDensities(const KnnResultTable& table,
+                                          const std::vector<double>& lrd,
+                                          std::size_t num_threads) const;
 
   LofParams params_;
 };

@@ -41,6 +41,14 @@ struct TrainedScorerState {
   }
 };
 
+/// What fitting one subspace produces: the in-sample scores (exactly
+/// ScoreSubspacePrepared's) and the trained state out-of-sample queries
+/// are scored against.
+struct FittedSubspace {
+  std::vector<double> scores;
+  TrainedScorerState state;
+};
+
 /// Interface for a density-based outlier score score_S(x): given a dataset
 /// and a subspace, produce one score per object, higher = more outlying.
 ///
@@ -51,11 +59,12 @@ struct TrainedScorerState {
 /// scores, the grid-density score and a univariate baseline.
 ///
 /// One in-sample seam: a scorer implements ScoreSubspacePrepared, which
-/// may draw shared derived state (projected searchers, kNN tables, grids)
-/// from the prepared artifact's cache. Every other in-sample entry point —
-/// the Dataset adapter, the memoizing and checked variants, the ranking
-/// functions — reaches the scorer through it, so they all return the same
-/// bits; only the wall clock depends on the cache state.
+/// may draw shared derived state (projected searchers, grids) from the
+/// prepared artifact's cache and computes kNN tables through it. Every
+/// other in-sample entry point — the Dataset adapter, the memoizing and
+/// checked variants, the ranking functions, FitSubspace's default —
+/// reaches the scorer through it, so they all return the same bits; only
+/// the wall clock depends on the cache state.
 class OutlierScorer {
  public:
   virtual ~OutlierScorer() = default;
@@ -153,7 +162,7 @@ class OutlierScorer {
   virtual std::string cache_key() const { return ""; }
 
   /// True when the scorer can score out-of-sample queries from trained
-  /// state (BuildTrainedState / ScoreOutOfSample below). Scorers that only
+  /// state (FitSubspace / ScoreOutOfSample below). Scorers that only
   /// define in-sample semantics keep the default.
   virtual bool SupportsOutOfSample() const { return false; }
 
@@ -164,15 +173,15 @@ class OutlierScorer {
   /// out-of-sample queries from its trained state alone.
   virtual std::size_t NeighborhoodSize() const { return 0; }
 
-  /// Builds the per-subspace trained state from the fitted dataset. Only
-  /// meaningful when SupportsOutOfSample(); the default state is empty.
-  /// Neighbor scorers draw the all-kNN table from `prepared`'s cache, the
-  /// one an in-sample ranking pass over the same artifact already built.
-  virtual TrainedScorerState BuildTrainedState(
-      const PreparedDataset& prepared, const Subspace& subspace) const {
-    (void)prepared;
-    (void)subspace;
-    return {};
+  /// Fits one subspace of the training dataset: its in-sample scores,
+  /// bit-identical to ScoreSubspacePrepared, and the trained state
+  /// ScoreOutOfSample reads, both from one draw of the subspace's
+  /// neighborhood (LOF: one kNN table; grid-density: one grid). The state
+  /// is only meaningful when SupportsOutOfSample(); the default scores
+  /// through ScoreSubspacePrepared and returns an empty state.
+  virtual FittedSubspace FitSubspace(const PreparedDataset& prepared,
+                                     const Subspace& subspace) const {
+    return {ScoreSubspacePrepared(prepared, subspace), {}};
   }
 
   /// Scores one out-of-sample query from its projected coordinates

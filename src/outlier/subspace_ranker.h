@@ -65,8 +65,9 @@ std::vector<double> AggregateScores(
 /// list, scores the full space (traditional outlier ranking).
 ///
 /// Each subspace is scored through OutlierScorer::ScoreSubspaceCached, so
-/// kNN tables and whole score vectors are drawn from (and published to)
-/// `prepared`'s artifact cache. A warm cache turns
+/// whole score vectors are drawn from (and published to) `prepared`'s
+/// artifact cache, while a kNN table lives only as long as the scorer
+/// call that computes it. A warm cache turns
 /// repeated rankings of one dataset — the serving pattern — into cache
 /// lookups plus one aggregation pass. To rank a plain Dataset, wrap it in
 /// a PreparedDataset (its rank artifacts are built lazily, so ranking pays

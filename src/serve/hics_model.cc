@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "engine/sharded_dataset.h"
 #include "outlier/grid_density.h"
 #include "outlier/knn_outlier.h"
@@ -105,9 +106,9 @@ Result<HicsModel> HicsModel::Fit(const Dataset& dataset,
   // Step 1: subspace search. Unsharded fits make the same prepared-path
   // call the pipeline makes, so the selected subspaces are identical to
   // RunHicsPipeline's. Sharded fits select through the sharded search —
-  // the fast path on large N — and only the selection differs: steps 2
-  // and 3 below always run on the full prepared dataset, so training
-  // scores, trained state, and serving stay byte-reproducible.
+  // the fast path on large N — and only the selection differs: step 2
+  // below always runs on the full prepared dataset, so training scores,
+  // trained state, and serving stay byte-reproducible.
   HicsRunStats stats;
   std::vector<ScoredSubspace> scored;
   if (config.num_shards > 1) {
@@ -133,22 +134,23 @@ Result<HicsModel> HicsModel::Fit(const Dataset& dataset,
     }
   }
 
-  // Step 2: training scores through the pipeline's own ranking call —
-  // byte-identical to RunHicsPipeline with these parameters.
-  std::vector<double> training_scores = RankWithSubspaces(
-      prepared, PlainSubspaces(trained), *scorer, config.aggregation,
-      threads);
-
-  // Step 3: per-subspace trained scorer state. Neighbor scorers draw it
-  // from the kNN tables the ranking pass just cached; neighbor-free
-  // scorers (grid-density) build it straight from the prepared artifact.
   if (scorer->NeighborhoodSize() > 0 && n < 2) {
     return Status::InvalidArgument(
         "cannot fit a servable model on fewer than 2 training objects");
   }
-  for (TrainedSubspace& t : trained) {
-    t.scorer_state = scorer->BuildTrainedState(prepared, t.subspace);
-  }
+
+  // Step 2: each subspace's scores and trained state from one draw of its
+  // neighborhood (OutlierScorer::FitSubspace), then the pipeline's own
+  // aggregation over the scores in subspace order — byte-identical to
+  // RunHicsPipeline with these parameters for every thread count.
+  std::vector<std::vector<double>> per_subspace(trained.size());
+  ParallelFor(0, trained.size(), threads, [&](std::size_t i) {
+    FittedSubspace fit = scorer->FitSubspace(prepared, trained[i].subspace);
+    per_subspace[i] = std::move(fit.scores);
+    trained[i].scorer_state = std::move(fit.state);
+  });
+  std::vector<double> training_scores =
+      AggregateScores(per_subspace, config.aggregation);
 
   return HicsModel(config, dataset, std::move(trained),
                    std::move(training_scores));

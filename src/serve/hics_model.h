@@ -134,9 +134,11 @@ class HicsModel {
   HicsModel(const HicsModel&) = delete;
   HicsModel& operator=(const HicsModel&) = delete;
 
-  /// Fits a model: runs the HiCS subspace search, scores the training set
-  /// (byte-identical to RunHicsPipeline with the same parameters), and
-  /// captures per-subspace trained scorer state. The dataset is copied
+  /// Fits a model: runs the HiCS subspace search, then fits each selected
+  /// subspace once (OutlierScorer::FitSubspace, in parallel over
+  /// subspaces) for its training scores and trained scorer state. The
+  /// aggregated training scores are byte-identical to RunHicsPipeline
+  /// with the same parameters. The dataset is copied
   /// into the model — a served model must not dangle on caller memory.
   /// Falls back to the full space when the search selects no subspace
   /// (mirroring the pipeline's fallback) so a fitted model always serves.
@@ -185,7 +187,7 @@ class HicsModel {
                                                nullptr) const;
 
   /// Recomputes the training-set ranking from the stored artifact through
-  /// the same prepared-path RankWithSubspaces call Fit used. A restored
+  /// the prepared-path RankWithSubspaces call the pipeline makes. A restored
   /// model returns a vector byte-identical to training_scores() — the
   /// durability acceptance check.
   Result<std::vector<double>> RescoreTrainingSet() const;

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 namespace hics {
 namespace {
@@ -182,6 +184,102 @@ TEST(CsvTest, NanLabelCellDoesNotTriggerRejection) {
   const auto ds = ParseCsv("1,2,nan\n3,4,ok\n", options);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   EXPECT_EQ(ds->num_objects(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Line and cell boundaries
+
+TEST(CsvTest, CrlfLineEndingsParseLikeLf) {
+  auto crlf = ParseCsv("x,y\r\n1.5,2\r\n\r\n3,4.25\r\n");
+  auto lf = ParseCsv("x,y\n1.5,2\n\n3,4.25\n");
+  ASSERT_TRUE(crlf.ok()) << crlf.status().ToString();
+  ASSERT_TRUE(lf.ok());
+  ASSERT_EQ(crlf->num_objects(), 2u);
+  EXPECT_EQ(crlf->attribute_names(), lf->attribute_names());
+  EXPECT_EQ(crlf->attribute_names()[1], "y");
+  for (std::size_t j = 0; j < 2; ++j) {
+    EXPECT_EQ(crlf->Column(j), lf->Column(j));
+  }
+}
+
+TEST(CsvTest, TrailingDelimiterIsAnEmptyLastCell) {
+  // "1,2," has three cells, the last empty: a parse error naming it.
+  auto ds = ParseCsv("1,2,\n", CsvOptions{.has_header = false});
+  ASSERT_FALSE(ds.ok());
+  EXPECT_EQ(ds.status().message(),
+            "line 1, column 2: cannot parse '' as a number");
+  // As a label column the empty cell is simply not an outlier.
+  CsvOptions labeled{.has_header = false, .label_column = 2};
+  auto with_label = ParseCsv("1,2,\n3,4,1\n", labeled);
+  ASSERT_TRUE(with_label.ok()) << with_label.status().ToString();
+  EXPECT_EQ(with_label->num_attributes(), 2u);
+  EXPECT_EQ(with_label->labels(), (std::vector<bool>{false, true}));
+}
+
+TEST(CsvTest, LabelOnlyRowsYieldObjectsWithoutAttributes) {
+  CsvOptions options;
+  options.label_column = 0;
+  auto ds = ParseCsv("label\n1\n0\noutlier\n", options);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  EXPECT_EQ(ds->num_objects(), 3u);
+  EXPECT_EQ(ds->num_attributes(), 0u);
+  EXPECT_EQ(ds->labels(), (std::vector<bool>{true, false, true}));
+}
+
+TEST(CsvTest, CellLongerThanAnyStackBuffer) {
+  // 4 KiB of leading zeros, then the value: the cell is parsed whole.
+  const std::string zeros(4096, '0');
+  auto ds = ParseCsv("x,y\n" + zeros + "1.25,2\n3," + zeros + "\n");
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  EXPECT_EQ(ds->Get(0, 0), 1.25);
+  EXPECT_EQ(ds->Get(1, 1), 0.0);
+  // A long cell that is not one number still fails, quoted in full.
+  const std::string bad = zeros + "x";
+  auto rejected = ParseCsv("x\n" + bad + "\n");
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().message(),
+            "line 2, column 0: cannot parse '" + bad + "' as a number");
+}
+
+TEST(CsvTest, FinalLineNeedsNoNewline) {
+  auto ds = ParseCsv("x,y\n1,2\n3,4");
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  ASSERT_EQ(ds->num_objects(), 2u);
+  EXPECT_EQ(ds->Get(1, 0), 3.0);
+  EXPECT_EQ(ds->Get(1, 1), 4.0);
+}
+
+TEST(CsvTest, ErrorLineNumbersCountBlankLines) {
+  // Line 1 header, 2 blank, 3 data, 4 blank (spaces), 5 the bad row.
+  const std::string text = "x,y\n\n1,2\n   \n3,oops\n";
+  auto bad_cell = ParseCsv(text);
+  ASSERT_FALSE(bad_cell.ok());
+  EXPECT_EQ(bad_cell.status().message(),
+            "line 5, column 1: cannot parse 'oops' as a number");
+  auto ragged = ParseCsv("x,y\n\n1,2\n\n\n3\n");
+  ASSERT_FALSE(ragged.ok());
+  EXPECT_EQ(ragged.status().message(), "line 6: ragged row");
+}
+
+TEST(CsvTest, FileLoadMatchesParsedText) {
+  const std::string text = "x,y,label\r\n0.1,2e3,0\n\n-4,5.5,1";
+  const std::string path = testing::TempDir() + "/hics_csv_one_pass.csv";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  const CsvOptions options{.label_column = 2};
+  auto loaded = ReadCsvFile(path, options);
+  auto parsed = ParseCsv(text, options);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(loaded->num_objects(), 2u);
+  EXPECT_EQ(loaded->attribute_names(), parsed->attribute_names());
+  EXPECT_EQ(loaded->labels(), parsed->labels());
+  for (std::size_t j = 0; j < 2; ++j) {
+    EXPECT_EQ(loaded->Column(j), parsed->Column(j));
+  }
 }
 
 }  // namespace

@@ -324,7 +324,7 @@ TEST(GridDensityTest, OutOfSamplePointMatchesInSampleScore) {
     const GridDensityScorer scorer(params);
     const auto in_sample = scorer.ScoreSubspacePrepared(prepared, subspace);
     const TrainedScorerState state =
-        scorer.BuildTrainedState(prepared, subspace);
+        scorer.FitSubspace(prepared, subspace).state;
     EXPECT_TRUE(scorer
                     .ValidateTrainedState(state, subspace.size(),
                                           ds.num_objects())
@@ -346,7 +346,7 @@ TEST(GridDensityTest, OutOfSampleQueryOutsideTrainingRangeIsFinite) {
   const Subspace subspace({0, 1});
   PreparedDataset prepared(ds);
   const GridDensityScorer scorer;
-  const auto state = scorer.BuildTrainedState(prepared, subspace);
+  const auto state = scorer.FitSubspace(prepared, subspace).state;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (std::vector<double> q :
        {std::vector<double>{1e9, 1e9}, std::vector<double>{-1e9, 0.0},
@@ -360,7 +360,7 @@ TEST(GridDensityTest, ValidateTrainedStateRejectsTampering) {
   const Subspace subspace({0, 1, 2});
   PreparedDataset prepared(ds);
   const GridDensityScorer scorer;
-  const auto good = scorer.BuildTrainedState(prepared, subspace);
+  const auto good = scorer.FitSubspace(prepared, subspace).state;
   const std::size_t n = ds.num_objects();
   ASSERT_TRUE(GridDensityScorer::ValidateTrainedState(good, 3, n).ok());
 

@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "common/random.h"
+#include "engine/prepared_dataset.h"
 #include "index/neighbor_searcher.h"
+#include "scorer_oracle.h"
 
 namespace hics {
 namespace {
@@ -192,6 +194,41 @@ TEST(LofTest, ScoreIsScaleInvariant) {
   const auto s2 = lof.ScoreFullSpace(scaled);
   for (std::size_t i = 0; i < s1.size(); ++i) {
     EXPECT_NEAR(s1[i], s2[i], 1e-9);
+  }
+}
+
+TEST(LofTest, FitSubspaceDrawsOneTableForScoresAndState) {
+  // Gaussian data with a block of duplicates, so some densities are
+  // infinite: the scores must equal the oracle's LOF and the state the
+  // oracle's [k_distance, lrd], for every thread count, from one table.
+  Rng rng(11);
+  Dataset ds(180, 3);
+  for (std::size_t i = 0; i < ds.num_objects(); ++i) {
+    for (std::size_t j = 0; j < 3; ++j) ds.Set(i, j, rng.Gaussian(0.0, 1.0));
+  }
+  for (std::size_t i = 20; i < 30; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) ds.Set(i, j, ds.Get(19, j));
+  }
+  const PreparedDataset prepared(ds);
+  for (const Subspace& subspace :
+       {Subspace{0, 1}, Subspace{1, 2}, Subspace{0, 1, 2}}) {
+    const LofDensities oracle =
+        OracleLofDensities(OracleKnnTable(ds, subspace, 7));
+    for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      const LofScorer lof({.min_pts = 7, .num_threads = threads});
+      const std::uint64_t before =
+          prepared.cache().stats().knn_table_misses;
+      const FittedSubspace fit = lof.FitSubspace(prepared, subspace);
+      EXPECT_EQ(prepared.cache().stats().knn_table_misses, before + 1);
+      EXPECT_EQ(fit.scores, OracleLofScores(ds, subspace, 7))
+          << subspace.ToString() << " threads=" << threads;
+      ASSERT_EQ(fit.state.channels.size(), 2u);
+      EXPECT_EQ(fit.state.channels[0], oracle.k_distance)
+          << subspace.ToString() << " threads=" << threads;
+      EXPECT_EQ(fit.state.channels[1], oracle.lrd)
+          << subspace.ToString() << " threads=" << threads;
+      EXPECT_EQ(lof.ScoreSubspacePrepared(prepared, subspace), fit.scores);
+    }
   }
 }
 

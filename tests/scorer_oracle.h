@@ -33,11 +33,38 @@ inline KnnResultTable OracleKnnTable(const Dataset& dataset,
   return table;
 }
 
-/// LOF(p) = mean_{o in N_k(p)} lrd(o) / lrd(p), with
-/// lrd(p) = |N_k(p)| / sum_{o in N_k(p)} max(k-distance(o), d(p, o)).
-/// Duplicates: an all-zero reachability sum gives lrd = inf, an object
-/// with infinite lrd scores 1, and neighbors with infinite lrd drop out of
-/// the mean (1 when none is left).
+/// LOF's per-object densities over a neighbor table: k-distance(p), the
+/// distance to p's farthest kept neighbor, and
+/// lrd(p) = |N_k(p)| / sum_{o in N_k(p)} max(k-distance(o), d(p, o)),
+/// inf when that sum is 0 (duplicates). Every row must be non-empty.
+struct LofDensities {
+  std::vector<double> k_distance;
+  std::vector<double> lrd;
+};
+
+inline LofDensities OracleLofDensities(const KnnResultTable& table) {
+  const std::size_t n = table.num_queries();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  LofDensities densities{std::vector<double>(n), std::vector<double>(n)};
+  for (std::size_t p = 0; p < n; ++p) {
+    densities.k_distance[p] = table.Row(p).back().distance;
+  }
+  for (std::size_t p = 0; p < n; ++p) {
+    double sum_reach = 0.0;
+    for (const Neighbor& o : table.Row(p)) {
+      sum_reach += std::max(densities.k_distance[o.id], o.distance);
+    }
+    densities.lrd[p] =
+        sum_reach > 0.0 ? static_cast<double>(table.Row(p).size()) / sum_reach
+                        : kInf;
+  }
+  return densities;
+}
+
+/// LOF(p) = mean_{o in N_k(p)} lrd(o) / lrd(p) over OracleLofDensities of
+/// the oracle table.
+/// Duplicates: an object with infinite lrd scores 1, and neighbors with
+/// infinite lrd drop out of the mean (1 when none is left).
 inline std::vector<double> OracleLofScores(const Dataset& dataset,
                                            const Subspace& subspace,
                                            std::size_t min_pts) {
@@ -45,20 +72,7 @@ inline std::vector<double> OracleLofScores(const Dataset& dataset,
   if (n < 2) return std::vector<double>(n, 1.0);
   const KnnResultTable table = OracleKnnTable(dataset, subspace, min_pts);
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> k_distance(n);
-  for (std::size_t p = 0; p < n; ++p) {
-    k_distance[p] = table.Row(p).back().distance;
-  }
-  std::vector<double> lrd(n);
-  for (std::size_t p = 0; p < n; ++p) {
-    double sum_reach = 0.0;
-    for (const Neighbor& o : table.Row(p)) {
-      sum_reach += std::max(k_distance[o.id], o.distance);
-    }
-    lrd[p] = sum_reach > 0.0
-                 ? static_cast<double>(table.Row(p).size()) / sum_reach
-                 : kInf;
-  }
+  const std::vector<double> lrd = OracleLofDensities(table).lrd;
   std::vector<double> lof(n, 1.0);
   for (std::size_t p = 0; p < n; ++p) {
     if (lrd[p] == kInf) continue;

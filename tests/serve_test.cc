@@ -16,6 +16,7 @@
 
 #include "common/random.h"
 #include "core/pipeline.h"
+#include "outlier/grid_density.h"
 #include "outlier/knn_outlier.h"
 #include "outlier/lof.h"
 #include "serve/admission.h"
@@ -80,6 +81,29 @@ INSTANTIATE_TEST_SUITE_P(AllScorers, FitIdentityTest,
                                            ScorerKind::kKnnDistance,
                                            ScorerKind::kKnnAverage,
                                            ScorerKind::kGridDensity));
+
+TEST(FitSubspaceTest, ScoresEqualScoreSubspacePreparedForEveryKind) {
+  const Dataset ds = CorrelatedDataset(150, 4, 103);
+  for (ScorerKind kind : {ScorerKind::kLof, ScorerKind::kKnnDistance,
+                          ScorerKind::kKnnAverage, ScorerKind::kGridDensity}) {
+    auto scorer = MakeScorer(ScorerSpec{kind, 8});
+    ASSERT_TRUE(scorer.ok());
+    for (const Subspace& subspace : {Subspace{0, 1}, Subspace{1, 2, 3}}) {
+      // Separate artifacts, so neither call can be served by the other.
+      const PreparedDataset fitted(ds);
+      const PreparedDataset scored(ds);
+      const FittedSubspace fit = (*scorer)->FitSubspace(fitted, subspace);
+      EXPECT_EQ(fit.scores,
+                (*scorer)->ScoreSubspacePrepared(scored, subspace))
+          << (*scorer)->name() << " " << subspace.ToString();
+      const std::size_t channels = kind == ScorerKind::kLof ? 2
+                                   : kind == ScorerKind::kGridDensity
+                                       ? GridDensityScorer::kStateChannels
+                                       : 0;
+      EXPECT_EQ(fit.state.channels.size(), channels) << (*scorer)->name();
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Out-of-sample scoring

@@ -170,16 +170,17 @@ TEST(RankWithSubspacesTest, IrrelevantSubspacesDiluteTheSignal) {
 }
 
 /// A scorer that implements the in-sample seam and nothing else in-sample:
-/// its score mixes a cached kNN table with a lazily built rank artifact,
-/// so every entry point must route through ScoreSubspacePrepared with a
-/// working PreparedDataset to reproduce it. `calls` counts computations.
+/// its score mixes a kNN table computed through the artifact cache with a
+/// lazily built rank artifact, so every entry point must route through
+/// ScoreSubspacePrepared with a working PreparedDataset to reproduce it. `calls` counts computations.
 class SeamOnlyScorer : public OutlierScorer {
  public:
   std::vector<double> ScoreSubspacePrepared(
       const PreparedDataset& prepared,
       const Subspace& subspace) const override {
     calls.fetch_add(1, std::memory_order_relaxed);
-    const auto table = prepared.cache().GetKnnTable(subspace, 3, 1);
+    const KnnResultTable table =
+        prepared.cache().ComputeKnnTable(subspace, 3, 1);
     std::vector<double> scores(prepared.num_objects());
     for (std::size_t i = 0; i < scores.size(); ++i) {
       double deviation = 0.0;
@@ -188,7 +189,7 @@ class SeamOnlyScorer : public OutlierScorer {
             prepared.ColumnSpan(a)[i] - prepared.MarginalMean(a);
         deviation += d * d;
       }
-      scores[i] = table->Row(i).back().distance + deviation;
+      scores[i] = table.Row(i).back().distance + deviation;
     }
     return scores;
   }
