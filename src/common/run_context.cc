@@ -156,10 +156,10 @@ Status RunContext::AdmitWork(Clock::duration estimated_cost,
       "deadline budget of " + std::to_string(to_us(remaining)) + "us");
 }
 
-Status RunContext::InjectFault(const std::string& site,
+Status RunContext::InjectFault(std::string_view site,
                                std::uint64_t ordinal) const {
   if (fault_injector_ == nullptr) return Status::OK();
-  return fault_injector_->OnSite(site, ordinal);
+  return fault_injector_->OnSite(std::string(site), ordinal);
 }
 
 }  // namespace hics

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
@@ -178,8 +179,9 @@ class RunContext {
   /// Fault-injection hook: OK when no injector is attached or no rule
   /// fires; otherwise the armed Status for `site`. A non-zero `ordinal`
   /// (1-based logical call position) makes rule evaluation deterministic
-  /// under parallel execution — see FaultInjector::OnSite.
-  Status InjectFault(const std::string& site, std::uint64_t ordinal = 0) const;
+  /// under parallel execution — see FaultInjector::OnSite. With no
+  /// injector attached it costs one branch and builds no string.
+  Status InjectFault(std::string_view site, std::uint64_t ordinal = 0) const;
 
   FaultInjector* fault_injector() const { return fault_injector_; }
 

@@ -73,7 +73,6 @@ HicsModel::HicsModel(HicsModelConfig config, Dataset training_data,
   auto scorer = MakeScorer(config_.scorer);
   HICS_CHECK(scorer.ok());  // callers validated the spec already
   scorer_ = std::move(scorer).ValueOrDie();
-  runtime_->searchers.resize(subspaces_.size());
 }
 
 std::size_t HicsModel::EffectiveK() const {
@@ -234,15 +233,19 @@ Result<HicsModel> HicsModel::FromParts(Parts parts) {
                    std::move(parts.training_scores));
 }
 
-const NeighborSearcher& HicsModel::SearcherFor(std::size_t s) const {
-  HICS_DCHECK(s < subspaces_.size());
-  std::lock_guard<std::mutex> lock(runtime_->mutex);
-  std::shared_ptr<const NeighborSearcher>& slot = runtime_->searchers[s];
-  if (slot == nullptr) {
-    const Subspace& subspace = subspaces_[s].subspace;
-    slot = ResolveKnnSearcher(training_data_, subspace, EffectiveK());
-  }
-  return *slot;
+std::span<const std::unique_ptr<const NeighborSearcher>>
+HicsModel::Searchers(std::size_t* resolved) const {
+  std::call_once(runtime_->resolved, [this, resolved] {
+    const std::size_t k = EffectiveK();
+    std::vector<std::unique_ptr<const NeighborSearcher>> searchers;
+    searchers.reserve(subspaces_.size());
+    for (const TrainedSubspace& t : subspaces_) {
+      searchers.push_back(ResolveKnnSearcher(training_data_, t.subspace, k));
+    }
+    runtime_->searchers = std::move(searchers);
+    *resolved = subspaces_.size();
+  });
+  return runtime_->searchers;
 }
 
 Result<std::vector<double>> HicsModel::ScoreQueries(
@@ -274,6 +277,9 @@ Result<std::vector<double>> HicsModel::ScoreQueries(
 
   std::vector<double> scores;
   scores.reserve(num_queries);
+  // Resolved at the first kNN query, so a batch that scores nothing
+  // (interrupted at once, or every subspace faulted) builds no searcher.
+  std::span<const std::unique_ptr<const NeighborSearcher>> searchers;
   std::vector<double> projected;
   std::vector<Neighbor> neighbors;
   std::vector<double> per_subspace;
@@ -307,7 +313,12 @@ Result<std::vector<double>> HicsModel::ScoreQueries(
       const Subspace& subspace = subspaces_[s].subspace;
       projected.clear();
       for (std::size_t dim : subspace) projected.push_back(queries[q * d + dim]);
-      if (k > 0) SearcherFor(s).QueryKnnPoint(projected, k, &neighbors);
+      if (k > 0) {
+        if (searchers.empty()) {
+          searchers = Searchers(&local.searchers_resolved);
+        }
+        searchers[s]->QueryKnnPoint(projected, k, &neighbors);
+      }
       per_subspace.push_back(scorer_->ScoreOutOfSample(
           projected,
           std::span<const Neighbor>(neighbors.data(), neighbors.size()),

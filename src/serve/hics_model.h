@@ -96,6 +96,10 @@ struct ServeDiagnostics {
   std::map<std::string, std::size_t> error_tally;
   bool deadline_exceeded = false;
   bool cancelled = false;
+  /// Searchers this call resolved: every subspace's, on the model's first
+  /// kNN query (whichever call and thread makes it); 0 on every other
+  /// call and for neighbor-free models. Not a degradation.
+  std::size_t searchers_resolved = 0;
 
   bool degraded() const {
     return subspace_failures > 0 || deadline_exceeded || cancelled;
@@ -111,10 +115,11 @@ struct ServeDiagnostics {
 ///
 /// Scoring queries never mutates the trained state: searchers answer
 /// through the const QueryKnnPoint path, so query points are compared
-/// against the training set but never inserted into it. The lazily built
-/// per-subspace searcher cache lives behind a mutex in a Runtime block and
-/// is memoization only — a warm cache returns bit-identical scores to a
-/// cold one.
+/// against the training set but never inserted into it. The per-subspace
+/// searchers are resolved once per model, by the first ScoreQueries call
+/// that needs them, and then read without a lock by every query on every
+/// thread. They are memoization only — a warm model returns bit-identical
+/// scores to a cold one.
 class HicsModel {
  public:
   /// Raw constituents of a model, exposed for model_io's deserializer.
@@ -170,7 +175,8 @@ class HicsModel {
   /// subspace, the query's k nearest *training* neighbors feed the
   /// scorer's out-of-sample rule, and the per-subspace scores aggregate
   /// exactly like training scores. Deterministic: fresh-fit and
-  /// save/load-restored models return bit-identical vectors.
+  /// save/load-restored models return bit-identical vectors. Any number
+  /// of threads may call it on one model at once.
   Result<std::vector<double>> ScoreQueries(std::span<const double> queries,
                                            std::size_t num_queries) const;
 
@@ -201,9 +207,13 @@ class HicsModel {
   /// for every out-of-sample query.
   std::size_t EffectiveK() const;
 
-  /// The memoized projected searcher for subspace index `s`, built on
-  /// first use.
-  const NeighborSearcher& SearcherFor(std::size_t s) const;
+  /// Every subspace's projected searcher, indexed like subspaces(). The
+  /// first call resolves them all (serially, in subspace order) and sets
+  /// `*resolved` to their count; it and every later call return the same
+  /// slots, which are then read with no lock, no atomic read-modify-write
+  /// and no refcount.
+  std::span<const std::unique_ptr<const NeighborSearcher>> Searchers(
+      std::size_t* resolved) const;
 
   HicsModelConfig config_;
   Dataset training_data_;
@@ -211,11 +221,13 @@ class HicsModel {
   std::vector<double> training_scores_;
   std::unique_ptr<OutlierScorer> scorer_;
 
-  /// Mutable memoization state (mutex + caches) boxed so the model stays
-  /// movable.
+  /// The searchers, written once under `resolved` and immutable after
+  /// it. Boxed so the model stays movable (once_flag is not). Not built
+  /// by the constructor: Fit, RescoreTrainingSet and neighbor-free (k ==
+  /// 0) models never query them.
   struct Runtime {
-    std::mutex mutex;
-    std::vector<std::shared_ptr<const NeighborSearcher>> searchers;
+    std::once_flag resolved;
+    std::vector<std::unique_ptr<const NeighborSearcher>> searchers;
   };
   std::unique_ptr<Runtime> runtime_;
 };

@@ -143,8 +143,8 @@ std::vector<std::uint8_t> EncodeConfig(const HicsModelConfig& config) {
   w.U64(p.max_dimensionality);
   w.U8(p.prune_redundant ? 1 : 0);
   w.U64(p.seed);
-  w.U64(p.num_threads);
-  w.U8(1);  // reserved; see the v2 note in model_io.h
+  w.U64(1);  // num_threads slot, fixed; see the v2 note in model_io.h
+  w.U8(1);   // reserved; see the v2 note in model_io.h
   w.U32(static_cast<std::uint32_t>(config.scorer.kind));
   w.U64(config.scorer.k);
   w.U32(static_cast<std::uint32_t>(config.aggregation));
@@ -170,9 +170,8 @@ Status DecodeConfig(Reader* r, HicsModelConfig* config) {
   HICS_RETURN_NOT_OK(r->U8(&u8));
   p.prune_redundant = u8 != 0;
   HICS_RETURN_NOT_OK(r->U64(&p.seed));
-  HICS_RETURN_NOT_OK(r->U64(&u64));
-  p.num_threads = u64;
-  HICS_RETURN_NOT_OK(r->U8(&u8));  // reserved byte, ignored
+  HICS_RETURN_NOT_OK(r->U64(&u64));  // num_threads slot, ignored
+  HICS_RETURN_NOT_OK(r->U8(&u8));    // reserved byte, ignored
   HICS_RETURN_NOT_OK(r->U32(&u32));
   config->scorer.kind = static_cast<ScorerKind>(u32);
   HICS_RETURN_NOT_OK(r->U64(&u64));

@@ -42,6 +42,13 @@ namespace hics {
 ///        values gave bit-identical models; writers now always store 1
 ///        and readers ignore it, so the format stays v2 and files written
 ///        either way load and score identically.
+///        The config's num_threads slot (the u64 before that byte) is
+///        fixed the same way. It once held the fit-time thread count,
+///        which changes no score, so one fit at 1 and at 4 threads gave
+///        files that differed. Writers now always store 1 and readers
+///        ignore the slot, leaving the HicsParams default: a model's
+///        bytes depend only on what selects its results, and files
+///        written either way load and score identically.
 inline constexpr std::uint32_t kHicsModelFormatVersion = 2;
 inline constexpr std::size_t kHicsModelMagicSize = 8;
 inline constexpr char kHicsModelMagic[kHicsModelMagicSize + 1] = "HICSMODL";

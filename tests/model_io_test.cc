@@ -147,6 +147,33 @@ TEST(ModelIoTest, ReservedConfigByteIsIgnored) {
   EXPECT_EQ(*got, *want);
 }
 
+TEST(ModelIoTest, ThreadCountDoesNotChangeModelBytes) {
+  // The fit-time thread count changes no score, so it must not change the
+  // file either: a model's bytes depend only on what selects its results.
+  const Dataset data = SmallDataset(120, 5, 9);
+  std::vector<std::vector<std::uint8_t>> files;
+  for (std::size_t threads : {1u, 4u}) {
+    HicsModelConfig config;
+    config.search_params.num_iterations = 20;
+    config.search_params.output_top_k = 6;
+    config.search_params.seed = 9;
+    config.search_params.num_threads = threads;
+    config.scorer.kind = ScorerKind::kLof;
+    config.scorer.k = 8;
+    auto model = HicsModel::Fit(data, config);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    files.push_back(SerializeHicsModel(*model));
+
+    auto reloaded = DeserializeHicsModel(files.back());
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    auto rescored = reloaded->RescoreTrainingSet();
+    ASSERT_TRUE(rescored.ok()) << rescored.status().ToString();
+    EXPECT_EQ(*rescored, reloaded->training_scores());
+    EXPECT_EQ(reloaded->training_scores(), model->training_scores());
+  }
+  EXPECT_EQ(files[0], files[1]);
+}
+
 TEST(ModelIoTest, EveryTruncationIsRejected) {
   const HicsModel model = FitSmallModel(ScorerKind::kLof, 4, 7);
   const std::vector<std::uint8_t> bytes = SerializeHicsModel(model);

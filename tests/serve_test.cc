@@ -11,7 +11,12 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <latch>
+#include <numeric>
 #include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -183,6 +188,66 @@ TEST(ServeTest, MalformedBatchGetsTypedStatus) {
   auto result = model->ScoreQueries(queries, 4);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ServeTest, ConcurrentClientsOnAColdModelMatchSerialScores) {
+  // Four clients race the first-touch searcher resolution of a freshly
+  // loaded model, one row per call. Every answer must equal the serial
+  // batch of a second fresh model bit for bit, and the searchers must be
+  // resolved exactly once (never for the neighbor-free grid tier).
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kQueries = 24;
+  const Dataset ds = CorrelatedDataset(150, 5, 141);
+  const std::vector<double> queries = RandomQueries(kQueries, 5, 142);
+  const ScorerSpec specs[] = {{ScorerKind::kLof, 8},
+                              {ScorerKind::kKnnDistance, 6},
+                              {ScorerKind::kGridDensity, 8}};
+  for (const ScorerSpec& spec : specs) {
+    SCOPED_TRACE(static_cast<int>(spec.kind));
+    auto fitted = HicsModel::Fit(ds, SmallConfig(spec.kind, spec.k));
+    ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+    const std::vector<std::uint8_t> bytes = SerializeHicsModel(*fitted);
+    auto serial_model = DeserializeHicsModel(bytes);
+    auto cold = DeserializeHicsModel(bytes);
+    ASSERT_TRUE(serial_model.ok() && cold.ok());
+    auto serial = serial_model->ScoreQueries(queries, kQueries);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    ASSERT_EQ(serial->size(), kQueries);
+
+    std::vector<double> answers(kQueries, -1.0);
+    std::vector<std::size_t> resolved(kClients, 0);
+    std::vector<std::string> errors(kClients);
+    std::latch start(kClients);
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        start.arrive_and_wait();
+        const RunContext ctx;
+        for (std::size_t q = c; q < kQueries; q += kClients) {
+          ServeDiagnostics diagnostics;
+          auto score = cold->ScoreQueries(
+              std::span<const double>(queries).subspan(q * 5, 5), 1, ctx,
+              &diagnostics);
+          if (!score.ok() || score->size() != 1) {
+            errors[c] = score.status().ToString();
+            return;
+          }
+          answers[q] = (*score)[0];
+          resolved[c] += diagnostics.searchers_resolved;
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    for (const std::string& error : errors) EXPECT_EQ(error, "");
+    EXPECT_EQ(std::memcmp(answers.data(), serial->data(),
+                          kQueries * sizeof(double)),
+              0);
+    const std::size_t total =
+        std::accumulate(resolved.begin(), resolved.end(), std::size_t{0});
+    EXPECT_EQ(total, spec.kind == ScorerKind::kGridDensity
+                         ? 0
+                         : cold->subspaces().size());
+  }
 }
 
 // ---------------------------------------------------------------------------
