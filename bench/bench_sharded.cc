@@ -22,6 +22,10 @@
 //                           catches systematic weighting bugs), and the
 //                           max difference loosely as a gross-distortion
 //                           backstop.
+//   one_shard_identical   — a one-shard plane is the unsharded estimator:
+//                           the search and the contrast matrix on
+//                           ShardedDataset(ds, 1) must equal those on the
+//                           PreparedDataset byte for byte.
 //
 // Scaling: HicsModel::Fit wall clock at 1 / 2 / 4 shards (same thread
 // budget) — the sharded search does ~M*N/S slice work per subspace
@@ -30,11 +34,12 @@
 // recorded for trend tracking).
 //
 // Output: a table on stdout and BENCH_sharded.json. Exit is nonzero when
-// either drill fails. Rerun after changes to the shard merge paths.
+// any drill fails. Rerun after changes to the shard merge paths.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "bench/bench_json.h"
@@ -178,6 +183,34 @@ int Run() {
       kMeanTolerance, max_abs_diff, kMaxTolerance,
       merge_within_tolerance ? "within tolerance" : "EXCEEDED (BUG)");
 
+  // --- Drill 3: one shard is the unsharded estimator ----------------
+  bool one_shard_identical = false;
+  {
+    const ShardedDataset one(ds, 1, /*build_threads=*/4);
+    const auto one_scored = RunHicsSearch(one, search);
+    const auto one_matrix = ComputeContrastMatrix(one, cparams);
+    HICS_CHECK(one_scored.ok());
+    HICS_CHECK(one_matrix.ok());
+    one_shard_identical = one_scored->size() == scored->size();
+    for (std::size_t i = 0; one_shard_identical && i < scored->size(); ++i) {
+      const double a = (*one_scored)[i].score;
+      const double b = (*scored)[i].score;
+      one_shard_identical = (*one_scored)[i].subspace ==
+                                (*scored)[i].subspace &&
+                            std::memcmp(&a, &b, sizeof(double)) == 0;
+    }
+    for (std::size_t i = 0; one_shard_identical && i < kD; ++i) {
+      for (std::size_t j = 0; j < kD; ++j) {
+        const double a = (*one_matrix)(i, j);
+        const double b = (*unsharded_matrix)(i, j);
+        one_shard_identical = one_shard_identical &&
+                              std::memcmp(&a, &b, sizeof(double)) == 0;
+      }
+    }
+  }
+  std::printf("one-shard plane vs unsharded (search + matrix): %s\n",
+              one_shard_identical ? "identical" : "MISMATCH (BUG)");
+
   // --- Scaling: fit wall clock vs shard count ------------------------
   HicsModelConfig config;
   config.search_params = search;
@@ -221,11 +254,14 @@ int Run() {
       .Field("contrast_max_abs_diff", max_abs_diff)
       .Field("sharded_identical", sharded_identical)
       .Field("merge_within_tolerance", merge_within_tolerance)
+      .Field("one_shard_identical", one_shard_identical)
       .EndObject();
   if (bench::WriteJsonFile("BENCH_sharded.json", json)) {
     std::printf("\n-> BENCH_sharded.json\n");
   }
-  return sharded_identical && merge_within_tolerance ? 0 : 1;
+  return sharded_identical && merge_within_tolerance && one_shard_identical
+             ? 0
+             : 1;
 }
 
 }  // namespace hics

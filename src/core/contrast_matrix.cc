@@ -5,19 +5,16 @@
 #include "common/parallel.h"
 #include "common/subspace.h"
 #include "core/hics.h"
-#include "engine/shard_plane.h"
+#include "engine/prepared_dataset.h"
 #include "stats/two_sample_test.h"
 
 namespace hics {
 
-namespace {
-
 // Validates, then scores every 2-D subspace through the plane's lattice
 // level scorer — the same call the search makes for its first level — and
 // mirrors the scores into the symmetric matrix.
-template <typename Plane>
-Result<Matrix> ScoreAllPairs(const Plane& plane,
-                             const ContrastMatrixParams& params) {
+Result<Matrix> ComputeContrastMatrix(const ShardPlane& plane,
+                                     const ContrastMatrixParams& params) {
   const Dataset& dataset = plane.dataset();
   HICS_RETURN_NOT_OK(params.contrast.Validate());
   const auto test = stats::MakeTwoSampleTest(params.statistical_test);
@@ -49,24 +46,12 @@ Result<Matrix> ScoreAllPairs(const Plane& plane,
   return result;
 }
 
-}  // namespace
-
 Result<Matrix> ComputeContrastMatrix(const Dataset& dataset,
                                      const ContrastMatrixParams& params) {
   const std::size_t build_threads =
       params.num_threads == 0 ? DefaultNumThreads() : params.num_threads;
   const PreparedDataset prepared(dataset, build_threads);
   return ComputeContrastMatrix(prepared, params);
-}
-
-Result<Matrix> ComputeContrastMatrix(const PreparedDataset& prepared,
-                                     const ContrastMatrixParams& params) {
-  return ScoreAllPairs(prepared, params);
-}
-
-Result<Matrix> ComputeContrastMatrix(const ShardPlane& sharded,
-                                     const ContrastMatrixParams& params) {
-  return ScoreAllPairs(sharded, params);
 }
 
 }  // namespace hics

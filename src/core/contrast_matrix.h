@@ -30,30 +30,25 @@ struct ContrastMatrixParams {
 
 /// Computes the full D x D matrix. Fails on invalid params or fewer than
 /// two attributes / objects. Thin adapter: prepares `dataset` privately
-/// and delegates to the PreparedDataset overload.
+/// and delegates to the ShardPlane overload.
 Result<Matrix> ComputeContrastMatrix(const Dataset& dataset,
                                      const ContrastMatrixParams& params = {});
 
-/// Prepared-path variant: reuses `prepared`'s sorted-attribute index and
-/// rank artifacts (shared with RunHicsSearch and the ranking stage)
-/// instead of rebuilding them — the second index build the matrix used to
-/// pay is gone. Bit-identical to the Dataset overload, and entry (i, j)
-/// equals the prepared RunHicsSearch's level-2 score of {i, j} under the
-/// same seed.
-Result<Matrix> ComputeContrastMatrix(const PreparedDataset& prepared,
-                                     const ContrastMatrixParams& params = {});
-
-/// Sharded variant: every pair's estimate fans out over the shards (shard
-/// s runs ShardIterations(M, S, s) iterations on its own rows with stream
-/// ShardStreamSeed(seed, pair, s)) and the matrix entry is the row-count-
-/// weighted average of the per-shard estimates, reduced in shard-ordinal
-/// order. Bit-identical for a fixed effective shard count across thread
-/// counts and shard completion orders, and entry (i, j) equals the
-/// sharded RunHicsSearch's level-2 score of {i, j} under the same seed
-/// (both score through the same level scorer) — but it is a different
-/// estimator than the unsharded matrix (agreement within Monte Carlo
-/// noise, not bit-equality).
-Result<Matrix> ComputeContrastMatrix(const ShardPlane& sharded,
+/// The matrix over a data plane: every pair is scored by the plane's
+/// lattice level scorer, so entry (i, j) equals RunHicsSearch's level-2
+/// score of {i, j} on the same plane under the same seed, bit-identical
+/// for every thread count. A PreparedDataset reuses its sorted-attribute
+/// index and rank artifacts (shared with RunHicsSearch and the ranking
+/// stage); every one-shard plane over the same rows — a PreparedDataset,
+/// or a ShardedDataset / StreamingDataset clamped to one shard — gives
+/// the same bits as the Dataset overload. With more shards, every pair's
+/// estimate fans out over the shards (shard s runs ShardIterations(M, S,
+/// s) iterations on its own rows with stream ShardStreamSeed(seed, pair,
+/// s)) and the entry is the row-count-weighted average of the per-shard
+/// estimates, reduced in shard-ordinal order — a different estimator than
+/// the one-shard matrix (agreement within Monte Carlo noise, not
+/// bit-equality).
+Result<Matrix> ComputeContrastMatrix(const ShardPlane& plane,
                                      const ContrastMatrixParams& params = {});
 
 }  // namespace hics

@@ -1,7 +1,6 @@
 #include "core/hics.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 
 #include "common/parallel.h"
@@ -118,76 +117,11 @@ std::size_t PruneRedundant(std::vector<ScoredSubspace>* subspaces) {
   return removed;
 }
 
-LevelScorer MakeLevelScorer(const PreparedDataset& prepared,
+LevelScorer MakeLevelScorer(const ShardPlane& plane,
                             const stats::TwoSampleTest& test,
                             const ContrastParams& contrast, std::uint64_t seed,
                             std::size_t num_threads) {
-  auto estimator =
-      std::make_shared<const ContrastEstimator>(prepared, test, contrast);
-  return [estimator, seed, num_threads](
-             std::vector<Subspace> level, std::uint64_t eval_base,
-             const RunContext& ctx, std::vector<ScoredSubspace>* completed,
-             HicsRunStats* stats) -> Status {
-    // A contrast evaluation that fails is isolated: its subspace is skipped
-    // (it neither enters the pool nor seeds the next level) and tallied.
-    // Only interruption codes (cancel/deadline) stop the level early; the
-    // subspaces scored before the stop still count as best-so-far results.
-    std::vector<ScoredSubspace> scored(level.size());
-    std::vector<char> scored_ok(level.size(), 0);
-    std::atomic<std::size_t> failed{0};
-    std::vector<ContrastScratch> scratches(
-        ParallelWorkerCount(level.size(), num_threads));
-    const Status level_status = ParallelTryForWorker(
-        0, level.size(), num_threads,
-        [&](std::size_t i, std::size_t worker) -> Status {
-          // eval_base + i + 1 is evaluation i's deterministic 1-based fault
-          // ordinal, equal to the arrival count of an uninterrupted serial
-          // run.
-          const std::uint64_t ordinal = eval_base + i + 1;
-          Status injected = ctx.InjectFault("contrast.estimate", ordinal);
-          Result<double> contrast =
-              injected.ok()
-                  ? [&]() -> Result<double> {
-                      // Every subspace gets its own Monte Carlo stream
-                      // derived from (seed, subspace), making the search
-                      // reproducible independent of the level evaluation
-                      // order and the worker count.
-                      Rng rng(seed ^ (SubspaceHash{}(level[i]) *
-                                      0x9e3779b97f4a7c15ULL));
-                      return estimator->Contrast(level[i], &rng,
-                                                 &scratches[worker], ctx,
-                                                 ordinal);
-                    }()
-                  : Result<double>(std::move(injected));
-          if (contrast.ok()) {
-            scored[i] = {std::move(level[i]), *contrast};
-            scored_ok[i] = 1;
-            return Status::OK();
-          }
-          const StatusCode code = contrast.status().code();
-          if (code == StatusCode::kCancelled ||
-              code == StatusCode::kDeadlineExceeded) {
-            return contrast.status();  // stops the level deterministically
-          }
-          failed.fetch_add(1, std::memory_order_relaxed);
-          return Status::OK();  // isolated: skip this subspace, keep going
-        },
-        [&ctx] { return ctx.ShouldStop(); });
-    stats->failed_contrast_evaluations +=
-        failed.load(std::memory_order_relaxed);
-    completed->reserve(scored.size());
-    for (std::size_t i = 0; i < scored.size(); ++i) {
-      if (scored_ok[i]) completed->push_back(std::move(scored[i]));
-    }
-    return level_status;
-  };
-}
-
-LevelScorer MakeLevelScorer(const ShardPlane& sharded,
-                            const stats::TwoSampleTest& test,
-                            const ContrastParams& contrast, std::uint64_t seed,
-                            std::size_t num_threads) {
-  const std::size_t num_shards = sharded.num_shards();
+  const std::size_t num_shards = plane.num_shards();
   // One estimator per shard, each with its slice of the iteration budget.
   // Building them forces the per-shard lazy rank artifacts, so fan the
   // construction out — the artifact content is build-order-invariant.
@@ -199,17 +133,21 @@ LevelScorer MakeLevelScorer(const ShardPlane& sharded,
         ShardIterations(contrast.num_iterations, num_shards, s),
         contrast.alpha};
     (*estimators)[s] = std::make_unique<ContrastEstimator>(
-        sharded.shard(s), test, shard_params);
+        plane.shard(s), test, shard_params);
   });
   std::vector<double> weights(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    weights[s] = static_cast<double>(sharded.shard_size(s));
+    weights[s] = static_cast<double>(plane.shard_size(s));
   }
   return [estimators, weights = std::move(weights), num_shards, seed,
           num_threads](std::vector<Subspace> level, std::uint64_t eval_base,
                        const RunContext& ctx,
                        std::vector<ScoredSubspace>* completed,
                        HicsRunStats* stats) -> Status {
+    // A one-shard plane is the unsharded estimator: its shard draws from
+    // the per-subspace stream, probes no "shard.contrast", and its value
+    // is the subspace's score as is.
+    const bool sharded = num_shards > 1;
     // Per-(subspace, shard) slot states.
     enum : char { kNotRun = 0, kOk = 1, kFailed = 2 };
     // Fan out over (subspace, shard) tasks: task t = subspace t/S, shard
@@ -226,22 +164,31 @@ LevelScorer MakeLevelScorer(const ShardPlane& sharded,
         [&](std::size_t t, std::size_t worker) -> Status {
           const std::size_t i = t / num_shards;
           const std::size_t shard = t % num_shards;
-          // The sharded estimate ordinal: evaluation (eval_base + i)'s
-          // shard block, shard-major. "shard.contrast" is probed with the
-          // bare shard ordinal so FailNthCall(site, k) poisons shard k-1
-          // on every subspace — the "one poisoned shard" drill.
+          // The estimate ordinal: evaluation (eval_base + i)'s shard
+          // block, shard-major — eval_base + i + 1 on one shard, the
+          // arrival count of an uninterrupted serial run. "shard.contrast"
+          // is probed with the bare shard ordinal so FailNthCall(site, k)
+          // poisons shard k-1 on every subspace — the "one poisoned
+          // shard" drill.
           const std::uint64_t ordinal =
               (eval_base + i) * num_shards + shard + 1;
-          Status injected = ctx.InjectFault(
-              "shard.contrast", static_cast<std::uint64_t>(shard) + 1);
+          Status injected =
+              sharded ? ctx.InjectFault("shard.contrast",
+                                        static_cast<std::uint64_t>(shard) + 1)
+                      : Status::OK();
           if (injected.ok()) {
             injected = ctx.InjectFault("contrast.estimate", ordinal);
           }
           Result<double> contrast =
               injected.ok()
                   ? [&]() -> Result<double> {
-                      Rng rng(ShardStreamSeed(seed, SubspaceHash{}(level[i]),
-                                              shard));
+                      // Every (subspace, shard) gets its own Monte Carlo
+                      // stream derived from (seed, subspace, shard),
+                      // making the search reproducible independent of
+                      // the evaluation order and the worker count.
+                      const std::uint64_t hash = SubspaceHash{}(level[i]);
+                      Rng rng(sharded ? ShardStreamSeed(seed, hash, shard)
+                                      : seed ^ (hash * 0x9e3779b97f4a7c15ULL));
                       return (*estimators)[shard]->Contrast(
                           level[i], &rng, &scratches[worker], ctx, ordinal);
                     }()
@@ -254,7 +201,7 @@ LevelScorer MakeLevelScorer(const ShardPlane& sharded,
           const StatusCode code = contrast.status().code();
           if (code == StatusCode::kCancelled ||
               code == StatusCode::kDeadlineExceeded) {
-            return contrast.status();
+            return contrast.status();  // stops the level deterministically
           }
           state[t] = kFailed;  // isolated: one shard of one subspace
           return Status::OK();
@@ -264,7 +211,9 @@ LevelScorer MakeLevelScorer(const ShardPlane& sharded,
     // Merge: weighted average over the surviving shards, weights
     // renormalized when shards dropped out. A subspace with an unevaluated
     // shard slot (interrupted level) is not merged — partial merges would
-    // make interrupted results depend on scheduling.
+    // make interrupted results depend on scheduling. A subspace whose
+    // every shard failed is skipped: it neither enters the pool nor seeds
+    // the next level.
     completed->reserve(level.size());
     for (std::size_t i = 0; i < level.size(); ++i) {
       bool all_run = true;
@@ -287,12 +236,14 @@ LevelScorer MakeLevelScorer(const ShardPlane& sharded,
         }
       }
       if (!all_run) continue;
-      stats->failed_shard_evaluations += shard_failures;
+      if (sharded) stats->failed_shard_evaluations += shard_failures;
       if (!any_ok) {
         ++stats->failed_contrast_evaluations;
         continue;
       }
-      completed->push_back({std::move(level[i]), value_sum / weight_sum});
+      // One shard's value is taken as is: (w * v) / w need not round to v.
+      completed->push_back(
+          {std::move(level[i]), sharded ? value_sum / weight_sum : values[i]});
     }
     return level_status;
   };
@@ -300,18 +251,26 @@ LevelScorer MakeLevelScorer(const ShardPlane& sharded,
 
 }  // namespace internal
 
-namespace {
+Result<std::vector<ScoredSubspace>> RunHicsSearch(const Dataset& dataset,
+                                                  const HicsParams& params,
+                                                  const RunContext& ctx,
+                                                  HicsRunStats* stats) {
+  // Thin adapter: prepare privately with the run's thread budget (the
+  // index content is identical for any build parallelism) and delegate.
+  const std::size_t build_threads =
+      params.num_threads == 0 ? DefaultNumThreads() : params.num_threads;
+  const PreparedDataset prepared(dataset, build_threads);
+  return RunHicsSearch(prepared, params, ctx, stats);
+}
 
 // The lattice driver (paper §IV, Alg. 1) shared by every plane: score a
 // level, keep the candidate_cutoff best, Apriori-join the survivors into
 // the next level, and finally prune redundant subspaces. Scoring a level
-// is the only plane-specific step; it is delegated to the plane's
-// internal::MakeLevelScorer overload.
-template <typename Plane>
-Result<std::vector<ScoredSubspace>> RunLattice(const Plane& plane,
-                                               const HicsParams& params,
-                                               const RunContext& ctx,
-                                               HicsRunStats* stats) {
+// is delegated to internal::MakeLevelScorer.
+Result<std::vector<ScoredSubspace>> RunHicsSearch(const ShardPlane& plane,
+                                                  const HicsParams& params,
+                                                  const RunContext& ctx,
+                                                  HicsRunStats* stats) {
   const Dataset& dataset = plane.dataset();
   HICS_RETURN_NOT_OK(params.Validate());
   if (dataset.num_attributes() < 2) {
@@ -402,32 +361,6 @@ Result<std::vector<ScoredSubspace>> RunLattice(const Plane& plane,
 
   if (stats != nullptr) *stats = local_stats;
   return pool;
-}
-
-}  // namespace
-
-Result<std::vector<ScoredSubspace>> RunHicsSearch(const Dataset& dataset,
-                                                  const HicsParams& params,
-                                                  const RunContext& ctx,
-                                                  HicsRunStats* stats) {
-  // Thin adapter: prepare privately with the run's thread budget (the
-  // index content is identical for any build parallelism) and delegate.
-  const std::size_t build_threads =
-      params.num_threads == 0 ? DefaultNumThreads() : params.num_threads;
-  const PreparedDataset prepared(dataset, build_threads);
-  return RunHicsSearch(prepared, params, ctx, stats);
-}
-
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const PreparedDataset& prepared, const HicsParams& params,
-    const RunContext& ctx, HicsRunStats* stats) {
-  return RunLattice(prepared, params, ctx, stats);
-}
-
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const ShardPlane& sharded, const HicsParams& params,
-    const RunContext& ctx, HicsRunStats* stats) {
-  return RunLattice(sharded, params, ctx, stats);
 }
 
 }  // namespace hics

@@ -93,7 +93,7 @@ struct HicsRunStats {
 /// Returns the output_top_k highest-contrast subspaces, sorted by
 /// descending contrast. `stats`, when non-null, receives run diagnostics.
 /// The Dataset overload is a thin adapter that prepares privately and
-/// delegates to the PreparedDataset overload.
+/// delegates to the ShardPlane overload.
 ///
 /// `ctx` is checked between lattice levels, between subspace evaluations
 /// within a level, and between Monte Carlo iterations within one contrast
@@ -109,40 +109,41 @@ Result<std::vector<ScoredSubspace>> RunHicsSearch(
     const Dataset& dataset, const HicsParams& params,
     const RunContext& ctx = RunContext(), HicsRunStats* stats = nullptr);
 
-/// Prepared-path search: the sorted-attribute index (and the other rank
-/// artifacts the contrast kernels consume) come from `prepared` instead of
-/// being rebuilt per call — so search, contrast matrix, and ranking over
-/// one dataset share a single O(D N log N) build. Bit-identical to the
-/// Dataset overload.
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const PreparedDataset& prepared, const HicsParams& params,
-    const RunContext& ctx = RunContext(), HicsRunStats* stats = nullptr);
-
-/// Sharded search (DESIGN.md §5i): each lattice-level contrast estimate
-/// fans out over the shards — shard s runs ShardIterations(M, S, s) Monte
+/// Search over a data plane. The rank artifacts the contrast kernels
+/// consume come from the plane's prepared shards instead of being rebuilt
+/// per call, so search, contrast matrix and ranking over one
+/// PreparedDataset share a single O(D N log N) build.
+///
+/// One shard (a PreparedDataset, or a ShardedDataset / StreamingDataset
+/// clamped to one shard) is the unsharded estimator: subspace S draws M
+/// iterations from the stream seed ^ (hash(S) * phi), so every one-shard
+/// plane over the same rows returns the same bits, and the Dataset
+/// overload returns them too.
+///
+/// More shards (DESIGN.md §5i): each lattice-level contrast estimate fans
+/// out over the shards — shard s runs ShardIterations(M, S, s) Monte
 /// Carlo iterations on its own rows with its own RNG stream
 /// (ShardStreamSeed(seed, subspace, s)) — and the per-shard estimates are
 /// merged by a row-count-weighted average before the cutoff / candidate
 /// generation, which runs once on the merged scores. Total slice work per
 /// subspace drops to ~M*N/S rows, which is where the sharded speedup
-/// comes from.
+/// comes from. This is a different estimator than the one-shard search:
+/// expect agreement within Monte Carlo noise, not bit-equality.
 ///
 /// Determinism: for a fixed effective shard count the result is
 /// bit-identical across thread counts and shard completion orders (every
 /// (subspace, shard) stream is derived, never shared; the merge reduces
-/// in shard-ordinal order). It is intentionally a *different* estimator
-/// than the unsharded search — expect agreement within Monte Carlo noise,
-/// not bit-equality, between the two.
+/// in shard-ordinal order).
 ///
-/// Degradation: a failed shard estimate (fault site "shard.contrast",
-/// probed with ordinal shard+1, or "contrast.estimate" at the sharded
-/// ordinal (eval_ordinal-1)*S + shard + 1) is absorbed by renormalizing
-/// the merge weights over the surviving shards and counted in
-/// stats->failed_shard_evaluations; the subspace fails only when every
-/// shard failed. Interruption (deadline/cancel) keeps best-so-far like
-/// the unsharded overloads.
+/// Degradation: evaluation i of a level probes "contrast.estimate" with
+/// the ordinal (eval_base + i) * S + shard + 1 — eval_base + i + 1 on one
+/// shard. With more than one shard, "shard.contrast" is also probed with
+/// ordinal shard + 1, and a failed shard estimate is absorbed by
+/// renormalizing the merge weights over the surviving shards and counted
+/// in stats->failed_shard_evaluations; the subspace fails only when every
+/// shard failed. Interruption (deadline/cancel) keeps best-so-far.
 Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const ShardPlane& sharded, const HicsParams& params,
+    const ShardPlane& plane, const HicsParams& params,
     const RunContext& ctx = RunContext(), HicsRunStats* stats = nullptr);
 
 /// Exposed lattice utilities (used internally and unit-tested directly).
@@ -171,24 +172,19 @@ std::size_t PruneRedundant(std::vector<ScoredSubspace>* subspaces);
 /// level (the base of the deterministic fault ordinals). Returns the
 /// interruption (Cancelled / DeadlineExceeded) that cut the level short,
 /// OK otherwise. The search driver and ComputeContrastMatrix both score
-/// through these, so matrix entry (i, j) is the level-2 score of {i, j}.
+/// through it, so matrix entry (i, j) is the level-2 score of {i, j}.
 using LevelScorer = std::function<Status(
     std::vector<Subspace> level, std::uint64_t eval_base,
     const RunContext& ctx, std::vector<ScoredSubspace>* scored,
     HicsRunStats* stats)>;
 
-/// Unsharded scorer: one estimator over `prepared`; subspace S draws from
-/// the stream seed ^ (hash(S) * phi) and evaluation i of a level has fault
-/// ordinal eval_base + i + 1.
-LevelScorer MakeLevelScorer(const PreparedDataset& prepared,
-                            const stats::TwoSampleTest& test,
-                            const ContrastParams& contrast, std::uint64_t seed,
-                            std::size_t num_threads);
-
-/// Sharded scorer: per-shard estimators with ShardIterations(M, S, s)
-/// iterations and ShardStreamSeed streams, merged by the row-count-
-/// weighted average in shard order (see the ShardPlane RunHicsSearch).
-LevelScorer MakeLevelScorer(const ShardPlane& sharded,
+/// The level scorer of `plane`: per-shard estimators with
+/// ShardIterations(M, S, s) iterations, merged by the row-count-weighted
+/// average in shard order. On one shard it is the unsharded estimator:
+/// the per-subspace stream, no "shard.contrast" probe, no shard-failure
+/// tally, and the shard's value unmerged (see the ShardPlane
+/// RunHicsSearch).
+LevelScorer MakeLevelScorer(const ShardPlane& plane,
                             const stats::TwoSampleTest& test,
                             const ContrastParams& contrast, std::uint64_t seed,
                             std::size_t num_threads);

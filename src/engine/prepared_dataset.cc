@@ -217,6 +217,21 @@ void PreparedDataset::EnsureRankArtifacts() const {
   });
 }
 
+const PreparedDataset& PreparedDataset::shard(std::size_t s) const {
+  HICS_CHECK_EQ(s, 0u);
+  return *this;
+}
+
+std::size_t PreparedDataset::shard_begin(std::size_t s) const {
+  HICS_CHECK_EQ(s, 0u);
+  return 0;
+}
+
+std::size_t PreparedDataset::shard_size(std::size_t s) const {
+  HICS_CHECK_EQ(s, 0u);
+  return dataset_.num_objects();
+}
+
 std::pair<double, double> PreparedDataset::AttributeRange(
     std::size_t attribute) const {
   HICS_CHECK(attribute < dataset_.num_attributes());

@@ -15,6 +15,7 @@
 
 #include "common/dataset.h"
 #include "common/subspace.h"
+#include "engine/shard_plane.h"
 #include "index/neighbor_searcher.h"
 #include "index/sorted_index.h"
 
@@ -431,7 +432,13 @@ struct PreparedDatasetOptions {
 /// accessors are const and thread-safe; the embedded cache is logically
 /// part of the immutable artifact (memoization, not mutation), hence
 /// reachable through const access.
-class PreparedDataset {
+///
+/// A PreparedDataset is also the one-shard ShardPlane: its only shard is
+/// itself, covering every row, and its global ranges are its attribute
+/// ranges. The search, the contrast matrix and ranking therefore take it
+/// through the same ShardPlane code as the sharded and streaming
+/// planes, and on one shard that code is the unsharded estimator.
+class PreparedDataset final : public ShardPlane {
  public:
   explicit PreparedDataset(const Dataset& dataset,
                            std::size_t build_threads = 1)
@@ -451,9 +458,17 @@ class PreparedDataset {
     return std::make_shared<const PreparedDataset>(dataset, build_threads);
   }
 
-  const Dataset& dataset() const { return dataset_; }
-  std::size_t num_objects() const { return dataset_.num_objects(); }
-  std::size_t num_attributes() const { return dataset_.num_attributes(); }
+  const Dataset& dataset() const override { return dataset_; }
+
+  // --- ShardPlane view: one shard, the whole dataset ---
+  std::size_t num_shards() const override { return 1; }
+  const PreparedDataset& shard(std::size_t s) const override;
+  std::size_t shard_begin(std::size_t s) const override;
+  std::size_t shard_size(std::size_t s) const override;
+  std::pair<double, double> GlobalAttributeRange(
+      std::size_t attribute) const override {
+    return AttributeRange(attribute);
+  }
 
   /// The dataset epoch this artifact was built at (0 for static
   /// datasets). Matches cache().epoch() for artifacts built by the

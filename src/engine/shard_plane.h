@@ -5,29 +5,35 @@
 #include <utility>
 
 #include "common/dataset.h"
-#include "engine/prepared_dataset.h"
 
 namespace hics {
 
-/// Abstract row-partitioned data plane: what the sharded search
-/// (RunHicsSearch), the sharded contrast matrix, and sharded ranking
-/// actually consume. Two implementations exist — the static
-/// ShardedDataset (DESIGN.md §5i) and the sliding-window
-/// StreamingDataset (§5j) — and because both feed the *same* fan-out /
-/// merge code through this interface, a streaming window and a cold
-/// ShardedDataset over identical rows produce byte-identical results by
-/// construction rather than by parallel maintenance of two code paths.
+class PreparedDataset;  // engine/prepared_dataset.h; it is a ShardPlane
+
+/// Abstract row-partitioned data plane: what the search (RunHicsSearch),
+/// the contrast matrix, and sharded ranking actually consume. Three
+/// implementations exist — PreparedDataset, its own single shard; the
+/// static ShardedDataset (DESIGN.md §5i); and the sliding-window
+/// StreamingDataset (§5j) — and because all of them feed the *same*
+/// level scorer and ranking loop through this interface, results
+/// depend only on the rows and the effective shard count, never on
+/// which plane holds them: a one-shard plane is the unsharded estimator,
+/// and a streaming window and a cold ShardedDataset over identical rows
+/// produce byte-identical results by construction rather than by
+/// parallel maintenance of several code paths.
 ///
 /// Contract (what the consumers rely on):
 ///  - shard s covers the contiguous full-dataset rows
 ///    [shard_begin(s), shard_begin(s) + shard_size(s)), partitioned by
 ///    the canonical rule begin = (s * N) / num_shards(), so concatenating
 ///    per-shard results in shard order restores object-id order;
-///  - num_shards() >= 1, and every shard holds >= 2 rows (the contrast
-///    estimator's two-sample floor) — implementations clamp to N/2;
-///  - shard(s) is the shard's prepared artifact over an owned row copy;
-///    its lazily built rank artifacts and cache entries depend only on
-///    the shard's row *contents*, never on the shard's ordinal;
+///  - num_shards() >= 1, and with more than one shard every shard holds
+///    >= 2 rows (the contrast estimator's two-sample floor) —
+///    implementations clamp to max(1, N/2);
+///  - shard(s) is the shard's prepared artifact (a PreparedDataset is its
+///    own shard 0); its lazily built rank artifacts and cache entries
+///    depend only on the shard's row *contents*, never on the shard's
+///    ordinal;
 ///  - GlobalAttributeRange returns the (min, max) over the FULL dataset
 ///    (the range every per-shard SubspaceGrid bins against so cell keys
 ///    merge exactly), with the (0, 0) all-NaN/empty sentinel.
@@ -41,7 +47,7 @@ class ShardPlane {
   /// The full (unpartitioned) dataset the plane is a view of.
   virtual const Dataset& dataset() const = 0;
 
-  /// Shard `s`'s prepared artifact (its dataset is the owned row copy).
+  /// Shard `s`'s prepared artifact.
   virtual const PreparedDataset& shard(std::size_t s) const = 0;
 
   /// First full-dataset row of shard `s`.

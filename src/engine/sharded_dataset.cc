@@ -26,7 +26,7 @@ std::uint64_t SplitMix64(std::uint64_t x) {
 
 std::uint64_t ShardStreamSeed(std::uint64_t seed, std::uint64_t subspace_hash,
                               std::size_t shard) {
-  // Start from the per-subspace stream seed the unsharded search derives,
+  // Start from the per-subspace stream seed a one-shard plane draws from,
   // advance by (shard + 1) golden-ratio steps, and avalanche: shards of
   // the same subspace get decorrelated streams, and no shard's seed ever
   // collides with the raw per-subspace seed itself (the +1 offset).

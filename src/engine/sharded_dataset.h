@@ -15,14 +15,14 @@
 namespace hics {
 
 /// Derives the RNG seed of one (run seed, subspace, shard) Monte Carlo
-/// stream: the per-subspace stream derivation the search already uses,
-/// splitmix-advanced by the shard ordinal. Every shard therefore draws
-/// from its own deterministic stream — results depend only on (seed,
-/// subspace, shard ordinal), never on which thread ran the shard or in
-/// which order shards completed. Shard 0 of a 1-shard run is its own
-/// stream, distinct from the unsharded stream on purpose: the sharded
-/// estimator is a different (ensemble-averaged) estimator and must not
-/// masquerade as bit-equal to the unsharded one.
+/// stream of a plane with more than one shard: the per-subspace stream
+/// derivation of the unsharded search, splitmix-advanced by the shard
+/// ordinal. Every shard therefore draws from its own deterministic
+/// stream — results depend only on (seed, subspace, shard ordinal),
+/// never on which thread ran the shard or in which order shards
+/// completed. A one-shard plane does not call it: its only shard draws
+/// from the per-subspace stream itself, which is what makes it the
+/// unsharded estimator (DESIGN.md §5i).
 std::uint64_t ShardStreamSeed(std::uint64_t seed, std::uint64_t subspace_hash,
                               std::size_t shard);
 

@@ -71,10 +71,11 @@ struct StreamingOptions {
 /// ShardedDataset at the same shard count otherwise), at every thread
 /// count. The plane guarantees this by construction: the partition rule,
 /// per-shard RNG streams (keyed by shard ordinal), and merge order are
-/// shared with ShardedDataset through the ShardPlane interface, and every
-/// incrementally maintained artifact reproduces its cold counterpart
-/// bit-for-bit (tests/streaming_dataset_test.cc asserts it; CI gates on
-/// `streaming_identical`).
+/// shared with ShardedDataset through the ShardPlane interface, a
+/// one-shard plane is the unsharded estimator whichever artifact it
+/// reads, and every incrementally maintained artifact reproduces its
+/// cold counterpart bit-for-bit (tests/streaming_dataset_test.cc asserts
+/// it; CI gates on `streaming_identical`).
 ///
 /// Concurrency: queries (through prepared()/the ShardPlane view) are
 /// thread-safe among themselves, but mutations require external

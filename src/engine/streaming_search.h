@@ -14,30 +14,31 @@
 namespace hics {
 
 /// Streaming overloads of the search and ranking entry points: the same
-/// algorithms, reading the current window of a StreamingDataset through
-/// whichever substrate matches its shard count. Output is byte-identical
-/// to a cold rebuild of the identical window — a fresh PreparedDataset
-/// when the plane is unsharded (num_shards() == 1), a fresh
-/// ShardedDataset at the same shard count otherwise — at every thread
-/// count; tests/streaming_dataset_test.cc and bench_streaming assert it
-/// after every slide (`streaming_identical` in CI).
+/// code, reading the current window of a StreamingDataset. Output is
+/// byte-identical to a cold rebuild of the identical window — a fresh
+/// PreparedDataset when the plane has one shard, a fresh ShardedDataset
+/// at the same shard count otherwise — at every thread count;
+/// tests/streaming_dataset_test.cc and bench_streaming assert it after
+/// every slide (`streaming_identical` in CI).
 ///
-/// Routing rationale: a one-shard plane runs the *unsharded* estimator
-/// over the whole-window prepared artifact (so single-stream deployments
-/// keep the canonical estimator and its warm window cache), while a
-/// multi-shard plane runs the sharded estimator through the ShardPlane
+/// Routing: a one-shard plane is the unsharded estimator on any route
+/// (DESIGN.md §5i); these overloads send it to the whole-window
+/// prepared artifact only so it keeps the warm window cache and the grid
+/// carry across slides. A multi-shard plane runs through the ShardPlane
 /// interface — identical code path, RNG streams, and merge order as
 /// ShardedDataset, which is what makes cold/streaming byte-equality hold
-/// by construction rather than by re-verification.
+/// by construction rather than by re-verification. ComputeContrastMatrix
+/// needs no streaming overload: it takes the window as a ShardPlane.
 Result<std::vector<ScoredSubspace>> RunHicsSearch(
     const StreamingDataset& streaming, const HicsParams& params,
     const RunContext& ctx = RunContext(), HicsRunStats* stats = nullptr);
 
 /// Streaming ranking over the current window. One-shard planes rank
 /// through the prepared path (exact for every scorer, cache-warm across
-/// slides); multi-shard planes rank through RankWithSubspacesSharded
-/// under `policy` (kRequireExactMerge fails for scorers that cannot merge
-/// per-shard state exactly — same consent rule as the sharded API).
+/// slides, so `policy` is not consulted); multi-shard planes rank
+/// through RankWithSubspacesSharded under `policy` (kRequireExactMerge
+/// fails for scorers that cannot merge per-shard state exactly — same
+/// consent rule as the sharded API).
 /// With an empty subspace list, scores the full space.
 Result<std::vector<double>> RankWithSubspaces(
     const StreamingDataset& streaming, const std::vector<Subspace>& subspaces,

@@ -124,7 +124,10 @@ Result<std::vector<double>> OutlierScorer::ScoreSubspacePreparedChecked(
   // the exact fault placement of a cold run, and a fault-skipped subspace
   // must not be served from (or admitted to) the cache.
   HICS_RETURN_NOT_OK(ctx.CheckProgress());
-  HICS_RETURN_NOT_OK(ctx.InjectFault("scorer." + name(), fault_ordinal));
+  // The site name is built only when an injector can read it.
+  if (ctx.fault_injector() != nullptr) {
+    HICS_RETURN_NOT_OK(ctx.InjectFault("scorer." + name(), fault_ordinal));
+  }
   const std::string key = cache_key();
   if (!key.empty()) {
     if (auto hit = prepared.cache().FindScores(key, subspace)) {

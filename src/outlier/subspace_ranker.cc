@@ -62,27 +62,49 @@ std::vector<double> AggregateScores(
   return result;
 }
 
+namespace {
+
+// The one ranking loop: scores every subspace (the full space when the
+// list is empty) into a pre-sized slot and aggregates the slots in
+// subspace order, so the result is byte-identical for every thread count
+// and cache state. A one-shard plane is scored through its only shard's
+// cache — exact for every scorer, and the unsharded ranking itself; more
+// shards score through the scorer's sharded seam.
+std::vector<double> RankPlane(const ShardPlane& plane,
+                              const std::vector<Subspace>& subspaces,
+                              const OutlierScorer& scorer,
+                              ScoreAggregation aggregation,
+                              std::size_t num_threads) {
+  const auto score = [&](const Subspace& subspace) {
+    return plane.num_shards() == 1
+               ? scorer.ScoreSubspaceCached(plane.shard(0), subspace)
+               : scorer.ScoreSubspaceSharded(plane, subspace);
+  };
+  if (subspaces.empty()) return score(plane.dataset().FullSpace());
+  std::vector<std::vector<double>> per_subspace(subspaces.size());
+  ParallelFor(0, subspaces.size(), num_threads, [&](std::size_t i) {
+    per_subspace[i] = score(subspaces[i]);
+  });
+  return AggregateScores(per_subspace, aggregation);
+}
+
+}  // namespace
+
 std::vector<double> RankWithSubspaces(const PreparedDataset& prepared,
                                       const std::vector<Subspace>& subspaces,
                                       const OutlierScorer& scorer,
                                       ScoreAggregation aggregation,
                                       std::size_t num_threads) {
-  if (subspaces.empty()) {
-    return scorer.ScoreSubspaceCached(prepared,
-                                      prepared.dataset().FullSpace());
-  }
-  std::vector<std::vector<double>> per_subspace(subspaces.size());
-  ParallelFor(0, subspaces.size(), num_threads, [&](std::size_t i) {
-    per_subspace[i] = scorer.ScoreSubspaceCached(prepared, subspaces[i]);
-  });
-  return AggregateScores(per_subspace, aggregation);
+  return RankPlane(prepared, subspaces, scorer, aggregation, num_threads);
 }
 
 Result<std::vector<double>> RankWithSubspacesSharded(
     const ShardPlane& sharded, const std::vector<Subspace>& subspaces,
     const OutlierScorer& scorer, ScoreAggregation aggregation,
     ShardedScoringPolicy policy, std::size_t num_threads) {
-  if (policy == ShardedScoringPolicy::kRequireExactMerge &&
+  // One shard is exact for every scorer, so it needs no consent.
+  if (sharded.num_shards() > 1 &&
+      policy == ShardedScoringPolicy::kRequireExactMerge &&
       !scorer.SupportsExactShardedMerge()) {
     return Status::InvalidArgument(
         "scorer '" + scorer.name() +
@@ -90,15 +112,7 @@ Result<std::vector<double>> RankWithSubspacesSharded(
         "is a per-shard approximation — pass "
         "ShardedScoringPolicy::kAllowApproximation to opt in");
   }
-  if (subspaces.empty()) {
-    return scorer.ScoreSubspaceSharded(sharded,
-                                       sharded.dataset().FullSpace());
-  }
-  std::vector<std::vector<double>> per_subspace(subspaces.size());
-  ParallelFor(0, subspaces.size(), num_threads, [&](std::size_t i) {
-    per_subspace[i] = scorer.ScoreSubspaceSharded(sharded, subspaces[i]);
-  });
-  return AggregateScores(per_subspace, aggregation);
+  return RankPlane(sharded, subspaces, scorer, aggregation, num_threads);
 }
 
 Result<std::vector<double>> RankWithSubspacesSharded(

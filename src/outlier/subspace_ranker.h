@@ -95,19 +95,23 @@ std::vector<double> RankWithSubspaces(const PreparedDataset& prepared,
 /// than unsharded scoring. That semantic change must be an explicit
 /// caller decision, never a silent fallback.
 enum class ShardedScoringPolicy {
-  /// Error (InvalidArgument) unless the scorer merges exactly — the
-  /// ranking is then bit-identical to the unsharded prepared path.
+  /// Error (InvalidArgument) unless the scorer merges exactly or the
+  /// plane has one shard — the ranking is then bit-identical to the
+  /// unsharded prepared path.
   kRequireExactMerge,
   /// Permit the per-shard approximation for non-merging scorers (each
   /// shard scored against its own rows, concatenated in shard order).
   kAllowApproximation,
 };
 
-/// Sharded ranking: scores each subspace through
-/// OutlierScorer::ScoreSubspaceSharded and aggregates in subspace order,
-/// byte-identical for every thread count. With an empty subspace list,
-/// scores the full space. Fails (never silently degrades) when `policy`
-/// is kRequireExactMerge and the scorer cannot merge exactly.
+/// Sharded ranking: the same ranking loop as RankWithSubspaces, scoring
+/// each subspace through OutlierScorer::ScoreSubspaceSharded and
+/// aggregating in subspace order, byte-identical for every thread count.
+/// A one-shard plane scores through its only shard's cache instead, which
+/// is the unsharded ranking for every scorer, so it needs no consent.
+/// With an empty subspace list, scores the full space. Fails (never
+/// silently degrades) when the plane has more than one shard, `policy` is
+/// kRequireExactMerge and the scorer cannot merge exactly.
 Result<std::vector<double>> RankWithSubspacesSharded(
     const ShardPlane& sharded, const std::vector<Subspace>& subspaces,
     const OutlierScorer& scorer, ScoreAggregation aggregation,

@@ -102,24 +102,22 @@ Result<HicsModel> HicsModel::Fit(const Dataset& dataset,
   const std::size_t threads = config.search_params.num_threads;
   PreparedDataset prepared(dataset, threads);
 
-  // Step 1: subspace search. Unsharded fits make the same prepared-path
-  // call the pipeline makes, so the selected subspaces are identical to
-  // RunHicsPipeline's. Sharded fits select through the sharded search —
+  // Step 1: subspace search. Unsharded fits search the prepared plane,
+  // the call the pipeline makes, so the selected subspaces are identical
+  // to RunHicsPipeline's. Sharded fits select through the sharded search —
   // the fast path on large N — and only the selection differs: step 2
   // below always runs on the full prepared dataset, so training scores,
   // trained state, and serving stay byte-reproducible.
-  HicsRunStats stats;
-  std::vector<ScoredSubspace> scored;
+  std::unique_ptr<const ShardedDataset> sharded;
   if (config.num_shards > 1) {
-    const ShardedDataset sharded(dataset, config.num_shards, threads);
-    HICS_ASSIGN_OR_RETURN(scored,
-                          RunHicsSearch(sharded, config.search_params, {},
-                                        &stats));
-  } else {
-    HICS_ASSIGN_OR_RETURN(scored,
-                          RunHicsSearch(prepared, config.search_params, {},
-                                        &stats));
+    sharded = std::make_unique<const ShardedDataset>(
+        dataset, config.num_shards, threads);
   }
+  const ShardPlane& plane =
+      sharded != nullptr ? static_cast<const ShardPlane&>(*sharded) : prepared;
+  HICS_ASSIGN_OR_RETURN(std::vector<ScoredSubspace> scored,
+                        RunHicsSearch(plane, config.search_params));
+  sharded.reset();  // the shard copies serve the selection only
 
   std::vector<TrainedSubspace> trained;
   if (scored.empty()) {

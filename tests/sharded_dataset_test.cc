@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/random.h"
@@ -39,6 +40,43 @@ void ExpectSameScored(const std::vector<ScoredSubspace>& a,
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].subspace, b[i].subspace) << "rank " << i;
     EXPECT_EQ(a[i].score, b[i].score) << "rank " << i;
+  }
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectSameScoredBits(const std::vector<ScoredSubspace>& a,
+                          const std::vector<ScoredSubspace>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].subspace, b[i].subspace) << "rank " << i;
+    EXPECT_TRUE(SameBits(a[i].score, b[i].score))
+        << "rank " << i << ": " << a[i].score << " vs " << b[i].score;
+  }
+}
+
+void ExpectSameStats(const HicsRunStats& a, const HicsRunStats& b) {
+  EXPECT_EQ(a.contrast_evaluations, b.contrast_evaluations);
+  EXPECT_EQ(a.levels_processed, b.levels_processed);
+  EXPECT_EQ(a.max_level_reached, b.max_level_reached);
+  EXPECT_EQ(a.pruned_redundant, b.pruned_redundant);
+  EXPECT_EQ(a.cutoff_applications, b.cutoff_applications);
+  EXPECT_EQ(a.failed_contrast_evaluations, b.failed_contrast_evaluations);
+  EXPECT_EQ(a.failed_shard_evaluations, b.failed_shard_evaluations);
+  EXPECT_EQ(a.deadline_exceeded, b.deadline_exceeded);
+  EXPECT_EQ(a.cancelled, b.cancelled);
+}
+
+void ExpectSameMatrixBits(const Matrix& a, const Matrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      EXPECT_TRUE(SameBits(a(i, j), b(i, j)))
+          << "(" << i << "," << j << "): " << a(i, j) << " vs " << b(i, j);
+    }
   }
 }
 
@@ -221,6 +259,56 @@ TEST(ShardedSearchTest, ShardCountIsPartOfTheEstimator) {
   EXPECT_TRUE(any_difference);
 }
 
+TEST(ShardedSearchTest, OneShardPlaneIsTheUnshardedEstimator) {
+  // A one-shard plane, requested or clamped, searches and scores the
+  // contrast matrix exactly like the PreparedDataset over the same rows.
+  const Dataset ds = ClusteredDataset(200, 4, 37);
+  const Dataset tiny = ClusteredDataset(3, 3, 39);
+  const ShardedDataset one(ds, 1);
+  const ShardedDataset clamped(tiny, 4);
+  ASSERT_EQ(one.num_shards(), 1u);
+  ASSERT_EQ(clamped.num_shards(), 1u);
+  const PreparedDataset prepared(ds);
+  const PreparedDataset tiny_prepared(tiny);
+  const std::vector<std::pair<const ShardPlane*, const PreparedDataset*>>
+      cases = {{&one, &prepared}, {&clamped, &tiny_prepared}};
+
+  for (const char* test : {"welch", "ks", "cvm"}) {
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      for (const auto& [sharded, unsharded] : cases) {
+        SCOPED_TRACE(std::string(test) + " threads=" +
+                     std::to_string(threads) + " N=" +
+                     std::to_string(sharded->num_objects()));
+        HicsParams params;
+        params.num_iterations = 20;
+        params.output_top_k = 10;
+        params.statistical_test = test;
+        params.num_threads = threads;
+        HicsRunStats sharded_stats;
+        HicsRunStats unsharded_stats;
+        const auto a = RunHicsSearch(*sharded, params, {}, &sharded_stats);
+        const auto b =
+            RunHicsSearch(*unsharded, params, {}, &unsharded_stats);
+        ASSERT_TRUE(a.ok());
+        ASSERT_TRUE(b.ok());
+        ASSERT_FALSE(a->empty());
+        ExpectSameScoredBits(*a, *b);
+        ExpectSameStats(sharded_stats, unsharded_stats);
+
+        ContrastMatrixParams matrix_params;
+        matrix_params.contrast.num_iterations = 20;
+        matrix_params.statistical_test = test;
+        matrix_params.num_threads = threads;
+        const auto m = ComputeContrastMatrix(*sharded, matrix_params);
+        const auto n = ComputeContrastMatrix(*unsharded, matrix_params);
+        ASSERT_TRUE(m.ok());
+        ASSERT_TRUE(n.ok());
+        ExpectSameMatrixBits(*m, *n);
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Exact histogram merge
 
@@ -266,6 +354,39 @@ TEST(ShardedScoringPolicyTest, ExactMergeRequirementRejectsKnnScorers) {
   EXPECT_NE(result.status().message().find("kAllowApproximation"),
             std::string::npos)
       << result.status().message();
+}
+
+TEST(ShardedScoringPolicyTest, OneShardPlaneNeedsNoConsent) {
+  // One shard is exact for every scorer: LOF ranks a one-shard plane under
+  // kRequireExactMerge, byte for byte like the prepared ranking.
+  const Dataset ds = ClusteredDataset(120, 4, 43);
+  const Dataset tiny = ClusteredDataset(3, 3, 45);
+  const LofScorer lof({.min_pts = 8});
+  for (const auto& [data, requested] :
+       {std::pair<const Dataset*, std::size_t>{&ds, 1},
+        std::pair<const Dataset*, std::size_t>{&tiny, 4}}) {
+    const ShardedDataset sharded(*data, requested);
+    ASSERT_EQ(sharded.num_shards(), 1u);
+    const PreparedDataset prepared(*data);
+    for (const std::vector<Subspace>& subspaces :
+         {std::vector<Subspace>{Subspace{0, 1}, Subspace{1, 2}},
+          std::vector<Subspace>{}}) {
+      for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const auto scores = RankWithSubspacesSharded(
+            sharded, subspaces, lof, ScoreAggregation::kAverage,
+            ShardedScoringPolicy::kRequireExactMerge, threads);
+        ASSERT_TRUE(scores.ok()) << scores.status().message();
+        const std::vector<double> expected = RankWithSubspaces(
+            prepared, subspaces, lof, ScoreAggregation::kAverage, threads);
+        ASSERT_EQ(scores->size(), expected.size());
+        EXPECT_EQ(std::memcmp(scores->data(), expected.data(),
+                              expected.size() * sizeof(double)),
+                  0)
+            << "N=" << data->num_objects() << " threads=" << threads
+            << " subspaces=" << subspaces.size();
+      }
+    }
+  }
 }
 
 TEST(ShardedScoringPolicyTest, ApproximationConcatenatesPerShardScores) {
@@ -386,6 +507,50 @@ TEST(ShardedDegradedSearchTest, SingleEstimateFaultIsIsolatedPerShard) {
     runs.push_back(*scored);
   }
   ExpectSameScored(runs[0], runs[1]);
+}
+
+TEST(ShardedDegradedSearchTest, OneShardPlaneFaultsLikeTheUnshardedSearch) {
+  // On one shard the estimate ordinal is the unsharded one, and the
+  // "shard.contrast" site is never probed: a failed estimate drops the
+  // same subspace from both planes and is tallied as a failed contrast
+  // evaluation, never as a failed shard.
+  const Dataset ds = ClusteredDataset(160, 4, 41);
+  const ShardedDataset one(ds, 1);
+  const PreparedDataset prepared(ds);
+  HicsParams params;
+  params.num_iterations = 15;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    params.num_threads = threads;
+    for (std::uint64_t k : {1u, 4u, 9u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " k=" + std::to_string(k));
+      std::vector<std::vector<ScoredSubspace>> results;
+      std::vector<HicsRunStats> stats_runs;
+      const auto run = [&](const auto& plane) {
+        FaultInjector injector;
+        injector.FailNthCall("contrast.estimate", k,
+                             Status::Internal("injected"));
+        injector.FailNthCall("shard.contrast", 1,
+                             Status::Internal("injected"));
+        RunContext ctx;
+        ctx.SetFaultInjector(&injector);
+        HicsRunStats stats;
+        const auto scored = RunHicsSearch(plane, params, ctx, &stats);
+        ASSERT_TRUE(scored.ok());
+        EXPECT_EQ(injector.FiredCount("contrast.estimate"), 1u);
+        EXPECT_EQ(injector.FiredCount("shard.contrast"), 0u);
+        EXPECT_EQ(stats.failed_contrast_evaluations, 1u);
+        EXPECT_EQ(stats.failed_shard_evaluations, 0u);
+        results.push_back(*scored);
+        stats_runs.push_back(stats);
+      };
+      run(one);
+      run(prepared);
+      ASSERT_EQ(results.size(), 2u);
+      ExpectSameScoredBits(results[0], results[1]);
+      ExpectSameStats(stats_runs[0], stats_runs[1]);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

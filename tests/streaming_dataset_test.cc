@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <deque>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "cluster/grid.h"
 #include "common/random.h"
 #include "common/run_context.h"
+#include "core/contrast_matrix.h"
 #include "core/hics.h"
 #include "engine/prepared_dataset.h"
 #include "engine/sharded_dataset.h"
@@ -87,6 +89,19 @@ void ExpectSameScored(const std::vector<ScoredSubspace>& a,
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].subspace, b[i].subspace) << "rank " << i;
     EXPECT_EQ(a[i].score, b[i].score) << "rank " << i;
+  }
+}
+
+void ExpectSameMatrixBits(const Matrix& a, const Matrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      const double x = a(i, j);
+      const double y = b(i, j);
+      EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
+          << "(" << i << "," << j << "): " << x << " vs " << y;
+    }
   }
 }
 
@@ -216,8 +231,8 @@ TEST(StreamingWindowTest, PartitionFollowsTheCanonicalShardedRule) {
 
 // ---------------------------------------------------------------------------
 // Slide-vs-cold byte identity (the acceptance criterion): after any
-// sequence of slides, searching and ranking the plane is byte-identical
-// to a cold rebuild over the identical window — PreparedDataset when
+// sequence of slides, searching, the contrast matrix and ranking the
+// plane are byte-identical to a cold rebuild over the identical window — PreparedDataset when
 // unsharded, ShardedDataset at the same shard count otherwise — at every
 // thread count.
 
@@ -264,12 +279,23 @@ TEST_P(StreamingIdentityTest, SlidesMatchColdRebuildAcrossThreadCounts) {
           streaming, *streamed_search, grid_scorer, ScoreAggregation::kAverage,
           ShardedScoringPolicy::kRequireExactMerge, threads);
       ASSERT_TRUE(streamed_rank.ok());
+      // The matrix has no streaming overload: it reads the window through
+      // the ShardPlane view, so a one-shard window scores its only slot.
+      ContrastMatrixParams matrix_params;
+      matrix_params.contrast.num_iterations = params.num_iterations;
+      matrix_params.num_threads = threads;
+      const auto streamed_matrix =
+          ComputeContrastMatrix(streaming, matrix_params);
+      ASSERT_TRUE(streamed_matrix.ok());
 
       if (streaming.num_shards() == 1) {
         const PreparedDataset cold(cold_ds);
         const auto cold_search = RunHicsSearch(cold, params);
         ASSERT_TRUE(cold_search.ok());
         ExpectSameScored(*streamed_search, *cold_search);
+        const auto cold_matrix = ComputeContrastMatrix(cold, matrix_params);
+        ASSERT_TRUE(cold_matrix.ok());
+        ExpectSameMatrixBits(*streamed_matrix, *cold_matrix);
         EXPECT_EQ(*streamed_rank,
                   RankWithSubspaces(cold, PlainSubspaces(*cold_search),
                                     grid_scorer, ScoreAggregation::kAverage,
@@ -291,6 +317,9 @@ TEST_P(StreamingIdentityTest, SlidesMatchColdRebuildAcrossThreadCounts) {
         const auto cold_search = RunHicsSearch(cold, params);
         ASSERT_TRUE(cold_search.ok());
         ExpectSameScored(*streamed_search, *cold_search);
+        const auto cold_matrix = ComputeContrastMatrix(cold, matrix_params);
+        ASSERT_TRUE(cold_matrix.ok());
+        ExpectSameMatrixBits(*streamed_matrix, *cold_matrix);
         const auto cold_rank = RankWithSubspacesSharded(
             cold, *cold_search, grid_scorer, ScoreAggregation::kAverage,
             ShardedScoringPolicy::kRequireExactMerge, threads);

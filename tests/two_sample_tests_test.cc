@@ -1,5 +1,5 @@
 // Tests for the deviation functions (Welch t-test, KS test) and the
-// ECDF/factory they build on — the statistical core of the contrast.
+// factory they are built by — the statistical core of the contrast.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "stats/ecdf.h"
 #include "stats/ks_test.h"
 #include "stats/two_sample_test.h"
 #include "stats/welch_t_test.h"
@@ -28,42 +27,6 @@ std::vector<double> UniformSample(std::size_t n, std::uint64_t seed) {
   std::vector<double> v(n);
   for (double& x : v) x = rng.UniformDouble();
   return v;
-}
-
-// ---------------------------------------------------------------- ECDF --
-
-TEST(EcdfTest, StepValues) {
-  const std::vector<double> sample = {1.0, 2.0, 2.0, 4.0};
-  Ecdf F(sample);
-  EXPECT_DOUBLE_EQ(F(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(F(1.0), 0.25);
-  EXPECT_DOUBLE_EQ(F(2.0), 0.75);
-  EXPECT_DOUBLE_EQ(F(3.0), 0.75);
-  EXPECT_DOUBLE_EQ(F(4.0), 1.0);
-  EXPECT_DOUBLE_EQ(F(9.0), 1.0);
-}
-
-TEST(EcdfTest, FractionBelowIsStrict) {
-  const std::vector<double> sample = {1.0, 2.0, 2.0, 4.0};
-  Ecdf F(sample);
-  EXPECT_DOUBLE_EQ(F.FractionBelow(2.0), 0.25);
-  EXPECT_DOUBLE_EQ(F.FractionBelow(4.5), 1.0);
-}
-
-TEST(EcdfTest, MonotoneOnRandomData) {
-  const auto sample = GaussianSample(200, 0, 1, 3);
-  Ecdf F(sample);
-  double prev = -1.0;
-  for (double x = -4.0; x <= 4.0; x += 0.1) {
-    const double v = F(x);
-    EXPECT_GE(v, prev);
-    prev = v;
-  }
-}
-
-TEST(EcdfDeathTest, EmptySampleAborts) {
-  const std::vector<double> empty;
-  EXPECT_DEATH(Ecdf{empty}, "empty");
 }
 
 // ------------------------------------------------------------- Welch  --
