@@ -50,6 +50,7 @@
 #include "data/synthetic.h"
 #include "index/neighbor_searcher.h"
 #include "simd/simd.h"
+#include "tests/knn_oracle.h"
 
 namespace hics {
 namespace {
@@ -216,8 +217,7 @@ int Run() {
       const Subspace full = ds.FullSpace();
       KnnResultTable table, reference;
       const double per_query = MedianSeconds(kRuns, [&] {
-        const auto s = MakeBruteForceSearcher(ds, full);
-        s->QueryAllKnnPerQuery(kK, &reference);
+        PerQueryAllKnn(*MakeBruteForceSearcher(ds, full), kK, &reference);
       });
       // Untimed: the batched kernel against the per-query scan.
       MakeBruteForceSearcher(ds, full)->QueryAllKnn(kK, &table);

@@ -1,7 +1,7 @@
 // Engineering micro-benchmarks (google-benchmark): cost of the primitives
 // the HiCS pipeline is built from. Not a paper artifact; used to verify
-// the design decisions called out in DESIGN.md §5 (sorted-index slicing,
-// brute force vs KD-tree neighbor search, Welch vs KS deviation cost).
+// the design decisions called out in DESIGN.md §5 (sorted-index build,
+// contrast estimation, brute force vs KD-tree neighbor search).
 //
 // Before the google-benchmark suite runs, main() times the pipeline stages
 // (search, serial ranking, parallel ranking) on one synthetic dataset and
@@ -19,21 +19,21 @@
 #include "bench/bench_json.h"
 #include "bench/bench_kernels.h"
 #include "tests/contrast_oracle.h"
+#include "tests/knn_oracle.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/timer.h"
 #include "core/contrast.h"
 #include "core/hics.h"
-#include "core/slice.h"
 #include "data/synthetic.h"
 #include "engine/prepared_dataset.h"
 #include "index/neighbor_searcher.h"
+#include "index/sorted_index.h"
 #include "outlier/lof.h"
 #include "outlier/subspace_ranker.h"
 #include "serve/hics_model.h"
 #include "serve/model_io.h"
 #include "simd/simd.h"
-#include "stats/ks_test.h"
 #include "stats/two_sample_test.h"
 #include "stats/welch_t_test.h"
 
@@ -63,42 +63,6 @@ void BM_SortedIndexBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SortedIndexBuild)->Arg(1000)->Arg(4000);
-
-void BM_SliceDraw(benchmark::State& state) {
-  const Dataset ds = UniformData(2000, 25, 2);
-  const SortedAttributeIndex index(ds);
-  const SliceSampler sampler(ds, index);
-  const Subspace s = FirstDims(state.range(0));
-  Rng rng(3);
-  for (auto _ : state) {
-    bench::KeepAlive(sampler.Draw(s, 0.1, &rng).selected_count);
-  }
-}
-BENCHMARK(BM_SliceDraw)->Arg(2)->Arg(3)->Arg(5)->Arg(8);
-
-void BM_WelchDeviation(benchmark::State& state) {
-  Rng rng(4);
-  std::vector<double> a(state.range(0)), b(state.range(0) / 10);
-  for (double& v : a) v = rng.Gaussian();
-  for (double& v : b) v = rng.Gaussian();
-  const stats::WelchTDeviation dev;
-  for (auto _ : state) {
-    bench::KeepAlive(dev.Deviation(a, b));
-  }
-}
-BENCHMARK(BM_WelchDeviation)->Arg(1000)->Arg(10000);
-
-void BM_KsDeviation(benchmark::State& state) {
-  Rng rng(5);
-  std::vector<double> a(state.range(0)), b(state.range(0) / 10);
-  for (double& v : a) v = rng.Gaussian();
-  for (double& v : b) v = rng.Gaussian();
-  const stats::KsDeviation dev;
-  for (auto _ : state) {
-    bench::KeepAlive(dev.Deviation(a, b));
-  }
-}
-BENCHMARK(BM_KsDeviation)->Arg(1000)->Arg(10000);
 
 void BM_ContrastEstimate(benchmark::State& state) {
   const Dataset ds = UniformData(1000, 25, 6);
@@ -380,8 +344,9 @@ void WritePipelineStageReport() {
   std::vector<std::vector<double>> per_query_subspace(subspaces->size());
   for (std::size_t i = 0; i < subspaces->size(); ++i) {
     KnnResultTable table;
-    MakeSearcher(data, (*subspaces)[i].subspace, KnnBackend::kBruteForce)
-        ->QueryAllKnnPerQuery(10, &table, 1);
+    PerQueryAllKnn(*MakeSearcher(data, (*subspaces)[i].subspace,
+                                 KnnBackend::kBruteForce),
+                   10, &table);
     per_query_subspace[i] =
         lof.ScoreFromTable(table, data.num_objects(), 1);
   }
@@ -509,8 +474,7 @@ void WritePipelineStageReport() {
   for (std::size_t s = 0; simd_identical && s < table_check; ++s) {
     const Subspace& sub = (*subspaces)[s].subspace;
     KnnResultTable exact_table, table;
-    MakeBruteForceSearcher(data, sub)->QueryAllKnnPerQuery(10, &exact_table,
-                                                           1);
+    PerQueryAllKnn(*MakeBruteForceSearcher(data, sub), 10, &exact_table);
     for (simd::SimdTier tier : tiers) {
       simd::ScopedSimdTier forced(tier);
       MakeBruteForceSearcher(data, sub)->QueryAllKnn(10, &table, 1);

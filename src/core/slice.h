@@ -13,29 +13,14 @@
 
 namespace hics {
 
-/// One Monte Carlo draw: a random subspace slice (Definition 4) plus the
-/// two samples the deviation function compares.
-struct SliceDraw {
-  /// The attribute whose marginal vs conditional distribution is tested.
-  std::size_t test_attribute = 0;
-  /// Values of the test attribute for the objects selected by the slice
-  /// conditions (the empirical conditional sample p̂_s|C).
-  std::vector<double> conditional_sample;
-  /// Number of objects the slice selected (== conditional_sample.size()).
-  std::size_t selected_count = 0;
-};
-
-/// Reusable working storage for SliceSampler::Draw / DrawSelection. One
-/// instance per worker thread; capacity persists across draws so the
-/// steady-state hot loop performs no allocations.
+/// Reusable working storage for SliceSampler::DrawSelection. One instance
+/// per worker thread; capacity persists across draws so the steady-state
+/// hot loop performs no allocations.
 struct SliceScratch {
-  /// Per-object condition counter; an object is selected when its counter
-  /// reaches the number of conditions. Used by the materializing Draw.
-  std::vector<std::uint16_t> selected;
   /// Attribute permutation of the subspace under test.
   std::vector<std::size_t> attrs;
-  /// Per-condition rank columns and block starts of the current draw
-  /// (DrawSelection); the SliceSelection spans point here.
+  /// Per-condition rank columns and block starts of the current draw;
+  /// the SliceSelection spans point here.
   std::vector<const std::uint32_t*> condition_ranks;
   std::vector<std::uint32_t> condition_starts;
 };
@@ -72,20 +57,20 @@ struct SliceSelection {
 ///  1. randomly permutes the attributes of S; the last one becomes the test
 ///     attribute, the other |S|-1 carry conditions,
 ///  2. for each conditioning attribute picks a random contiguous block of
-///     its sorted index of size ceil(N * alpha^(1/|S|)) and intersects the
-///     selections via a boolean mask,
-///  3. collects the test attribute's values of the surviving objects.
+///     its sorted index of size ceil(N * alpha^(1/|S|)); the slice is the
+///     intersection of the blocks, which the consumer evaluates in rank
+///     space (SliceSelection).
 ///
 /// The block size N*alpha1 with alpha1 = |S|-th root of alpha follows
 /// Algorithm 1 verbatim; it keeps the conditional sample size stable as the
 /// subspace dimensionality grows, which is what lets the contrast estimate
 /// escape the curse of dimensionality.
 /// Thread-safety contract: a SliceSampler holds no mutable state, so any
-/// number of threads may call Draw concurrently on one instance — each
-/// call's working storage is either a local (convenience overload) or the
-/// caller's SliceScratch, which must not be shared between concurrent
-/// calls. Both overloads consume the RNG identically, so results depend
-/// only on (subspace, alpha, rng state), never on which overload ran.
+/// number of threads may call DrawSelection concurrently on one instance;
+/// each call's working storage is the caller's SliceScratch, which must
+/// not be shared between concurrent calls. The slice depends only on
+/// (subspace, alpha, rng state). The gathering reference draw of
+/// tests/contrast_oracle.h consumes the RNG identically.
 class SliceSampler {
  public:
   /// Both references must outlive the sampler. `index` must be built over
@@ -93,27 +78,14 @@ class SliceSampler {
   SliceSampler(const Dataset& dataset, const SortedAttributeIndex& index);
 
   /// Draws one random slice for `subspace` with selection ratio `alpha`
-  /// (in (0,1)). Requires |subspace| >= 2. Allocates local working
-  /// storage per call; the hot path uses the scratch overload below.
-  SliceDraw Draw(const Subspace& subspace, double alpha, Rng* rng) const;
-
-  /// Allocation-free variant for worker threads: `scratch` is reusable
-  /// per-worker storage and `out` is reused across draws (its
-  /// conditional_sample keeps capacity between calls). `scratch` and
-  /// `out` must be distinct objects per concurrent caller.
-  void Draw(const Subspace& subspace, double alpha, Rng* rng,
-            SliceScratch* scratch, SliceDraw* out) const;
-
-  /// Rank-space variant: performs the same random slice construction as
-  /// Draw — identical RNG consumption, so a shared rng state yields the
-  /// same slice through either entry point — but records only the draw's
-  /// conditions (rank columns, block starts, block length) instead of
-  /// gathering the test attribute's values. An object is in condition c's
-  /// block iff its rank lies in [start_c, start_c + block), so the
-  /// consumer selects with one vectorized pass over the conditions' uint32
-  /// rank columns (simd::SimdKernels::slice_select) — no scatter into the
-  /// sorted orders and no O(N) work here. The selection stays valid until
-  /// the next DrawSelection call on the same scratch.
+  /// (in (0,1)); requires |subspace| >= 2. Records only the draw's
+  /// conditions (rank columns, block starts, block length), not the test
+  /// attribute's values. An object is in condition c's block iff its rank
+  /// lies in [start_c, start_c + block), so the consumer selects with one
+  /// vectorized pass over the conditions' uint32 rank columns
+  /// (simd::SimdKernels::slice_select) — no scatter into the sorted
+  /// orders and no O(N) work here. The selection stays valid until the
+  /// next DrawSelection call on the same scratch.
   void DrawSelection(const Subspace& subspace, double alpha, Rng* rng,
                      SliceScratch* scratch, SliceSelection* out) const;
 

@@ -136,12 +136,15 @@ Status StreamingDataset::PreflightMutation(
     // partition, run before a single byte moves, so a failed shard
     // rebuild degrades (the old window keeps serving) instead of
     // poisoning a half-mutated plane.
+    const std::vector<std::pair<std::uint64_t, std::size_t>> desired =
+        PartitionFor(head_serial_ + evict, new_n, options_.num_shards);
+    // A slide that leaves one shard rebuilds no slot (the window is its
+    // own shard), so it probes none.
+    if (desired.size() == 1) return Status::OK();
     std::map<std::pair<std::uint64_t, std::size_t>, bool> current;
     for (const auto& slot : slots_) {
       current[{slot->start_serial, slot->length}] = true;
     }
-    const std::vector<std::pair<std::uint64_t, std::size_t>> desired =
-        PartitionFor(head_serial_ + evict, new_n, options_.num_shards);
     for (std::size_t s = 0; s < desired.size(); ++s) {
       if (current.count(desired[s]) != 0) continue;
       Status shard = ctx->InjectFault("stream.slide.shard", s + 1);
@@ -242,6 +245,12 @@ StreamingDataset::DesiredPartition() const {
 void StreamingDataset::ReconcileSlots() {
   const std::vector<std::pair<std::uint64_t, std::size_t>> desired =
       DesiredPartition();
+  // One part: the window is its own shard (shard(0) is prepared()), so
+  // there is no slot, no row copy and no second prepared artifact.
+  if (desired.size() == 1) {
+    slots_.clear();
+    return;
+  }
 
   // Pull every current slot into a content-keyed pool; desired positions
   // that match reuse the slot (dataset copy, prepared artifact, cache —
@@ -330,19 +339,25 @@ void StreamingDataset::ReconcileSlots() {
   }
 }
 
+std::size_t StreamingDataset::num_shards() const {
+  return slots_.empty() ? 1 : slots_.size();
+}
+
 const PreparedDataset& StreamingDataset::shard(std::size_t s) const {
-  HICS_CHECK(s < slots_.size());
-  return *slots_[s]->prepared;
+  HICS_CHECK(s < num_shards());
+  return slots_.empty() ? *window_prepared_ : *slots_[s]->prepared;
 }
 
 std::size_t StreamingDataset::shard_begin(std::size_t s) const {
-  HICS_CHECK(s < slots_.size());
-  return static_cast<std::size_t>(slots_[s]->start_serial - head_serial_);
+  HICS_CHECK(s < num_shards());
+  return slots_.empty() ? 0
+                        : static_cast<std::size_t>(slots_[s]->start_serial -
+                                                   head_serial_);
 }
 
 std::size_t StreamingDataset::shard_size(std::size_t s) const {
-  HICS_CHECK(s < slots_.size());
-  return slots_[s]->length;
+  HICS_CHECK(s < num_shards());
+  return slots_.empty() ? size() : slots_[s]->length;
 }
 
 std::pair<double, double> StreamingDataset::GlobalAttributeRange(
@@ -352,13 +367,13 @@ std::pair<double, double> StreamingDataset::GlobalAttributeRange(
 }
 
 std::uint64_t StreamingDataset::shard_content_epoch(std::size_t s) const {
-  HICS_CHECK(s < slots_.size());
-  return slots_[s]->content_epoch;
+  HICS_CHECK(s < num_shards());
+  return slots_.empty() ? epoch_ : slots_[s]->content_epoch;
 }
 
 ArtifactCacheStats StreamingDataset::shard_cache_stats(std::size_t s) const {
-  HICS_CHECK(s < slots_.size());
-  return slots_[s]->cache->stats();
+  HICS_CHECK(s < num_shards());
+  return slots_.empty() ? window_cache_->stats() : slots_[s]->cache->stats();
 }
 
 }  // namespace hics

@@ -61,21 +61,23 @@ struct StreamingOptions {
 ///    ArtifactCache untouched, so post-slide queries hit instead of
 ///    rebuild. Only slots whose rows changed are rebuilt, and their
 ///    recycled caches advance to the new epoch (retire/admit of whole
-///    shards);
+///    shards). A one-part partition keeps no slot: the window is its own
+///    shard;
 ///  - window grids: carried by exact count retire/admit as above.
 ///
 /// Byte-identity contract: after any sequence of slides, every consumer
-/// of this plane — RunHicsSearch, RankWithSubspaces, ComputeContrastMatrix
-/// — produces output byte-identical to a cold rebuild over the identical
-/// window (a fresh PreparedDataset when the plane is unsharded, a fresh
-/// ShardedDataset at the same shard count otherwise), at every thread
-/// count. The plane guarantees this by construction: the partition rule,
-/// per-shard RNG streams (keyed by shard ordinal), and merge order are
-/// shared with ShardedDataset through the ShardPlane interface, a
-/// one-shard plane is the unsharded estimator whichever artifact it
-/// reads, and every incrementally maintained artifact reproduces its
-/// cold counterpart bit-for-bit (tests/streaming_dataset_test.cc asserts
-/// it; CI gates on `streaming_identical`).
+/// of this plane — RunHicsSearch, RankWithSubspacesSharded,
+/// ComputeContrastMatrix — produces output byte-identical to a cold
+/// rebuild over the identical window (a fresh PreparedDataset when the
+/// plane is unsharded, a fresh ShardedDataset at the same shard count
+/// otherwise), at every thread count. The plane guarantees this by
+/// construction: the partition rule, per-shard RNG streams (keyed by
+/// shard ordinal), and merge order are shared with ShardedDataset through
+/// the ShardPlane interface, a one-shard window is its own shard (the
+/// unsharded estimator over the warm window cache), and every
+/// incrementally maintained artifact reproduces its cold counterpart
+/// bit-for-bit (tests/streaming_dataset_test.cc asserts it; CI gates on
+/// `streaming_identical`).
 ///
 /// Concurrency: queries (through prepared()/the ShardPlane view) are
 /// thread-safe among themselves, but mutations require external
@@ -107,9 +109,10 @@ class StreamingDataset : public ShardPlane {
   /// Fault/cancellation contract: with a context, the deadline check and
   /// the fault sites "stream.slide" (ordinal = the epoch the slide would
   /// create) and "stream.slide.shard" (ordinal = changed-slot position
-  /// + 1, probed for every slot the slide would rebuild) all fire before
-  /// any mutation, so a failed slide degrades — the window keeps serving
-  /// its current epoch — and never poisons a cache.
+  /// + 1, probed for every slot the slide would rebuild; a slide that
+  /// leaves one shard rebuilds none) all fire before any mutation, so a
+  /// failed slide degrades — the window keeps serving its current epoch —
+  /// and never poisons a cache.
   Result<std::size_t> Slide(std::size_t evict,
                             const std::vector<std::vector<double>>& rows,
                             const RunContext* ctx = nullptr);
@@ -131,7 +134,9 @@ class StreamingDataset : public ShardPlane {
   const PreparedDataset& prepared() const { return *window_prepared_; }
 
   // --- ShardPlane view (the sharded search/ranking substrate) ---
-  std::size_t num_shards() const override { return slots_.size(); }
+  // With one shard the window is its own shard: shard(0) is prepared(),
+  // its content epoch is epoch(), and its cache is the window cache.
+  std::size_t num_shards() const override;
   const Dataset& dataset() const override { return window_; }
   const PreparedDataset& shard(std::size_t s) const override;
   std::size_t shard_begin(std::size_t s) const override;
@@ -142,12 +147,14 @@ class StreamingDataset : public ShardPlane {
   /// Epoch at which shard slot `s` last changed contents — the proof
   /// handle for "a slide touching one shard rebuilds only that shard":
   /// untouched slots keep their content epoch (and their caches keep
-  /// serving hits).
+  /// serving hits). A one-shard window changes on every mutation, so its
+  /// shard's content epoch is epoch().
   std::uint64_t shard_content_epoch(std::size_t s) const;
 
   /// Cache statistics of the persistent window cache / shard slot `s`'s
-  /// cache. Slot caches are recycled when a slot is rebuilt, so their
-  /// counters accumulate across rebuilds (evicted_artifacts records the
+  /// cache (the window cache when the window is its own shard). Slot
+  /// caches are recycled when a slot is rebuilt, so their counters
+  /// accumulate across rebuilds (evicted_artifacts records the
   /// invalidation).
   ArtifactCacheStats window_cache_stats() const { return window_cache_->stats(); }
   ArtifactCacheStats shard_cache_stats(std::size_t s) const;
@@ -168,7 +175,8 @@ class StreamingDataset : public ShardPlane {
 
   /// Recomputes the slot partition for the current window and reconciles:
   /// content-matched slots are reused as-is, everything else is rebuilt
-  /// (recycling dead slots' caches).
+  /// (recycling dead slots' caches). A one-part partition drops every
+  /// slot.
   void ReconcileSlots();
 
   /// Desired (start_serial, length) partition of the current window —
@@ -195,6 +203,8 @@ class StreamingDataset : public ShardPlane {
   std::shared_ptr<ArtifactCache> window_cache_;
   std::unique_ptr<PreparedDataset> window_prepared_;
 
+  /// Shard slots of a multi-shard partition; empty when the window is
+  /// its own shard.
   std::vector<std::unique_ptr<Slot>> slots_;
 };
 

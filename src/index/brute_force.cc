@@ -146,24 +146,6 @@ class BruteForceSearcher : public NeighborSearcher {
     });
   }
 
-  void QueryRadius(std::size_t query, double radius,
-                   std::vector<Neighbor>* out) const override {
-    HICS_CHECK_LT(query, num_objects_);
-    std::vector<Neighbor>& result = *out;
-    result.clear();
-    const double* q = &points_[query * dim_];
-    const double r2 = radius * radius;
-    for (std::size_t i = 0; i < num_objects_; ++i) {
-      if (i == query) continue;
-      // Bound-abandonment: the accumulator stops early past r2, and an
-      // accepted distance is fully accumulated, hence exact.
-      const double d2 =
-          SquaredDistanceBounded(q, &points_[i * dim_], dim_, r2);
-      if (d2 <= r2) result.push_back({i, std::sqrt(d2)});
-    }
-    std::sort(result.begin(), result.end());
-  }
-
   std::size_t CountRadius(std::size_t query, double radius) const override {
     HICS_CHECK_LT(query, num_objects_);
     const double* q = &points_[query * dim_];

@@ -111,21 +111,6 @@ class KdTreeSearcher : public NeighborSearcher {
     return scanned;
   }
 
-  void QueryRadius(std::size_t query, double radius,
-                   std::vector<Neighbor>* out) const override {
-    HICS_CHECK_LT(query, num_objects_);
-    std::vector<Neighbor>& result = *out;
-    result.clear();
-    if (num_objects_ == 0) return;
-    const std::size_t p = pos_[query];
-    std::vector<double> q;
-    SearchRadius(0, simd::ActiveKernels().leaf_screen, Gather(p, &q), p,
-                 radius * radius, [&](std::size_t hit, double d2) {
-                   result.push_back({ids_[hit], std::sqrt(d2)});
-                 });
-    std::sort(result.begin(), result.end());
-  }
-
   std::size_t CountRadius(std::size_t query, double radius) const override {
     HICS_CHECK_LT(query, num_objects_);
     const std::size_t p = pos_[query];

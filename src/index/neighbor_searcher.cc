@@ -1,29 +1,8 @@
 #include "index/neighbor_searcher.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "common/parallel.h"
-
 namespace hics {
-
-void NeighborSearcher::QueryAllKnnPerQuery(std::size_t k, KnnResultTable* out,
-                                           std::size_t num_threads) const {
-  const std::size_t n = num_objects();
-  const std::size_t kcap = CappedK(k);
-  out->Reset(n, kcap);
-  if (n == 0 || kcap == 0) return;
-  std::vector<std::vector<Neighbor>> buffers(
-      ParallelWorkerCount(n, num_threads));
-  ParallelForWorker(0, n, num_threads,
-                    [&](std::size_t i, std::size_t worker) {
-                      std::vector<Neighbor>& buffer = buffers[worker];
-                      QueryKnn(i, k, &buffer);
-                      std::copy(buffer.begin(), buffer.end(),
-                                out->MutableRow(i));
-                      *out->MutableCount(i) = buffer.size();
-                    });
-}
 
 std::unique_ptr<NeighborSearcher> MakeSearcher(const Dataset& dataset,
                                                const Subspace& subspace,

@@ -122,32 +122,10 @@ class NeighborSearcher {
   virtual void QueryAllKnn(std::size_t k, KnnResultTable* out,
                            std::size_t num_threads = 1) const = 0;
 
-  /// Reference all-kNN path: one QueryKnn call per object (worker-parallel
-  /// over queries) — the oracle the batched kernels are tested against.
-  void QueryAllKnnPerQuery(std::size_t k, KnnResultTable* out,
-                           std::size_t num_threads = 1) const;
-
-  /// All objects (excluding `query`) within `radius` of object `query`,
-  /// sorted by ascending (distance, id) into `*out` (cleared first;
-  /// capacity reused across calls like the QueryKnn buffer variant).
-  virtual void QueryRadius(std::size_t query, double radius,
-                           std::vector<Neighbor>* out) const = 0;
-
-  /// Allocating convenience wrapper around the buffer variant.
-  std::vector<Neighbor> QueryRadius(std::size_t query, double radius) const {
-    std::vector<Neighbor> out;
-    QueryRadius(query, radius, &out);
-    return out;
-  }
-
-  /// Number of objects (excluding `query`) within `radius`; avoids
-  /// materializing the neighbor list (what DBSCAN core checks and RIS's
-  /// quality aggregation actually need).
-  virtual std::size_t CountRadius(std::size_t query, double radius) const {
-    std::vector<Neighbor> out;
-    QueryRadius(query, radius, &out);
-    return out.size();
-  }
+  /// Number of objects (excluding `query`) within `radius` of object
+  /// `query`, without materializing the neighbor list (what RIS's quality
+  /// aggregation needs).
+  virtual std::size_t CountRadius(std::size_t query, double radius) const = 0;
 
   virtual std::size_t num_objects() const = 0;
   virtual std::size_t dimensionality() const = 0;

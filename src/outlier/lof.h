@@ -71,9 +71,9 @@ class LofScorer : public OutlierScorer {
   const LofParams& params() const { return params_; }
 
   /// Passes 2-3 (lrd + LOF ratio) over an already-computed neighborhood
-  /// table of `n` rows; public so a table from any searcher (e.g. the
-  /// per-query reference NeighborSearcher::QueryAllKnnPerQuery) can be
-  /// scored directly.
+  /// table of `n` rows; public so a table from any source (e.g. the
+  /// per-query reference table of tests/knn_oracle.h) can be scored
+  /// directly.
   std::vector<double> ScoreFromTable(const KnnResultTable& table,
                                      std::size_t n,
                                      std::size_t num_threads) const;

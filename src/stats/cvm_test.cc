@@ -1,16 +1,11 @@
 #include "stats/cvm_test.h"
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
-
 
 namespace hics::stats {
 
-namespace {
-
-/// Core computation over two sorted samples.
-CvmResult CvmSorted(std::span<const double> a, std::span<const double> b) {
+CvmResult CvmTestSorted(std::span<const double> a,
+                        std::span<const double> b) {
   CvmResult result;
   if (a.empty() || b.empty()) return result;
 
@@ -50,47 +45,11 @@ CvmResult CvmSorted(std::span<const double> a, std::span<const double> b) {
   return result;
 }
 
-}  // namespace
-
-CvmResult CvmTest(std::span<const double> a, std::span<const double> b) {
-  if (a.empty() || b.empty()) return CvmResult{};
-  std::vector<double> sa(a.begin(), a.end());
-  std::vector<double> sb(b.begin(), b.end());
-  std::sort(sa.begin(), sa.end());
-  std::sort(sb.begin(), sb.end());
-  return CvmSorted(sa, sb);
-}
-
-double CvmDeviation::Deviation(std::span<const double> marginal,
-                               std::span<const double> conditional) const {
-  const CvmResult r = CvmTest(marginal, conditional);
-  return r.valid ? r.statistic : 0.0;
-}
-
-double CvmDeviation::DeviationPresortedMarginal(
-    std::span<const double> marginal_sorted,
-    std::span<const double> conditional) const {
-  std::vector<double> sort_scratch;
-  return DeviationPresortedMarginal(marginal_sorted, conditional,
-                                    &sort_scratch);
-}
-
-double CvmDeviation::DeviationPresortedMarginal(
-    std::span<const double> marginal_sorted,
-    std::span<const double> conditional,
-    std::vector<double>* sort_scratch) const {
-  if (marginal_sorted.empty() || conditional.empty()) return 0.0;
-  sort_scratch->assign(conditional.begin(), conditional.end());
-  std::sort(sort_scratch->begin(), sort_scratch->end());
-  const CvmResult r = CvmSorted(marginal_sorted, *sort_scratch);
-  return r.valid ? r.statistic : 0.0;
-}
-
 double CvmDeviation::DeviationFromSelection(const SelectionView& view,
                                          SelectionScratch* scratch) const {
   const std::span<const double> conditional = SelectSorted(view, scratch);
   if (view.marginal_sorted.empty() || conditional.empty()) return 0.0;
-  const CvmResult r = CvmSorted(view.marginal_sorted, conditional);
+  const CvmResult r = CvmTestSorted(view.marginal_sorted, conditional);
   return r.valid ? r.statistic : 0.0;
 }
 

@@ -3,7 +3,6 @@
 
 #include <span>
 #include <string>
-#include <vector>
 
 #include "stats/two_sample_test.h"
 
@@ -22,8 +21,8 @@ struct CvmResult {
   bool valid = false;
 };
 
-/// Runs the test; O((n+m) log(n+m)).
-CvmResult CvmTest(std::span<const double> a, std::span<const double> b);
+/// Runs the test over samples both sorted ascending; O(n + m) merge.
+CvmResult CvmTestSorted(std::span<const double> a, std::span<const double> b);
 
 /// Third instantiation of the HiCS deviation function ("cvm"): integrates
 /// the *whole* CDF difference instead of its supremum, making it less
@@ -32,15 +31,6 @@ CvmResult CvmTest(std::span<const double> a, std::span<const double> b);
 /// covers the Cramer-von Mises family alongside KS.
 class CvmDeviation : public TwoSampleTest {
  public:
-  double Deviation(std::span<const double> marginal,
-                   std::span<const double> conditional) const override;
-  double DeviationPresortedMarginal(
-      std::span<const double> marginal_sorted,
-      std::span<const double> conditional) const override;
-  double DeviationPresortedMarginal(
-      std::span<const double> marginal_sorted,
-      std::span<const double> conditional,
-      std::vector<double>* sort_scratch) const override;
   /// Rank-space path: sorted-order emission of the conditional
   /// (SelectSorted) feeding the O(n) sorted merge.
   double DeviationFromSelection(const SelectionView& view,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "stats/distributions.h"
 
@@ -41,41 +40,6 @@ KsResult KsTestSorted(std::span<const double> a_sorted,
   result.p_value = KolmogorovPValue(lambda);
   result.valid = true;
   return result;
-}
-
-KsResult KsTest(std::span<const double> a, std::span<const double> b) {
-  if (a.empty() || b.empty()) return KsResult{};
-  std::vector<double> sa(a.begin(), a.end());
-  std::vector<double> sb(b.begin(), b.end());
-  std::sort(sa.begin(), sa.end());
-  std::sort(sb.begin(), sb.end());
-  return KsTestSorted(sa, sb);
-}
-
-double KsDeviation::Deviation(std::span<const double> marginal,
-                              std::span<const double> conditional) const {
-  const KsResult r = KsTest(marginal, conditional);
-  if (!r.valid) return 0.0;
-  return r.statistic;
-}
-
-double KsDeviation::DeviationPresortedMarginal(
-    std::span<const double> marginal_sorted,
-    std::span<const double> conditional) const {
-  std::vector<double> sort_scratch;
-  return DeviationPresortedMarginal(marginal_sorted, conditional,
-                                    &sort_scratch);
-}
-
-double KsDeviation::DeviationPresortedMarginal(
-    std::span<const double> marginal_sorted,
-    std::span<const double> conditional,
-    std::vector<double>* sort_scratch) const {
-  if (marginal_sorted.empty() || conditional.empty()) return 0.0;
-  sort_scratch->assign(conditional.begin(), conditional.end());
-  std::sort(sort_scratch->begin(), sort_scratch->end());
-  const KsResult r = KsTestSorted(marginal_sorted, *sort_scratch);
-  return r.valid ? r.statistic : 0.0;
 }
 
 double KsDeviation::DeviationFromSelection(const SelectionView& view,

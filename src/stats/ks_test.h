@@ -3,7 +3,6 @@
 
 #include <span>
 #include <string>
-#include <vector>
 
 #include "stats/two_sample_test.h"
 
@@ -16,10 +15,7 @@ struct KsResult {
   bool valid = false;      ///< False when either sample is empty.
 };
 
-/// Runs the two-sample KS test; O(n log n) merge of the sorted samples.
-KsResult KsTest(std::span<const double> a, std::span<const double> b);
-
-/// KS test where both inputs are already sorted ascending; O(n) merge.
+/// Two-sample KS test over samples both sorted ascending; O(n) merge.
 KsResult KsTestSorted(std::span<const double> a_sorted,
                       std::span<const double> b_sorted);
 
@@ -27,15 +23,6 @@ KsResult KsTestSorted(std::span<const double> a_sorted,
 /// difference of the two empirical CDFs (paper §III-E, Eq. 11).
 class KsDeviation : public TwoSampleTest {
  public:
-  double Deviation(std::span<const double> marginal,
-                   std::span<const double> conditional) const override;
-  double DeviationPresortedMarginal(
-      std::span<const double> marginal_sorted,
-      std::span<const double> conditional) const override;
-  double DeviationPresortedMarginal(
-      std::span<const double> marginal_sorted,
-      std::span<const double> conditional,
-      std::vector<double>* sort_scratch) const override;
   /// Rank-space path: emits the conditional sample already sorted
   /// (SelectSorted), then runs the O(n) sorted merge — the per-draw
   /// O(m log m) sort disappears.

@@ -39,14 +39,6 @@ std::span<const double> SelectSorted(const SelectionView& view,
   return std::span<const double>(scratch->values.data(), k);
 }
 
-double TwoSampleTest::DeviationFromSelection(const SelectionView& view,
-                                             SelectionScratch* scratch) const {
-  // Reference semantics: the selected values in object-id order, evaluated
-  // as if the caller had materialized the conditional.
-  return DeviationPresortedMarginal(view.marginal_sorted,
-                                    SelectInIdOrder(view, scratch));
-}
-
 std::unique_ptr<TwoSampleTest> MakeTwoSampleTest(const std::string& name) {
   if (name == "welch" || name == "wt") {
     return std::make_unique<WelchTDeviation>();

@@ -26,7 +26,7 @@ namespace hics::stats {
 ///    equals `column[sorted_order[pos]]` bit for bit (same permutation).
 ///  * `marginal_mean` / `marginal_variance` equal Mean(marginal_sorted) /
 ///    SampleVariance(marginal_sorted) exactly (same summation order), so
-///    moment-based tests reproduce the materializing path bitwise.
+///    moment-based tests reproduce the gathering reference bitwise.
 ///  * `column.size() == sorted_order.size()`, every rank column has that
 ///    length, and condition_ranks.size() == condition_starts.size().
 struct SelectionView {
@@ -60,7 +60,7 @@ struct SelectionScratch {
 };
 
 /// The selected values of `view.column` in ascending object id — the
-/// conditional sample the materializing path gathers — written by one
+/// conditional sample a gathering draw would collect — written by one
 /// simd slice_select pass into `scratch->values`.
 std::span<const double> SelectInIdOrder(const SelectionView& view,
                                         SelectionScratch* scratch);
@@ -78,60 +78,27 @@ std::span<const double> SelectSorted(const SelectionView& view,
 /// conditional sample B to a deviation value in [0, 1]. Larger means the
 /// samples look less like draws from the same distribution.
 ///
-/// Implementations must be stateless w.r.t. Deviation() calls so a single
-/// instance can be shared across Monte Carlo iterations.
+/// Implementations must be stateless w.r.t. DeviationFromSelection() calls
+/// so a single instance can be shared across Monte Carlo iterations.
 class TwoSampleTest {
  public:
   virtual ~TwoSampleTest() = default;
 
-  /// Deviation between the two samples. Implementations must return 0 for
-  /// degenerate inputs (either sample too small to test) so that
-  /// uninformative slices do not inflate the contrast.
-  virtual double Deviation(std::span<const double> marginal,
-                           std::span<const double> conditional) const = 0;
-
-  /// Same contract as Deviation(), but the caller guarantees `marginal` is
-  /// sorted ascending. Order-insensitive tests (Welch) inherit the default
-  /// forward; rank-based tests (KS) override it to skip re-sorting the
-  /// marginal on every Monte Carlo iteration -- the contrast estimator
-  /// calls this with each attribute's pre-sorted column.
-  virtual double DeviationPresortedMarginal(
-      std::span<const double> marginal_sorted,
-      std::span<const double> conditional) const {
-    return Deviation(marginal_sorted, conditional);
-  }
-
-  /// Same contract as DeviationPresortedMarginal, with a caller-provided
-  /// sort buffer: rank-based tests copy+sort `conditional` into
-  /// `sort_scratch` (reusing its capacity) instead of allocating a fresh
-  /// vector — the contrast estimator calls this once per Monte Carlo draw
-  /// with per-worker scratch, making the hot loop allocation-free.
-  /// Tests that never sort ignore the buffer.
-  virtual double DeviationPresortedMarginal(
-      std::span<const double> marginal_sorted,
-      std::span<const double> conditional,
-      std::vector<double>* sort_scratch) const {
-    (void)sort_scratch;
-    return DeviationPresortedMarginal(marginal_sorted, conditional);
-  }
-
-  /// Deviation computed directly from a rank-space slice selection,
-  /// without the caller gathering (or sorting) the conditional sample.
-  /// Must return the same value — bit for bit — as gathering the selected
-  /// values of `view.column` in id order and passing them to
-  /// DeviationPresortedMarginal(view.marginal_sorted, gathered, scratch);
-  /// tests/contrast_kernel_test.cc checks exactly that against the
-  /// gather+sort reference contrast.
+  /// Deviation between the view's marginal sample and the conditional
+  /// sample its selection describes, computed without the caller
+  /// gathering (or sorting) the conditional. Must return 0 for degenerate
+  /// inputs (either sample too small to test) so that uninformative
+  /// slices do not inflate the contrast.
   ///
-  /// The shipped tests override it: Welch runs the canonical moment
-  /// kernels over the slice_select output; KS and CvM build the selection
-  /// mask with slice_mask and emit the conditional already sorted by
-  /// walking `sorted_order` filtered on it, eliminating the per-draw
-  /// O(m log m) sort. The base implementation gathers with slice_select
-  /// into `scratch->values` and defers to DeviationPresortedMarginal, so
-  /// third-party tests stay correct without opting in.
+  /// The result must equal, bit for bit, the reference deviation of
+  /// tests/contrast_oracle.h: the selected values of `view.column`
+  /// gathered in id order and scored against `view.marginal_sorted`.
+  /// Welch runs the canonical moment kernels over the slice_select
+  /// output; KS and CvM build the selection mask with slice_mask and emit
+  /// the conditional already sorted by walking `sorted_order` filtered on
+  /// it, eliminating the per-draw O(m log m) sort.
   virtual double DeviationFromSelection(const SelectionView& view,
-                                        SelectionScratch* scratch) const;
+                                        SelectionScratch* scratch) const = 0;
 
   /// Short identifier for reports, e.g. "welch" or "ks".
   virtual std::string name() const = 0;

@@ -4,16 +4,9 @@
 #include <cstdint>
 
 #include "simd/simd.h"
-#include "stats/descriptive.h"
 #include "stats/distributions.h"
 
 namespace hics::stats {
-
-WelchResult WelchTTest(std::span<const double> a, std::span<const double> b) {
-  if (a.size() < 2 || b.size() < 2) return WelchResult{};
-  return WelchTTestFromMoments(a.size(), Mean(a), SampleVariance(a),
-                               b.size(), Mean(b), SampleVariance(b));
-}
 
 WelchResult WelchTTestFromMoments(std::size_t size_a, double mean_a,
                                   double var_a, std::size_t size_b,
@@ -51,19 +44,12 @@ WelchResult WelchTTestFromMoments(std::size_t size_a, double mean_a,
   return result;
 }
 
-double WelchTDeviation::Deviation(std::span<const double> marginal,
-                                  std::span<const double> conditional) const {
-  const WelchResult r = WelchTTest(marginal, conditional);
-  if (!r.valid) return 0.0;
-  return 1.0 - r.p_value;
-}
-
 double WelchTDeviation::DeviationFromSelection(
     const SelectionView& view, SelectionScratch* scratch) const {
   // The selected values in ascending object id — elementwise equal to the
   // gathered conditional — then the canonical moment kernels over the
   // dense sample, so the moments, hence the p-value, are bit-identical to
-  // the Deviation(gather) path on every tier.
+  // Mean/SampleVariance over the gathered sample on every tier.
   const std::span<const double> conditional = SelectInIdOrder(view, scratch);
   const std::size_t count = conditional.size();
   if (view.marginal_sorted.size() < 2 || count < 2) return 0.0;

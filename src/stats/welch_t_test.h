@@ -1,7 +1,7 @@
 #ifndef HICS_STATS_WELCH_T_TEST_H_
 #define HICS_STATS_WELCH_T_TEST_H_
 
-#include <span>
+#include <cstddef>
 #include <string>
 
 #include "stats/two_sample_test.h"
@@ -16,16 +16,12 @@ struct WelchResult {
   bool valid = false;             ///< False when the test is degenerate.
 };
 
-/// Runs Welch's unequal-variance t-test on two samples.
-WelchResult WelchTTest(std::span<const double> a, std::span<const double> b);
-
-/// Welch's t-test from sufficient statistics (size, mean, unbiased sample
-/// variance of each sample). WelchTTest is exactly this after computing
-/// the moments with Mean/SampleVariance, so callers that already hold the
-/// moments (the fused contrast kernel precomputes the marginal's and
-/// accumulates the conditional's during the selection sweep) get bitwise
-/// the same result without touching the samples again. Returns invalid
-/// when either size is < 2.
+/// Welch's unequal-variance t-test from sufficient statistics (size, mean,
+/// unbiased sample variance of each sample). Over two raw samples it is
+/// this after computing the moments with Mean/SampleVariance; the fused
+/// contrast kernel precomputes the marginal's moments and computes the
+/// conditional's over the selection, so it never touches a sample twice.
+/// Returns invalid when either size is < 2.
 WelchResult WelchTTestFromMoments(std::size_t n_a, double mean_a,
                                   double var_a, std::size_t n_b,
                                   double mean_b, double var_b);
@@ -35,8 +31,6 @@ WelchResult WelchTTestFromMoments(std::size_t n_a, double mean_a,
 /// Welch-Satterthwaite degrees of freedom (paper §III-E).
 class WelchTDeviation : public TwoSampleTest {
  public:
-  double Deviation(std::span<const double> marginal,
-                   std::span<const double> conditional) const override;
   /// Fused path: one slice_select pass writes the conditional in object-id
   /// order, the canonical moment kernels sum it (the same summation order
   /// Mean/SampleVariance apply to the gathered vector), and the view's

@@ -59,7 +59,9 @@ TEST(CsvEdgeTest, ScientificNotationParses) {
 TEST(WelchEdgeTest, OneConstantOneVaryingSample) {
   const std::vector<double> constant = {2.0, 2.0, 2.0, 2.0};
   const std::vector<double> varying = {1.0, 2.0, 3.0, 4.0};
-  const stats::WelchResult r = stats::WelchTTest(constant, varying);
+  // Moments of the two samples: (2, 0) and (2.5, 5/3).
+  const stats::WelchResult r = stats::WelchTTestFromMoments(
+      constant.size(), 2.0, 0.0, varying.size(), 2.5, 5.0 / 3.0);
   ASSERT_TRUE(r.valid);
   // Means equal (2.5 vs 2.0 actually differ); statistic finite & sane.
   EXPECT_TRUE(std::isfinite(r.t));
@@ -71,10 +73,14 @@ TEST(KsSortedEdgeTest, DirectSortedEntryPoint) {
   const std::vector<double> a = {1.0, 2.0, 3.0};
   const std::vector<double> b = {2.0, 3.0, 4.0};
   const auto direct = stats::KsTestSorted(a, b);
-  const auto generic = stats::KsTest(a, b);
+  const auto swapped = stats::KsTestSorted(b, a);
   ASSERT_TRUE(direct.valid);
-  EXPECT_DOUBLE_EQ(direct.statistic, generic.statistic);
-  EXPECT_DOUBLE_EQ(direct.p_value, generic.p_value);
+  // The empirical CDFs differ by 1/3 on [1, 4).
+  EXPECT_DOUBLE_EQ(direct.statistic, 1.0 / 3.0);
+  EXPECT_GT(direct.p_value, 0.0);
+  EXPECT_LE(direct.p_value, 1.0);
+  EXPECT_EQ(direct.statistic, swapped.statistic);
+  EXPECT_EQ(direct.p_value, swapped.p_value);
 }
 
 TEST(GridEdgeTest, SingleBinGrid) {

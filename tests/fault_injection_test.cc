@@ -15,8 +15,8 @@
 #include "core/pipeline.h"
 #include "data/synthetic.h"
 #include "engine/sharded_dataset.h"
-#include "eval/rank_correlation.h"
 #include "outlier/lof.h"
+#include "rank_correlation.h"
 
 namespace hics {
 namespace {

@@ -5,8 +5,8 @@
 //      the k edge cases {0, 1, N-1, N};
 //  (2) LOF scores are byte-identical before/after the batch migration and
 //      across num_threads;
-//  (3) the buffer-filling QueryRadius matches the allocating wrapper and
-//      its pre-abandonment semantics.
+//  (3) the kd-tree's CountRadius counts the radius neighborhood of the
+//      exhaustive reference (knn_oracle.h) after its relayout.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 
 #include "common/random.h"
 #include "index/neighbor_searcher.h"
+#include "knn_oracle.h"
 #include "outlier/lof.h"
 #include "outlier/subspace_ranker.h"
 
@@ -205,7 +206,7 @@ TEST(KnnBatchTest, LofScoresByteIdenticalAcrossMigrationAndThreads) {
   // Reference: the pre-batching configuration (per-query brute-force
   // table, serial) scored through LOF's passes 2-3.
   KnnResultTable reference_table;
-  brute->QueryAllKnnPerQuery(10, &reference_table, 1);
+  PerQueryAllKnn(*brute, 10, &reference_table);
   const auto expected =
       LofScorer({.min_pts = 10, .num_threads = 1})
           .ScoreFromTable(reference_table, n, 1);
@@ -217,7 +218,7 @@ TEST(KnnBatchTest, LofScoresByteIdenticalAcrossMigrationAndThreads) {
       if (batch) {
         brute->QueryAllKnn(10, &table, num_threads);
       } else {
-        brute->QueryAllKnnPerQuery(10, &table, num_threads);
+        PerQueryAllKnn(*brute, 10, &table, num_threads);
       }
       const auto scores = lof.ScoreFromTable(table, n, num_threads);
       ASSERT_EQ(scores.size(), expected.size());
@@ -231,26 +232,6 @@ TEST(KnnBatchTest, LofScoresByteIdenticalAcrossMigrationAndThreads) {
     // change scores either.
     EXPECT_EQ(lof.ScoreSubspace(ds, subspace), expected)
         << "threads " << num_threads;
-  }
-}
-
-TEST(KnnBatchTest, BufferRadiusMatchesAllocatingWrapper) {
-  Dataset ds = RandomDataset(180, 3, 41, /*with_duplicates=*/true);
-  const auto brute = MakeBruteForceSearcher(ds, ds.FullSpace());
-  const auto kd = MakeKdTreeSearcher(ds, ds.FullSpace());
-  std::vector<Neighbor> buffer;
-  for (const auto* searcher : {brute.get(), kd.get()}) {
-    for (std::size_t q = 0; q < 30; ++q) {
-      for (double radius : {0.0, 0.1, 0.4, 2.0}) {
-        const auto expected = searcher->QueryRadius(q, radius);
-        searcher->QueryRadius(q, radius, &buffer);
-        ASSERT_EQ(buffer.size(), expected.size());
-        for (std::size_t i = 0; i < expected.size(); ++i) {
-          EXPECT_EQ(buffer[i].id, expected[i].id);
-          EXPECT_EQ(buffer[i].distance, expected[i].distance);
-        }
-      }
-    }
   }
 }
 
@@ -309,8 +290,8 @@ TEST(KdTreeBatchTest, DuplicateHeavyColumnsMatchBrutePerQuery) {
 }
 
 TEST(KdTreeBatchTest, RadiusQueriesMatchBruteAfterRelayout) {
-  // DBSCAN and RIS reach the kd-tree through QueryRadius and
-  // CountRadius; both must see object ids, not tree positions.
+  // RIS reaches the kd-tree through CountRadius, which must exclude the
+  // query by object id, not by tree position.
   Dataset quantized(2500, 3);
   Rng rng(83);
   for (std::size_t i = 0; i < quantized.num_objects(); ++i) {
@@ -326,9 +307,11 @@ TEST(KdTreeBatchTest, RadiusQueriesMatchBruteAfterRelayout) {
     const auto brute = MakeBruteForceSearcher(*ds, subspace);
     for (std::size_t q = 0; q < ds->num_objects(); q += 13) {
       for (double radius : {0.0, 0.05, 0.25, 0.6}) {
-        EXPECT_EQ(kd->QueryRadius(q, radius), brute->QueryRadius(q, radius))
+        const std::size_t expected =
+            OracleQueryRadius(*ds, subspace, q, radius).size();
+        EXPECT_EQ(kd->CountRadius(q, radius), expected)
             << "query " << q << " radius " << radius;
-        EXPECT_EQ(kd->CountRadius(q, radius), brute->CountRadius(q, radius))
+        EXPECT_EQ(brute->CountRadius(q, radius), expected)
             << "query " << q << " radius " << radius;
       }
     }

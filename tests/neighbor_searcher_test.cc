@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "common/random.h"
+#include "knn_oracle.h"
 
 namespace hics {
 namespace {
@@ -53,21 +54,21 @@ TEST(BruteForceTest, SubspaceRestrictedDistance) {
 }
 
 TEST(BruteForceTest, RadiusQuery) {
+  // Objects 1 (0.5) and 2 (0.9) lie within 1.0 of object 0; 3 does not.
   auto ds = *Dataset::FromRows({{0.0}, {0.5}, {0.9}, {2.0}});
-  auto searcher = MakeBruteForceSearcher(ds, Subspace({0}));
-  const auto nbrs = searcher->QueryRadius(0, 1.0);
-  ASSERT_EQ(nbrs.size(), 2u);
-  EXPECT_EQ(nbrs[0].id, 1u);
-  EXPECT_EQ(nbrs[1].id, 2u);
+  EXPECT_EQ(MakeBruteForceSearcher(ds, Subspace({0}))->CountRadius(0, 1.0),
+            2u);
+  EXPECT_EQ(MakeKdTreeSearcher(ds, Subspace({0}))->CountRadius(0, 1.0), 2u);
 }
 
+// The QueryRadius matched is the exhaustive OracleQueryRadius (knn_oracle.h).
 TEST(BruteForceTest, CountRadiusMatchesQueryRadius) {
   Dataset ds = RandomDataset(200, 3, 9);
   auto searcher = MakeBruteForceSearcher(ds, ds.FullSpace());
   for (std::size_t q = 0; q < 20; ++q) {
     for (double radius : {0.05, 0.2, 0.6}) {
       EXPECT_EQ(searcher->CountRadius(q, radius),
-                searcher->QueryRadius(q, radius).size())
+                OracleQueryRadius(ds, ds.FullSpace(), q, radius).size())
           << "query " << q << " radius " << radius;
     }
   }
@@ -77,7 +78,8 @@ TEST(KdTreeTest, DefaultCountRadiusMatches) {
   Dataset ds = RandomDataset(150, 2, 10);
   auto kd = MakeKdTreeSearcher(ds, ds.FullSpace());
   for (std::size_t q = 0; q < 10; ++q) {
-    EXPECT_EQ(kd->CountRadius(q, 0.3), kd->QueryRadius(q, 0.3).size());
+    EXPECT_EQ(kd->CountRadius(q, 0.3),
+              OracleQueryRadius(ds, ds.FullSpace(), q, 0.3).size());
   }
 }
 
@@ -160,12 +162,9 @@ TEST_P(KnnParityTest, RadiusMatchesBruteForce) {
   auto kd = MakeKdTreeSearcher(ds, full);
   const double radius = 0.25;
   for (std::size_t q = 0; q < std::min<std::size_t>(c.n, 15); ++q) {
-    const auto expected = brute->QueryRadius(q, radius);
-    const auto actual = kd->QueryRadius(q, radius);
-    ASSERT_EQ(actual.size(), expected.size()) << "query " << q;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(actual[i].id, expected[i].id);
-    }
+    const std::size_t expected = OracleQueryRadius(ds, full, q, radius).size();
+    EXPECT_EQ(brute->CountRadius(q, radius), expected) << "query " << q;
+    EXPECT_EQ(kd->CountRadius(q, radius), expected) << "query " << q;
   }
 }
 

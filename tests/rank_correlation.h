@@ -1,19 +1,26 @@
-#include "eval/rank_correlation.h"
+// Agreement measures between two outlier score vectors over the same
+// objects: how much two rankings agree beyond their AUCs (e.g. HiCS_WT vs
+// HiCS_KS, serial vs parallel runs, LOF vs kNN instantiations). Only the
+// tests compare rankings this way, so the measures live beside them;
+// header-only so every test shares one copy.
+
+#ifndef HICS_TESTS_RANK_CORRELATION_H_
+#define HICS_TESTS_RANK_CORRELATION_H_
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <numeric>
 #include <set>
+#include <vector>
 
+#include "common/status.h"
 #include "stats/correlation.h"
-#include "stats/descriptive.h"
 
 namespace hics {
 
-namespace {
-
-Status ValidatePair(const std::vector<double>& a,
-                    const std::vector<double>& b) {
+inline Status ValidateScorePair(const std::vector<double>& a,
+                                const std::vector<double>& b) {
   if (a.size() != b.size()) {
     return Status::InvalidArgument("score vectors differ in size");
   }
@@ -23,17 +30,19 @@ Status ValidatePair(const std::vector<double>& a,
   return Status::OK();
 }
 
-}  // namespace
-
-Result<double> SpearmanRankCorrelation(const std::vector<double>& a,
-                                       const std::vector<double>& b) {
-  HICS_RETURN_NOT_OK(ValidatePair(a, b));
+/// Spearman rank correlation of the two score vectors (average ranks for
+/// ties). Fails when sizes differ or fewer than 2 objects.
+inline Result<double> SpearmanRankCorrelation(const std::vector<double>& a,
+                                              const std::vector<double>& b) {
+  HICS_RETURN_NOT_OK(ValidateScorePair(a, b));
   return stats::SpearmanCorrelation(a, b);
 }
 
-Result<double> KendallTauB(const std::vector<double>& a,
-                           const std::vector<double>& b) {
-  HICS_RETURN_NOT_OK(ValidatePair(a, b));
+/// Kendall tau-b rank correlation (tie-corrected), O(n^2) pair counting —
+/// fine for the evaluation sizes used here. Fails like above.
+inline Result<double> KendallTauB(const std::vector<double>& a,
+                                  const std::vector<double>& b) {
+  HICS_RETURN_NOT_OK(ValidateScorePair(a, b));
   const std::size_t n = a.size();
   long long concordant = 0;
   long long discordant = 0;
@@ -63,9 +72,12 @@ Result<double> KendallTauB(const std::vector<double>& a,
          denom;
 }
 
-Result<double> TopKJaccard(const std::vector<double>& a,
-                           const std::vector<double>& b, std::size_t k) {
-  HICS_RETURN_NOT_OK(ValidatePair(a, b));
+/// Jaccard overlap |topK(a) ∩ topK(b)| / |topK(a) ∪ topK(b)| of the k
+/// highest-scored objects under each scoring. k is clamped to the size.
+inline Result<double> TopKJaccard(const std::vector<double>& a,
+                                  const std::vector<double>& b,
+                                  std::size_t k) {
+  HICS_RETURN_NOT_OK(ValidateScorePair(a, b));
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
   k = std::min(k, a.size());
 
@@ -88,3 +100,5 @@ Result<double> TopKJaccard(const std::vector<double>& a,
 }
 
 }  // namespace hics
+
+#endif  // HICS_TESTS_RANK_CORRELATION_H_

@@ -1,4 +1,4 @@
-#include "eval/rank_correlation.h"
+#include "rank_correlation.h"
 
 #include <gtest/gtest.h>
 

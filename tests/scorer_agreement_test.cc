@@ -9,10 +9,10 @@
 #include <cmath>
 
 #include "common/random.h"
-#include "eval/rank_correlation.h"
 #include "eval/roc.h"
 #include "outlier/knn_outlier.h"
 #include "outlier/lof.h"
+#include "rank_correlation.h"
 
 namespace hics {
 namespace {

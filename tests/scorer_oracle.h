@@ -18,6 +18,7 @@
 #include "common/dataset.h"
 #include "common/subspace.h"
 #include "index/neighbor_searcher.h"
+#include "knn_oracle.h"
 
 namespace hics {
 
@@ -28,8 +29,8 @@ inline KnnResultTable OracleKnnTable(const Dataset& dataset,
                                      std::size_t k) {
   const std::size_t n = dataset.num_objects();
   KnnResultTable table;
-  MakeBruteForceSearcher(dataset, subspace)
-      ->QueryAllKnnPerQuery(std::min(k, n - 1), &table, 1);
+  PerQueryAllKnn(*MakeBruteForceSearcher(dataset, subspace),
+                 std::min(k, n - 1), &table);
   return table;
 }
 

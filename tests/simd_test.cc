@@ -28,6 +28,7 @@
 #include "data/synthetic.h"
 #include "index/distance.h"
 #include "index/neighbor_searcher.h"
+#include "knn_oracle.h"
 #include "outlier/lof.h"
 #include "outlier/subspace_ranker.h"
 #include "serve/hics_model.h"
@@ -696,22 +697,24 @@ TEST(SimdSeamTest, KdTreeIdenticalAcrossTiers) {
       points.push_back(point);
     }
     points.emplace_back(dims, 0.25);
-    // Scalar brute force is the reference for every query kind; the
-    // radius is each query's k-th neighbor distance, so ties at the radius
-    // are exercised.
+    // Scalar brute force queried per object, and the exhaustive radius
+    // scan (knn_oracle.h), are the references; the radius is each query's
+    // k-th neighbor distance, so ties at the radius are exercised.
     KnnResultTable reference;
-    std::vector<std::vector<Neighbor>> ref_points, ref_radius;
+    std::vector<std::vector<Neighbor>> ref_points;
+    std::vector<std::size_t> ref_radius_counts;
     std::vector<double> radii;
     {
       simd::ScopedSimdTier forced(SimdTier::kScalar);
       const auto brute = MakeBruteForceSearcher(data, subspace);
-      brute->QueryAllKnnPerQuery(k, &reference, 1);
+      PerQueryAllKnn(*brute, k, &reference);
       for (const auto& point : points) {
         ref_points.push_back(brute->QueryKnnPoint(point, k));
       }
       for (std::size_t q = 0; q < n; ++q) {
         radii.push_back(reference.Row(q).back().distance);
-        ref_radius.push_back(brute->QueryRadius(q, radii.back()));
+        ref_radius_counts.push_back(
+            OracleQueryRadius(data, subspace, q, radii.back()).size());
       }
     }
     for (SimdTier tier : AvailableTiers()) {
@@ -734,9 +737,7 @@ TEST(SimdSeamTest, KdTreeIdenticalAcrossTiers) {
         const std::string at = where + " q=" + std::to_string(q);
         ExpectSameNeighbors(tree->QueryKnn(q, k), reference.Row(q),
                             at + " QueryKnn");
-        ExpectSameNeighbors(tree->QueryRadius(q, radii[q]), ref_radius[q],
-                            at + " QueryRadius");
-        EXPECT_EQ(tree->CountRadius(q, radii[q]), ref_radius[q].size())
+        EXPECT_EQ(tree->CountRadius(q, radii[q]), ref_radius_counts[q])
             << at << " CountRadius";
       }
       for (std::size_t i = 0; i < points.size(); ++i) {

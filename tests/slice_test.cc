@@ -73,10 +73,12 @@ TEST(SliceSamplerTest, TestAttributeBelongsToSubspace) {
   SortedAttributeIndex index(ds);
   SliceSampler sampler(ds, index);
   Rng rng(9);
+  SliceScratch scratch;
+  SliceSelection sel;
   const Subspace s({1, 3, 5});
   for (int i = 0; i < 50; ++i) {
-    const SliceDraw draw = sampler.Draw(s, 0.2, &rng);
-    EXPECT_TRUE(s.Contains(draw.test_attribute));
+    sampler.DrawSelection(s, 0.2, &rng, &scratch, &sel);
+    EXPECT_TRUE(s.Contains(sel.test_attribute));
   }
 }
 
@@ -85,10 +87,13 @@ TEST(SliceSamplerTest, AllAttributesEventuallyTested) {
   SortedAttributeIndex index(ds);
   SliceSampler sampler(ds, index);
   Rng rng(10);
+  SliceScratch scratch;
+  SliceSelection sel;
   const Subspace s({0, 1, 2, 3});
   std::vector<int> tested(4, 0);
   for (int i = 0; i < 200; ++i) {
-    ++tested[sampler.Draw(s, 0.3, &rng).test_attribute];
+    sampler.DrawSelection(s, 0.3, &rng, &scratch, &sel);
+    ++tested[sel.test_attribute];
   }
   for (int count : tested) EXPECT_GT(count, 20);
 }
@@ -100,10 +105,13 @@ TEST(SliceSamplerTest, TwoDimensionalSelectionSizeIsExact) {
   SortedAttributeIndex index(ds);
   SliceSampler sampler(ds, index);
   Rng rng(11);
+  SliceScratch scratch;
+  SliceSelection sel;
   const std::size_t expected = sampler.BlockSize(2, 0.1);
   for (int i = 0; i < 20; ++i) {
-    const SliceDraw draw = sampler.Draw(Subspace({0, 1}), 0.1, &rng);
-    EXPECT_EQ(draw.selected_count, expected);
+    sampler.DrawSelection(Subspace({0, 1}), 0.1, &rng, &scratch, &sel);
+    EXPECT_EQ(SliceSelect(sel, ds.Column(sel.test_attribute)).size(),
+              expected);
   }
 }
 
@@ -115,12 +123,16 @@ TEST(SliceSamplerTest, ExpectedSelectionSizeOnIndependentData) {
   SortedAttributeIndex index(ds);
   SliceSampler sampler(ds, index);
   Rng rng(12);
+  SliceScratch scratch;
+  SliceSelection sel;
   const double alpha = 0.1;
   const Subspace s({0, 1, 2});
   double sum = 0.0;
   const int reps = 300;
   for (int i = 0; i < reps; ++i) {
-    sum += static_cast<double>(sampler.Draw(s, alpha, &rng).selected_count);
+    sampler.DrawSelection(s, alpha, &rng, &scratch, &sel);
+    sum += static_cast<double>(
+        SliceSelect(sel, ds.Column(sel.test_attribute)).size());
   }
   const double alpha1 = std::pow(alpha, 1.0 / 3.0);
   const double expected = static_cast<double>(n) * alpha1 * alpha1;
@@ -132,9 +144,11 @@ TEST(SliceSamplerTest, ConditionalSampleValuesComeFromColumn) {
   SortedAttributeIndex index(ds);
   SliceSampler sampler(ds, index);
   Rng rng(13);
-  const SliceDraw draw = sampler.Draw(Subspace({0, 1, 2}), 0.3, &rng);
-  const auto& col = ds.Column(draw.test_attribute);
-  for (double v : draw.conditional_sample) {
+  SliceScratch scratch;
+  SliceSelection sel;
+  sampler.DrawSelection(Subspace({0, 1, 2}), 0.3, &rng, &scratch, &sel);
+  const auto& col = ds.Column(sel.test_attribute);
+  for (double v : SliceSelect(sel, col)) {
     EXPECT_NE(std::find(col.begin(), col.end(), v), col.end());
   }
 }
@@ -144,27 +158,36 @@ TEST(SliceSamplerTest, DeterministicGivenRngState) {
   SortedAttributeIndex index(ds);
   SliceSampler sampler(ds, index);
   Rng rng1(99), rng2(99);
-  const SliceDraw d1 = sampler.Draw(Subspace({0, 2, 3}), 0.15, &rng1);
-  const SliceDraw d2 = sampler.Draw(Subspace({0, 2, 3}), 0.15, &rng2);
+  SliceScratch s1, s2;
+  SliceSelection d1, d2;
+  sampler.DrawSelection(Subspace({0, 2, 3}), 0.15, &rng1, &s1, &d1);
+  sampler.DrawSelection(Subspace({0, 2, 3}), 0.15, &rng2, &s2, &d2);
   EXPECT_EQ(d1.test_attribute, d2.test_attribute);
-  EXPECT_EQ(d1.conditional_sample, d2.conditional_sample);
+  EXPECT_TRUE(std::equal(d1.condition_starts.begin(),
+                         d1.condition_starts.end(),
+                         d2.condition_starts.begin(),
+                         d2.condition_starts.end()));
+  EXPECT_EQ(SliceSelect(d1, ds.Column(d1.test_attribute)),
+            SliceSelect(d2, ds.Column(d2.test_attribute)));
 }
 
 TEST(SliceSamplerTest, DrawSelectionMatchesMaterializingDraw) {
-  // Same RNG state through either entry point -> same slice: the
-  // selection's rank-block conditions must select exactly the objects
-  // whose test-attribute values Draw materializes.
+  // Same RNG state through the sampler and the gathering reference draw
+  // (contrast_oracle.h) -> same slice: the selection's rank-block
+  // conditions must select exactly the objects whose test-attribute
+  // values the reference gathers.
   Dataset ds = UniformDataset(400, 5, 21);
   SortedAttributeIndex index(ds);
   SliceSampler sampler(ds, index);
   Rng r1(77), r2(77);
-  SliceScratch s1, s2;
-  SliceDraw draw;
+  std::vector<std::uint16_t> counts;
+  GatheredDraw draw;
+  SliceScratch scratch;
   SliceSelection sel;
   const Subspace sub({0, 2, 3, 4});
   for (int i = 0; i < 50; ++i) {
-    sampler.Draw(sub, 0.15, &r1, &s1, &draw);
-    sampler.DrawSelection(sub, 0.15, &r2, &s2, &sel);
+    GatherDraw(ds, index, sub, 0.15, &r1, &draw, &counts);
+    sampler.DrawSelection(sub, 0.15, &r2, &scratch, &sel);
     EXPECT_EQ(sel.test_attribute, draw.test_attribute);
     EXPECT_EQ(sel.num_conditions(), sub.size() - 1);
     ASSERT_EQ(sel.condition_ranks.size(), sel.num_conditions());
@@ -174,8 +197,8 @@ TEST(SliceSamplerTest, DrawSelectionMatchesMaterializingDraw) {
     for (std::size_t id = 0; id < 400; ++id) {
       if (Selected(sel, id)) selected.push_back(col[id]);
     }
-    // Object-id order, exactly like Draw's gather — by brute force and
-    // through the fused kernel.
+    // Object-id order, exactly like the reference gather — by brute force
+    // and through the fused kernel.
     EXPECT_EQ(selected, draw.conditional_sample);
     EXPECT_EQ(SliceSelect(sel, col), draw.conditional_sample);
   }
@@ -249,7 +272,10 @@ TEST(SliceSamplerDeathTest, RejectsOneDimensionalSubspace) {
   SortedAttributeIndex index(ds);
   SliceSampler sampler(ds, index);
   Rng rng(1);
-  EXPECT_DEATH(sampler.Draw(Subspace({0}), 0.1, &rng), "one-dimensional");
+  SliceScratch scratch;
+  SliceSelection sel;
+  EXPECT_DEATH(sampler.DrawSelection(Subspace({0}), 0.1, &rng, &scratch, &sel),
+               "one-dimensional");
 }
 
 TEST(SliceSamplerDeathTest, RejectsBadAlpha) {

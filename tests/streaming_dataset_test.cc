@@ -25,6 +25,12 @@
 namespace hics {
 namespace {
 
+constexpr ScoreAggregation kAvg = ScoreAggregation::kAverage;
+constexpr ShardedScoringPolicy kExact =
+    ShardedScoringPolicy::kRequireExactMerge;
+constexpr ShardedScoringPolicy kApprox =
+    ShardedScoringPolicy::kAllowApproximation;
+
 /// One random row with every value strictly inside (0.05, 0.95) — inside
 /// the 0.05/0.95 extreme rows the grid-carry test plants, so admissions
 /// never move the global ranges unless a test wants them to.
@@ -229,6 +235,109 @@ TEST(StreamingWindowTest, PartitionFollowsTheCanonicalShardedRule) {
   EXPECT_EQ(covered, streaming.size());
 }
 
+void ExpectSameBits(const std::vector<double>& a,
+                    const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+}
+
+/// Search, contrast matrix and grid ranking of the window, bit for bit
+/// against the same three over a cold plane of the identical rows.
+void ExpectWindowMatchesColdPlane(const StreamingDataset& streaming,
+                                  const ShardPlane& cold) {
+  ASSERT_EQ(streaming.num_shards(), cold.num_shards());
+  HicsParams params;
+  params.num_iterations = 10;
+  params.output_top_k = 6;
+  const auto found = RunHicsSearch(streaming, params);
+  const auto cold_found = RunHicsSearch(cold, params);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  ASSERT_TRUE(cold_found.ok()) << cold_found.status().ToString();
+  ASSERT_EQ(found->size(), cold_found->size());
+  for (std::size_t i = 0; i < found->size(); ++i) {
+    EXPECT_EQ((*found)[i].subspace, (*cold_found)[i].subspace) << "rank " << i;
+    EXPECT_EQ(std::memcmp(&(*found)[i].score, &(*cold_found)[i].score,
+                          sizeof(double)),
+              0)
+        << "rank " << i;
+  }
+  ContrastMatrixParams matrix_params;
+  matrix_params.contrast.num_iterations = params.num_iterations;
+  const auto matrix = ComputeContrastMatrix(streaming, matrix_params);
+  const auto cold_matrix = ComputeContrastMatrix(cold, matrix_params);
+  ASSERT_TRUE(matrix.ok());
+  ASSERT_TRUE(cold_matrix.ok());
+  ExpectSameMatrixBits(*matrix, *cold_matrix);
+  GridDensityParams grid_params;
+  grid_params.bins_per_dim = 4;
+  const GridDensityScorer grid(grid_params);
+  const std::vector<Subspace> subspaces = {Subspace{0, 1}, Subspace{1, 2}};
+  const auto ranked =
+      RankWithSubspacesSharded(streaming, subspaces, grid, kAvg, kExact);
+  const auto cold_ranked =
+      RankWithSubspacesSharded(cold, subspaces, grid, kAvg, kExact);
+  ASSERT_TRUE(ranked.ok());
+  ASSERT_TRUE(cold_ranked.ok());
+  ExpectSameBits(*ranked, *cold_ranked);
+}
+
+TEST(StreamingWindowTest, OneShardWindowIsItsOwnShard) {
+  Rng rng(71);
+  const std::size_t d = 3;
+  // A one-shard window keeps no slot: its shard is the window artifact
+  // of the current epoch, and a slide rebuilds no slot, so it probes no
+  // "stream.slide.shard" fault site.
+  FaultInjector injector;
+  injector.FailNthCall("stream.slide.shard", 1,
+                       Status::Internal("injected shard rebuild fault"));
+  RunContext ctx;
+  ctx.SetFaultInjector(&injector);
+  StreamingDataset one(d, {.capacity = 24, .num_shards = 1});
+  const LofScorer lof({.min_pts = 3});
+  const std::vector<Subspace> subspaces = {Subspace{0, 1}};
+  for (int step = 0; step < 5; ++step) {
+    ASSERT_TRUE(one.Admit(InteriorRows(rng, 8, d), &ctx).ok())
+        << "step " << step;
+    ASSERT_EQ(one.num_shards(), 1u);
+    EXPECT_EQ(&one.shard(0), &one.prepared()) << "step " << step;
+    EXPECT_EQ(one.shard_content_epoch(0), one.epoch()) << "step " << step;
+    EXPECT_EQ(one.shard_begin(0), 0u);
+    EXPECT_EQ(one.shard_size(0), one.size());
+    ASSERT_TRUE(
+        RankWithSubspacesSharded(one, subspaces, lof, kAvg, kExact).ok());
+    EXPECT_EQ(one.shard_cache_stats(0).hits(),
+              one.window_cache_stats().hits());
+    EXPECT_EQ(one.shard_cache_stats(0).misses(),
+              one.window_cache_stats().misses());
+  }
+  EXPECT_EQ(injector.FiredCount("stream.slide.shard"), 0u);
+
+  // A two-shard window shrunk to one shard (3 rows clamp to 3/2 = 1) and
+  // grown back: every state matches a cold plane of its rows.
+  StreamingDataset window(d, {.capacity = 20, .num_shards = 2});
+  ReferenceWindow reference(d);
+  const auto slide = [&](std::size_t evict, std::size_t admit) {
+    const auto rows = InteriorRows(rng, admit, d);
+    ASSERT_TRUE(window.Slide(evict, rows).ok());
+    reference.Slide(evict, rows);
+  };
+  slide(0, 20);
+  ASSERT_EQ(window.num_shards(), 2u);
+  EXPECT_NE(&window.shard(0), &window.prepared());
+  ExpectWindowMatchesColdPlane(window,
+                               ShardedDataset(reference.AsDataset(), 2));
+  slide(18, 1);
+  ASSERT_EQ(window.num_shards(), 1u);
+  EXPECT_EQ(&window.shard(0), &window.prepared());
+  EXPECT_EQ(window.shard_content_epoch(0), window.epoch());
+  ExpectWindowMatchesColdPlane(window, PreparedDataset(reference.AsDataset()));
+  slide(0, 17);
+  ASSERT_EQ(window.num_shards(), 2u);
+  EXPECT_NE(&window.shard(0), &window.prepared());
+  ExpectWindowMatchesColdPlane(window,
+                               ShardedDataset(reference.AsDataset(), 2));
+}
+
 // ---------------------------------------------------------------------------
 // Slide-vs-cold byte identity (the acceptance criterion): after any
 // sequence of slides, searching, the contrast matrix and ranking the
@@ -279,8 +388,8 @@ TEST_P(StreamingIdentityTest, SlidesMatchColdRebuildAcrossThreadCounts) {
           streaming, *streamed_search, grid_scorer, ScoreAggregation::kAverage,
           ShardedScoringPolicy::kRequireExactMerge, threads);
       ASSERT_TRUE(streamed_rank.ok());
-      // The matrix has no streaming overload: it reads the window through
-      // the ShardPlane view, so a one-shard window scores its only slot.
+      // The search and the matrix read the window through the ShardPlane
+      // overloads; a one-shard window is its own shard.
       ContrastMatrixParams matrix_params;
       matrix_params.contrast.num_iterations = params.num_iterations;
       matrix_params.num_threads = threads;
@@ -347,18 +456,14 @@ TEST(StreamingIdentityWarmTest, RepeatQueriesAfterASlideHitAndAgree) {
 
   ASSERT_TRUE(streaming.Slide(4, InteriorRows(rng, 4, d)).ok());
   const auto first =
-      RankWithSubspaces(streaming, subspaces, scorer,
-                        ScoreAggregation::kAverage,
-                        ShardedScoringPolicy::kRequireExactMerge, 2);
+      RankWithSubspacesSharded(streaming, subspaces, scorer, kAvg, kExact, 2);
   ASSERT_TRUE(first.ok());
   std::uint64_t hits_before = 0;
   for (std::size_t s = 0; s < streaming.num_shards(); ++s) {
     hits_before += streaming.shard_cache_stats(s).hits();
   }
   const auto second =
-      RankWithSubspaces(streaming, subspaces, scorer,
-                        ScoreAggregation::kAverage,
-                        ShardedScoringPolicy::kRequireExactMerge, 2);
+      RankWithSubspacesSharded(streaming, subspaces, scorer, kAvg, kExact, 2);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(*first, *second);
   std::uint64_t hits_after = 0;
@@ -387,9 +492,8 @@ TEST(StreamingShardReuseTest, AlignedSlideRebuildsOnlyTheNewSlot) {
   // table + score vector each).
   const LofScorer scorer({.min_pts = 4});
   const std::vector<Subspace> subspaces = {Subspace{0, 1}, Subspace{1, 2}};
-  ASSERT_TRUE(RankWithSubspaces(streaming, subspaces, scorer,
-                                ScoreAggregation::kAverage,
-                                ShardedScoringPolicy::kAllowApproximation, 2)
+  ASSERT_TRUE(RankWithSubspacesSharded(streaming, subspaces, scorer, kAvg,
+                                       kApprox, 2)
                   .ok());
 
   std::vector<std::uint64_t> content_epochs(shards);
@@ -413,9 +517,8 @@ TEST(StreamingShardReuseTest, AlignedSlideRebuildsOnlyTheNewSlot) {
 
   // Re-rank: surviving slots answer purely from their caches (no new
   // misses); only the rebuilt slot computes.
-  ASSERT_TRUE(RankWithSubspaces(streaming, subspaces, scorer,
-                                ScoreAggregation::kAverage,
-                                ShardedScoringPolicy::kAllowApproximation, 2)
+  ASSERT_TRUE(RankWithSubspacesSharded(streaming, subspaces, scorer, kAvg,
+                                       kApprox, 2)
                   .ok());
   for (std::size_t s = 0; s + 1 < shards; ++s) {
     const ArtifactCacheStats after = streaming.shard_cache_stats(s);
@@ -455,14 +558,17 @@ TEST(StreamingGridCarryTest, RangeStableSlideCarriesTheWindowGrid) {
   const GridDensityScorer scorer(grid_params);
   const std::vector<Subspace> subspaces = {Subspace{0, 1}};
 
-  ASSERT_TRUE(RankWithSubspaces(streaming, subspaces, scorer).ok());
+  ASSERT_TRUE(
+      RankWithSubspacesSharded(streaming, subspaces, scorer, kAvg, kExact)
+          .ok());
   ArtifactCacheStats stats = streaming.window_cache_stats();
   EXPECT_EQ(stats.grid_misses, 1u);
   EXPECT_EQ(stats.grid_hits, 0u);
 
   // Interior slide: ranges survive bit-for-bit => the grid is carried.
   ASSERT_TRUE(streaming.Slide(4, InteriorRows(rng, 4, d)).ok());
-  const auto ranked = RankWithSubspaces(streaming, subspaces, scorer);
+  const auto ranked =
+      RankWithSubspacesSharded(streaming, subspaces, scorer, kAvg, kExact);
   ASSERT_TRUE(ranked.ok());
   stats = streaming.window_cache_stats();
   EXPECT_EQ(stats.grid_misses, 1u);  // never rebuilt
@@ -477,7 +583,9 @@ TEST(StreamingGridCarryTest, RangeStableSlideCarriesTheWindowGrid) {
   // no longer match — the stale grid is evicted, the next rank re-bins.
   std::vector<double> outlier(d, 0.99);
   ASSERT_TRUE(streaming.Slide(1, {outlier}).ok());
-  ASSERT_TRUE(RankWithSubspaces(streaming, subspaces, scorer).ok());
+  ASSERT_TRUE(
+      RankWithSubspacesSharded(streaming, subspaces, scorer, kAvg, kExact)
+          .ok());
   stats = streaming.window_cache_stats();
   EXPECT_EQ(stats.grid_misses, 2u);  // rebuilt against the new ranges
   EXPECT_GT(stats.evicted_artifacts, 0u);
@@ -498,7 +606,8 @@ TEST(StreamingFaultTest, FailedSlideLeavesThePlaneServingTheOldWindow) {
   grid_params.bins_per_dim = 5;
   const GridDensityScorer scorer(grid_params);
   const std::vector<Subspace> subspaces = {Subspace{0, 1}, Subspace{1, 2}};
-  const auto before = RankWithSubspaces(streaming, subspaces, scorer);
+  const auto before =
+      RankWithSubspacesSharded(streaming, subspaces, scorer, kAvg, kExact);
   ASSERT_TRUE(before.ok());
 
   FaultInjector injector;
@@ -514,7 +623,8 @@ TEST(StreamingFaultTest, FailedSlideLeavesThePlaneServingTheOldWindow) {
   EXPECT_EQ(streaming.size(), 20u);
 
   // The degraded plane still answers — byte-identically to before.
-  const auto after = RankWithSubspaces(streaming, subspaces, scorer);
+  const auto after =
+      RankWithSubspacesSharded(streaming, subspaces, scorer, kAvg, kExact);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*before, *after);
 
@@ -527,9 +637,8 @@ TEST(StreamingFaultTest, FailedSlideLeavesThePlaneServingTheOldWindow) {
   EXPECT_EQ(streaming.epoch(), epoch + 1);
   const auto cold_ds = streaming.window();
   const ShardedDataset cold(cold_ds, 2);
-  const auto streamed = RankWithSubspaces(
-      streaming, subspaces, scorer, ScoreAggregation::kAverage,
-      ShardedScoringPolicy::kRequireExactMerge, 2);
+  const auto streamed = RankWithSubspacesSharded(
+      streaming, subspaces, scorer, kAvg, kExact, 2);
   const auto colded = RankWithSubspacesSharded(
       cold, subspaces, scorer, ScoreAggregation::kAverage,
       ShardedScoringPolicy::kRequireExactMerge, 2);
@@ -601,9 +710,8 @@ TEST(StreamingFaultTest, RandomFaultSequenceNeverDivergesFromReplay) {
     }
     ExpectWindowEquals(streaming, reference.AsDataset());
     if (streaming.size() >= 6) {
-      const auto streamed = RankWithSubspaces(
-          streaming, subspaces, scorer, ScoreAggregation::kAverage,
-          ShardedScoringPolicy::kRequireExactMerge, 2);
+      const auto streamed = RankWithSubspacesSharded(
+          streaming, subspaces, scorer, kAvg, kExact, 2);
       ASSERT_TRUE(streamed.ok());
       const Dataset cold_ds = reference.AsDataset();
       if (streaming.num_shards() == 1) {

@@ -131,7 +131,7 @@ TEST(RankWithSubspacesTest, ScoredOverloadIgnoresScores) {
   const auto streamed_scored =
       RankWithSubspaces(streaming, scored, grid, kAvg, kExact);
   const auto streamed_plain =
-      RankWithSubspaces(streaming, plain, grid, kAvg, kExact);
+      RankWithSubspacesSharded(streaming, plain, grid, kAvg, kExact);
   ASSERT_TRUE(streamed_scored.ok()) << streamed_scored.status().ToString();
   ASSERT_TRUE(streamed_plain.ok()) << streamed_plain.status().ToString();
   EXPECT_EQ(*streamed_scored, *streamed_plain);
