@@ -19,7 +19,9 @@
 #include "bench/bench_json.h"
 #include "bench/bench_kernels.h"
 #include "tests/contrast_oracle.h"
+#include "tests/csv_oracle.h"
 #include "tests/knn_oracle.h"
+#include "common/csv.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/timer.h"
@@ -119,6 +121,33 @@ void BM_LofScore(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LofScore)->Arg(500)->Arg(1000)->Arg(2000);
+
+// CSV load of a generated 2000 x 40 labelled file (41 cells a row, the
+// shape of a pipeline_wide input) by ParseCsv (oracle:0) and by the strtod
+// parser of tests/csv_oracle.h (oracle:1); the "cells" counter is cells/s.
+void BM_ParseCsv(benchmark::State& state) {
+  constexpr std::size_t kRows = 2000;
+  constexpr std::size_t kAttributes = 40;
+  static const std::string text = [] {
+    SyntheticParams params;
+    params.num_objects = kRows;
+    params.num_attributes = kAttributes;
+    return WriteCsv(GenerateSynthetic(params).ValueOrDie().data);
+  }();
+  CsvOptions options;
+  options.label_column = static_cast<int>(kAttributes);
+  const bool oracle = state.range(0) != 0;
+  for (auto _ : state) {
+    const Result<Dataset> loaded =
+        oracle ? OracleParseCsv(text, options) : ParseCsv(text, options);
+    HICS_CHECK(loaded.ok() && loaded->num_objects() == kRows);
+    bench::KeepAlive(loaded->num_attributes());
+  }
+  state.counters["cells"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kRows * (kAttributes + 1)),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ParseCsv)->ArgName("oracle")->Arg(0)->Arg(1);
 
 /// Appends a "kernels" object: effective GB/s and GFLOP/s of each hot
 /// dispatched kernel on the active tier, over working sets shaped like the

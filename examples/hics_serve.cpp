@@ -1,9 +1,10 @@
 // hics_serve: durable trained-model serving.
 //
-//   hics_serve --fit <train.csv> --model <path>
+//   hics_serve --fit <train.csv|train.arff> --model <path>
 //              [--scorer lof|knn-dist|knn-avg|grid]
 //              [--k N] [--top-subspaces N] [--threads N]
-//       Fits a HiCS model on the CSV and saves it (atomically) to <path>.
+//       Fits a HiCS model on the training file (ARFF when its name ends in
+//       ".arff", else CSV) and saves it (atomically) to <path>.
 //       For --scorer grid, --k is the bins per axis (default 10 is fine);
 //       queries then score via O(1) histogram lookups, no kNN search.
 //
@@ -18,8 +19,9 @@
 //   hics_serve --selftest [--tmpdir <dir>]
 //       End-to-end durability smoke (the CI serve job): fit -> save ->
 //       reload -> verify the reloaded model reproduces the in-memory
-//       pipeline byte for byte, corrupt files are rejected, and overloaded
-//       batches are shed. Exits nonzero on any failure.
+//       pipeline byte for byte, an ARFF training file fits the same model,
+//       corrupt files are rejected, and overloaded batches are shed. Exits
+//       nonzero on any failure.
 
 #include <algorithm>
 #include <chrono>
@@ -28,12 +30,14 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/csv.h"
 #include "common/random.h"
 #include "common/run_context.h"
 #include "core/pipeline.h"
+#include "data/arff.h"
 #include "serve/admission.h"
 #include "serve/hics_model.h"
 #include "serve/model_io.h"
@@ -77,9 +81,19 @@ std::vector<double> FlattenRows(const Dataset& data) {
   return flat;
 }
 
-int RunFit(const std::string& train_csv, const std::string& model_path,
+/// Loads a training file: ARFF when the name ends in ".arff", else CSV.
+hics::Result<Dataset> ReadTrainingFile(const std::string& path) {
+  const std::string_view arff = ".arff";
+  if (path.size() >= arff.size() &&
+      path.compare(path.size() - arff.size(), arff.size(), arff) == 0) {
+    return hics::ReadArffFile(path);
+  }
+  return hics::ReadCsvFile(path);
+}
+
+int RunFit(const std::string& train_path, const std::string& model_path,
            const HicsModelConfig& config) {
-  auto dataset = hics::ReadCsvFile(train_csv);
+  auto dataset = ReadTrainingFile(train_path);
   if (!dataset.ok()) return Fail(dataset.status());
 
   auto model = HicsModel::Fit(*dataset, config);
@@ -207,6 +221,44 @@ int RunSelfTest(const std::string& tmpdir) {
   SELFTEST_CHECK(model->training_scores() == pipeline->scores,
                  "fitted training scores are byte-identical to the pipeline");
 
+  // The same rows as an ARFF training file (the planted rows form the
+  // minority class) load through the --fit path to the same bits, and fit
+  // the same model.
+  const std::string arff_path = tmpdir + "/selftest_train.arff";
+  {
+    std::FILE* arff = std::fopen(arff_path.c_str(), "w");
+    SELFTEST_CHECK(arff != nullptr, "ARFF training file opens");
+    std::fprintf(arff,
+                 "@relation selftest\n@attribute a numeric\n"
+                 "@attribute b numeric\n@attribute c numeric\n"
+                 "@attribute d numeric\n@attribute class {normal,planted}\n"
+                 "@data\n");
+    for (std::size_t i = 0; i < dataset.num_objects(); ++i) {
+      for (std::size_t a = 0; a < dataset.num_attributes(); ++a) {
+        std::fprintf(arff, "%.17g,", dataset.Get(i, a));
+      }
+      std::fprintf(arff, "%s\n", i < 240 ? "normal" : "planted");
+    }
+    SELFTEST_CHECK(std::fclose(arff) == 0, "ARFF training file writes");
+  }
+  auto from_arff = ReadTrainingFile(arff_path);
+  SELFTEST_CHECK(from_arff.ok(), "ARFF training file loads");
+  bool same_bits = from_arff->num_objects() == dataset.num_objects() &&
+                   from_arff->num_attributes() == dataset.num_attributes();
+  for (std::size_t a = 0; same_bits && a < dataset.num_attributes(); ++a) {
+    same_bits = std::memcmp(from_arff->Column(a).data(),
+                            dataset.Column(a).data(),
+                            dataset.num_objects() * sizeof(double)) == 0;
+  }
+  SELFTEST_CHECK(same_bits, "ARFF training file holds the same bits");
+  SELFTEST_CHECK(std::count(from_arff->labels().begin(),
+                            from_arff->labels().end(), true) == 8,
+                 "ARFF minority class marks the planted rows");
+  auto arff_model = HicsModel::Fit(*from_arff, config);
+  SELFTEST_CHECK(arff_model.ok() && arff_model->training_scores() ==
+                                        model->training_scores(),
+                 "model fit on the ARFF file is byte-identical");
+
   // Save -> reload in-process (the CI job also does a cross-process
   // reload via --fit/--score) -> byte-identity of everything served.
   const std::string model_path = tmpdir + "/selftest.hicsmodel";
@@ -323,7 +375,7 @@ int RunSelfTest(const std::string& tmpdir) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string fit_csv, score_csv, model_path, tmpdir = "/tmp";
+  std::string fit_path, score_csv, model_path, tmpdir = "/tmp";
   bool selftest = false;
   HicsModelConfig config;
   long deadline_ms = 0;
@@ -334,7 +386,7 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : "";
     };
-    if (arg == "--fit") fit_csv = next();
+    if (arg == "--fit") fit_path = next();
     else if (arg == "--score") score_csv = next();
     else if (arg == "--model") model_path = next();
     else if (arg == "--selftest") selftest = true;
@@ -359,14 +411,14 @@ int main(int argc, char** argv) {
 
   if (batch_size == 0) batch_size = 1;
   if (selftest) return RunSelfTest(tmpdir);
-  if (!fit_csv.empty() && !model_path.empty()) {
-    return RunFit(fit_csv, model_path, config);
+  if (!fit_path.empty() && !model_path.empty()) {
+    return RunFit(fit_path, model_path, config);
   }
   if (!score_csv.empty() && !model_path.empty()) {
     return RunScore(score_csv, model_path, deadline_ms, batch_size);
   }
   std::fprintf(stderr,
-               "usage: hics_serve --fit <csv> --model <path> |\n"
+               "usage: hics_serve --fit <csv|arff> --model <path> |\n"
                "       hics_serve --score <csv> --model <path> "
                "[--deadline-ms N] [--batch N] |\n"
                "       hics_serve --selftest\n");

@@ -2,83 +2,69 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string_view>
 
+#include "common/parse_number.h"
+
 namespace hics {
 
 namespace {
 
-std::string_view Trim(std::string_view s) {
-  constexpr std::string_view kBlank = " \t\r\n";
-  const std::size_t begin = s.find_first_not_of(kBlank);
-  if (begin == std::string_view::npos) return {};
-  const std::size_t end = s.find_last_not_of(kBlank);
-  return s.substr(begin, end - begin + 1);
+bool IsBlank(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\n';
 }
 
-/// True when the whole trimmed cell is one strtod number. strtod needs a
-/// terminated string, so the cell is copied: onto the stack when it fits,
-/// else into a heap string.
-bool ParseDouble(std::string_view cell, double* out) {
-  const std::string_view trimmed = Trim(cell);
-  if (trimmed.empty()) return false;
-  char stack[64];
-  std::string heap;
-  const char* text = stack;
-  if (trimmed.size() < sizeof(stack)) {
-    std::memcpy(stack, trimmed.data(), trimmed.size());
-    stack[trimmed.size()] = '\0';
-  } else {
-    heap.assign(trimmed);
-    text = heap.c_str();
-  }
-  char* end = nullptr;
-  *out = std::strtod(text, &end);
-  return end == text + trimmed.size();
+std::string_view Trim(std::string_view s) {
+  const char* begin = s.data();
+  const char* end = begin + s.size();
+  while (begin != end && IsBlank(*begin)) ++begin;
+  while (end != begin && IsBlank(end[-1])) --end;
+  return {begin, static_cast<std::size_t>(end - begin)};
+}
+
+/// The first `c` in [from, to), or `to` when there is none.
+const char* Find(const char* from, const char* to, char c) {
+  const void* hit = std::memchr(from, c, static_cast<std::size_t>(to - from));
+  return hit != nullptr ? static_cast<const char*>(hit) : to;
 }
 
 }  // namespace
 
 Result<Dataset> ParseCsv(const std::string& text, const CsvOptions& options) {
-  const std::string_view input(text);
+  const char* const input_end = text.data() + text.size();
   // Every row lands straight in its column; the line count bounds the
   // rows, so no column reallocates.
   const std::size_t max_rows =
-      static_cast<std::size_t>(std::count(input.begin(), input.end(), '\n')) +
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) +
       1;
   std::vector<std::string> header;
   std::vector<std::vector<double>> columns;
   std::vector<bool> labels;
   labels.reserve(max_rows);
   std::vector<std::string_view> cells;
-  std::vector<double> row;
   std::size_t num_rows = 0;
   bool saw_header = !options.has_header;
   std::size_t line_number = 0;
+  const int label_col = options.label_column;
 
-  for (std::size_t pos = 0; pos < input.size();) {
+  for (const char* pos = text.data(); pos < input_end;) {
     // Lines end at '\n' (a '\r' before it trims away with the cell), so
     // the last line needs no newline and line numbers count blank lines.
-    std::size_t eol = input.find('\n', pos);
-    if (eol == std::string_view::npos) eol = input.size();
-    const std::string_view line = input.substr(pos, eol - pos);
-    pos = eol + 1;
+    const char* const eol = Find(pos, input_end, '\n');
+    const std::string_view line(pos, static_cast<std::size_t>(eol - pos));
+    pos = eol < input_end ? eol + 1 : input_end;
     ++line_number;
     if (Trim(line).empty()) continue;
     // Cells are split on every delimiter, so "a," has an empty last cell.
     cells.clear();
-    for (std::size_t begin = 0;;) {
-      const std::size_t end = line.find(options.delimiter, begin);
-      if (end == std::string_view::npos) {
-        cells.push_back(line.substr(begin));
-        break;
-      }
-      cells.push_back(line.substr(begin, end - begin));
+    for (const char* begin = line.data();;) {
+      const char* const end = Find(begin, eol, options.delimiter);
+      cells.emplace_back(begin, static_cast<std::size_t>(end - begin));
+      if (end == eol) break;
       begin = end + 1;
     }
     if (!saw_header) {
@@ -87,62 +73,73 @@ Result<Dataset> ParseCsv(const std::string& text, const CsvOptions& options) {
       saw_header = true;
       continue;
     }
-    const int label_col = options.label_column;
     if (label_col >= 0 && static_cast<std::size_t>(label_col) >= cells.size()) {
       return Status::InvalidArgument("line " + std::to_string(line_number) +
                                      ": label column out of range");
     }
-    row.clear();
+    // The first kept row fixes the width. Values go straight into their
+    // columns; cells past the width are still parsed, so a bad cell is
+    // reported before the ragged row, and a dropped row takes its values
+    // back out.
+    if (num_rows == 0) {
+      columns.resize(cells.size() - (label_col >= 0 ? 1 : 0));
+      for (std::vector<double>& column : columns) column.reserve(max_rows);
+    }
+    const std::size_t width = columns.size();
+    std::size_t j = 0;
     bool label = false;
     bool drop_row = false;
     for (std::size_t i = 0; i < cells.size(); ++i) {
+      const std::string_view cell = Trim(cells[i]);
       if (label_col >= 0 && i == static_cast<std::size_t>(label_col)) {
         double numeric = 0.0;
-        if (ParseDouble(cells[i], &numeric)) {
+        if (ParseNumber(cell, &numeric)) {
           label = numeric != 0.0;
         } else {
-          label = Trim(cells[i]) == options.outlier_label;
+          label = cell == options.outlier_label;
         }
         continue;
       }
       double value = 0.0;
-      if (!ParseDouble(cells[i], &value)) {
+      if (!ParseNumber(cell, &value)) {
         return Status::InvalidArgument(
             "line " + std::to_string(line_number) + ", column " +
-            std::to_string(i) + ": cannot parse '" +
-            std::string(Trim(cells[i])) + "' as a number");
+            std::to_string(i) + ": cannot parse '" + std::string(cell) +
+            "' as a number");
       }
       if (!std::isfinite(value) &&
           options.non_finite != NonFinitePolicy::kAllow) {
         if (options.non_finite == NonFinitePolicy::kReject) {
           return Status::InvalidArgument(
               "line " + std::to_string(line_number) + ", column " +
-              std::to_string(i) + ": non-finite value '" +
-              std::string(Trim(cells[i])) +
+              std::to_string(i) + ": non-finite value '" + std::string(cell) +
               "' (set CsvOptions::non_finite to kDropRow or kAllow to "
               "accept)");
         }
         drop_row = true;
         break;
       }
-      row.push_back(value);
+      if (j < width) columns[j].push_back(value);
+      ++j;
     }
-    if (drop_row) continue;
-    if (num_rows == 0) {
-      columns.resize(row.size());
-      for (std::vector<double>& column : columns) column.reserve(max_rows);
-    } else if (row.size() != columns.size()) {
+    if (drop_row) {
+      for (std::size_t c = 0; c < std::min(j, width); ++c) {
+        columns[c].pop_back();
+      }
+      continue;
+    }
+    if (j != width) {
       return Status::InvalidArgument("line " + std::to_string(line_number) +
                                      ": ragged row");
     }
-    for (std::size_t j = 0; j < row.size(); ++j) columns[j].push_back(row[j]);
     labels.push_back(label);
     ++num_rows;
   }
 
-  // A file whose rows hold only labels is N objects x 0 attributes.
+  // A file whose rows hold only labels is N objects x 0 attributes, and
+  // one with no kept row is 0 x 0 whatever width its dropped rows had.
   Dataset ds(num_rows, 0);
-  if (!columns.empty()) {
+  if (num_rows > 0 && !columns.empty()) {
     HICS_ASSIGN_OR_RETURN(ds, Dataset::FromColumns(std::move(columns)));
   }
   if (options.label_column >= 0) {
@@ -164,8 +161,7 @@ Result<Dataset> ParseCsv(const std::string& text, const CsvOptions& options) {
   return ds;
 }
 
-Result<Dataset> ReadCsvFile(const std::string& path,
-                            const CsvOptions& options) {
+Result<std::string> ReadTextFile(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
   if (!file) return Status::IOError("cannot open '" + path + "'");
   // One read into an exact-size string when the file can seek; a pipe is
@@ -182,6 +178,12 @@ Result<Dataset> ReadCsvFile(const std::string& path,
     text.assign(std::istreambuf_iterator<char>(file),
                 std::istreambuf_iterator<char>());
   }
+  return text;
+}
+
+Result<Dataset> ReadCsvFile(const std::string& path,
+                            const CsvOptions& options) {
+  HICS_ASSIGN_OR_RETURN(const std::string text, ReadTextFile(path));
   return ParseCsv(text, options);
 }
 

@@ -24,9 +24,15 @@ struct CsvOptions {
 };
 
 /// Parses CSV text into a dataset. Returns InvalidArgument on ragged rows or
-/// non-numeric feature cells.
+/// non-numeric feature cells. A cell is numeric when ParseNumber
+/// (common/parse_number.h) accepts it trimmed: strtod's grammar and bits in
+/// the C locale.
 Result<Dataset> ParseCsv(const std::string& text,
                          const CsvOptions& options = {});
+
+/// Reads the whole file at `path` into one string, the loaders' only
+/// file-sized buffer. IOError when the file cannot be opened.
+Result<std::string> ReadTextFile(const std::string& path);
 
 /// Reads and parses a CSV file.
 Result<Dataset> ReadCsvFile(const std::string& path,

@@ -7,7 +7,7 @@ namespace hics {
 
 SliceSampler::SliceSampler(const Dataset& dataset,
                            const SortedAttributeIndex& index)
-    : dataset_(dataset), index_(index) {
+    : num_objects_(dataset.num_objects()), index_(index) {
   HICS_CHECK_EQ(dataset.num_objects(), index.num_objects());
 }
 
@@ -15,10 +15,10 @@ std::size_t SliceSampler::BlockSize(std::size_t dims, double alpha) const {
   HICS_CHECK_GE(dims, 2u);
   HICS_CHECK(alpha > 0.0 && alpha < 1.0) << "alpha must lie in (0,1)";
   const double alpha1 = std::pow(alpha, 1.0 / static_cast<double>(dims));
-  const double n = static_cast<double>(dataset_.num_objects());
+  const double n = static_cast<double>(num_objects_);
   std::size_t block = static_cast<std::size_t>(std::ceil(n * alpha1));
   block = std::max<std::size_t>(block, 1);
-  block = std::min(block, dataset_.num_objects());
+  block = std::min(block, num_objects_);
   return block;
 }
 
@@ -30,7 +30,7 @@ void SliceSampler::DrawSelection(const Subspace& subspace, double alpha,
   HICS_CHECK(out != nullptr);
   HICS_CHECK_GE(subspace.size(), 2u)
       << "a one-dimensional subspace has no notion of contrast";
-  const std::size_t n = dataset_.num_objects();
+  const std::size_t n = num_objects_;
   *out = SliceSelection{};
   if (n == 0) return;
 

@@ -73,8 +73,8 @@ struct SliceSelection {
 /// tests/contrast_oracle.h consumes the RNG identically.
 class SliceSampler {
  public:
-  /// Both references must outlive the sampler. `index` must be built over
-  /// the same dataset.
+  /// `index` must outlive the sampler and be built over `dataset`, of which
+  /// the sampler keeps only the object count.
   SliceSampler(const Dataset& dataset, const SortedAttributeIndex& index);
 
   /// Draws one random slice for `subspace` with selection ratio `alpha`
@@ -93,10 +93,8 @@ class SliceSampler {
   /// ceil(N * alpha^(1/dims)), clamped to [1, N].
   std::size_t BlockSize(std::size_t dims, double alpha) const;
 
-  const Dataset& dataset() const { return dataset_; }
-
  private:
-  const Dataset& dataset_;
+  std::size_t num_objects_;
   const SortedAttributeIndex& index_;
 };
 

@@ -1,8 +1,9 @@
 #include "data/repository.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <fstream>
+#include <string_view>
 
 #include "common/csv.h"
 #include "data/synthetic.h"
@@ -61,6 +62,19 @@ Result<Dataset> GenerateSizeSweep(std::size_t n) {
   HICS_ASSIGN_OR_RETURN(SyntheticDataset generated,
                         GenerateSynthetic(params));
   return std::move(generated.data);
+}
+
+/// Index of the last cell of the first non-blank line (a cached file's
+/// header), or -1 when the text has none.
+int LastColumn(std::string_view text) {
+  while (!text.empty()) {
+    const std::size_t eol = std::min(text.find('\n'), text.size());
+    const std::string_view line = text.substr(0, eol);
+    text.remove_prefix(std::min(eol + 1, text.size()));
+    if (line.find_first_not_of(" \t\r\n") == std::string_view::npos) continue;
+    return static_cast<int>(std::count(line.begin(), line.end(), ','));
+  }
+  return -1;
 }
 
 }  // namespace
@@ -124,12 +138,11 @@ Result<std::size_t> MaterializeRepository(const std::string& dir) {
 Result<Dataset> LoadOrGenerate(const std::string& dir,
                                const std::string& name, bool cache) {
   const std::string path = dir + "/" + name + ".csv";
-  if (std::ifstream(path).good()) {
+  if (Result<std::string> text = ReadTextFile(path); text.ok()) {
     // Labeled CSV: the label is the final column.
-    HICS_ASSIGN_OR_RETURN(Dataset probe, ReadCsvFile(path));
     CsvOptions options;
-    options.label_column = static_cast<int>(probe.num_attributes()) - 1;
-    return ReadCsvFile(path, options);
+    options.label_column = LastColumn(*text);
+    return ParseCsv(*text, options);
   }
   HICS_ASSIGN_OR_RETURN(Dataset ds, GenerateRepositoryDataset(name));
   if (cache) {

@@ -3,6 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <string>
+
+#include "arff_oracle.h"
+#include "common/random.h"
+#include "loader_fuzz.h"
 
 namespace hics {
 namespace {
@@ -224,6 +233,119 @@ TEST(ArffTest, MissingFileIsIOError) {
   auto ds = ReadArffFile("/does/not/exist.arff");
   ASSERT_FALSE(ds.ok());
   EXPECT_EQ(ds.status().code(), StatusCode::kIOError);
+}
+
+TEST(ArffParseTest, KeepsNanPayloadUnderAllow) {
+  const char text[] = R"(@relation r
+@attribute x numeric
+@attribute y numeric
+@data
+nan(123), -nan
+)";
+  ArffOptions options;
+  options.non_finite = NonFinitePolicy::kAllow;
+  auto ds = ParseArff(text, options);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  std::uint64_t bits[2];
+  for (std::size_t c = 0; c < 2; ++c) {
+    const double value = ds->Get(0, c);
+    std::memcpy(&bits[c], &value, sizeof(value));
+  }
+  EXPECT_EQ(bits[0], 0x7ff800000000007bu);
+  EXPECT_EQ(bits[1], 0xfff8000000000000u);
+}
+
+TEST(ArffParseTest, FileLoadMatchesParsedText) {
+  const std::string path = testing::TempDir() + "/hics_arff_one_read.arff";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << kBasicArff;
+  }
+  auto loaded = ReadArffFile(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(loader_fuzz::SameLoad(loaded, ParseArff(kBasicArff)));
+}
+
+/// One ARFF input and its options: 1-4 numeric or nominal attributes
+/// (among them the class, by name, by default or missing), comments,
+/// blank lines, "?" cells, values outside a nominal domain, ragged rows,
+/// every non-finite policy, then byte mutations.
+std::string MakeArffInput(Rng& rng, ArffOptions* options) {
+  static constexpr const char* kNumericTypes[] = {"numeric", "REAL",
+                                                  "integer"};
+  static constexpr const char* kNominal[] = {"a", "b", "'c d'", "zz"};
+  static constexpr NonFinitePolicy kPolicies[] = {
+      NonFinitePolicy::kReject, NonFinitePolicy::kDropRow,
+      NonFinitePolicy::kAllow};
+  const std::size_t attrs = 1 + rng.UniformIndex(4);
+  std::vector<bool> nominal(attrs);
+  std::string text = "% fuzz\n@relation r\n";
+  for (std::size_t i = 0; i < attrs; ++i) {
+    nominal[i] = rng.UniformIndex(3) == 0;
+    text += "@attribute v" + std::to_string(i) + " " +
+            (nominal[i] ? "{a, b, 'c d'}"
+                        : kNumericTypes[rng.UniformIndex(3)]) +
+            "\n";
+  }
+  text += "@data\n";
+  const std::size_t rows = rng.UniformIndex(7);
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (rng.UniformIndex(8) == 0) {
+      text += rng.UniformIndex(2) == 0 ? "\n" : "% c\n";
+    }
+    std::size_t cells = attrs;
+    if (rng.UniformIndex(12) == 0) cells = rng.UniformIndex(attrs + 2);
+    for (std::size_t i = 0; i < cells; ++i) {
+      if (i > 0) text += ",";
+      if (rng.UniformIndex(10) == 0) {
+        text += "?";
+      } else if (i < attrs && nominal[i]) {
+        text += kNominal[rng.UniformIndex(rng.UniformIndex(8) == 0 ? 4 : 3)];
+      } else if (rng.UniformIndex(2) == 0) {
+        text += loader_fuzz::Cell(rng);
+      } else {
+        text += std::to_string(rng.UniformDouble());  // a plain number
+      }
+    }
+    text += rng.UniformIndex(3) == 0 ? "\r\n" : "\n";
+  }
+  *options = ArffOptions{};
+  switch (rng.UniformIndex(4)) {
+    case 0:
+      options->class_attribute = "V" + std::to_string(rng.UniformIndex(attrs));
+      break;
+    case 1:
+      options->class_attribute = "missing";
+      break;
+    default:
+      break;
+  }
+  if (rng.UniformIndex(3) == 0) {
+    options->outlier_value = kNominal[rng.UniformIndex(4)];
+  }
+  options->non_finite = kPolicies[rng.UniformIndex(3)];
+  if (rng.UniformIndex(2) == 0) loader_fuzz::Mutate(rng, &text);
+  return text;
+}
+
+TEST(ArffParseTest, MatchesStrtodOracleOnMutatedInputs) {
+  constexpr std::size_t kInputs = 20000;
+  Rng rng(20261021);
+  std::size_t loaded = 0;
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    ArffOptions options;
+    const std::string text = MakeArffInput(rng, &options);
+    const Result<Dataset> got = ParseArff(text, options);
+    ASSERT_TRUE(loader_fuzz::SameLoad(got, OracleParseArff(text, options)))
+        << "input " << i << ": '" << loader_fuzz::Escaped(text)
+        << "' class '" << options.class_attribute << "' outlier '"
+        << options.outlier_value << "' policy "
+        << static_cast<int>(options.non_finite);
+    loaded += got.ok();
+  }
+  // Both outcomes are well represented, so neither side is vacuous.
+  EXPECT_GT(loaded, kInputs / 5);
+  EXPECT_LT(loaded, kInputs - kInputs / 5);
 }
 
 }  // namespace

@@ -3,10 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "common/parse_number.h"
+#include "common/random.h"
+#include "csv_oracle.h"
+#include "loader_fuzz.h"
 
 namespace hics {
 namespace {
@@ -280,6 +289,156 @@ TEST(CsvTest, FileLoadMatchesParsedText) {
   for (std::size_t j = 0; j < 2; ++j) {
     EXPECT_EQ(loaded->Column(j), parsed->Column(j));
   }
+}
+
+// ---------------------------------------------------------------------------
+// ParseNumber: strtod's grammar and bits
+
+std::uint64_t Bits(double value) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+std::uint64_t ParsedBits(std::string_view cell) {
+  double value = 0.0;
+  EXPECT_TRUE(ParseNumber(cell, &value)) << "'" << cell << "'";
+  return Bits(value);
+}
+
+TEST(ParseNumberTest, DecimalCellsTakeFromCharsWithStrtodBits) {
+  EXPECT_EQ(ParsedBits("1.5"), Bits(1.5));
+  EXPECT_EQ(ParsedBits(".5"), Bits(0.5));
+  EXPECT_EQ(ParsedBits("5."), Bits(5.0));
+  EXPECT_EQ(ParsedBits("-.5"), Bits(-0.5));
+  EXPECT_EQ(ParsedBits("-0"), Bits(-0.0));
+  EXPECT_EQ(ParsedBits("1E5"), Bits(1e5));
+  EXPECT_EQ(ParsedBits("0.1"), Bits(0.1));
+  EXPECT_EQ(ParsedBits("4.9e-324"), 1u);  // the smallest subnormal
+  EXPECT_EQ(ParsedBits("1.7976931348623157e308"),
+            Bits(std::numeric_limits<double>::max()));
+}
+
+TEST(ParseNumberTest, OtherSpellingsTakeStrtod) {
+  EXPECT_EQ(ParsedBits("+1"), Bits(1.0));
+  EXPECT_EQ(ParsedBits("0x1p3"), Bits(8.0));
+  EXPECT_EQ(ParsedBits("-0X1P-2"), Bits(-0.25));
+  EXPECT_EQ(ParsedBits("\v7"), Bits(7.0));  // strtod skips any isspace
+  EXPECT_EQ(ParsedBits("inf"), Bits(std::numeric_limits<double>::infinity()));
+  EXPECT_EQ(ParsedBits("-Infinity"),
+            Bits(-std::numeric_limits<double>::infinity()));
+  // Out of range: from_chars reports an error, strtod rounds.
+  EXPECT_EQ(ParsedBits("1e400"),
+            Bits(std::numeric_limits<double>::infinity()));
+  EXPECT_EQ(ParsedBits("-1e400"),
+            Bits(-std::numeric_limits<double>::infinity()));
+  EXPECT_EQ(ParsedBits("1e-400"), Bits(0.0));
+  EXPECT_EQ(ParsedBits("-1e-400"), Bits(-0.0));
+  EXPECT_EQ(ParsedBits("2.4e-324"), Bits(0.0));
+  // Longer than the stack copy: strtod reads a heap copy.
+  EXPECT_EQ(ParsedBits("+" + std::string(100, '0') + "2"), Bits(2.0));
+  EXPECT_EQ(ParsedBits(std::string(100, '0') + "1.25"), Bits(1.25));
+}
+
+TEST(ParseNumberTest, NanKeepsStrtodPayloadAndSign) {
+  EXPECT_EQ(ParsedBits("nan(123)"), 0x7ff800000000007bu);
+  EXPECT_EQ(ParsedBits("nan(0x7b)"), 0x7ff800000000007bu);
+  EXPECT_EQ(ParsedBits("-nan"), 0xfff8000000000000u);
+}
+
+TEST(ParseNumberTest, RejectsWhatStrtodRejects) {
+  for (std::string_view cell :
+       {std::string_view(""), std::string_view("-"), std::string_view("."),
+        std::string_view("-."), std::string_view("1e"),
+        std::string_view("1e+"), std::string_view("--1"),
+        std::string_view("1 2"), std::string_view("1 "),
+        std::string_view("0x"), std::string_view("abc"),
+        std::string_view("1,5"), std::string_view("nan("),
+        std::string_view("1\0", 2)}) {
+    double value = 0.0;
+    EXPECT_FALSE(ParseNumber(cell, &value))
+        << "'" << loader_fuzz::Escaped(cell) << "'";
+  }
+  double value = 0.0;
+  EXPECT_FALSE(ParseNumber(std::string(100, '0') + "1x", &value));
+}
+
+TEST(ParseNumberTest, CsvKeepsNanPayloadUnderAllow) {
+  const CsvOptions options{.has_header = false,
+                           .non_finite = NonFinitePolicy::kAllow};
+  auto ds = ParseCsv("nan(123),-nan\n", options);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  EXPECT_EQ(Bits(ds->Get(0, 0)), 0x7ff800000000007bu);
+  EXPECT_EQ(Bits(ds->Get(0, 1)), 0xfff8000000000000u);
+}
+
+// ---------------------------------------------------------------------------
+// Equivalence with the strtod oracle (tests/csv_oracle.h)
+
+/// One CSV input and its options: 0-5 rows of 1-4 cells, ragged rows,
+/// blank lines, LF or CRLF endings, one of four delimiters, every
+/// non-finite policy, label columns -1..cols, then byte mutations.
+std::string MakeCsvInput(Rng& rng, CsvOptions* options) {
+  static constexpr char kDelimiters[] = {',', ';', '\t', ' '};
+  static constexpr NonFinitePolicy kPolicies[] = {
+      NonFinitePolicy::kReject, NonFinitePolicy::kDropRow,
+      NonFinitePolicy::kAllow};
+  const std::size_t cols = 1 + rng.UniformIndex(4);
+  *options = CsvOptions{};
+  options->delimiter = kDelimiters[rng.UniformIndex(4)];
+  options->has_header = rng.UniformIndex(2) == 0;
+  options->label_column = rng.UniformInt(-1, static_cast<int>(cols));
+  options->non_finite = kPolicies[rng.UniformIndex(3)];
+  const std::string eol = rng.UniformIndex(3) == 0 ? "\r\n" : "\n";
+  std::string text;
+  const auto blank_lines = [&] {
+    while (rng.UniformIndex(6) == 0) {
+      text += rng.UniformIndex(2) == 0 ? "" : "  ";
+      text += eol;
+    }
+  };
+  blank_lines();
+  if (options->has_header) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      if (j > 0) text += options->delimiter;
+      text += "x" + std::to_string(j);
+    }
+    text += eol;
+  }
+  const std::size_t rows = rng.UniformIndex(6);
+  for (std::size_t r = 0; r < rows; ++r) {
+    blank_lines();
+    std::size_t cells = cols;
+    if (rng.UniformIndex(10) == 0) cells = rng.UniformIndex(cols + 2);
+    for (std::size_t j = 0; j < cells; ++j) {
+      if (j > 0) text += options->delimiter;
+      text += loader_fuzz::Cell(rng);
+    }
+    if (r + 1 < rows || rng.UniformIndex(2) == 0) text += eol;
+  }
+  blank_lines();
+  if (rng.UniformIndex(2) == 0) loader_fuzz::Mutate(rng, &text);
+  return text;
+}
+
+TEST(CsvParseTest, MatchesStrtodOracleOnMutatedInputs) {
+  constexpr std::size_t kInputs = 20000;
+  Rng rng(20261020);
+  std::size_t loaded = 0;
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    CsvOptions options;
+    const std::string text = MakeCsvInput(rng, &options);
+    const Result<Dataset> got = ParseCsv(text, options);
+    ASSERT_TRUE(loader_fuzz::SameLoad(got, OracleParseCsv(text, options)))
+        << "input " << i << ": '" << loader_fuzz::Escaped(text)
+        << "' delimiter '" << options.delimiter << "' header "
+        << options.has_header << " label " << options.label_column
+        << " policy " << static_cast<int>(options.non_finite);
+    loaded += got.ok();
+  }
+  // Both outcomes are well represented, so neither side is vacuous.
+  EXPECT_GT(loaded, kInputs / 5);
+  EXPECT_LT(loaded, kInputs - kInputs / 5);
 }
 
 }  // namespace
