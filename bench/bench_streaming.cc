@@ -4,17 +4,19 @@
 //
 //   streaming_identical — after every slide, searching and ranking the
 //                         StreamingDataset must equal a cold rebuild of
-//                         the identical window (a fresh ShardedDataset at
-//                         the same shard count) byte for byte. This is
-//                         the invariant the epoch-keyed artifact caches,
-//                         incremental sorted orders, and grid carry all
-//                         serve; CI asserts it on every push.
+//                         the identical window byte for byte: a fresh
+//                         ShardedDataset at the same shard count for the
+//                         sharded window, a fresh PreparedDataset for a
+//                         one-shard window. The sharded window serves
+//                         from its kept shard slots and epoch-keyed
+//                         caches; the one-shard window is the shape whose
+//                         slides merge the sorted orders its search
+//                         built. CI asserts both on every push.
 //
-// Latency: per-slide wall clock of StreamingDataset::Slide (incremental
-// sorted-order merge + epoch sweep + changed-shard rebuild) vs a cold
-// rebuild of the same window (ShardedDataset construction + per-shard
-// sorted indexes). The ratio is recorded for trend tracking; only the
-// identity drill gates.
+// Latency: per-slide wall clock of the sharded StreamingDataset::Slide
+// (epoch sweep + changed-shard rebuild) vs a cold rebuild of the same
+// window (ShardedDataset construction + per-shard sorted indexes). The
+// ratio is recorded for trend tracking; only the identity drill gates.
 //
 // Output: a table on stdout and BENCH_streaming.json (window/slide
 // geometry in the machine record). Exit is nonzero when the identity
@@ -64,6 +66,59 @@ std::vector<std::vector<double>> CorrelatedRows(Rng& rng, std::size_t n,
   return rows;
 }
 
+/// Searches and ranks `cold` and compares with what the streaming window
+/// answered, byte for byte.
+bool MatchesCold(const std::vector<ScoredSubspace>& found,
+                 const std::vector<double>& ranked, const ShardPlane& cold,
+                 const HicsParams& search, const OutlierScorer& scorer,
+                 std::size_t threads) {
+  const auto cold_found = RunHicsSearch(cold, search);
+  HICS_CHECK(cold_found.ok());
+  const auto cold_ranked = RankWithSubspacesSharded(
+      cold, *cold_found, scorer, ScoreAggregation::kAverage,
+      ShardedScoringPolicy::kRequireExactMerge, threads);
+  HICS_CHECK(cold_ranked.ok());
+  bool identical = found.size() == cold_found->size() &&
+                   ranked == *cold_ranked;
+  for (std::size_t i = 0; identical && i < found.size(); ++i) {
+    identical = found[i].subspace == (*cold_found)[i].subspace &&
+                found[i].score == (*cold_found)[i].score;
+  }
+  return identical;
+}
+
+/// The identity drill on a one-shard window: every slide after the
+/// first merges the sorted orders the previous search built, and each
+/// answer must equal a cold PreparedDataset of the same rows.
+bool OneShardIdentical(Rng& rng, std::size_t window, std::size_t slide,
+                       std::size_t steps, std::size_t d,
+                       const HicsParams& search, const OutlierScorer& scorer,
+                       std::size_t threads) {
+  StreamingOptions options;
+  options.capacity = window;
+  options.build_threads = threads;
+  StreamingDataset streaming(d, options);
+  HICS_CHECK(streaming.Admit(CorrelatedRows(rng, window, d)).ok());
+  bool all_identical = true;
+  for (std::size_t step = 0; step < steps; ++step) {
+    HICS_CHECK(streaming.Slide(slide, CorrelatedRows(rng, slide, d)).ok());
+    const auto found = RunHicsSearch(streaming, search);
+    HICS_CHECK(found.ok());
+    const auto ranked = RankWithSubspaces(
+        streaming, *found, scorer, ScoreAggregation::kAverage,
+        ShardedScoringPolicy::kRequireExactMerge, threads);
+    HICS_CHECK(ranked.ok());
+    const Dataset rows = streaming.window();
+    const PreparedDataset cold(rows, threads);
+    const bool identical =
+        MatchesCold(*found, *ranked, cold, search, scorer, threads);
+    all_identical = all_identical && identical;
+    std::printf("  one-shard step %zu: %s\n", step + 1,
+                identical ? "identical" : "MISMATCH (BUG)");
+  }
+  return all_identical;
+}
+
 }  // namespace
 
 int Run() {
@@ -72,6 +127,7 @@ int Run() {
   const std::size_t kShards = 4;
   const std::size_t kThreads = 4;
   const std::size_t kSteps = 8;
+  const std::size_t kOneShardSteps = 3;
   const std::size_t kD = 6;
 
   Rng rng(20120403);
@@ -129,27 +185,18 @@ int Run() {
     const double cold_s = cold_timer.ElapsedSeconds();
     cold_seconds += cold_s;
 
-    const auto cold_found = RunHicsSearch(cold, search);
-    HICS_CHECK(cold_found.ok());
-    const auto cold_ranked = RankWithSubspacesSharded(
-        cold, *cold_found, grid, ScoreAggregation::kAverage,
-        ShardedScoringPolicy::kRequireExactMerge, kThreads);
-    HICS_CHECK(cold_ranked.ok());
-
-    bool identical = found->size() == cold_found->size() &&
-                     *ranked == *cold_ranked;
-    if (identical) {
-      for (std::size_t i = 0; i < found->size(); ++i) {
-        identical = identical &&
-                    (*found)[i].subspace == (*cold_found)[i].subspace &&
-                    (*found)[i].score == (*cold_found)[i].score;
-      }
-    }
+    const bool identical =
+        MatchesCold(*found, *ranked, cold, search, grid, kThreads);
     streaming_identical = streaming_identical && identical;
     std::printf("  step %zu: slide %8.2f ms, cold rebuild %8.2f ms  %s\n",
                 step + 1, 1e3 * slide_s, 1e3 * cold_s,
                 identical ? "identical" : "MISMATCH (BUG)");
   }
+
+  streaming_identical =
+      OneShardIdentical(rng, kWindow, kSlide, kOneShardSteps, kD, search,
+                        grid, kThreads) &&
+      streaming_identical;
 
   const double avg_slide_ms =
       1e3 * slide_seconds / static_cast<double>(kSteps);

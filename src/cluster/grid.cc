@@ -347,123 +347,6 @@ std::span<const std::uint64_t> SubspaceGrid::point_keys() const {
   return point_keys_;
 }
 
-void SubspaceGrid::AdmitRow(std::span<const double> values) {
-  HICS_CHECK(!kept_point_keys_)
-      << "a grid with retained point keys cannot be slid: the id mapping "
-         "is stale after any window mutation";
-  const std::size_t dims = dimensionality();
-  HICS_CHECK_EQ(values.size(), dims);
-  std::uint64_t key = 0;
-  for (std::size_t j = 0; j < dims; ++j) {
-    const std::uint32_t b = BinOf(values[j], j);
-    key = hashed_ ? MixBin(key, b)
-                  : key * static_cast<std::uint64_t>(bins_per_dim_) + b;
-  }
-  if (dense_) {
-    HICS_CHECK_LT(
-        total_, std::size_t{std::numeric_limits<std::uint32_t>::max()});
-    if (counts_dense_[key]++ == 0) ++nonempty_;
-  } else {
-    if (++counts_sparse_[key] == 1) ++nonempty_;
-  }
-  ++total_;
-}
-
-void SubspaceGrid::RetireRow(std::span<const double> values) {
-  HICS_CHECK(!kept_point_keys_)
-      << "a grid with retained point keys cannot be slid: the id mapping "
-         "is stale after any window mutation";
-  const std::size_t dims = dimensionality();
-  HICS_CHECK_EQ(values.size(), dims);
-  std::uint64_t key = 0;
-  for (std::size_t j = 0; j < dims; ++j) {
-    const std::uint32_t b = BinOf(values[j], j);
-    key = hashed_ ? MixBin(key, b)
-                  : key * static_cast<std::uint64_t>(bins_per_dim_) + b;
-  }
-  if (dense_) {
-    HICS_CHECK_GT(counts_dense_[key], 0u)
-        << "retiring a row from an empty cell: the retired values were "
-           "never admitted under this geometry";
-    if (--counts_dense_[key] == 0) --nonempty_;
-  } else {
-    auto it = counts_sparse_.find(key);
-    HICS_CHECK(it != counts_sparse_.end() && it->second > 0)
-        << "retiring a row from an empty cell: the retired values were "
-           "never admitted under this geometry";
-    if (--it->second == 0) {
-      counts_sparse_.erase(it);
-      --nonempty_;
-    }
-  }
-  HICS_CHECK_GT(total_, 0u);
-  --total_;
-}
-
-void SubspaceGrid::AddCounts(const SubspaceGrid& other) {
-  HICS_CHECK(!kept_point_keys_);
-  HICS_CHECK_EQ(other.bins_per_dim_, bins_per_dim_);
-  HICS_CHECK_EQ(other.dimensionality(), dimensionality());
-  HICS_CHECK(other.dense_ == dense_);
-  HICS_CHECK(other.hashed_ == hashed_);
-  for (std::size_t j = 0; j < dimensionality(); ++j) {
-    HICS_CHECK(other.lo_[j] == lo_[j]);
-    HICS_CHECK(other.width_[j] == width_[j]);
-  }
-  if (dense_) {
-    HICS_CHECK_LT(total_ + other.total_,
-                  std::size_t{std::numeric_limits<std::uint32_t>::max()});
-    for (std::size_t key = 0; key < counts_dense_.size(); ++key) {
-      const std::uint32_t add = other.counts_dense_[key];
-      if (add == 0) continue;
-      if (counts_dense_[key] == 0) ++nonempty_;
-      counts_dense_[key] += add;
-    }
-  } else {
-    for (const auto& [key, count] : other.counts_sparse_) {
-      auto [it, inserted] = counts_sparse_.try_emplace(key, 0);
-      if (inserted) ++nonempty_;
-      it->second += count;
-    }
-  }
-  total_ += other.total_;
-}
-
-void SubspaceGrid::SubtractCounts(const SubspaceGrid& other) {
-  HICS_CHECK(!kept_point_keys_);
-  HICS_CHECK_EQ(other.bins_per_dim_, bins_per_dim_);
-  HICS_CHECK_EQ(other.dimensionality(), dimensionality());
-  HICS_CHECK(other.dense_ == dense_);
-  HICS_CHECK(other.hashed_ == hashed_);
-  for (std::size_t j = 0; j < dimensionality(); ++j) {
-    HICS_CHECK(other.lo_[j] == lo_[j]);
-    HICS_CHECK(other.width_[j] == width_[j]);
-  }
-  HICS_CHECK_LE(other.total_, total_);
-  if (dense_) {
-    for (std::size_t key = 0; key < counts_dense_.size(); ++key) {
-      const std::uint32_t sub = other.counts_dense_[key];
-      if (sub == 0) continue;
-      HICS_CHECK_LE(sub, counts_dense_[key])
-          << "subtracting more rows from a cell than it holds";
-      counts_dense_[key] -= sub;
-      if (counts_dense_[key] == 0) --nonempty_;
-    }
-  } else {
-    for (const auto& [key, count] : other.counts_sparse_) {
-      auto it = counts_sparse_.find(key);
-      HICS_CHECK(it != counts_sparse_.end() && count <= it->second)
-          << "subtracting more rows from a cell than it holds";
-      it->second -= count;
-      if (it->second == 0) {
-        counts_sparse_.erase(it);
-        --nonempty_;
-      }
-    }
-  }
-  total_ -= other.total_;
-}
-
 std::size_t SubspaceGrid::ApproxMemoryBytes() const {
   // Size model, not allocator-exact: the dense count slab, or the sparse
   // map's occupied cells at key + count + node overhead, plus retained

@@ -163,41 +163,10 @@ class SubspaceGrid {
   /// GridOptions::keep_point_keys (CHECK-enforced).
   std::span<const std::uint64_t> point_keys() const;
 
-  /// True when per-point cell keys were retained. Streaming/cached grids
-  /// are built without them (object ids shift on every window slide, so
-  /// retained keys could never be carried); consumers fall back to
+  /// True when per-point cell keys were retained. Cached grids are built
+  /// without them (8N bytes per cached grid); consumers fall back to
   /// re-binning per point, which lands on identical cell keys.
   bool has_point_keys() const { return kept_point_keys_; }
-
-  // --- incremental maintenance (streaming data plane, DESIGN.md §5j) ---
-  //
-  // Cell counts are exact integer sums, so retiring the evicted rows and
-  // admitting the new ones yields *the* grid a cold rebuild over the slid
-  // window would produce — bit-identical, provided the binning geometry
-  // (lo/width per axis, bins_per_dim) still matches the new window's
-  // ranges; the caller checks that (GridArtifactKey encodes the range
-  // bits, so a range shift changes the cache key instead of corrupting a
-  // carried grid). CHECK-enforced: a grid that retained point keys cannot
-  // be mutated (the id mapping is stale after any slide).
-
-  /// Increments the cell containing one row. `values` are the row's
-  /// subspace-projected coordinates (size dimensionality(), subspace
-  /// order — the same values Build binned).
-  void AdmitRow(std::span<const double> values);
-
-  /// Decrements the cell containing one row; the row must have been
-  /// counted (CHECK: its cell is non-empty).
-  void RetireRow(std::span<const double> values);
-
-  /// Adds / subtracts another grid's cell counts in place — the
-  /// incremental form of MergeShards for whole-block retire/admit: when a
-  /// window slide replaces one shard block, merged' = merged - old_block
-  /// + new_block reproduces a from-scratch re-merge exactly (integer
-  /// addition is associative and commutative). Geometry must match
-  /// (CHECK, same preconditions as MergeShards); subtracting a count
-  /// below zero CHECK-fails.
-  void AddCounts(const SubspaceGrid& other);
-  void SubtractCounts(const SubspaceGrid& other);
 
   /// Estimated footprint in bytes of the count storage (+ retained point
   /// keys) — the size model the ArtifactCache charges grid artifacts
@@ -232,10 +201,10 @@ class SubspaceGrid {
 /// Cache key of a grid artifact (ArtifactCache::FindGrid): encodes
 /// every grid-shaping parameter — bins per dim, point-key retention, and
 /// the exact bit patterns of the (min, max) ranges the grid bins against.
-/// Two windows whose ranges differ in even one bit get different keys, so
-/// a cached grid can never be served against shifted bounds; ranges that
-/// survive a slide bit-for-bit keep the key stable, which is what lets
-/// the streaming plane carry a grid forward incrementally.
+/// Two datasets whose ranges differ in even one bit get different keys,
+/// so a cached grid can never be served against shifted bounds. (The
+/// streaming plane also sweeps every window grid on each slide, since
+/// its counts describe the old rows even when the ranges survive.)
 std::string GridArtifactKey(std::size_t bins_per_dim, bool keep_point_keys,
                             std::span<const std::pair<double, double>> ranges);
 

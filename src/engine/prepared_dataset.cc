@@ -54,8 +54,7 @@ void ArtifactCache::SetByteBudget(std::size_t bytes) {
   searchers_.Reclaim(bytes);
 }
 
-void ArtifactCache::AdvanceEpoch(std::uint64_t new_epoch,
-                                 const GridCarryFn& carry) {
+void ArtifactCache::AdvanceEpoch(std::uint64_t new_epoch) {
   const std::uint64_t old_epoch = epoch_.load(std::memory_order_relaxed);
   HICS_CHECK(new_epoch > old_epoch)
       << "epoch must advance monotonically: " << old_epoch << " -> "
@@ -63,13 +62,7 @@ void ArtifactCache::AdvanceEpoch(std::uint64_t new_epoch,
   epoch_.store(new_epoch, std::memory_order_release);
   searchers_.Sweep(new_epoch);
   scores_.Sweep(new_epoch);
-  grids_.Sweep(new_epoch,
-               [&](const NamedKey& key,
-                   const std::shared_ptr<const SubspaceGrid>& grid,
-                   std::size_t* bytes) -> std::shared_ptr<const SubspaceGrid> {
-                 if (!carry) return nullptr;
-                 return carry(key.first, key.second, grid, bytes);
-               });
+  grids_.Sweep(new_epoch);
 }
 
 std::shared_ptr<const NeighborSearcher> ArtifactCache::GetSearcher(
@@ -235,9 +228,9 @@ std::size_t PreparedDataset::shard_size(std::size_t s) const {
 std::pair<double, double> PreparedDataset::AttributeRange(
     std::size_t attribute) const {
   HICS_CHECK(attribute < dataset_.num_attributes());
-  // One scan per column, never the sorted columns' ends: the rank build
-  // sorts by `<`, so a NaN can land mid-column and split it into two
-  // ascending runs whose ends are not the extremes.
+  // One scan per column, never the sorted columns' ends: a range must not
+  // force the rank build (grid-only consumers never sort), and the rank
+  // build puts NaNs last, so the sorted ends are not the finite extremes.
   std::call_once(ranges_once_, [this] {
     ranges_.reserve(dataset_.num_attributes());
     for (std::size_t a = 0; a < dataset_.num_attributes(); ++a) {

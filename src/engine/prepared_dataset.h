@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -176,26 +175,12 @@ class ArtifactCache {
   /// never advance it).
   std::uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
-  /// Carry hook for AdvanceEpoch: called for every stale grid entry
-  /// during the sweep. Return a replacement grid (updating *bytes to its
-  /// new footprint) to keep the entry — restamped at the new epoch — or
-  /// nullptr to evict it like every other stale artifact. The streaming
-  /// data plane uses this to slide window grids incrementally
-  /// (SubspaceGrid::RetireRow/AdmitRow) instead of rebuilding them when
-  /// the attribute ranges survived the slide.
-  using GridCarryFn = std::function<std::shared_ptr<const SubspaceGrid>(
-      const std::string& grid_key, const Subspace& subspace,
-      const std::shared_ptr<const SubspaceGrid>& grid, std::size_t* bytes)>;
-
   /// Advances the cache to `new_epoch` (strictly greater than the current
-  /// epoch) and sweeps every entry stamped at an older epoch: stale
-  /// searchers and score vectors are evicted; grids are offered to
-  /// `carry` first (when provided). Eviction counts into
-  /// evicted_artifacts / invalidated_bytes and returns the footprint to
-  /// the budget. Requires external synchronization (no concurrent
-  /// lookups/inserts) — see the class comment.
-  void AdvanceEpoch(std::uint64_t new_epoch,
-                    const GridCarryFn& carry = nullptr);
+  /// epoch) and sweeps every entry stamped at an older epoch. Eviction
+  /// counts into evicted_artifacts / invalidated_bytes and returns the
+  /// footprint to the budget. Requires external synchronization (no
+  /// concurrent lookups/inserts) — see the class comment.
+  void AdvanceEpoch(std::uint64_t new_epoch);
 
   /// Re-points the cache at a replacement dataset (same schema, possibly
   /// different rows/storage) — used when a streaming shard slot's row
@@ -305,31 +290,14 @@ class ArtifactCache {
 
     /// Evicts every entry not stamped `now`.
     void Sweep(std::uint64_t now) {
-      Sweep(now, [](const Key&, const Ptr&, std::size_t*) { return Ptr(); });
-    }
-
-    /// Sweep, offering each stale entry to `carry` first:
-    /// carry(key, value, &bytes) returns a replacement to keep — restamped
-    /// `now` and re-charged the updated bytes — or nullptr to evict.
-    template <typename Carry>
-    void Sweep(std::uint64_t now, const Carry& carry) {
       std::lock_guard<std::mutex> lock(mutex_);
       for (auto it = entries_.begin(); it != entries_.end();) {
-        Entry& entry = it->second;
-        if (entry.epoch != now) {
-          std::size_t bytes = entry.bytes;
-          if (Ptr kept = carry(it->first, entry.value, &bytes)) {
-            ledger_.approx_bytes.fetch_add(bytes, std::memory_order_relaxed);
-            ledger_.approx_bytes.fetch_sub(entry.bytes,
-                                           std::memory_order_relaxed);
-            entry = Entry{std::move(kept), now, bytes};
-          } else {
-            ledger_.Evict(entry.bytes);
-            it = entries_.erase(it);
-            continue;
-          }
+        if (it->second.epoch == now) {
+          ++it;
+          continue;
         }
-        ++it;
+        ledger_.Evict(it->second.bytes);
+        it = entries_.erase(it);
       }
     }
 
@@ -401,9 +369,9 @@ struct PreparedDatasetOptions {
   /// Pre-maintained per-attribute sorted orders (exactly the permutation
   /// std::stable_sort by value would produce — ties in ascending id
   /// order). When non-empty (size D, each of size N), EnsureRankArtifacts
-  /// adopts them instead of sorting, which is how a window slide pays
-  /// O(N) merge maintenance instead of O(N log N) re-sorts while staying
-  /// bit-identical to a cold build.
+  /// adopts them instead of sorting, which is how a window slide whose
+  /// previous index was built pays an O(N) merge instead of an
+  /// O(N log N) re-sort while staying bit-identical to a cold build.
   std::vector<std::vector<std::size_t>> sorted_orders;
 };
 
@@ -485,6 +453,15 @@ class PreparedDataset final : public ShardPlane {
   /// first call; subsumes the SortedAttributeIndex that search and
   /// contrast-matrix used to construct independently.
   const SortedAttributeIndex& sorted_index() const;
+
+  /// The sorted index if a consumer already built it, else nullptr; never
+  /// builds. It reads the lazily filled index without synchronizing with
+  /// a concurrent first build, so it is safe only while no query is in
+  /// flight — the streaming plane calls it inside a mutation, under its
+  /// rule that no query may run across one.
+  const SortedAttributeIndex* built_sorted_index() const {
+    return index_.get();
+  }
 
   /// Attribute `a`'s values sorted ascending — the marginal sample the
   /// deviation functions compare against. Element `pos` equals

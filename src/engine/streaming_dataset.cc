@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "cluster/grid.h"
 #include "index/sorted_index.h"
 #include "stats/descriptive.h"
 
@@ -57,15 +56,12 @@ StreamingDataset::StreamingDataset(std::size_t num_attributes,
   HICS_CHECK(options_.capacity > 0) << "streaming window capacity must be > 0";
   HICS_CHECK(num_attributes > 0);
   if (options_.num_shards == 0) options_.num_shards = 1;
-  if (options_.build_threads == 0) options_.build_threads = 1;
-  orders_.resize(num_attributes);
   ranges_.assign(num_attributes, {0.0, 0.0});
   window_cache_ = std::make_shared<ArtifactCache>(window_);
   PreparedDatasetOptions prep;
   prep.build_threads = options_.build_threads;
   prep.cache = window_cache_;
   prep.epoch = epoch_;
-  prep.sorted_orders = orders_;
   window_prepared_ = std::make_unique<PreparedDataset>(window_, std::move(prep));
   ReconcileSlots();
 }
@@ -159,12 +155,13 @@ void StreamingDataset::ApplyMutation(
   const std::size_t d = window_.num_attributes();
   const std::size_t old_n = size();
 
-  // Capture the evicted rows before they vanish: the grid-carry hook
-  // retires exactly these from any surviving window grid.
-  std::vector<std::vector<double>> evicted(evict, std::vector<double>(d));
-  for (std::size_t i = 0; i < evict; ++i) {
-    for (std::size_t a = 0; a < d; ++a) evicted[i][a] = window_.Get(i, a);
-  }
+  // The previous epoch's sorted index, only if a consumer built it: its
+  // orders seed the merge below. Nothing here builds one, so a window
+  // whose queries never sort it (every multi-shard window reads only its
+  // slots) pays no whole-window sort or merge. No query runs across a
+  // mutation, so reading the lazily built index is race-free.
+  const SortedAttributeIndex* old_index =
+      window_prepared_->built_sorted_index();
 
   window_.SlideWindow(evict, rows);
   head_serial_ += evict;
@@ -172,65 +169,35 @@ void StreamingDataset::ApplyMutation(
   const std::size_t new_n = window_.num_objects();
   HICS_CHECK_EQ(new_n, old_n - evict + rows.size());
 
-  // Incremental per-attribute maintenance: sorted order (compact the
-  // survivors, sort the admitted run, merge — the permutation a cold
-  // SortedAttributeIndex builds over the new window) and the (min, max)
-  // range, in one parallel pass over attributes.
+  // Per-attribute maintenance in one parallel pass: the sorted order
+  // (compact the survivors, sort the admitted run, merge — the
+  // permutation a cold SortedAttributeIndex builds over the new window)
+  // when there is an old index to merge from, and the (min, max) range —
+  // the helper ShardedDataset::GlobalAttributeRange and
+  // PreparedDataset::AttributeRange use, recomputed eagerly so readers
+  // of the new epoch never race a lazy fill.
+  std::vector<std::vector<std::size_t>> orders(old_index != nullptr ? d : 0);
   ParallelFor(0, d, options_.build_threads, [&](std::size_t a) {
     const std::vector<double>& col = window_.Column(a);
-    orders_[a] = SlideSortedOrder(col, orders_[a], evict);
-
-    // The range helper ShardedDataset::GlobalAttributeRange and
-    // PreparedDataset::AttributeRange use, recomputed eagerly so readers
-    // of the new epoch never race a lazy fill.
+    if (old_index != nullptr) {
+      orders[a] = SlideSortedOrder(col, old_index->SortedOrder(a), evict);
+    }
     ranges_[a] = stats::RangeIgnoringNaN(col);
   });
 
-  // Advance the persistent window cache. Searchers and score vectors
-  // describe evicted rows and are swept; grids whose binning
-  // geometry survived the slide (range bits unchanged => cache key
-  // unchanged) are carried by exact integer retire/admit instead.
-  const ArtifactCache::GridCarryFn carry =
-      [&](const std::string& key, const Subspace& subspace,
-          const std::shared_ptr<const SubspaceGrid>& grid,
-          std::size_t* bytes) -> std::shared_ptr<const SubspaceGrid> {
-    if (grid->has_point_keys()) return nullptr;  // stale id mapping
-    std::vector<std::pair<double, double>> sub_ranges;
-    sub_ranges.reserve(subspace.size());
-    for (std::size_t dim : subspace) {
-      if (dim >= d) return nullptr;
-      sub_ranges.push_back(ranges_[dim]);
-    }
-    if (GridArtifactKey(grid->bins_per_dim(), false, sub_ranges) != key) {
-      return nullptr;  // ranges moved; the new key rebuilds on demand
-    }
-    auto carried = std::make_shared<SubspaceGrid>(*grid);
-    std::vector<double> projected(subspace.size());
-    for (const auto& row : evicted) {
-      for (std::size_t j = 0; j < subspace.size(); ++j) {
-        projected[j] = row[subspace[j]];
-      }
-      carried->RetireRow(projected);
-    }
-    for (const auto& row : rows) {
-      for (std::size_t j = 0; j < subspace.size(); ++j) {
-        projected[j] = row[subspace[j]];
-      }
-      carried->AdmitRow(projected);
-    }
-    *bytes = carried->ApproxMemoryBytes();
-    return carried;
-  };
-  window_cache_->AdvanceEpoch(epoch_, carry);
+  // Advance the persistent window cache: every artifact describes rows
+  // that changed, so all of them are swept.
+  window_cache_->AdvanceEpoch(epoch_);
 
   // Rebuild the window's prepared artifact at the new epoch. Cheap: the
-  // sorted orders are adopted (no re-sort), sorted columns and moments
-  // derive lazily, and the cache (with any carried grids) persists.
+  // merged orders are adopted (or, with none, sorted lazily on first
+  // use), sorted columns and moments derive lazily, and the cache
+  // persists.
   PreparedDatasetOptions prep;
   prep.build_threads = options_.build_threads;
   prep.cache = window_cache_;
   prep.epoch = epoch_;
-  prep.sorted_orders = orders_;
+  prep.sorted_orders = std::move(orders);
   window_prepared_ =
       std::make_unique<PreparedDataset>(window_, std::move(prep));
 

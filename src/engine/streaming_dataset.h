@@ -25,34 +25,34 @@ struct StreamingOptions {
   /// fills). 1 = unsharded window.
   std::size_t num_shards = 1;
   /// Parallelism of per-mutation rebuild work (order maintenance, slot
-  /// row copies, lazy rank builds). Results are identical for any value.
+  /// row copies, lazy rank builds); 0 = hardware concurrency. Results
+  /// are identical for any value.
   std::size_t build_threads = 1;
 };
 
 /// Sliding-window streaming data plane (DESIGN.md §5j): a fixed-capacity
 /// row window that admits new rows at the tail and evicts expired rows
-/// from the head, maintaining the full prepared-dataset artifact stack
-/// incrementally instead of rebuilding it from scratch per mutation.
+/// from the head, keeping the artifacts that survive a slide instead of
+/// rebuilding everything per mutation.
 ///
 /// Epoch protocol. Every successful mutation (Admit/Slide) advances a
 /// monotonically increasing dataset epoch, stamps the rebuilt
 /// PreparedDataset with it, and advances the window ArtifactCache to it —
 /// which sweeps every artifact describing rows that no longer exist
 /// (counted in ArtifactCacheStats::evicted_artifacts/invalidated_bytes).
-/// Grid artifacts are offered a carry instead of eviction: when the
-/// attribute ranges survived the slide bit-for-bit, the cached grid is
-/// slid by exact integer retire/admit of the changed rows
-/// (SubspaceGrid::RetireRow/AdmitRow) and restamped — bit-identical to a
-/// cold rebuild, at O(changed rows) cost.
+/// A swept grid is re-binned on its next use, in one O(N) pass.
 ///
 /// What stays incremental per slide:
-///  - per-attribute sorted orders: survivors are compacted (their stable
-///    order is preserved under id shift), the K admitted rows are sorted,
-///    and the two runs are merged — O(N + K log K) per attribute instead
-///    of O(N log N), landing on exactly the permutation std::stable_sort
-///    would produce (ties break by ascending id; survivors hold the
-///    smaller ids, so a merge that takes ties from the survivor run first
-///    reproduces the cold order bit-for-bit);
+///  - per-attribute sorted orders, when a consumer built the previous
+///    epoch's window index (in practice, a one-shard window whose search
+///    ran): survivors are compacted (their stable order is preserved
+///    under id shift), the K admitted rows are sorted, and the two runs
+///    are merged — O(N + K log K) per attribute instead of O(N log N),
+///    landing on exactly the permutation std::stable_sort would produce
+///    (ties break by ascending id; survivors hold the smaller ids, so a
+///    merge that takes ties from the survivor run first reproduces the
+///    cold order bit-for-bit). With no built index there is nothing to
+///    merge from, and the new window's index sorts lazily on first use;
 ///  - shard slots: the plane partitions the window by the canonical
 ///    ShardedDataset rule (begin = s*N/S, clamped to N/2 shards), and a
 ///    slot whose row *contents* are unchanged by the slide — in steady
@@ -62,8 +62,7 @@ struct StreamingOptions {
 ///    rebuild. Only slots whose rows changed are rebuilt, and their
 ///    recycled caches advance to the new epoch (retire/admit of whole
 ///    shards). A one-part partition keeps no slot: the window is its own
-///    shard;
-///  - window grids: carried by exact count retire/admit as above.
+///    shard.
 ///
 /// Byte-identity contract: after any sequence of slides, every consumer
 /// of this plane — RunHicsSearch, RankWithSubspacesSharded,
@@ -127,10 +126,10 @@ class StreamingDataset : public ShardPlane {
   /// The window as a dataset (rows in admission order, oldest first).
   const Dataset& window() const { return window_; }
 
-  /// The whole-window prepared artifact of the current epoch: the
-  /// incrementally maintained sorted index, sorted columns, moments, and
-  /// the persistent epoch-managed window cache. Rebuilt (cheaply — the
-  /// orders are adopted, not re-sorted) on every mutation.
+  /// The whole-window prepared artifact of the current epoch: the sorted
+  /// index, sorted columns, moments (all built lazily), and the
+  /// persistent epoch-managed window cache. Rebuilt on every mutation,
+  /// adopting merged orders when the previous index was built.
   const PreparedDataset& prepared() const { return *window_prepared_; }
 
   // --- ShardPlane view (the sharded search/ranking substrate) ---
@@ -168,8 +167,9 @@ class StreamingDataset : public ShardPlane {
                            const std::vector<std::vector<double>>& rows,
                            const RunContext* ctx) const;
 
-  /// Applies the mutation: window slide, order maintenance, range
-  /// recompute, window artifact rebuild, slot reconciliation, grid carry.
+  /// Applies the mutation: window slide, order merge (when the previous
+  /// index was built), range recompute, cache sweep, window artifact
+  /// rebuild, slot reconciliation.
   void ApplyMutation(std::size_t evict,
                      const std::vector<std::vector<double>>& rows);
 
@@ -190,11 +190,6 @@ class StreamingDataset : public ShardPlane {
   /// recognized by content without comparing rows.
   std::uint64_t head_serial_ = 0;
   std::uint64_t epoch_ = 0;
-
-  /// Maintained per-attribute sorted orders of the window (the stable
-  /// sort permutation); the authority the per-epoch PreparedDataset
-  /// adopts.
-  std::vector<std::vector<std::size_t>> orders_;
 
   /// Per-attribute (min, max) of the current window, recomputed eagerly
   /// per mutation so concurrent readers never race a lazy fill.

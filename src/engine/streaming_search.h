@@ -21,8 +21,9 @@ namespace hics {
 /// ShardedDataset at the same shard count otherwise — at every thread
 /// count; tests/streaming_dataset_test.cc and bench_streaming assert it
 /// after every slide (`streaming_identical` in CI). A one-shard window is
-/// its own shard, so it ranks through the warm window cache and its grid
-/// carry across slides.
+/// its own shard, so it searches the window's sorted index (merged from
+/// the previous epoch's when that was built) and ranks through the window
+/// cache.
 ///
 /// Streaming ranking of scored subspaces (the search output): forwards
 /// to RankWithSubspacesSharded. Multi-shard planes rank under `policy`

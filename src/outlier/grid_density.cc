@@ -147,9 +147,8 @@ std::shared_ptr<const SubspaceGrid> GridDensityScorer::CachedGrid(
   options.bins_per_dim = params_.bins_per_dim;
   options.num_threads = params_.num_threads;
   // Cached grids never retain point keys: the cache outlives the call,
-  // and on a streaming plane object ids shift with every slide, so only
-  // the keyless form can survive (and be carried by exact retire/admit).
-  // The gather re-bins per point, landing on identical densities.
+  // so 8N bytes of keys would stay pinned per cached subspace. The
+  // gather re-bins per point, landing on identical densities.
   options.keep_point_keys = false;
   auto built =
       std::make_shared<const SubspaceGrid>(dataset, subspace, ranges, options);

@@ -272,7 +272,7 @@ inline Result<Dataset> OracleParseArff(const std::string& text,
       } else {
         char* end = nullptr;
         value = std::strtod(cell.c_str(), &end);
-        if (end != cell.c_str() + cell.size()) {
+        if (cell.empty() || end != cell.c_str() + cell.size()) {
           return Status::InvalidArgument("cannot parse '" + cell +
                                          "' as numeric for attribute '" +
                                          attr.name + "'");

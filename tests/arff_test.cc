@@ -173,6 +173,22 @@ nan, 4
   EXPECT_NE(ds.status().message().find("x"), std::string::npos);
 }
 
+TEST(ArffTest, RejectsAnEmptyOrBlankNumericCell) {
+  // An empty cell is no number: it must not load as 0. A blank one is
+  // trimmed to empty first.
+  for (const char* row : {"1,,3", "2, ,4"}) {
+    const std::string text = std::string(
+        "@relation r\n@attribute x numeric\n@attribute y numeric\n"
+        "@attribute z numeric\n@data\n") + row + "\n";
+    auto ds = ParseArff(text);
+    ASSERT_FALSE(ds.ok()) << row;
+    EXPECT_EQ(ds.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(ds.status().message(),
+              "cannot parse '' as numeric for attribute 'y'")
+        << row;
+  }
+}
+
 TEST(ArffTest, DropRowPolicySkipsNonFiniteRows) {
   const char text[] = R"(@relation r
 @attribute x numeric

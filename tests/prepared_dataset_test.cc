@@ -950,11 +950,9 @@ TEST(ArtifactCacheTest, ScriptedSequenceCountsEveryKindExactly) {
   EXPECT_EQ(cache.ApproxMemoryBytes(), footprint);
   cache.SetByteBudget(0);
 
-  // An advance that carries the grid unchanged and sweeps the rest.
-  cache.AdvanceEpoch(1, [](const std::string&, const Subspace&,
-                           const std::shared_ptr<const SubspaceGrid>& kept,
-                           std::size_t*) { return kept; });
-  EXPECT_EQ(cache.FindGrid("g", a), grid);
+  // An advance sweeps every kind.
+  cache.AdvanceEpoch(1);
+  EXPECT_EQ(cache.FindGrid("g", a), nullptr);
   EXPECT_EQ(cache.FindScores("k", a), nullptr);
 
   const ArtifactCacheStats stats = cache.stats();
@@ -964,14 +962,15 @@ TEST(ArtifactCacheTest, ScriptedSequenceCountsEveryKindExactly) {
   EXPECT_EQ(stats.knn_table_misses, 3u);  // every computed table
   EXPECT_EQ(stats.score_hits, 1u);
   EXPECT_EQ(stats.score_misses, 2u);
-  EXPECT_EQ(stats.grid_hits, 2u);
-  EXPECT_EQ(stats.grid_misses, 1u);
+  EXPECT_EQ(stats.grid_hits, 1u);
+  EXPECT_EQ(stats.grid_misses, 2u);
   EXPECT_EQ(stats.budget_rejections, 3u);
-  EXPECT_EQ(stats.evicted_artifacts, 2u);
-  EXPECT_EQ(stats.invalidated_bytes, footprint - grid_bytes);
-  EXPECT_EQ(stats.approx_bytes, grid_bytes);
-  EXPECT_EQ(cache.num_grids(), 1u);
-  EXPECT_EQ(cache.num_searchers() + cache.num_score_vectors(), 0u);
+  EXPECT_EQ(stats.evicted_artifacts, 3u);
+  EXPECT_EQ(stats.invalidated_bytes, footprint);
+  EXPECT_EQ(stats.approx_bytes, 0u);
+  EXPECT_EQ(cache.num_grids() + cache.num_searchers() +
+                cache.num_score_vectors(),
+            0u);
 }
 
 TEST(ArtifactCacheTest, ConcurrentMixedKindsKeepOneCanonicalEntryPerKey) {

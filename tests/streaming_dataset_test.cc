@@ -6,8 +6,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <deque>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "cluster/grid.h"
@@ -32,7 +33,7 @@ constexpr ShardedScoringPolicy kApprox =
     ShardedScoringPolicy::kAllowApproximation;
 
 /// One random row with every value strictly inside (0.05, 0.95) — inside
-/// the 0.05/0.95 extreme rows the grid-carry test plants, so admissions
+/// the 0.05/0.95 extreme rows the window-grid test plants, so admissions
 /// never move the global ranges unless a test wants them to.
 std::vector<double> InteriorRow(Rng& rng, std::size_t d) {
   std::vector<double> row(d);
@@ -217,6 +218,60 @@ TEST(StreamingWindowTest, MaintainedSortedOrdersMatchAColdStableSort) {
   }
 }
 
+TEST(StreamingWindowTest, OrdersMergeOnlyFromAnIndexAQueryBuilt) {
+  Rng rng(24);
+  const std::size_t d = 3;
+  HicsParams params;
+  params.num_iterations = 5;
+  params.output_top_k = 4;
+
+  // One shard: a search builds the window index, so the next slide
+  // merges from it; a slide after an unsearched epoch has no index to
+  // merge from and the new index sorts lazily. Searching on two of every
+  // three epochs exercises both paths; each must equal a cold sort.
+  StreamingDataset one(d, {.capacity = 25});
+  ReferenceWindow reference(d);
+  for (int step = 0; step < 12; ++step) {
+    const auto rows = InteriorRows(rng, 4, d);
+    const std::size_t evict = one.size() >= 22 ? 4 : 0;
+    ASSERT_TRUE(one.Slide(evict, rows).ok());
+    reference.Slide(evict, rows);
+    EXPECT_EQ(one.prepared().built_sorted_index(), nullptr)
+        << "step " << step;
+    if (step % 3 == 1) continue;
+
+    ASSERT_TRUE(RunHicsSearch(one, params).ok()) << "step " << step;
+    ASSERT_EQ(one.prepared().built_sorted_index(),
+              &one.prepared().sorted_index());
+    const Dataset cold_ds = reference.AsDataset();
+    const PreparedDataset cold(cold_ds);
+    for (std::size_t a = 0; a < d; ++a) {
+      const auto streamed = one.prepared().sorted_index().SortedOrder(a);
+      const auto sorted = cold.sorted_index().SortedOrder(a);
+      ASSERT_EQ(std::vector<std::size_t>(streamed.begin(), streamed.end()),
+                std::vector<std::size_t>(sorted.begin(), sorted.end()))
+          << "step " << step << " attribute " << a;
+    }
+  }
+
+  // Several shards: the search and the ranking read only the slots, so
+  // the whole-window index is never built, and no slide sorts or merges
+  // whole-window orders.
+  StreamingDataset sharded(d, {.capacity = 40, .num_shards = 2});
+  GridDensityParams grid_params;
+  grid_params.bins_per_dim = 4;
+  const GridDensityScorer grid(grid_params);
+  for (int step = 0; step < 4; ++step) {
+    ASSERT_TRUE(sharded.Admit(InteriorRows(rng, 10, d)).ok());
+    const auto found = RunHicsSearch(sharded, params);
+    ASSERT_TRUE(found.ok());
+    ASSERT_EQ(sharded.num_shards(), 2u);
+    ASSERT_TRUE(RankWithSubspaces(sharded, *found, grid).ok());
+    EXPECT_EQ(sharded.prepared().built_sorted_index(), nullptr)
+        << "step " << step;
+  }
+}
+
 TEST(StreamingWindowTest, PartitionFollowsTheCanonicalShardedRule) {
   Rng rng(29);
   StreamingDataset streaming(3, {.capacity = 40, .num_shards = 4});
@@ -345,16 +400,17 @@ TEST(StreamingWindowTest, OneShardWindowIsItsOwnShard) {
 // unsharded, ShardedDataset at the same shard count otherwise — at every
 // thread count.
 
-class StreamingIdentityTest
-    : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(StreamingIdentityTest, SlidesMatchColdRebuildAcrossThreadCounts) {
-  const std::size_t shards = GetParam();
+/// Slides a window of `shards` shards built with `build_threads`, and
+/// after every slide checks its search, contrast matrix and rankings
+/// against a cold plane of the same rows at 1, 2 and 4 threads.
+void ExpectSlidesMatchColdRebuild(std::size_t shards,
+                                  std::size_t build_threads) {
   Rng rng(31 + shards);
   const std::size_t d = 4;
   const std::size_t capacity = 36;
-  StreamingDataset streaming(
-      d, {.capacity = capacity, .num_shards = shards, .build_threads = 2});
+  StreamingDataset streaming(d, {.capacity = capacity,
+                                 .num_shards = shards,
+                                 .build_threads = build_threads});
   ReferenceWindow reference(d);
 
   HicsParams params;
@@ -436,6 +492,19 @@ TEST_P(StreamingIdentityTest, SlidesMatchColdRebuildAcrossThreadCounts) {
         EXPECT_EQ(*streamed_rank, *cold_rank);
       }
     }
+  }
+}
+
+class StreamingIdentityTest
+    : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(StreamingIdentityTest, SlidesMatchColdRebuildAcrossThreadCounts) {
+  const std::size_t shards = GetParam();
+  // build_threads = 0 means hardware concurrency, like every other
+  // thread knob; the window must come out the same for it.
+  for (std::size_t build_threads : {std::size_t{2}, std::size_t{0}}) {
+    SCOPED_TRACE("build_threads " + std::to_string(build_threads));
+    ExpectSlidesMatchColdRebuild(shards, build_threads);
   }
 }
 
@@ -538,16 +607,17 @@ TEST(StreamingShardReuseTest, AlignedSlideRebuildsOnlyTheNewSlot) {
 }
 
 // ---------------------------------------------------------------------------
-// Window-grid carry: a slide that keeps the attribute ranges bit-stable
-// slides the cached whole-window grid by exact retire/admit instead of
-// rebuilding it; a range-moving slide evicts it (the key changed).
+// Window grids: a slide sweeps the cached whole-window grid even when the
+// attribute ranges (and so its cache key) survive, and the next rank
+// re-bins it to exactly what a cold window would build.
 
-TEST(StreamingGridCarryTest, RangeStableSlideCarriesTheWindowGrid) {
+TEST(StreamingWindowGridTest, SlideEvictsAndRebinsTheWindowGrid) {
   Rng rng(43);
   const std::size_t d = 3;
   StreamingDataset streaming(d, {.capacity = 24, .num_shards = 1});
   // Pin the global range of every attribute with two extreme rows
-  // admitted LAST (so the tested slide never evicts them).
+  // admitted LAST (so the slide never evicts them): the grid key stays
+  // the same across the slide.
   auto rows = InteriorRows(rng, 22, d);
   rows.push_back(std::vector<double>(d, 0.05));
   rows.push_back(std::vector<double>(d, 0.95));
@@ -564,31 +634,22 @@ TEST(StreamingGridCarryTest, RangeStableSlideCarriesTheWindowGrid) {
   ArtifactCacheStats stats = streaming.window_cache_stats();
   EXPECT_EQ(stats.grid_misses, 1u);
   EXPECT_EQ(stats.grid_hits, 0u);
+  EXPECT_EQ(stats.evicted_artifacts, 0u);
 
-  // Interior slide: ranges survive bit-for-bit => the grid is carried.
   ASSERT_TRUE(streaming.Slide(4, InteriorRows(rng, 4, d)).ok());
+  EXPECT_EQ(streaming.prepared().cache().num_grids(), 0u);
+  EXPECT_GT(streaming.window_cache_stats().evicted_artifacts, 0u);
   const auto ranked =
       RankWithSubspacesSharded(streaming, subspaces, scorer, kAvg, kExact);
   ASSERT_TRUE(ranked.ok());
   stats = streaming.window_cache_stats();
-  EXPECT_EQ(stats.grid_misses, 1u);  // never rebuilt
-  EXPECT_EQ(stats.grid_hits, 1u);    // served the carried grid
+  EXPECT_EQ(stats.grid_misses, 2u);  // re-binned, not served stale
+  EXPECT_EQ(stats.grid_hits, 0u);
 
-  // The carried grid scores byte-identically to a cold rebuild.
+  // The re-binned grid scores byte-identically to a cold window.
   const Dataset cold_ds = streaming.window();
   const PreparedDataset cold(cold_ds);
-  EXPECT_EQ(*ranked, RankWithSubspaces(cold, subspaces, scorer));
-
-  // Range-moving slide (a value above the pinned max): the old key can
-  // no longer match — the stale grid is evicted, the next rank re-bins.
-  std::vector<double> outlier(d, 0.99);
-  ASSERT_TRUE(streaming.Slide(1, {outlier}).ok());
-  ASSERT_TRUE(
-      RankWithSubspacesSharded(streaming, subspaces, scorer, kAvg, kExact)
-          .ok());
-  stats = streaming.window_cache_stats();
-  EXPECT_EQ(stats.grid_misses, 2u);  // rebuilt against the new ranges
-  EXPECT_GT(stats.evicted_artifacts, 0u);
+  ExpectSameBits(*ranked, RankWithSubspaces(cold, subspaces, scorer));
 }
 
 // ---------------------------------------------------------------------------
@@ -731,87 +792,7 @@ TEST(StreamingFaultTest, RandomFaultSequenceNeverDivergesFromReplay) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental SubspaceGrid maintenance (the carry substrate).
-
-TEST(StreamingGridOpsTest, AdmitAndRetireReproduceAColdRebuild) {
-  Rng rng(61);
-  const std::size_t n = 40;
-  Dataset ds(n, 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    ds.Set(i, 0, rng.UniformDouble());
-    ds.Set(i, 1, rng.UniformDouble());
-  }
-  const Subspace subspace{0, 1};
-  std::vector<std::pair<double, double>> ranges = {{0.0, 1.0}, {0.0, 1.0}};
-  GridOptions options;
-  options.bins_per_dim = 4;
-
-  // Start from rows [4, 40), retire nothing, admit rows [0, 4) — must
-  // equal the grid over all 40 rows; then retire them again.
-  std::vector<std::vector<double>> tail_cols(2);
-  for (std::size_t a = 0; a < 2; ++a) {
-    tail_cols[a].assign(ds.Column(a).begin() + 4, ds.Column(a).end());
-  }
-  Dataset tail =
-      std::move(Dataset::FromColumns(std::move(tail_cols))).ValueOrDie();
-  SubspaceGrid incremental(
-      tail, subspace, std::span<const std::pair<double, double>>(ranges),
-      options);
-  for (std::size_t i = 0; i < 4; ++i) {
-    const double row[2] = {ds.Get(i, 0), ds.Get(i, 1)};
-    incremental.AdmitRow(std::span<const double>(row, 2));
-  }
-  const SubspaceGrid full(
-      ds, subspace, std::span<const std::pair<double, double>>(ranges),
-      options);
-  EXPECT_EQ(incremental.NonEmptyCells(), full.NonEmptyCells());
-  EXPECT_EQ(incremental.total_objects(), full.total_objects());
-  EXPECT_EQ(incremental.Entropy(), full.Entropy());
-
-  for (std::size_t i = 0; i < 4; ++i) {
-    const double row[2] = {ds.Get(i, 0), ds.Get(i, 1)};
-    incremental.RetireRow(std::span<const double>(row, 2));
-  }
-  const SubspaceGrid tail_grid(
-      tail, subspace, std::span<const std::pair<double, double>>(ranges),
-      options);
-  EXPECT_EQ(incremental.NonEmptyCells(), tail_grid.NonEmptyCells());
-}
-
-TEST(StreamingGridOpsTest, AddSubtractCountsMatchAFreshMerge) {
-  Rng rng(67);
-  const std::size_t n = 30;
-  Dataset a(n, 2), b(n, 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    a.Set(i, 0, rng.UniformDouble());
-    a.Set(i, 1, rng.UniformDouble());
-    b.Set(i, 0, rng.UniformDouble());
-    b.Set(i, 1, rng.UniformDouble());
-  }
-  const Subspace subspace{0, 1};
-  std::vector<std::pair<double, double>> ranges = {{0.0, 1.0}, {0.0, 1.0}};
-  GridOptions options;
-  options.bins_per_dim = 5;
-
-  const SubspaceGrid ga(
-      a, subspace, std::span<const std::pair<double, double>>(ranges),
-      options);
-  const SubspaceGrid gb(
-      b, subspace, std::span<const std::pair<double, double>>(ranges),
-      options);
-
-  SubspaceGrid sum = ga;
-  sum.AddCounts(gb);
-  const SubspaceGrid* both[] = {&ga, &gb};
-  const SubspaceGrid merged =
-      SubspaceGrid::MergeShards(std::span<const SubspaceGrid* const>(both, 2));
-  EXPECT_EQ(sum.NonEmptyCells(), merged.NonEmptyCells());
-  EXPECT_EQ(sum.total_objects(), merged.total_objects());
-
-  sum.SubtractCounts(gb);
-  EXPECT_EQ(sum.NonEmptyCells(), ga.NonEmptyCells());
-  EXPECT_EQ(sum.total_objects(), ga.total_objects());
-}
+// Grid cache keys.
 
 TEST(StreamingGridOpsTest, GridArtifactKeyEncodesRangeBits) {
   std::vector<std::pair<double, double>> r1 = {{0.0, 1.0}, {0.25, 0.75}};
